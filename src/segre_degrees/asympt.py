@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
+from .combinat import VerificationError
 from .eddeg import frobenius_ed_degree, veronese_frobenius_ed_degree
 from .hyperdet import (
     binary_hyperdet_degree,
@@ -35,6 +36,7 @@ __all__ = [
     "ConvergencePoint",
     "ConvergenceReport",
     "DiscriminantRatios",
+    "FORMULAS",
     "MinimalPointCheck",
     "VerificationError",
     "binary_asymptotics",
@@ -51,10 +53,6 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-class VerificationError(Exception):
-    """An exact identity that the estimates rely on failed to hold."""
 
 
 def log_hyperdet_asymptotic(d: int, n: int) -> float:
@@ -333,6 +331,20 @@ class ConvergenceReport:
         return all(b < a for a, b in zip(errs, errs[1:]))
 
 
+# formula -> (exact_fn(dims, omega), log_estimate_fn(d, n, omega)) on the
+# hypercubical format (n+1)^d.  Each entry looks its functions up when called,
+# so a caller that replaces a module attribute (a tracer, a test double) sees
+# every call.
+FORMULAS = {
+    "hyperdet": (lambda dims, omega: hyperdet_degree(dims),
+                 lambda d, n, omega: log_hyperdet_asymptotic(d, n)),
+    "ed": (lambda dims, omega: frobenius_ed_degree(dims),
+           lambda d, n, omega: log_ed_asymptotic(d, n)),
+    "sv": (lambda dims, omega: sv_hyperdet_degree(dims, omega),
+           lambda d, n, omega: log_sv_hyperdet_asymptotic(d, n, omega)),
+}
+
+
 def convergence_sweep(formula: str, d: int, grid: Sequence[int], omega: int = 1) -> ConvergenceReport:
     """Exact values against estimates over a grid.
 
@@ -340,27 +352,14 @@ def convergence_sweep(formula: str, d: int, grid: Sequence[int], omega: int = 1)
     format (n+1)^d; "sv" does the same with equal Veronese weight omega;
     "binary" sweeps d itself (the d argument is ignored) on 2 x ... x 2.
     """
-    points = []
-    if formula == "hyperdet":
-        for n in grid:
-            exact = hyperdet_degree((n,) * d)
-            log_est = log_hyperdet_asymptotic(d, n)
-            points.append(ConvergencePoint(n, exact, log_est, relative_error(exact, log_est)))
-    elif formula == "ed":
-        for n in grid:
-            exact = frobenius_ed_degree((n,) * d)
-            log_est = log_ed_asymptotic(d, n)
-            points.append(ConvergencePoint(n, exact, log_est, relative_error(exact, log_est)))
-    elif formula == "sv":
-        for n in grid:
-            exact = sv_hyperdet_degree((n,) * d, omega)
-            log_est = log_sv_hyperdet_asymptotic(d, n, omega)
-            points.append(ConvergencePoint(n, exact, log_est, relative_error(exact, log_est)))
-    elif formula == "binary":
-        for dd in grid:
-            exact = binary_hyperdet_degree(dd)
-            log_est = binary_asymptotics(dd).log_hyperdet
-            points.append(ConvergencePoint(dd, exact, log_est, relative_error(exact, log_est)))
+    if formula == "binary":
+        triples = [(dd, binary_hyperdet_degree(dd), binary_asymptotics(dd).log_hyperdet)
+                   for dd in grid]
+    elif formula in FORMULAS:
+        exact_fn, log_estimate_fn = FORMULAS[formula]
+        triples = [(n, exact_fn((n,) * d, omega), log_estimate_fn(d, n, omega)) for n in grid]
     else:
         raise ValueError(f"unknown formula {formula!r}")
-    return ConvergenceReport(formula=formula, d=d, points=tuple(points))
+    points = tuple(ConvergencePoint(g, exact, log_est, relative_error(exact, log_est))
+                   for g, exact, log_est in triples)
+    return ConvergenceReport(formula=formula, d=d, points=points)

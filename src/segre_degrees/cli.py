@@ -23,11 +23,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 from . import asympt as asy
-from .eddeg import frobenius_ed_degree, generic_ed_degree, veronese_frobenius_ed_degree
+from .combinat import VerificationError
+from .eddeg import (frobenius_ed_degree, generic_ed_degree, stabilization_onset,
+                    veronese_frobenius_ed_degree)
 from .hyperdet import hyperdet_degree, is_dual_nondefective, partition_formats, sv_hyperdet_degree
 from .polar import (
     alternating_binomial_identity_holds,
@@ -55,10 +56,7 @@ class CapBudgetError(Exception):
 
 
 def _check_cap_budget(caps: Sequence[int], cap_bytes: int) -> None:
-    cells = 1
-    for c in caps:
-        cells *= c + 1
-    approx = cells * BYTES_PER_TERM
+    approx = math.prod(c + 1 for c in caps) * BYTES_PER_TERM
     if approx > cap_bytes:
         worst = max(range(len(caps)), key=lambda i: caps[i])
         raise CapBudgetError(
@@ -68,12 +66,16 @@ def _check_cap_budget(caps: Sequence[int], cap_bytes: int) -> None:
 
 def _parse_ints(text: str, what: str) -> Tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"cannot parse {what} {text!r}: expected comma-separated integers")
-    if not values:
-        raise UsageError(f"empty {what}")
-    return values
+
+
+def _parse_dims(text: str) -> Tuple[int, ...]:
+    dims = _parse_ints(text, "dims")
+    if any(n < 0 for n in dims):
+        raise UsageError(f"dimensions must be non-negative, got {dims}")
+    return dims
 
 
 def _parse_grid(text: str) -> Tuple[int, ...]:
@@ -94,42 +96,51 @@ def _fmt_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-@dataclass
-class OutputRecord:
-    command: str
-    parameters: dict
-    result: object
-    note: str = ""
-    elapsed_ms: float | None = None
-
-    def as_json_obj(self, timing: bool) -> dict:
-        obj = {"command": self.command, "parameters": self.parameters,
-               "result": self.result, "note": self.note}
-        if timing and self.elapsed_ms is not None:
-            obj["elapsed_ms"] = round(self.elapsed_ms, 3)
-        return obj
+def _join(values: Sequence[int]) -> str:
+    return ",".join(map(str, values))
 
 
-def _records_to_json(records: List[OutputRecord], timing: bool) -> str:
-    return json.dumps([r.as_json_obj(timing) for r in records],
-                      sort_keys=True, separators=(", ", ": "), indent=1) + "\n"
+# -- output -------------------------------------------------------------------
 
 
-def _records_to_csv(records: List[OutputRecord], timing: bool) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["command", "parameters", "result", "note"]
-    if timing:
-        header.append("elapsed_ms")
-    writer.writerow(header)
-    for r in records:
-        params = ";".join(f"{k}={v}" for k, v in sorted(r.parameters.items()))
-        result = ",".join(map(str, r.result)) if isinstance(r.result, list) else str(r.result)
-        row = [r.command, params, result, r.note]
-        if timing:
-            row.append("" if r.elapsed_ms is None else f"{r.elapsed_ms:.3f}")
-        writer.writerow(row)
-    return buf.getvalue()
+def _record(command: str, parameters: dict, result: object, note: str = "", **extra) -> dict:
+    return dict(command=command, parameters=parameters, result=result, note=note, **extra)
+
+
+def _render(args: argparse.Namespace, records: List[dict],
+            csv_rows: List[list] | None = None, plain: List[str] | None = None) -> str:
+    """The one output path: records as JSON, CSV or plain text.  ``csv_rows``
+    (header included) and ``plain`` lines replace the generic CSV and plain
+    layouts where a table's golden layout differs."""
+    if args.format == "json":
+        objs = [{k: v for k, v in rec.items() if k != "elapsed_ms" or args.timing}
+                for rec in records]
+        return json.dumps(objs, sort_keys=True, separators=(", ", ": "), indent=1) + "\n"
+    if args.format == "csv":
+        if csv_rows is None:
+            header = ["command", "parameters", "result", "note"]
+            csv_rows = [header + ["elapsed_ms"] if args.timing else header]
+            for rec in records:
+                params = ";".join(f"{k}={v}" for k, v in sorted(rec["parameters"].items()))
+                csv_rows.append([rec["command"], params, str(rec["result"]), rec["note"]])
+                if args.timing:
+                    csv_rows[-1].append(f"{rec['elapsed_ms']:.3f}" if "elapsed_ms" in rec else "")
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
+        return buf.getvalue()
+    if plain is None:
+        plain = []
+        for rec in records:
+            result = rec["result"]
+            extras = [f"{key}={rec['parameters'][key]}"
+                      for key in ("quantity", "exact", "rel_error") if key in rec["parameters"]]
+            if rec["note"]:
+                extras.append(f"({rec['note']})")
+            if args.timing and "elapsed_ms" in rec:
+                extras.append(f"[{rec['elapsed_ms']:.3f} ms]")
+            text = _fmt_float(result) if isinstance(result, float) else str(result)
+            plain.append(text + "  " + " ".join(extras) if extras else text)
+    return "\n".join(plain) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -143,58 +154,50 @@ def _emit(text: str, out_path: str | None) -> None:
 # -- scalar commands ----------------------------------------------------------
 
 
-def _cmd_hyperdet(args: argparse.Namespace) -> List[OutputRecord]:
-    dims = _parse_ints(args.dims, "dims")
-    if any(n < 0 for n in dims):
-        raise UsageError(f"dimensions must be non-negative, got {dims}")
-    _check_cap_budget(dims, args.cap_bytes)
+def _timed(fn: Callable, *fn_args) -> Tuple[int, float]:
     start = time.perf_counter()
-    value = sv_hyperdet_degree(dims, args.omega) if args.omega != 1 else hyperdet_degree(dims)
-    elapsed = (time.perf_counter() - start) * 1000.0
+    value = fn(*fn_args)
+    return value, round((time.perf_counter() - start) * 1000.0, 3)
+
+
+def _cmd_hyperdet(args: argparse.Namespace) -> Tuple[str, int]:
+    dims = _parse_dims(args.dims)
+    _check_cap_budget(dims, args.cap_bytes)
+    value, elapsed = _timed(sv_hyperdet_degree, dims, args.omega)
     note = ""
     if args.omega == 1 and value == 0 and not is_dual_nondefective(dims):
         note = "dual defective"
-    params = {"dims": ",".join(map(str, dims)), "omega": str(args.omega)}
-    return [OutputRecord("hyperdet", params, str(value), note, elapsed)]
+    params = {"dims": _join(dims), "omega": str(args.omega)}
+    return _render(args, [_record("hyperdet", params, str(value), note, elapsed_ms=elapsed)]), 0
 
 
-def _cmd_eddeg(args: argparse.Namespace) -> List[OutputRecord]:
-    dims = _parse_ints(args.dims, "dims")
-    if any(n < 0 for n in dims):
-        raise UsageError(f"dimensions must be non-negative, got {dims}")
+def _cmd_eddeg(args: argparse.Namespace) -> Tuple[str, int]:
+    dims = _parse_dims(args.dims)
     weights = _parse_ints(args.weights, "weights") if args.weights else (1,) * len(dims)
     if len(weights) != len(dims):
         raise UsageError(f"{len(dims)} dims but {len(weights)} weights")
     if any(w < 1 for w in weights):
         raise UsageError(f"weights must be positive, got {weights}")
-    start = time.perf_counter()
     if args.generic:
         metric = "generic"
-        value = generic_ed_degree(dims, weights)
+        value, elapsed = _timed(generic_ed_degree, dims, weights)
     elif all(w == 1 for w in weights):
         metric = "frobenius"
         _check_cap_budget(dims, args.cap_bytes)
-        value = frobenius_ed_degree(dims)
+        value, elapsed = _timed(frobenius_ed_degree, dims)
     elif len(dims) == 1:
         metric = "frobenius"
         if weights[0] < 2:
             raise UsageError("single-factor weights must be at least 2")
-        value = veronese_frobenius_ed_degree(dims[0], weights[0])
+        value, elapsed = _timed(veronese_frobenius_ed_degree, dims[0], weights[0])
     else:
         raise UsageError("Frobenius ED degrees with non-unit weights are only "
                          "available for a single factor; use --generic")
-    elapsed = (time.perf_counter() - start) * 1000.0
-    params = {"dims": ",".join(map(str, dims)),
-              "weights": ",".join(map(str, weights)),
-              "metric": metric}
-    return [OutputRecord("eddeg", params, str(value), "", elapsed)]
+    params = {"dims": _join(dims), "weights": _join(weights), "metric": metric}
+    return _render(args, [_record("eddeg", params, str(value), elapsed_ms=elapsed)]), 0
 
 
 # -- tables -------------------------------------------------------------------
-
-
-def _ed_cell(dims: Tuple[int, ...]) -> int:
-    return frobenius_ed_degree(dims)
 
 
 def _dual_cell(n: int) -> int:
@@ -217,209 +220,155 @@ def _base_label(base: Tuple[int, ...]) -> str:
 
 def _table_table2(args: argparse.Namespace) -> str:
     tasks = [base + (m,) for base in TABLE2_BASES for m in range(TABLE2_COLUMNS)]
-    values = _map_cells(_ed_cell, tasks, args.jobs)
+    values = [str(v) for v in _map_cells(frobenius_ed_degree, tasks, args.jobs)]
     rows = [values[i * TABLE2_COLUMNS:(i + 1) * TABLE2_COLUMNS]
             for i in range(len(TABLE2_BASES))]
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["X"] + [f"m={m}" for m in range(TABLE2_COLUMNS)])
-        for base, row in zip(TABLE2_BASES, rows):
-            writer.writerow([_base_label(base)] + [str(v) for v in row])
-        return buf.getvalue()
-    if args.format == "json":
-        records = [OutputRecord("table",
-                                {"name": "table2", "base": ",".join(map(str, base))},
-                                [str(v) for v in row])
-                   for base, row in zip(TABLE2_BASES, rows)]
-        return _records_to_json(records, args.timing)
-    lines = ["X      " + "".join(f"m={m:<5}" for m in range(TABLE2_COLUMNS))]
+    records = [_record("table", {"name": "table2", "base": _join(base)}, row)
+               for base, row in zip(TABLE2_BASES, rows)]
+    csv_rows = [["X"] + [f"m={m}" for m in range(TABLE2_COLUMNS)]]
+    plain = ["X      " + "".join(f"m={m:<5}" for m in range(TABLE2_COLUMNS))]
     for base, row in zip(TABLE2_BASES, rows):
-        lines.append(f"{_base_label(base):<7}" + "".join(f"{v:<7}" for v in row))
-    return "\n".join(lines) + "\n"
+        csv_rows.append([_base_label(base)] + row)
+        plain.append(f"{_base_label(base):<7}" + "".join(f"{v:<7}" for v in row))
+    return _render(args, records, csv_rows, plain)
 
 
 def _table_stabilization(args: argparse.Namespace) -> str:
-    entries = []
+    records = []
+    csv_rows = [["base", "m", "ed_degree", "stable_from"]]
+    plain = []
     for base in TABLE2_BASES:
         stable_from = sum(base)
-        ms = list(range(stable_from + 4))
-        values = _map_cells(_ed_cell, [base + (m,) for m in ms], args.jobs)
-        entries.append((base, stable_from, values))
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["base", "m", "ed_degree", "stable_from"])
-        for base, stable_from, values in entries:
-            for m, v in enumerate(values):
-                writer.writerow([_base_label(base), m, v, stable_from])
-        return buf.getvalue()
-    if args.format == "json":
-        records = []
-        for base, stable_from, values in entries:
-            rec = OutputRecord("table",
-                               {"name": "stabilization", "base": ",".join(map(str, base))},
-                               [str(v) for v in values])
-            obj = rec.as_json_obj(args.timing)
-            obj["stable_from"] = stable_from
-            records.append(obj)
-        return json.dumps(records, sort_keys=True, separators=(", ", ": "), indent=1) + "\n"
-    lines = []
-    for base, stable_from, values in entries:
-        vals = " ".join(map(str, values))
-        lines.append(f"{_base_label(base)}: {vals} (stable from m={stable_from})")
-    return "\n".join(lines) + "\n"
+        tasks = [base + (m,) for m in range(stable_from + 4)]
+        row = [str(v) for v in _map_cells(frobenius_ed_degree, tasks, args.jobs)]
+        records.append(_record("table", {"name": "stabilization", "base": _join(base)}, row,
+                               stable_from=stable_from))
+        csv_rows += [[_base_label(base), m, v, stable_from] for m, v in enumerate(row)]
+        plain.append(f"{_base_label(base)}: {' '.join(row)} (stable from m={stable_from})")
+    return _render(args, records, csv_rows, plain)
 
 
 def _table_dual_example(args: argparse.Namespace) -> str:
     ns = list(range(6))
     values = _map_cells(_dual_cell, ns, args.jobs)
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "dual_degree"])
-        for n, v in zip(ns, values):
-            writer.writerow([n, v])
-        return buf.getvalue()
-    if args.format == "json":
-        records = [OutputRecord("table", {"name": "dual-example", "n": str(n)}, str(v))
-                   for n, v in zip(ns, values)]
-        return _records_to_json(records, args.timing)
-    return ",".join(map(str, values)) + "\n"
+    records = [_record("table", {"name": "dual-example", "n": str(n)}, str(v))
+               for n, v in zip(ns, values)]
+    csv_rows = [["n", "dual_degree"]] + [[n, v] for n, v in zip(ns, values)]
+    return _render(args, records, csv_rows, [_join(values)])
 
 
-def _cmd_table(args: argparse.Namespace) -> str:
-    if args.name == "table2":
-        return _table_table2(args)
-    if args.name == "stabilization":
-        return _table_stabilization(args)
-    if args.name == "dual-example":
-        return _table_dual_example(args)
-    raise UsageError(f"unknown table {args.name!r}")
+_TABLES = {
+    "table2": _table_table2,
+    "stabilization": _table_stabilization,
+    "dual-example": _table_dual_example,
+}
 
 
 # -- verification suites ------------------------------------------------------
+# Each sweep reports every failure through ``report`` and returns its case count.
 
 
-def _verify_identities(max_n: int, report: Callable[[str], None]) -> Tuple[int, int]:
-    checked = failures = 0
+def _ratio_check(report: Callable[[str], None], **bounds: int) -> int:
+    ratio = stabilization_ratio_check(**bounds)
+    for witness in ratio.failures:
+        report(f"alpha ratio failed at (n, m, d, i)={witness[:4]}")
+    return ratio.checked
+
+
+def _verify_identities(max_n: int, report: Callable[[str], None]) -> int:
+    checked = 0
     for n in range(max_n + 1):
         for m in range(n + 1):
             for i in range(m + 1):
                 checked += 1
                 if not alternating_binomial_identity_holds(n, m, i):
-                    failures += 1
                     report(f"binomial identity failed at n={n} m={m} i={i}")
             checked += 1
             if not f_identity_holds(n, m):
-                failures += 1
                 report(f"f identity failed at n={n} m={m}")
         for j in range(1, n + 1):
             checked += 1
             if not g_identity_holds(n, j):
-                failures += 1
                 report(f"g identity failed at n={n} j={j}")
-    ratio = stabilization_ratio_check(m_max=max_n, n_max=max_n, d_max=5)
-    checked += ratio.checked
-    for witness in ratio.failures:
-        failures += 1
-        report(f"alpha ratio failed at (n, m, d, i)={witness[:4]}")
-    return checked, failures
+    return checked + _ratio_check(report, m_max=max_n, n_max=max_n, d_max=5)
 
 
-def _verify_rw_constants(max_d: int, report: Callable[[str], None]) -> Tuple[int, int]:
-    checked = failures = 0
-    for d in range(3, max_d + 1):
-        checked += 1
+def _verify_rw_constants(max_d: int, report: Callable[[str], None]) -> int:
+    ds = range(3, max_d + 1)
+    for d in ds:
         try:
             asy.verify_minimal_point_constants(d)
-        except asy.VerificationError as exc:
-            failures += 1
+        except VerificationError as exc:
             report(str(exc))
-    return checked, failures
+    return len(ds)
 
 
-def _verify_stabilization(max_total: int, report: Callable[[str], None]) -> Tuple[int, int]:
-    from .eddeg import stabilization_onset
-
-    checked = failures = 0
+def _verify_stabilization(max_total: int, report: Callable[[str], None]) -> int:
+    checked = 0
     for base in partition_formats(max_total):
         checked += 1
         try:
             stabilization_onset(base, sum(base) + 3)
         except RuntimeError as exc:
-            failures += 1
             report(str(exc))
-    ratio = stabilization_ratio_check(m_max=6, n_max=12, d_max=4)
-    checked += ratio.checked
-    for witness in ratio.failures:
-        failures += 1
-        report(f"alpha ratio failed at (n, m, d, i)={witness[:4]}")
-    return checked, failures
+    return checked + _ratio_check(report, m_max=6, n_max=12, d_max=4)
 
 
-def _verify_cross_oracle(max_total: int, report: Callable[[str], None]) -> Tuple[int, int]:
-    checked = failures = 0
+def _verify_cross_oracle(max_total: int, report: Callable[[str], None]) -> int:
+    checked = 0
     for dims in partition_formats(max_total):
         checked += 1
         series = hyperdet_degree(dims)
         polar = dual_profile(chern_data_projective_space_product(dims)).deltas[0]
         if series != polar:
-            failures += 1
             report(f"dual degree mismatch for {dims}: series {series}, polar {polar}")
         if (series == 0) != (not is_dual_nondefective(dims)):
-            failures += 1
             report(f"defectiveness disagreement for {dims}: degree {series}")
-    return checked, failures
+    return checked
 
 
-_VERIFY_DEFAULT_MAX = {
-    "identities": 30,
-    "rw-constants": 10,
-    "stabilization": 7,
-    "cross-oracle": 7,
+# suite -> (sweep, default --max, smallest --max that checks at least one case
+# of the suite's own sweep)
+_SUITES = {
+    "identities": (_verify_identities, 30, 0),
+    "rw-constants": (_verify_rw_constants, 10, 3),
+    "stabilization": (_verify_stabilization, 7, 1),
+    "cross-oracle": (_verify_cross_oracle, 7, 1),
 }
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    max_value = args.max if args.max is not None else _VERIFY_DEFAULT_MAX[args.suite]
-    lines: List[str] = []
-    suites = {
-        "identities": _verify_identities,
-        "rw-constants": _verify_rw_constants,
-        "stabilization": _verify_stabilization,
-        "cross-oracle": _verify_cross_oracle,
-    }
-    checked, failures = suites[args.suite](max_value, lines.append)
-    for line in lines:
-        print(f"FAIL {line}")
-    status = "ok" if failures == 0 else "FAILED"
-    print(f"verify {args.suite}: {status} (checked={checked}, failures={failures}, max={max_value})")
-    return 0 if failures == 0 else 1
+def _cmd_verify(args: argparse.Namespace) -> Tuple[str, int]:
+    sweep, default_max, min_max = _SUITES[args.suite]
+    max_value = default_max if args.max is None else args.max
+    if max_value < min_max:
+        raise UsageError(f"--max for {args.suite} must be at least {min_max}, got {max_value}")
+    failed: List[str] = []
+    checked = sweep(max_value, failed.append)
+    status = "ok" if not failed else "FAILED"
+    params = {"suite": args.suite, "max": str(max_value)}
+    records = [_record("verify", params, "FAIL", line) for line in failed]
+    records.append(_record("verify", dict(params, checked=str(checked), failures=str(len(failed))),
+                           status))
+    plain = [f"FAIL {line}" for line in failed]
+    plain.append(f"verify {args.suite}: {status} "
+                 f"(checked={checked}, failures={len(failed)}, max={max_value})")
+    return _render(args, records, plain=plain), 1 if failed else 0
 
 
 # -- asymptotics --------------------------------------------------------------
 
 
+def _round12(x: float) -> float:
+    return float(_fmt_float(x))
+
+
 def _estimate_value(log_estimate: float) -> float:
-    return float(_fmt_float(math.exp(log_estimate))) if log_estimate < 709 else float("inf")
+    return _round12(math.exp(log_estimate)) if log_estimate < 709 else float("inf")
 
 
-def _asympt_point_record(formula: str, d: int, n: int, omega: int,
-                         log_est: float, exact: int | None) -> OutputRecord:
-    params = {"formula": formula, "d": str(d), "n": str(n)}
-    if formula == "sv":
-        params["omega"] = str(omega)
-    rec = OutputRecord("asympt", params, _estimate_value(log_est))
-    if exact is not None:
-        rec.parameters["exact"] = str(exact)
-        rec.parameters["rel_error"] = _fmt_float(asy.relative_error(exact, log_est))
-    return rec
-
-
-def _cmd_asympt(args: argparse.Namespace) -> List[OutputRecord]:
+def _cmd_asympt(args: argparse.Namespace) -> Tuple[str, int]:
     formula = args.formula
-    if formula in ("hyperdet", "ed", "sv"):
+    if formula in asy.FORMULAS:
         if args.d < 3:
             raise UsageError(f"formula {formula!r} requires d >= 3")
         if args.grid is None:
@@ -427,46 +376,33 @@ def _cmd_asympt(args: argparse.Namespace) -> List[OutputRecord]:
         grid = _parse_grid(args.grid)
         if any(n < 1 for n in grid):
             raise UsageError("grid values must be at least 1")
+        exact_fn, log_estimate_fn = asy.FORMULAS[formula]
         records = []
         for n in grid:
-            if formula == "hyperdet":
-                log_est = asy.log_hyperdet_asymptotic(args.d, n)
-                exact = None
-                if args.compare:
-                    _check_cap_budget((n,) * args.d, args.cap_bytes)
-                    exact = hyperdet_degree((n,) * args.d)
-            elif formula == "ed":
-                log_est = asy.log_ed_asymptotic(args.d, n)
-                exact = None
-                if args.compare:
-                    _check_cap_budget((n,) * args.d, args.cap_bytes)
-                    exact = frobenius_ed_degree((n,) * args.d)
-            else:
-                log_est = asy.log_sv_hyperdet_asymptotic(args.d, n, args.omega)
-                exact = None
-                if args.compare:
-                    _check_cap_budget((n,) * args.d, args.cap_bytes)
-                    exact = sv_hyperdet_degree((n,) * args.d, args.omega)
-            records.append(_asympt_point_record(formula, args.d, n, args.omega, log_est, exact))
-        return records
+            params = {"formula": formula, "d": str(args.d), "n": str(n)}
+            if formula == "sv":
+                params["omega"] = str(args.omega)
+            log_est = log_estimate_fn(args.d, n, args.omega)
+            if args.compare:
+                _check_cap_budget((n,) * args.d, args.cap_bytes)
+                exact = exact_fn((n,) * args.d, args.omega)
+                params["exact"] = str(exact)
+                params["rel_error"] = _fmt_float(asy.relative_error(exact, log_est))
+            records.append(_record("asympt", params, _estimate_value(log_est)))
+        return _render(args, records), 0
     if formula == "binary":
         if args.d < 2:
             raise UsageError("binary estimates require d >= 2")
         est = asy.binary_asymptotics(args.d)
         base = {"formula": "binary", "d": str(args.d)}
-        return [
-            OutputRecord("asympt", dict(base, quantity="hyperdet"),
-                         _estimate_value(est.log_hyperdet)),
-            OutputRecord("asympt", dict(base, quantity="ed-frobenius"),
-                         _estimate_value(est.log_ed_frobenius)),
-            OutputRecord("asympt", dict(base, quantity="ed-generic"),
-                         _estimate_value(est.log_ed_generic)),
-            OutputRecord("asympt", dict(base, quantity="hyperdet/ed-frobenius"),
-                         float(_fmt_float(est.hyperdet_over_ed_frobenius))),
-            OutputRecord("asympt", dict(base, quantity="hyperdet/ed-generic"),
-                         float(_fmt_float(est.hyperdet_over_ed_generic))),
+        quantities = [
+            ("hyperdet", _estimate_value(est.log_hyperdet)),
+            ("ed-frobenius", _estimate_value(est.log_ed_frobenius)),
+            ("ed-generic", _estimate_value(est.log_ed_generic)),
+            ("hyperdet/ed-frobenius", _round12(est.hyperdet_over_ed_frobenius)),
+            ("hyperdet/ed-generic", _round12(est.hyperdet_over_ed_generic)),
         ]
-    if formula == "discriminant":
+    else:
         if args.grid is None:
             raise UsageError("discriminant ratios need the weight as second argument")
         try:
@@ -475,43 +411,16 @@ def _cmd_asympt(args: argparse.Namespace) -> List[OutputRecord]:
             raise UsageError(f"cannot parse weight {args.grid!r}")
         ratios = asy.discriminant_ratios(args.d, omega)
         base = {"formula": "discriminant", "n": str(args.d), "omega": str(omega)}
-        return [
-            OutputRecord("asympt", dict(base, quantity="ratio-to-ed/large-n-form"),
-                         float(_fmt_float(ratios.fixed_omega_ratio))),
-            OutputRecord("asympt", dict(base, quantity="ratio-to-ed/large-weight-form"),
-                         float(_fmt_float(ratios.fixed_n_ratio))),
-            OutputRecord("asympt", dict(base, quantity="ratio-to-generic-ed/large-weight-form"),
-                         float(_fmt_float(ratios.gen_ratio))),
+        quantities = [
+            ("ratio-to-ed/large-n-form", _round12(ratios.fixed_omega_ratio)),
+            ("ratio-to-ed/large-weight-form", _round12(ratios.fixed_n_ratio)),
+            ("ratio-to-generic-ed/large-weight-form", _round12(ratios.gen_ratio)),
         ]
-    raise UsageError(f"unknown formula {formula!r}")
+    records = [_record("asympt", dict(base, quantity=q), value) for q, value in quantities]
+    return _render(args, records), 0
 
 
 # -- plumbing -----------------------------------------------------------------
-
-
-def _render_records(records: List[OutputRecord], args: argparse.Namespace) -> str:
-    if args.format == "json":
-        return _records_to_json(records, args.timing)
-    if args.format == "csv":
-        return _records_to_csv(records, args.timing)
-    lines = []
-    for rec in records:
-        if isinstance(rec.result, list):
-            text = ",".join(map(str, rec.result))
-        elif isinstance(rec.result, float):
-            text = _fmt_float(rec.result)
-        else:
-            text = str(rec.result)
-        extras = []
-        for key in ("quantity", "exact", "rel_error"):
-            if key in rec.parameters:
-                extras.append(f"{key}={rec.parameters[key]}")
-        if rec.note:
-            extras.append(f"({rec.note})")
-        if args.timing and rec.elapsed_ms is not None:
-            extras.append(f"[{rec.elapsed_ms:.3f} ms]")
-        lines.append(text if not extras else text + "  " + " ".join(extras))
-    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,13 +428,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="segre-degrees",
         description="Exact degrees and ED degrees of products of projective "
                     "spaces, their dual hypersurfaces, and growth estimates.")
-    default_jobs = int(os.environ.get("SEGRE_DEGREES_JOBS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, run: Callable) -> None:
+        p.set_defaults(run=run)
         p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-        p.add_argument("--jobs", type=int, default=default_jobs,
+        # a string default goes through ``type`` too, so a bad environment value
+        # is a usage error like a bad flag
+        p.add_argument("--jobs", type=int, default=os.environ.get("SEGRE_DEGREES_JOBS", "1"),
                        help="worker processes for table fills (default from SEGRE_DEGREES_JOBS)")
         p.add_argument("--cap-bytes", type=int, default=DEFAULT_CAP_BYTES,
                        help="memory budget for truncated-series storage")
@@ -535,70 +446,54 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hyperdet", help="degree of the dual hypersurface of a format")
     p.add_argument("dims", help="comma-separated factor dimensions, e.g. 1,1,2")
     p.add_argument("--omega", type=int, default=1, help="equal Veronese weight on every factor")
-    add_common(p)
+    add_common(p, _cmd_hyperdet)
 
     p = sub.add_parser("eddeg", help="ED degree of a format")
     p.add_argument("dims", help="comma-separated factor dimensions")
     p.add_argument("--generic", action="store_true", help="generic metric instead of Frobenius")
     p.add_argument("--weights", default=None, help="comma-separated Veronese weights")
-    add_common(p)
+    add_common(p, _cmd_eddeg)
 
     p = sub.add_parser("table", help="emit a frozen table")
-    p.add_argument("name", choices=("table2", "stabilization", "dual-example"))
-    add_common(p)
+    p.add_argument("name", choices=tuple(_TABLES))
+    add_common(p, lambda args: (_TABLES[args.name](args), 0))
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
-    p.add_argument("suite", choices=("identities", "rw-constants", "stabilization", "cross-oracle"))
+    p.add_argument("suite", choices=tuple(_SUITES))
     p.add_argument("--max", type=int, default=None, help="sweep bound (suite-specific default)")
-    add_common(p)
+    add_common(p, _cmd_verify)
 
     p = sub.add_parser("asympt", help="growth estimates, optionally against exact values")
-    p.add_argument("formula", choices=("hyperdet", "ed", "sv", "binary", "discriminant"))
+    p.add_argument("formula", choices=(*asy.FORMULAS, "binary", "discriminant"))
     p.add_argument("d", type=int, help="factor count (n for the discriminant ratios)")
     p.add_argument("grid", nargs="?", default=None,
                    help="n value, range a:b[:step], or comma list (weight for discriminant)")
     p.add_argument("--omega", type=int, default=1, help="weight for the sv formula")
     p.add_argument("--compare", action="store_true", help="include exact values and rel. errors")
-    add_common(p)
+    add_common(p, _cmd_asympt)
 
     return parser
 
 
+_EXIT_CODES = {UsageError: 2, ValueError: 2, VerificationError: 1, CapBudgetError: 3}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-
     try:
-        if args.command == "hyperdet":
-            _emit(_render_records(_cmd_hyperdet(args), args), args.out)
-        elif args.command == "eddeg":
-            _emit(_render_records(_cmd_eddeg(args), args), args.out)
-        elif args.command == "table":
-            _emit(_cmd_table(args), args.out)
-        elif args.command == "verify":
-            return _cmd_verify(args)
-        elif args.command == "asympt":
-            _emit(_render_records(_cmd_asympt(args), args), args.out)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+        if args.jobs < 1:
+            raise UsageError(f"--jobs (default from SEGRE_DEGREES_JOBS) must be at least 1, "
+                             f"got {args.jobs}")
+        text, code = args.run(args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    return 0
-
-
-def entry() -> None:
-    raise SystemExit(main())
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+    _emit(text, args.out)
+    return code
 
 
 if __name__ == "__main__":
-    entry()
+    raise SystemExit(main())

@@ -5,7 +5,11 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import Iterable
 
-__all__ = ["binomial", "multinomial"]
+__all__ = ["VerificationError", "binomial", "multinomial"]
+
+
+class VerificationError(Exception):
+    """An exact identity or integrality invariant failed to hold."""
 
 
 def binomial(a: int, b: int) -> int:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import factorial
 from typing import List, Sequence, Tuple
 
-from .combinat import binomial
+from .combinat import VerificationError, binomial
 from .truncpoly import TruncatedPoly
 
 __all__ = [
@@ -82,7 +82,8 @@ def veronese_frobenius_ed_degree(n: int, omega: int) -> int:
     if omega == 2:
         return n + 1
     value, rem = divmod((omega - 1) ** (n + 1) - 1, omega - 2)
-    assert rem == 0
+    if rem:
+        raise VerificationError(f"Veronese ED degree for n={n}, omega={omega} is not an integer")
     return value
 
 
@@ -120,7 +121,9 @@ def generic_ed_degree(dims: Sequence[int], weights: Sequence[int] | None = None)
         if inner[j]:
             sign = -1 if j & 1 else 1
             total += sign * (2 ** (n_total + 1 - j) - 1) * factorial(n_total - j) * inner[j]
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise VerificationError(f"generic ED degree of {dims_t} with weights {weights_t} "
+                                f"is not an integer: {total}")
     return int(total)
 
 
@@ -133,7 +136,8 @@ def binary_generic_ed_degree(d: int) -> int:
     for i in range(d + 1):
         total += Fraction((-2) ** i, factorial(i)) * (2 ** (d + 1 - i) - 1)
     value = total * factorial(d)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise VerificationError(f"binary generic ED degree for d={d} is not an integer: {value}")
     return int(value)
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator, Sequence, Tuple
 
-from .combinat import multinomial
+from .combinat import VerificationError, multinomial
 from .truncpoly import TruncatedPoly, elementary_symmetric, series_inverse_square
 
 __all__ = [
@@ -141,7 +141,9 @@ def binary_hyperdet_degree(d: int) -> int:
     for i in range(d + 1):
         total += Fraction((-2) ** i, factorial(i)) * (d - i + 1)
     value = total * factorial(d)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise VerificationError(f"binary hyperdeterminant degree for d={d} is not an integer: "
+                                f"{value}")
     return int(value)
 
 

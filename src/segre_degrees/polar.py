@@ -183,14 +183,12 @@ def chern_data_product(a: ChernData, b: ChernData) -> ChernData:
     if a.chern_poly is None or b.chern_poly is None:
         raise ValueError("chern_data_product needs the full Chern polynomial of both factors")
     caps = a.chern_poly.caps + b.chern_poly.caps
-    ka = len(a.chern_poly.caps)
     terms = {}
     for ea, ca in a.chern_poly.terms.items():
         for eb, cb in b.chern_poly.terms.items():
             terms[ea + eb] = ca * cb
     poly = TruncatedPoly(caps, terms)
     point_degree = a.point_degree * b.point_degree
-    assert ka + len(b.chern_poly.caps) == len(caps)
     return ChernData(
         dim=a.dim + b.dim,
         class_degrees=_degrees_from_poly(poly, point_degree),

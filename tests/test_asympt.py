@@ -152,3 +152,22 @@ def test_verification_error_is_raised_on_mismatch(monkeypatch):
     monkeypatch.setattr(asympt, "mixed_partial_at_symmetric_point", broken)
     with pytest.raises(VerificationError):
         verify_minimal_point_constants(4)
+
+
+@pytest.mark.parametrize("formula, exact_name, log_name", [
+    ("hyperdet", "hyperdet_degree", "log_hyperdet_asymptotic"),
+    ("ed", "frobenius_ed_degree", "log_ed_asymptotic"),
+    ("sv", "sv_hyperdet_degree", "log_sv_hyperdet_asymptotic"),
+])
+def test_formula_table_looks_functions_up_when_called(monkeypatch, formula, exact_name, log_name):
+    # a tracer or test double replaces module attributes; the table must see it
+    calls = []
+
+    def spy(name):
+        real = getattr(asympt, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    monkeypatch.setattr(asympt, exact_name, spy(exact_name))
+    monkeypatch.setattr(asympt, log_name, spy(log_name))
+    convergence_sweep(formula, 3, (2, 3), omega=2)
+    assert calls == [exact_name, log_name] * 2

@@ -7,7 +7,9 @@ import json
 
 import pytest
 
+import segre_degrees.cli as cli
 from segre_degrees.cli import main
+from segre_degrees.combinat import VerificationError
 
 TABLE2_CSV = """\
 X,m=0,m=1,m=2,m=3,m=4,m=5
@@ -154,3 +156,74 @@ def test_out_file(tmp_path, capsys):
 def test_timing_flag_adds_field(capsys):
     _, out, _ = run(["hyperdet", "1,1,1", "--format", "json", "--timing"], capsys)
     assert "elapsed_ms" in json.loads(out)[0]
+
+
+def test_verify_honours_format_and_out(tmp_path, capsys):
+    target = tmp_path / "verify.json"
+    code, out, _ = run(["verify", "cross-oracle", "--max", "3", "--format", "json",
+                        "--out", str(target)], capsys)
+    assert code == 0
+    assert out == ""
+    (summary,) = json.loads(target.read_text())
+    assert summary["command"] == "verify"
+    assert summary["result"] == "ok"
+    assert summary["parameters"] == {"suite": "cross-oracle", "max": "3",
+                                     "checked": "6", "failures": "0"}
+    code, out, _ = run(["verify", "cross-oracle", "--max", "3", "--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["command,parameters,result,note",
+                                "verify,checked=6;failures=0;max=3;suite=cross-oracle,ok,"]
+
+
+def test_verify_failures_in_every_format(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "f_identity_holds", lambda n, m: (n, m) != (1, 0))
+    code, out, _ = run(["verify", "identities", "--max", "2"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "FAIL f identity failed at n=1 m=0"
+    assert lines[1].startswith("verify identities: FAILED (checked=")
+    assert lines[1].endswith(", failures=1, max=2)")
+    code, out, _ = run(["verify", "identities", "--max", "2", "--format", "json"], capsys)
+    assert code == 1
+    fail, summary = json.loads(out)
+    assert (fail["result"], fail["note"]) == ("FAIL", "f identity failed at n=1 m=0")
+    assert summary["result"] == "FAILED"
+    assert summary["parameters"]["failures"] == "1"
+
+
+def test_jobs_must_be_a_positive_integer(monkeypatch, capsys):
+    for argv in (["--jobs", "-3"], ["--jobs", "0"], ["--jobs", "x"]):
+        code, out, err = run(["hyperdet", "1,1,1", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+    for value in ("abc", "-2", "0"):
+        monkeypatch.setenv("SEGRE_DEGREES_JOBS", value)
+        code, out, err = run(["table", "dual-example"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+        assert "Traceback" not in err
+
+
+def test_verify_max_has_a_minimum_per_suite(capsys):
+    for suite, minimum in (("identities", 0), ("rw-constants", 3),
+                           ("stabilization", 1), ("cross-oracle", 1)):
+        code, out, err = run(["verify", suite, "--max", str(minimum - 1)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"at least {minimum}" in err
+    code, out, _ = run(["verify", "cross-oracle", "--max", "1"], capsys)
+    assert code == 0
+    assert out == "verify cross-oracle: ok (checked=1, failures=0, max=1)\n"
+
+
+def test_verification_error_exits_1(monkeypatch, capsys):
+    def broken(dims, weight=1):
+        raise VerificationError("not an integer")
+
+    monkeypatch.setattr(cli, "sv_hyperdet_degree", broken)
+    code, out, err = run(["hyperdet", "1,1,1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: not an integer\n"

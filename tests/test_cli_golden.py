@@ -1,0 +1,47 @@
+"""Byte-exact replay of the benchmark's pinned CLI outputs, in process.
+
+``perfbench/pins.json`` holds the exit code and stdout of every benchmark
+case, each exact value cross-checked by an independent route when it was
+pinned.  This replays every pinned case of the ``small-requests`` and
+``verify-sweeps`` workloads and the ``asympt ... --compare`` cases of
+``exact-degrees`` through ``cli.main``: plain, csv and json output, every
+table, ``--jobs 2`` fills, and the refusals with exit codes 2 and 3.  The
+heavy single degrees of ``exact-degrees`` are left to the benchmark.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from segre_degrees.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import catalog  # noqa: E402
+
+PINS = json.loads((PERFBENCH / "pins.json").read_text())["cases"]
+
+
+def _replayed_commands():
+    workloads = catalog.WORKLOADS
+    commands = [member
+                for name in ("small-requests", "verify-sweeps")
+                for cls in workloads[name].classes
+                for member in cls.members]
+    commands += [member
+                 for cls in workloads["exact-degrees"].classes if cls.name == "asympt-compare"
+                 for member in cls.members]
+    return commands
+
+
+@pytest.mark.parametrize("command", _replayed_commands())
+def test_pinned_stdout_and_exit_code(command, capsys):
+    pin = PINS[command]
+    code = main(command.split())
+    assert code == pin["exit"]
+    assert capsys.readouterr().out == pin["stdout"]

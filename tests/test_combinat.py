@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import ast
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import segre_degrees
+from segre_degrees import asympt, combinat
 from segre_degrees.combinat import binomial, multinomial
 
 
@@ -25,3 +29,17 @@ def test_multinomial_small_and_oracle():
     assert multinomial((0, 4)) == 1
     with pytest.raises(ValueError):
         multinomial((2, -1))
+
+
+def test_verification_error_lives_in_combinat_and_is_reexported():
+    assert asympt.VerificationError is combinat.VerificationError
+
+
+def test_no_assert_statements_in_the_package():
+    """Invariants must raise: ``python -O`` strips ``assert``."""
+    found = []
+    for path in sorted(Path(segre_degrees.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
