@@ -58,7 +58,7 @@ from .polar import (
     polar_class,
     stabilization_ratio_check,
 )
-from .truncpoly import TruncatedPoly, elementary_symmetric, series_inverse, series_inverse_square
+from .truncpoly import TruncatedPoly, elementary_symmetric, series_inverse
 
 __version__ = "0.1.0"
 
@@ -104,7 +104,6 @@ __all__ = [
     "polar_class",
     "relative_error",
     "series_inverse",
-    "series_inverse_square",
     "stabilization_onset",
     "stabilization_ratio_check",
     "sv_hyperdet_asymptotic",

@@ -41,7 +41,6 @@ from .polar import (
 )
 
 DEFAULT_CAP_BYTES = 2 * 1024 ** 3
-BYTES_PER_TERM = 120  # rough per-term footprint of the sparse storage
 
 TABLE2_BASES: Tuple[Tuple[int, int], ...] = ((1, 1), (1, 2), (2, 2), (2, 3))
 TABLE2_COLUMNS = 6
@@ -55,13 +54,19 @@ class CapBudgetError(Exception):
     pass
 
 
-def _check_cap_budget(caps: Sequence[int], cap_bytes: int) -> None:
-    approx = math.prod(c + 1 for c in caps) * BYTES_PER_TERM
+def _check_cap_budget(dims: Sequence[int], weights: Sequence[int], cap_bytes: int) -> None:
+    """Refuse a degree whose kernel, ``combinat.multinomial_fold``, needs more
+    than ``cap_bytes``: two lists of N + 1 integers below d^N prod_j 2^(n_j+1)
+    w_j^n_j (8 bytes of slot, 28 + 4 per 30 bits each), plus 4 kB of frames and
+    coefficient lists.  (x - 1).bit_length() is ceil(log2 x)."""
+    n_total, d = sum(dims), len(dims)
+    bits = (n_total * (d - 1).bit_length() + n_total + d
+            + sum(n * (w - 1).bit_length() for n, w in zip(dims, weights)))
+    approx = 2 * (n_total + 1) * (36 + 4 * (bits // 30)) + 4096
     if approx > cap_bytes:
-        worst = max(range(len(caps)), key=lambda i: caps[i])
         raise CapBudgetError(
-            f"caps {tuple(caps)} need about {approx} bytes of term storage, over the "
-            f"budget of {cap_bytes}; the limiting cap is {caps[worst]} on variable {worst + 1}")
+            f"dims {tuple(dims)} need about {approx} bytes in the degree kernel (N={n_total}, "
+            f"d={d}, coefficients up to {bits} bits), over the budget of {cap_bytes}")
 
 
 def _parse_ints(text: str, what: str) -> Tuple[int, ...]:
@@ -113,9 +118,12 @@ def _render(args: argparse.Namespace, records: List[dict],
     (header included) and ``plain`` lines replace the generic CSV and plain
     layouts where a table's golden layout differs."""
     if args.format == "json":
-        objs = [{k: v for k, v in rec.items() if k != "elapsed_ms" or args.timing}
+        # an estimate that overflowed is written as plain and CSV print it
+        objs = [{k: _fmt_float(v) if isinstance(v, float) and not math.isfinite(v) else v
+                 for k, v in rec.items() if k != "elapsed_ms" or args.timing}
                 for rec in records]
-        return json.dumps(objs, sort_keys=True, separators=(", ", ": "), indent=1) + "\n"
+        return json.dumps(objs, sort_keys=True, separators=(", ", ": "), indent=1,
+                          allow_nan=False) + "\n"
     if args.format == "csv":
         if csv_rows is None:
             header = ["command", "parameters", "result", "note"]
@@ -162,7 +170,7 @@ def _timed(fn: Callable, *fn_args) -> Tuple[int, float]:
 
 def _cmd_hyperdet(args: argparse.Namespace) -> Tuple[str, int]:
     dims = _parse_dims(args.dims)
-    _check_cap_budget(dims, args.cap_bytes)
+    _check_cap_budget(dims, (args.omega,) * len(dims), args.cap_bytes)
     value, elapsed = _timed(sv_hyperdet_degree, dims, args.omega)
     note = ""
     if args.omega == 1 and value == 0 and not is_dual_nondefective(dims):
@@ -180,10 +188,11 @@ def _cmd_eddeg(args: argparse.Namespace) -> Tuple[str, int]:
         raise UsageError(f"weights must be positive, got {weights}")
     if args.generic:
         metric = "generic"
+        _check_cap_budget(dims, weights, args.cap_bytes)
         value, elapsed = _timed(generic_ed_degree, dims, weights)
     elif all(w == 1 for w in weights):
         metric = "frobenius"
-        _check_cap_budget(dims, args.cap_bytes)
+        _check_cap_budget(dims, weights, args.cap_bytes)
         value, elapsed = _timed(frobenius_ed_degree, dims)
     elif len(dims) == 1:
         metric = "frobenius"
@@ -209,7 +218,7 @@ def _map_cells(fn: Callable, tasks: Sequence, jobs: int) -> list:
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
 
@@ -234,13 +243,14 @@ def _table_table2(args: argparse.Namespace) -> str:
 
 
 def _table_stabilization(args: argparse.Namespace) -> str:
+    tasks = [base + (m,) for base in TABLE2_BASES for m in range(sum(base) + 4)]
+    values = iter(_map_cells(frobenius_ed_degree, tasks, args.jobs))
     records = []
     csv_rows = [["base", "m", "ed_degree", "stable_from"]]
     plain = []
     for base in TABLE2_BASES:
         stable_from = sum(base)
-        tasks = [base + (m,) for m in range(stable_from + 4)]
-        row = [str(v) for v in _map_cells(frobenius_ed_degree, tasks, args.jobs)]
+        row = [str(next(values)) for _ in range(stable_from + 4)]
         records.append(_record("table", {"name": "stabilization", "base": _join(base)}, row,
                                stable_from=stable_from))
         csv_rows += [[_base_label(base), m, v, stable_from] for m, v in enumerate(row)]
@@ -384,7 +394,8 @@ def _cmd_asympt(args: argparse.Namespace) -> Tuple[str, int]:
                 params["omega"] = str(args.omega)
             log_est = log_estimate_fn(args.d, n, args.omega)
             if args.compare:
-                _check_cap_budget((n,) * args.d, args.cap_bytes)
+                _check_cap_budget((n,) * args.d, (args.omega if formula == "sv" else 1,) * args.d,
+                                  args.cap_bytes)
                 exact = exact_fn((n,) * args.d, args.omega)
                 params["exact"] = str(exact)
                 params["rel_error"] = _fmt_float(asy.relative_error(exact, log_est))
@@ -439,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=os.environ.get("SEGRE_DEGREES_JOBS", "1"),
                        help="worker processes for table fills (default from SEGRE_DEGREES_JOBS)")
         p.add_argument("--cap-bytes", type=int, default=DEFAULT_CAP_BYTES,
-                       help="memory budget for truncated-series storage")
+                       help="memory budget in bytes for an exact degree; larger requests exit 3")
         p.add_argument("--timing", action="store_true",
                        help="include elapsed milliseconds (non-deterministic output)")
 

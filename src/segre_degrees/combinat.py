@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from math import comb, factorial
-from typing import Iterable
+from typing import Iterable, List, Sequence
 
-__all__ = ["VerificationError", "binomial", "multinomial"]
+__all__ = ["VerificationError", "binomial", "multinomial", "multinomial_fold"]
 
 
 class VerificationError(Exception):
@@ -34,3 +34,25 @@ def multinomial(parts: Iterable[int]) -> int:
     for p in parts_t:
         out //= factorial(p)
     return out
+
+
+def multinomial_fold(factors: Iterable[Sequence[int]]) -> List[int]:
+    """g[s] = sum over |k| = s of multinomial(k) * prod_j a_j[k_j] for the
+    coefficient lists a_j that ``factors`` yields, i.e. sum_s g[s] t^s / s! =
+    prod_j sum_k a_j[k] t^k / k!.  Folds one factor at a time with
+    g'[s+k] += g[s] * a_j[k] * C(s+k, k): O(d N^2) integer operations for
+    d lists of lengths n_j + 1 and N = sum n_j.
+    """
+    g = [1]
+    for a in factors:
+        out = [0] * (len(g) + len(a) - 1)
+        for s, term in enumerate(g):
+            if not term:
+                continue
+            # term runs through g[s] * C(s+k, k) for k = 0, 1, ...
+            for k, a_k in enumerate(a):
+                if a_k:
+                    out[s + k] += term * a_k
+                term = term * (s + k + 1) // (k + 1)
+        g = out
+    return g

@@ -6,20 +6,20 @@ equals the coefficient of h1^{n1}...hd^{nd} in
 
     prod_i  sum_{k=0}^{n_i}  hhat_i^k * h_i^{n_i - k},    hhat_i = sum_{j != i} h_j ,
 
-expanded in the truncated ring with caps (n1,...,nd).  The generic ED degree
-(for a metric whose isotropic quadric is transversal) of the Segre-Veronese
-product with weights (w1,...,wd) is the alternating sum
+which is also the coefficient of x^n in 1 / (prod_j (1 - x_j) * H) with
+H = sum_i (1 - i) e_i(x) (Friedland-Ottaviani; the rational generating
+function of Ekhad-Zeilberger).  The generic ED degree (for a metric whose
+isotropic quadric is transversal) of the Segre-Veronese product with weights
+(w1,...,wd) is the alternating sum
 
     sum_{j=0}^{N} (-1)^j (2^{N+1-j} - 1) (N-j)!
         sum_{i1+...+id=j} prod_l  C(n_l+1, i_l) w_l^{n_l-i_l} / (n_l-i_l)! ,
 
 where N = sum n_l and terms with i_l > n_l vanish (reciprocal factorial of a
-negative integer).  Closed forms for single Veronese factors and for products
-of projective lines are provided alongside.
-
-The product expansion is truncated after every multiplication; that is sound
-because the target exponent equals the caps, and it keeps the intermediate
-polynomial inside prod(n_i + 1) monomials.
+negative integer).  Both are readouts of ``combinat.multinomial_fold`` with
+per-factor coefficient lists, O(d N^2) integer operations.  Closed forms for
+single Veronese factors and for products of projective lines are provided
+alongside.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from fractions import Fraction
 from math import factorial
 from typing import List, Sequence, Tuple
 
-from .combinat import VerificationError, binomial
-from .truncpoly import TruncatedPoly
+from .combinat import VerificationError, binomial, multinomial_fold
 
 __all__ = [
     "binary_generic_ed_degree",
@@ -52,24 +51,18 @@ def frobenius_ed_degree(dims: Sequence[int]) -> int:
     dims_t = tuple(int(n) for n in dims)
     if not dims_t or any(n < 0 for n in dims_t):
         raise ValueError(f"invalid dimensions {dims_t}")
-    caps = dims_t
-    d = len(caps)
-    prod = TruncatedPoly.constant(caps, 1)
-    for i, n in enumerate(dims_t):
-        hhat = TruncatedPoly.zero(caps)
-        for j in range(d):
-            if j != i and caps[j] >= 1:
-                hhat = hhat + TruncatedPoly.variable(caps, j)
-        factor = TruncatedPoly.zero(caps)
-        power = TruncatedPoly.constant(caps, 1)  # hhat^k
-        for k in range(n + 1):
-            exp = [0] * d
-            exp[i] = n - k
-            factor = factor + power * TruncatedPoly.monomial(caps, exp)
-            if k < n:
-                power = power * hhat
-        prod = prod * factor
-    return prod.coefficient(caps)
+    return sum(multinomial_fold(_frobenius_factor(n) for n in dims_t))
+
+
+def _frobenius_factor(n: int) -> List[int]:
+    """a(k) = sum_{r <= n-k} (-1)^r C(k+r, r) for k = 0..n: the coefficient of
+    x^(n-k) in (1 - x)^(-1) (1 + x)^(-(k+1)), one factor's part of
+    1 / (prod (1 - x_j) H) once 1/H = 1 / (P (1 - S)) is expanded in powers of
+    S.  Pascal's rule gives 2 a(k) = a(k-1) + (-1)^(n-k) C(n+1, k)."""
+    a = [1 - n % 2]
+    for k in range(1, n + 1):
+        a.append((a[-1] + (-1) ** (n - k) * binomial(n + 1, k)) // 2)
+    return a
 
 
 def veronese_frobenius_ed_degree(n: int, omega: int) -> int:
@@ -99,32 +92,11 @@ def generic_ed_degree(dims: Sequence[int], weights: Sequence[int] | None = None)
     if any(w < 1 for w in weights_t):
         raise ValueError(f"weights must be positive, got {weights_t}")
 
+    # k_l = n_l - i_l and s = N - j turn (N-j)! / prod (n_l-i_l)! into multinomial(k)
     n_total = sum(dims_t)
-    # inner[j] = sum over compositions i1+...+id = j, 0 <= i_l <= n_l, of
-    # prod_l C(n_l+1, i_l) w_l^(n_l - i_l) / (n_l - i_l)!
-    inner: List[Fraction] = [Fraction(0)] * (n_total + 1)
-    partial: List[Tuple[int, Fraction]] = [(0, Fraction(1))]
-    for n_l, w_l in zip(dims_t, weights_t):
-        nxt: dict[int, Fraction] = {}
-        for j, val in partial:
-            for i_l in range(n_l + 1):
-                term = val * binomial(n_l + 1, i_l) * w_l ** (n_l - i_l)
-                term /= factorial(n_l - i_l)
-                key = j + i_l
-                nxt[key] = nxt.get(key, Fraction(0)) + term
-        partial = sorted(nxt.items())
-    for j, val in partial:
-        inner[j] = val
-
-    total = Fraction(0)
-    for j in range(n_total + 1):
-        if inner[j]:
-            sign = -1 if j & 1 else 1
-            total += sign * (2 ** (n_total + 1 - j) - 1) * factorial(n_total - j) * inner[j]
-    if total.denominator != 1:
-        raise VerificationError(f"generic ED degree of {dims_t} with weights {weights_t} "
-                                f"is not an integer: {total}")
-    return int(total)
+    g = multinomial_fold([binomial(n + 1, n - k) * w ** k for k in range(n + 1)]
+                         for n, w in zip(dims_t, weights_t))
+    return sum((-1) ** (n_total - s) * (2 ** (s + 1) - 1) * g_s for s, g_s in enumerate(g))
 
 
 def binary_generic_ed_degree(d: int) -> int:

@@ -9,9 +9,11 @@ coefficient of x1^{n1}...xd^{nd} in the power series expansion of
 
 with e_i the i-th elementary symmetric polynomial.  When every factor is
 re-embedded by the same degree-w Veronese map, the weight enters as
-(1 - w*i).  The expansion runs in the truncated ring with caps equal to the
-target exponent, so memory scales with prod(n_i + 1) and no global
-precomputation is done.
+(1 - w*i).  Writing the bracket as P (1 - w S) with P = prod (1 + x_j) and
+S = sum x_j / (1 + x_j) and expanding (1 - w S)^(-2) turns the coefficient
+into  sum_k (|k| + 1) w^|k| multinomial(k) prod_j (-1)^(n_j-k_j) C(n_j+1, k_j+1),
+which ``combinat.multinomial_fold`` sums grouped by |k| in O(d N^2) integer
+operations for N = sum n_j.
 
 Defective formats (dual not a hypersurface) yield coefficient 0; callers
 that need a hypersurface should gate on ``is_dual_nondefective``.
@@ -24,8 +26,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator, Sequence, Tuple
 
-from .combinat import VerificationError, multinomial
-from .truncpoly import TruncatedPoly, elementary_symmetric, series_inverse_square
+from .combinat import VerificationError, binomial, multinomial, multinomial_fold
+from .truncpoly import TruncatedPoly, elementary_symmetric
 
 __all__ = [
     "Format",
@@ -116,8 +118,9 @@ def sv_hyperdet_degree(dims: Sequence[int], weight: int = 1) -> int:
         raise ValueError(f"invalid dimensions {dims_t}")
     if weight < 1:
         raise ValueError(f"weight must be positive, got {weight}")
-    h = degree_series_denominator(dims_t, weight)
-    return series_inverse_square(h).coefficient(dims_t)
+    g = multinomial_fold([(-1) ** (n - k) * binomial(n + 1, k + 1) for k in range(n + 1)]
+                         for n in dims_t)
+    return sum((s + 1) * weight ** s * g_s for s, g_s in enumerate(g))
 
 
 def hyperdet_degree(dims: Sequence[int]) -> int:
@@ -171,9 +174,10 @@ def symmetric_point(d: int) -> Tuple[Fraction, ...]:
 def mixed_partial_at_symmetric_point(d: int, indices: Sequence[int]) -> Fraction:
     """Mixed partial of H = sum (1-i) e_i at the symmetric vanishing point.
 
-    ``indices`` are distinct variable indices in 1..d; the closed form is
-    -k * (d/(d-1))^(d-k-1) for k distinct indices, which callers can check
-    against this symbolic-differentiation route.
+    ``indices`` are distinct variable indices in 1..d.  Differentiating e_i in
+    k distinct variables leaves e_{i-k} of the other d - k, so at c = 1/(d-1)
+    the partial is  sum_{i>=k} (1-i) C(d-k, i-k) c^(i-k);  callers can check it
+    against the closed form -k * (d/(d-1))^(d-k-1).
     """
     if d < 2:
         raise ValueError(f"need at least two factors, got {d}")
@@ -184,10 +188,9 @@ def mixed_partial_at_symmetric_point(d: int, indices: Sequence[int]) -> Fraction
         raise ValueError(f"repeated differentiation indices in {idx}")
     if any(not 1 <= i <= d for i in idx):
         raise ValueError(f"indices {idx} out of range 1..{d}")
-    p = degree_series_denominator((1,) * d)
-    for i in idx:
-        p = p.partial_derivative(i - 1)
-    return p.evaluate(symmetric_point(d))
+    k = len(idx)
+    c = Fraction(1, d - 1)
+    return sum((1 - i) * binomial(d - k, i - k) * c ** (i - k) for i in range(k, d + 1))
 
 
 def partition_formats(max_total: int, max_factors: int | None = None) -> Iterator[Tuple[int, ...]]:

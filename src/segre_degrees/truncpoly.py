@@ -24,7 +24,6 @@ __all__ = [
     "elementary_symmetric",
     "graded_exponents",
     "series_inverse",
-    "series_inverse_square",
 ]
 
 Exponent = Tuple[int, ...]
@@ -297,14 +296,3 @@ def series_inverse(h: TruncatedPoly) -> TruncatedPoly:
         if acc:
             inv[e] = -acc
     return TruncatedPoly._raw(caps, inv)
-
-
-def series_inverse_square(h: TruncatedPoly) -> TruncatedPoly:
-    """Truncated expansion of 1/h^2 for h with constant term 1.
-
-    Inverts h*h directly (h is typically much sparser than the result), so a
-    single graded convolution suffices.
-    """
-    if h.constant_term != 1:
-        raise ValueError("series inverse requires constant term 1")
-    return series_inverse(h * h)

@@ -3,13 +3,17 @@ codes, determinism, and the resource guard."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import tracemalloc
 
 import pytest
 
 import segre_degrees.cli as cli
 from segre_degrees.cli import main
 from segre_degrees.combinat import VerificationError
+from segre_degrees.eddeg import frobenius_ed_degree, generic_ed_degree
+from segre_degrees.hyperdet import binary_hyperdet_degree, sv_hyperdet_degree
 
 TABLE2_CSV = """\
 X,m=0,m=1,m=2,m=3,m=4,m=5
@@ -138,11 +142,77 @@ def test_asympt_command(capsys):
 
 
 def test_cap_budget_guard(capsys):
-    code, _, err = run(["hyperdet", "30,30,30", "--cap-bytes", "100000"], capsys)
+    # the kernel model for 200,200,200 is ~336 kB (tracemalloc peak ~150 kB)
+    code, out, err = run(["hyperdet", "200,200,200", "--cap-bytes", "100000"], capsys)
     assert code == 3
-    assert "limiting cap is 30" in err
-    code, _, _ = run(["eddeg", "30,30,30", "--cap-bytes", "100000"], capsys)
-    assert code == 3
+    assert out == ""
+    assert "degree kernel" in err
+    for extra in ([], ["--generic"]):
+        code, out, _ = run(["eddeg", "200,200,200", "--cap-bytes", "100000", *extra], capsys)
+        assert (code, out) == (3, "")
+    # 30 factors need a few kB in the kernel, not 2^30 cells of a 30-variate ring
+    code, out, _ = run(["hyperdet", ",".join(["1"] * 30)], capsys)
+    assert code == 0
+    assert out == f"{binary_hyperdet_degree(30)}\n"
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3), (60, 60, 60), (200, 200, 200), (1,) * 100,
+                                  (8, 8, 8, 8)])
+def test_cap_model_bounds_the_kernel_peak(dims):
+    d = len(dims)
+    cases = [
+        (lambda: sv_hyperdet_degree(dims, 3), (3,) * d),
+        (lambda: frobenius_ed_degree(dims), (1,) * d),
+        (lambda: generic_ed_degree(dims, (2,) * d), (2,) * d),
+    ]
+    for kernel, weights in cases:
+        tracemalloc.start()
+        try:
+            kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with pytest.raises(cli.CapBudgetError):
+            cli._check_cap_budget(dims, weights, peak - 1)
+        cli._check_cap_budget(dims, weights, 16 * peak)
+
+
+def test_overflowed_estimate_is_valid_json(capsys):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    code, out, _ = run(["asympt", "hyperdet", "3", "400", "--format", "json"], capsys)
+    assert code == 0
+    (record,) = json.loads(out, parse_constant=reject)
+    assert record["result"] == "inf"
+    assert run(["asympt", "hyperdet", "3", "400"], capsys)[1] == "inf\n"
+
+
+def test_worker_pool_is_sized_by_the_cells(monkeypatch, capsys):
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.delenv("SEGRE_DEGREES_JOBS", raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    base = run(["table", "dual-example"], capsys)[1]
+    assert run(["table", "dual-example", "--jobs", "8"], capsys)[1] == base
+    assert pools == [6]
+    pools.clear()
+    base = run(["table", "stabilization", "--format", "csv"], capsys)[1]
+    assert run(["table", "stabilization", "--format", "csv", "--jobs", "2"], capsys)[1] == base
+    assert pools == [2]
 
 
 def test_out_file(tmp_path, capsys):

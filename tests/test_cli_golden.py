@@ -2,11 +2,9 @@
 
 ``perfbench/pins.json`` holds the exit code and stdout of every benchmark
 case, each exact value cross-checked by an independent route when it was
-pinned.  This replays every pinned case of the ``small-requests`` and
-``verify-sweeps`` workloads and the ``asympt ... --compare`` cases of
-``exact-degrees`` through ``cli.main``: plain, csv and json output, every
-table, ``--jobs 2`` fills, and the refusals with exit codes 2 and 3.  The
-heavy single degrees of ``exact-degrees`` are left to the benchmark.
+pinned.  This replays every pinned case through ``cli.main``: plain, csv and
+json output, the single large degrees, every table, ``--jobs 2`` fills, and
+the refusals with exit codes 2 and 3.
 """
 
 from __future__ import annotations
@@ -28,15 +26,10 @@ PINS = json.loads((PERFBENCH / "pins.json").read_text())["cases"]
 
 
 def _replayed_commands():
-    workloads = catalog.WORKLOADS
-    commands = [member
-                for name in ("small-requests", "verify-sweeps")
-                for cls in workloads[name].classes
-                for member in cls.members]
-    commands += [member
-                 for cls in workloads["exact-degrees"].classes if cls.name == "asympt-compare"
-                 for member in cls.members]
-    return commands
+    return [member
+            for name in ("small-requests", "verify-sweeps", "exact-degrees")
+            for cls in catalog.WORKLOADS[name].classes
+            for member in cls.members]
 
 
 @pytest.mark.parametrize("command", _replayed_commands())

@@ -21,7 +21,7 @@ from segre_degrees.eddeg import (
 
 def fo_coefficient_oracle(dims):
     """The same product coefficient, expanded by sympy instead of the
-    truncated-ring convolution."""
+    univariate kernel."""
     import sympy
 
     d = len(dims)

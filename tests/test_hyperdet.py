@@ -20,6 +20,8 @@ from segre_degrees.hyperdet import (
     symmetric_point,
 )
 
+from ring_oracle import symbolic_mixed_partial
+
 
 def series_coefficient_oracle(dims, weight=1):
     """Independent route to the same coefficient: expand the inverse square
@@ -125,6 +127,14 @@ def test_mixed_partials_at_symmetric_point():
         for k in range(1, d + 1):
             expected = -k * Fraction(d, d - 1) ** (d - k - 1)
             for subset in combinations(range(1, d + 1), k):
+                assert mixed_partial_at_symmetric_point(d, subset) == expected
+
+
+def test_mixed_partials_match_symbolic_differentiation():
+    for d in range(2, 7):
+        for k in range(1, d + 1):
+            for subset in combinations(range(1, d + 1), k):
+                expected = symbolic_mixed_partial(d, subset)
                 assert mixed_partial_at_symmetric_point(d, subset) == expected
 
 

@@ -12,8 +12,9 @@ from segre_degrees.truncpoly import (
     elementary_symmetric,
     graded_exponents,
     series_inverse,
-    series_inverse_square,
 )
+
+from ring_oracle import series_inverse_square
 
 
 def random_poly(rng: random.Random, caps, max_terms=6, coeff_range=9):
