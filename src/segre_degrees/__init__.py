@@ -31,12 +31,10 @@ from .eddeg import (
     veronese_frobenius_ed_degree,
 )
 from .hyperdet import (
-    Format,
     binary_hyperdet_degree,
     degree_series_denominator,
     hyperdet_degree,
     is_dual_nondefective,
-    kernel_component_count,
     mixed_partial_at_symmetric_point,
     partition_formats,
     sv_hyperdet_degree,
@@ -45,7 +43,6 @@ from .hyperdet import (
 from .polar import (
     ChernData,
     PolarProfile,
-    alpha_coefficient,
     alpha_coefficients,
     alternating_binomial_identity_holds,
     chern_data_product,
@@ -67,12 +64,10 @@ __all__ = [
     "ChernData",
     "ConvergenceReport",
     "DiscriminantRatios",
-    "Format",
     "MinimalPointCheck",
     "PolarProfile",
     "TruncatedPoly",
     "VerificationError",
-    "alpha_coefficient",
     "alpha_coefficients",
     "alternating_binomial_identity_holds",
     "binary_asymptotics",
@@ -96,7 +91,6 @@ __all__ = [
     "hyperdet_asymptotic",
     "hyperdet_degree",
     "is_dual_nondefective",
-    "kernel_component_count",
     "matrix_ed_polynomial",
     "mixed_partial_at_symmetric_point",
     "multinomial",

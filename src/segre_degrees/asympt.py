@@ -242,6 +242,11 @@ def verify_minimal_point_constants(d: int) -> MinimalPointCheck:
 
     The amplitude is G(c) / (c_d dH(c))^2 with G identically 1 (the series
     is exactly an inverse square, with trivial numerator).
+
+    H(c) is the one sum over all 2^d terms of the denominator; ``evaluate``
+    adds their numerators on integers over the common denominator
+    (d-1)^d and builds one ``Fraction``.  The partials are O(d) sums at c,
+    and the remaining constants are a few ``Fraction`` operations.
     """
     if d < 3:
         raise ValueError(f"the estimate requires at least three factors, got d={d}")

@@ -319,7 +319,7 @@ def _verify_stabilization(max_total: int, report: Callable[[str], None]) -> int:
         checked += 1
         try:
             stabilization_onset(base, sum(base) + 3)
-        except RuntimeError as exc:
+        except VerificationError as exc:
             report(str(exc))
     return checked + _ratio_check(report, m_max=6, n_max=12, d_max=4)
 
@@ -378,6 +378,9 @@ def _estimate_value(log_estimate: float) -> float:
 
 def _cmd_asympt(args: argparse.Namespace) -> Tuple[str, int]:
     formula = args.formula
+    if args.omega is not None and formula != "sv":
+        raise UsageError(f"--omega applies only to the sv formula, not {formula!r}")
+    omega = 1 if args.omega is None else args.omega
     if formula in asy.FORMULAS:
         if args.d < 3:
             raise UsageError(f"formula {formula!r} requires d >= 3")
@@ -391,12 +394,11 @@ def _cmd_asympt(args: argparse.Namespace) -> Tuple[str, int]:
         for n in grid:
             params = {"formula": formula, "d": str(args.d), "n": str(n)}
             if formula == "sv":
-                params["omega"] = str(args.omega)
-            log_est = log_estimate_fn(args.d, n, args.omega)
+                params["omega"] = str(omega)
+            log_est = log_estimate_fn(args.d, n, omega)
             if args.compare:
-                _check_cap_budget((n,) * args.d, (args.omega if formula == "sv" else 1,) * args.d,
-                                  args.cap_bytes)
-                exact = exact_fn((n,) * args.d, args.omega)
+                _check_cap_budget((n,) * args.d, (omega,) * args.d, args.cap_bytes)
+                exact = exact_fn((n,) * args.d, omega)
                 params["exact"] = str(exact)
                 params["rel_error"] = _fmt_float(asy.relative_error(exact, log_est))
             records.append(_record("asympt", params, _estimate_value(log_est)))
@@ -479,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d", type=int, help="factor count (n for the discriminant ratios)")
     p.add_argument("grid", nargs="?", default=None,
                    help="n value, range a:b[:step], or comma list (weight for discriminant)")
-    p.add_argument("--omega", type=int, default=1, help="weight for the sv formula")
+    p.add_argument("--omega", type=int, default=None,
+                   help="weight for the sv formula (default 1); a usage error with any other")
     p.add_argument("--compare", action="store_true", help="include exact values and rel. errors")
     add_common(p, _cmd_asympt)
 

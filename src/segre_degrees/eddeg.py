@@ -118,7 +118,7 @@ def stabilization_onset(base_dims: Sequence[int], m_max: int) -> List[Tuple[int,
 
     The values must be constant from m = N = sum(base_dims) on; a violation
     would falsify the specialization argument behind the stabilization, so it
-    is raised as a hard error rather than reported.
+    is raised as a ``VerificationError`` rather than reported.
     """
     base = tuple(int(n) for n in base_dims)
     n_total = sum(base)
@@ -127,7 +127,7 @@ def stabilization_onset(base_dims: Sequence[int], m_max: int) -> List[Tuple[int,
     out = [(m, frobenius_ed_degree(base + (m,))) for m in range(m_max + 1)]
     stable = [value for m, value in out if m >= n_total]
     if any(v != stable[0] for v in stable):
-        raise RuntimeError(
+        raise VerificationError(
             f"ED degree of {base} x P^m failed to stabilize for m >= {n_total}: {out}")
     return out
 

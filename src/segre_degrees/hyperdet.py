@@ -21,67 +21,23 @@ that need a hypersurface should gate on ``is_dual_nondefective``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterator, Sequence, Tuple
 
-from .combinat import VerificationError, binomial, multinomial, multinomial_fold
+from .combinat import VerificationError, binomial, multinomial_fold
 from .truncpoly import TruncatedPoly, elementary_symmetric
 
 __all__ = [
-    "Format",
     "binary_hyperdet_degree",
     "degree_series_denominator",
     "hyperdet_degree",
     "is_dual_nondefective",
-    "kernel_component_count",
     "mixed_partial_at_symmetric_point",
     "partition_formats",
     "sv_hyperdet_degree",
     "symmetric_point",
 ]
-
-
-@dataclass(frozen=True)
-class Format:
-    """A product of projective spaces P^{n1} x ... x P^{nd} with optional
-    Veronese weights (w1,...,wd); weight 1 on every factor is the plain
-    Segre product."""
-
-    dims: Tuple[int, ...]
-    weights: Tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        dims = tuple(int(n) for n in self.dims)
-        if not dims:
-            raise ValueError("a format needs at least one factor")
-        if any(n < 0 for n in dims):
-            raise ValueError(f"factor dimensions must be non-negative, got {dims}")
-        weights = tuple(int(w) for w in self.weights) or (1,) * len(dims)
-        if len(weights) != len(dims):
-            raise ValueError("weights must match the number of factors")
-        if any(w < 1 for w in weights):
-            raise ValueError(f"weights must be positive, got {weights}")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def factor_count(self) -> int:
-        return len(self.dims)
-
-    @property
-    def total_dim(self) -> int:
-        """N = n1 + ... + nd, the dimension of the product."""
-        return sum(self.dims)
-
-    @property
-    def is_unit_weight(self) -> bool:
-        return all(w == 1 for w in self.weights)
-
-    def is_boundary(self) -> bool:
-        """True when the largest n_j equals the sum of the others."""
-        return max(self.dims) * 2 == self.total_dim
 
 
 def is_dual_nondefective(dims: Sequence[int]) -> bool:
@@ -148,19 +104,6 @@ def binary_hyperdet_degree(d: int) -> int:
         raise VerificationError(f"binary hyperdeterminant degree for d={d} is not an integer: "
                                 f"{value}")
     return int(value)
-
-
-def kernel_component_count(dims: Sequence[int], m: int) -> Tuple[int, int]:
-    """Number and projective dimension of the linear components of the
-    kernel of a rank-N flattening in format (n1+1) x ... x (nd+1) x (m+1).
-
-    Returns (N!/prod(n_i!), m - N); requires m >= N = sum(n_i).
-    """
-    dims_t = tuple(int(n) for n in dims)
-    n_total = sum(dims_t)
-    if m < n_total:
-        raise ValueError(f"last factor dimension {m} below the threshold {n_total}")
-    return multinomial(dims_t), m - n_total
 
 
 def symmetric_point(d: int) -> Tuple[Fraction, ...]:

@@ -20,18 +20,27 @@ a smooth hypersurface Y_n in P^{n+1} of degree d:
     delta_0(X x Y_n) = sum_i alpha_i(n, m, d) * deg(c_i(X)) ,
 
 where alpha_i is an explicit alternating binomial sum (see
-``alpha_coefficient``) satisfying alpha_i(n+1, m, d) = (d-1) alpha_i(n, m, d)
+``alpha_coefficients``) satisfying alpha_i(n+1, m, d) = (d-1) alpha_i(n, m, d)
 for n >= m.  That ratio, and the binomial identities proving it, are checked
 exhaustively by the ``*_identity_holds`` functions and
 ``stabilization_ratio_check``.
+
+Those checks sum their defining series term by term on Python integers: the
+alpha and alternating sums run only over the terms that can be non-zero, and
+the g sum is scaled by (n+1)! (n+2)! so that every term is an integer.  No
+sum is replaced by its closed form, which would make the check a tautology.
+The ``Fraction`` bodies they replaced are kept as test oracles in
+``tests/ring_oracle.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import List, Sequence, Tuple
+from itertools import cycle, repeat
+from math import comb, factorial, perm
+from operator import mul
+from typing import Iterable, List, Sequence, Tuple
 
 from .combinat import binomial, multinomial
 from .truncpoly import TruncatedPoly
@@ -39,7 +48,6 @@ from .truncpoly import TruncatedPoly
 __all__ = [
     "ChernData",
     "PolarProfile",
-    "alpha_coefficient",
     "alpha_coefficients",
     "alternating_binomial_identity_holds",
     "chern_data_product",
@@ -147,7 +155,7 @@ def _hypersurface_chern_coeffs(n: int, deg_d: int, top: int) -> List[int]:
     out = []
     s = 0
     for j in range(top + 1):
-        s = binomial(n + 2, j) - deg_d * s
+        s = comb(n + 2, j) - deg_d * s
         out.append(s)
     return out
 
@@ -231,28 +239,28 @@ def alpha_coefficients(n: int, m: int, deg_d: int) -> List[int]:
     with g_j the y^j coefficient of (1+y)^(n+2)/(1+dy).  The leading factor
     d is deg(y^n . [Y_n]); dropping it fails the known dual degrees (conic 2,
     plane cubic 6, quadric-product examples 4/12/24).
+
+    The sum runs on integers over the terms that can be non-zero: the
+    binomial vanishes for s > n+i, and term by term
+    (m+n+1-s) C(m+n-s, m-i) = (m-i+1) C(m+n+1-s, m-i+1), so with k = s - i
+    each alpha_i is d (m-i+1) (-1)^i times the dot product of the signed
+    coefficients (-1)^k g_k, k = 0..n, with the column C(m+n+1-i-k, m-i+1).
     """
     if n < 0 or m < 0:
         raise ValueError(f"dimensions must be non-negative, got n={n}, m={m}")
     if deg_d < 1:
         raise ValueError(f"hypersurface degree must be positive, got {deg_d}")
-    coeffs = _hypersurface_chern_coeffs(n, deg_d, n + m)
+    signed = list(map(mul, cycle((1, -1)), _hypersurface_chern_coeffs(n, deg_d, n)))
     alphas = []
     for i in range(m + 1):
-        total = 0
-        for s in range(i, n + m + 1):
-            b = binomial(m + n - s, n - s + i)
-            if b:
-                term = (m + n + 1 - s) * coeffs[s - i] * b
-                total += -term if s & 1 else term
-        alphas.append(deg_d * total)
+        total = _column_dot(signed, n, m - i + 1)
+        alphas.append(deg_d * (-total if i & 1 else total))
     return alphas
 
 
-def alpha_coefficient(n: int, m: int, deg_d: int, i: int) -> int:
-    if not 0 <= i <= m:
-        raise ValueError(f"index {i} out of range 0..{m}")
-    return alpha_coefficients(n, m, deg_d)[i]
+def _column_dot(signed: Iterable[int], n: int, low: int) -> int:
+    """low * sum_{k=0}^{n} signed[k] C(low+n-k, low), by C-level iteration."""
+    return low * sum(map(mul, signed, map(comb, range(low + n, low - 1, -1), repeat(low))))
 
 
 def delta0_product_with_hypersurface(cd: ChernData, n: int, deg_d: int) -> int:
@@ -305,21 +313,24 @@ def alternating_binomial_identity_holds(n: int, m: int, i: int) -> bool:
     """
     if not (n >= m >= i >= 0):
         raise ValueError(f"need n >= m >= i >= 0, got n={n}, m={m}, i={i}")
-    lhs = 0
-    for r in range(i, n + m + 1):
-        term = (m + n + 1 - r) * binomial(n + 2, r + 1 - i) * binomial(m + n - r, n - r + i)
-        lhs += -term if r & 1 else term
-    rhs = (n + m + 2 - i) * binomial(m + n + 1 - i, n + 1)
-    if i & 1:
-        rhs = -rhs
-    return lhs == rhs
+    rhs = (n + m + 2 - i) * comb(m + n + 1 - i, n + 1)
+    return _alternating_sum(n, m, i) == (-rhs if i & 1 else rhs)
+
+
+def _alternating_sum(n: int, m: int, i: int) -> int:
+    """The left-hand side of ``alternating_binomial_identity_holds``, summed
+    like ``alpha_coefficients``: only r <= n+i contributes, and with k = r - i
+    each term is (-1)^(k+i) (m-i+1) C(n+2, k+1) C(m+n+1-i-k, m-i+1)."""
+    signed = map(mul, cycle((1, -1)), map(comb, repeat(n + 2), range(1, n + 2)))
+    total = _column_dot(signed, n, m - i + 1)
+    return -total if i & 1 else total
 
 
 def f_sum(n: int, m: int) -> int:
     """f(n) = sum_{r=0}^{n} (-1)^r C(n+1, r+1) C(m+n+1-r, m)."""
     total = 0
     for r in range(n + 1):
-        term = binomial(n + 1, r + 1) * binomial(m + n + 1 - r, m)
+        term = comb(n + 1, r + 1) * comb(m + n + 1 - r, m)
         total += -term if r & 1 else term
     return total
 
@@ -333,19 +344,26 @@ def f_identity_holds(n: int, m: int) -> bool:
     integers here)."""
     if not (n >= m >= 0):
         raise ValueError(f"need n >= m >= 0, got n={n}, m={m}")
-    if f_sum(n, m) != binomial(m + n + 2, m):
+    f_n = f_sum(n, m)
+    if f_n != comb(m + n + 2, m):
         return False
-    lhs = (1 + n - m) * f_sum(n, m) + (n + 3) * f_sum(n + 1, m)
+    lhs = (1 + n - m) * f_n + (n + 3) * f_sum(n + 1, m)
     rhs = 2 * factorial(n + 2 + m) // (factorial(n + 1) * factorial(m))
     return lhs == rhs
 
 
 def g_sum(n: int, j: int) -> Fraction:
     """g(n,j) = sum_{s=0}^{n} (-1)^s (n+1-s+j)! / ((n+1-s)! (s+1)! (n-s)!)."""
-    total = Fraction(0)
+    return Fraction(_g_scaled(n, j), factorial(n + 1) * factorial(n + 2))
+
+
+def _g_scaled(n: int, j: int) -> int:
+    """G(n,j) = (n+1)! (n+2)! g(n,j), summed term by term on integers:
+    the s-th term times (n+1)! (n+2)! is
+    (-1)^s (n+1-s+j)! * (n+1)!/(n+1-s)! * C(n+2, s+1) * (n+1-s)."""
+    total = 0
     for s in range(n + 1):
-        term = Fraction(factorial(n + 1 - s + j),
-                        factorial(n + 1 - s) * factorial(s + 1) * factorial(n - s))
+        term = factorial(n + 1 - s + j) * perm(n + 1, s) * comb(n + 2, s + 1) * (n + 1 - s)
         total += -term if s & 1 else term
     return total
 
@@ -355,11 +373,13 @@ def g_identity_holds(n: int, j: int) -> bool:
 
         (n+1-j) g(n,j) + (n^2+5n+6) g(n+1,j) = 2 (n+2+j)! / ((n+1)!)^2 ,
 
-    both as exact rationals."""
+    both exactly.  Multiplied by (n+1)! (n+2)! they read G(n,j) = (n+2+j)! and
+    (n+1-j) G(n,j) + G(n+1,j) = 2 (n+2) (n+2+j)! for G = ``_g_scaled``, which
+    are checked on integers."""
     if not (n >= j >= 1):
         raise ValueError(f"need n >= j >= 1, got n={n}, j={j}")
-    if g_sum(n, j) != Fraction(factorial(n + 2 + j), factorial(n + 1) * factorial(n + 2)):
+    top = factorial(n + 2 + j)
+    g_n = _g_scaled(n, j)
+    if g_n != top:
         return False
-    lhs = (n + 1 - j) * g_sum(n, j) + (n * n + 5 * n + 6) * g_sum(n + 1, j)
-    rhs = Fraction(2 * factorial(n + 2 + j), factorial(n + 1) ** 2)
-    return lhs == rhs
+    return (n + 1 - j) * g_n + _g_scaled(n + 1, j) == 2 * (n + 2) * top

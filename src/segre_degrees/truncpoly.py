@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
+from operator import getitem
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 __all__ = [
@@ -204,18 +206,23 @@ class TruncatedPoly:
         return TruncatedPoly._raw(self.caps, {e: c for e, c in out.items() if c})
 
     def evaluate(self, values: Sequence[Fraction | int]) -> Fraction:
-        """Exact evaluation at a rational point (one value per variable)."""
+        """Exact evaluation at a rational point (one value per variable).
+
+        With v_j = p_j / q_j every term is put over the common denominator
+        prod_j q_j^(c_j), c_j the caps, so its numerator is the integer
+        coeff * prod_j p_j^(e_j) q_j^(c_j - e_j); the numerators are summed on
+        integers and a single ``Fraction`` is built at the end.
+        """
         vals = [Fraction(v) for v in values]
         if len(vals) != len(self.caps):
             raise ValueError(f"expected {len(self.caps)} values, got {len(vals)}")
-        total = Fraction(0)
+        # scaled[j][e] = p_j^e * q_j^(c_j - e), so scaled[j][0] = q_j^(c_j)
+        scaled = [[v.numerator ** e * v.denominator ** (c - e) for e in range(c + 1)]
+                  for v, c in zip(vals, self.caps)]
+        numerator = 0
         for exp, coeff in self.terms.items():
-            term = Fraction(coeff)
-            for e, v in zip(exp, vals):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
+            numerator += coeff * prod(map(getitem, scaled, exp))
+        return Fraction(numerator, prod(row[0] for row in scaled))
 
     # -- display -------------------------------------------------------------
 

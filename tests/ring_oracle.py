@@ -1,7 +1,10 @@
-"""Independent oracles for the exact degrees: the truncated-ring and
-``Fraction`` expansions that computed them before the univariate kernel in
-``combinat.multinomial_fold``.  They fill all prod(n_i + 1) cells of the
-d-variate ring, so keep their inputs small.
+"""Independent oracles for the exact values: the truncated-ring and
+``Fraction`` expansions that computed the degrees before the univariate
+kernel in ``combinat.multinomial_fold`` (they fill all prod(n_i + 1) cells of
+the d-variate ring, so keep their inputs small), and the ``Fraction`` and
+full-range binomial bodies of the sums behind the ``verify`` suites before
+those moved onto integers: the alpha coefficients, the alternating binomial
+and g identities, and the evaluation of a ring element at a rational point.
 """
 
 from __future__ import annotations
@@ -113,3 +116,71 @@ def symbolic_mixed_partial(d: int, indices: Sequence[int]) -> Fraction:
     for i in indices:
         p = p.partial_derivative(i - 1)
     return p.evaluate(symmetric_point(d))
+
+
+def fraction_evaluate(poly: TruncatedPoly, values: Sequence[Fraction | int]) -> Fraction:
+    """Evaluation at a rational point with one ``Fraction`` per term."""
+    vals = [Fraction(v) for v in values]
+    if len(vals) != len(poly.caps):
+        raise ValueError(f"expected {len(poly.caps)} values, got {len(vals)}")
+    total = Fraction(0)
+    for exp, coeff in poly.terms.items():
+        term = Fraction(coeff)
+        for e, v in zip(exp, vals):
+            if e:
+                term *= v ** e
+        total += term
+    return total
+
+
+def binomial_alpha_coefficients(n: int, m: int, deg_d: int) -> List[int]:
+    """alpha_i = d * sum_{s=i}^{n+m} (-1)^s (m+n+1-s) g_{s-i} C(m+n-s, n-s+i)
+    over the full range of s, with the zero-extended binomial."""
+    coeffs = []
+    g = 0
+    for j in range(n + m + 1):
+        g = binomial(n + 2, j) - deg_d * g
+        coeffs.append(g)
+    alphas = []
+    for i in range(m + 1):
+        total = 0
+        for s in range(i, n + m + 1):
+            b = binomial(m + n - s, n - s + i)
+            if b:
+                term = (m + n + 1 - s) * coeffs[s - i] * b
+                total += -term if s & 1 else term
+        alphas.append(deg_d * total)
+    return alphas
+
+
+def binomial_alternating_sum(n: int, m: int, i: int) -> int:
+    """sum_{r=i}^{n+m} (-1)^r (m+n+1-r) C(n+2, r+1-i) C(m+n-r, n-r+i) over
+    the full range of r."""
+    lhs = 0
+    for r in range(i, n + m + 1):
+        term = (m + n + 1 - r) * binomial(n + 2, r + 1 - i) * binomial(m + n - r, n - r + i)
+        lhs += -term if r & 1 else term
+    return lhs
+
+
+def binomial_alternating_identity_holds(n: int, m: int, i: int) -> bool:
+    rhs = (n + m + 2 - i) * binomial(m + n + 1 - i, n + 1)
+    return binomial_alternating_sum(n, m, i) == (-rhs if i & 1 else rhs)
+
+
+def fraction_g_sum(n: int, j: int) -> Fraction:
+    """g(n,j) = sum_{s=0}^{n} (-1)^s (n+1-s+j)! / ((n+1-s)! (s+1)! (n-s)!)."""
+    total = Fraction(0)
+    for s in range(n + 1):
+        term = Fraction(factorial(n + 1 - s + j),
+                        factorial(n + 1 - s) * factorial(s + 1) * factorial(n - s))
+        total += -term if s & 1 else term
+    return total
+
+
+def fraction_g_identity_holds(n: int, j: int) -> bool:
+    """The value and the recurrence of g as exact rationals."""
+    if fraction_g_sum(n, j) != Fraction(factorial(n + 2 + j), factorial(n + 1) * factorial(n + 2)):
+        return False
+    lhs = (n + 1 - j) * fraction_g_sum(n, j) + (n * n + 5 * n + 6) * fraction_g_sum(n + 1, j)
+    return lhs == Fraction(2 * factorial(n + 2 + j), factorial(n + 1) ** 2)

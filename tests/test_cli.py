@@ -9,11 +9,15 @@ import tracemalloc
 
 import pytest
 
+import segre_degrees.asympt as asympt
 import segre_degrees.cli as cli
+import segre_degrees.eddeg as eddeg
+import segre_degrees.polar as polar
 from segre_degrees.cli import main
 from segre_degrees.combinat import VerificationError
 from segre_degrees.eddeg import frobenius_ed_degree, generic_ed_degree
 from segre_degrees.hyperdet import binary_hyperdet_degree, sv_hyperdet_degree
+from segre_degrees.truncpoly import TruncatedPoly
 
 TABLE2_CSV = """\
 X,m=0,m=1,m=2,m=3,m=4,m=5
@@ -139,6 +143,18 @@ def test_asympt_command(capsys):
     code, out, _ = run(["asympt", "discriminant", "2", "5"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 3
+
+
+def test_omega_is_only_for_the_sv_formula(capsys):
+    for argv in (["ed", "3", "5", "--compare"], ["hyperdet", "3", "5"], ["binary", "3"],
+                 ["discriminant", "3", "4"]):
+        for omega in ("7", "1"):
+            code, out, err = run(["asympt", *argv, "--omega", omega], capsys)
+            assert code == 2
+            assert out == ""
+            assert "--omega applies only to the sv formula" in err
+    code, out, _ = run(["asympt", "sv", "3", "4", "--omega", "2"], capsys)
+    assert code == 0
 
 
 def test_cap_budget_guard(capsys):
@@ -297,3 +313,57 @@ def test_verification_error_exits_1(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: not an integer\n"
+
+
+def test_stabilization_failure_is_a_verification_failure(monkeypatch, capsys):
+    original = eddeg.frobenius_ed_degree
+    monkeypatch.setattr(eddeg, "frobenius_ed_degree",
+                        lambda dims: original(dims) + (tuple(dims) == (1, 1, 5)))
+    with pytest.raises(VerificationError, match="failed to stabilize"):
+        eddeg.stabilization_onset((1, 1), 5)
+    code, out, _ = run(["verify", "stabilization", "--max", "2"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL ED degree of (1, 1) x P^m failed to stabilize for m >= 2")
+    assert lines[1].startswith("verify stabilization: FAILED (checked=")
+    assert lines[1].endswith(", failures=1, max=2)")
+
+
+def _perturbed(fn, args):
+    """fn with 1 added to its value at args."""
+    return lambda *a: fn(*a) + (a == args)
+
+
+@pytest.mark.parametrize("name, args, first_failure", [
+    # one term of G(4, j): the s = 2 falling factorial 5!/3!
+    ("perm", (5, 2), "g identity failed at n=3 j=1"),
+    # C(6, 3) is a term of the alternating, f and alpha sums
+    ("comb", (6, 3), "binomial identity failed at n=3 m=2 i=0"),
+])
+def test_verify_identities_sees_one_perturbed_term(monkeypatch, capsys, name, args,
+                                                     first_failure):
+    monkeypatch.setattr(polar, name, _perturbed(getattr(polar, name), args))
+    code, out, _ = run(["verify", "identities", "--max", "6"], capsys)
+    assert code == 1
+    assert out.startswith(f"FAIL {first_failure}\n")
+    assert "verify identities: FAILED" in out
+
+
+def test_verify_rw_constants_sees_one_perturbed_term(monkeypatch, capsys):
+    original = asympt.degree_series_denominator
+
+    def perturbed(caps, weight=1):
+        # add 1 to the top coefficient, x1*...*xd, of the d = 5 denominator
+        h = original(caps, weight)
+        if len(caps) != 5:
+            return h
+        terms = dict(h.terms)
+        terms[(1,) * 5] += 1
+        return TruncatedPoly(h.caps, terms)
+
+    monkeypatch.setattr(asympt, "degree_series_denominator", perturbed)
+    code, out, _ = run(["verify", "rw-constants", "--max", "6"], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL denominator does not vanish at the symmetric point for d=5",
+        "verify rw-constants: FAILED (checked=4, failures=1, max=6)"]

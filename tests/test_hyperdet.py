@@ -8,12 +8,10 @@ from itertools import combinations
 import pytest
 
 from segre_degrees.hyperdet import (
-    Format,
     binary_hyperdet_degree,
     degree_series_denominator,
     hyperdet_degree,
     is_dual_nondefective,
-    kernel_component_count,
     mixed_partial_at_symmetric_point,
     partition_formats,
     sv_hyperdet_degree,
@@ -104,14 +102,6 @@ def test_defective_formats_give_zero():
             assert hyperdet_degree(dims) > 0
 
 
-def test_kernel_component_count():
-    assert kernel_component_count((1, 1), 2) == (2, 0)
-    assert kernel_component_count((1, 1, 1), 3) == (6, 0)
-    assert kernel_component_count((1, 2), 5) == (3, 2)
-    with pytest.raises(ValueError):
-        kernel_component_count((1, 2), 2)
-
-
 def test_denominator_vanishes_at_symmetric_point():
     for d in range(3, 11):
         h = degree_series_denominator((1,) * d)
@@ -149,24 +139,6 @@ def test_repeated_partials_vanish_identically():
         mixed_partial_at_symmetric_point(3, (0,))
     with pytest.raises(ValueError):
         mixed_partial_at_symmetric_point(3, (4,))
-
-
-def test_format_validation():
-    f = Format((2, 1, 1))
-    assert f.weights == (1, 1, 1)
-    assert f.total_dim == 4
-    assert f.factor_count == 3
-    assert f.is_boundary()
-    assert not Format((1, 1, 1)).is_boundary()
-    assert Format((1, 1), (2, 2)).weights == (2, 2)
-    with pytest.raises(ValueError):
-        Format(())
-    with pytest.raises(ValueError):
-        Format((1, -1))
-    with pytest.raises(ValueError):
-        Format((1, 1), (1,))
-    with pytest.raises(ValueError):
-        Format((1, 1), (0, 1))
 
 
 def test_partition_formats_enumeration():

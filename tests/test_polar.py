@@ -3,12 +3,13 @@ exhaustive binomial identities."""
 
 from __future__ import annotations
 
+from math import factorial
+
 import pytest
 
 from segre_degrees.hyperdet import hyperdet_degree, is_dual_nondefective, partition_formats
 from segre_degrees.polar import (
     ChernData,
-    alpha_coefficient,
     alpha_coefficients,
     alternating_binomial_identity_holds,
     chern_data_product,
@@ -24,6 +25,10 @@ from segre_degrees.polar import (
     stabilization_ratio_check,
 )
 from segre_degrees.combinat import binomial
+from segre_degrees.polar import _alternating_sum, _g_scaled
+
+from ring_oracle import (binomial_alpha_coefficients, binomial_alternating_identity_holds,
+                         binomial_alternating_sum, fraction_g_identity_holds, fraction_g_sum)
 
 
 def test_chern_data_products_of_projective_spaces():
@@ -124,7 +129,7 @@ def test_dual_degrees_of_product_with_quadric():
 def test_alpha_point_case_and_lemma_consistency():
     # X a point, Y_0 two points in P^1: the dual is two points, degree 2
     point = ChernData(dim=0, class_degrees=(1,))
-    assert alpha_coefficient(0, 0, 2, 0) == 2
+    assert alpha_coefficients(0, 0, 2) == [2]
     assert delta0_product_with_hypersurface(point, 0, 2) == 2
     # product route agrees with the coefficient route for every X of
     # dimension <= 3 in the sweep
@@ -144,6 +149,28 @@ def test_alpha_ratio_step():
             lower = alpha_coefficients(m, m, d)
             upper = alpha_coefficients(m + 1, m, d)
             assert upper == [(d - 1) * a for a in lower]
+
+
+def test_alpha_coefficients_match_the_full_range_sum():
+    # the integer route sums only s <= n+i after a term-by-term rewrite; the
+    # oracle sums every s of the defining range with the zero-extended binomial
+    for n in range(17):
+        for m in range(17):
+            for d in range(1, 6):
+                assert alpha_coefficients(n, m, d) == binomial_alpha_coefficients(n, m, d)
+
+
+def test_identity_sums_match_their_oracles():
+    for n in range(23):
+        for m in range(n + 1):
+            for i in range(m + 1):
+                assert _alternating_sum(n, m, i) == binomial_alternating_sum(n, m, i)
+                assert alternating_binomial_identity_holds(n, m, i) == \
+                    binomial_alternating_identity_holds(n, m, i)
+        for j in range(1, n + 1):
+            assert _g_scaled(n, j) == fraction_g_sum(n, j) * factorial(n + 1) * factorial(n + 2)
+            assert g_sum(n, j) == fraction_g_sum(n, j)
+            assert g_identity_holds(n, j) == fraction_g_identity_holds(n, j)
 
 
 def test_stabilization_ratio_check_report():

@@ -14,7 +14,7 @@ from segre_degrees.truncpoly import (
     series_inverse,
 )
 
-from ring_oracle import series_inverse_square
+from ring_oracle import fraction_evaluate, series_inverse_square
 
 
 def random_poly(rng: random.Random, caps, max_terms=6, coeff_range=9):
@@ -145,6 +145,23 @@ def test_partial_derivative_and_evaluation():
         p.partial_derivative(2)
     with pytest.raises(ValueError):
         p.evaluate((1,))
+
+
+def test_evaluation_matches_the_fraction_route():
+    rng = random.Random(17)
+    for _ in range(300):
+        caps = tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 4)))
+        p = random_poly(rng, caps, max_terms=10)
+        point = [rng.choice((rng.randint(-6, 6),
+                             Fraction(rng.randint(-9, 9), rng.randint(2, 9))))
+                 for _ in caps]
+        value = p.evaluate(point)
+        assert type(value) is Fraction
+        assert value == fraction_evaluate(p, point)
+    # the symmetric vanishing point of the degree-series denominator
+    h = TruncatedPoly((1, 1, 1), {(0, 0, 0): 1, (1, 1, 0): -1, (1, 0, 1): -1, (0, 1, 1): -1,
+                                 (1, 1, 1): -2})
+    assert h.evaluate((Fraction(1, 2),) * 3) == fraction_evaluate(h, (Fraction(1, 2),) * 3) == 0
 
 
 def test_power_matches_repeated_multiplication():
