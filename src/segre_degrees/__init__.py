@@ -15,10 +15,7 @@ from .asympt import (
     binary_asymptotics,
     convergence_sweep,
     discriminant_ratios,
-    ed_asymptotic,
-    hyperdet_asymptotic,
     relative_error,
-    sv_hyperdet_asymptotic,
     verify_minimal_point_constants,
 )
 from .combinat import binomial, multinomial
@@ -82,13 +79,11 @@ __all__ = [
     "delta0_product_with_hypersurface",
     "discriminant_ratios",
     "dual_profile",
-    "ed_asymptotic",
     "elementary_symmetric",
     "f_identity_holds",
     "frobenius_ed_degree",
     "g_identity_holds",
     "generic_ed_degree",
-    "hyperdet_asymptotic",
     "hyperdet_degree",
     "is_dual_nondefective",
     "matrix_ed_polynomial",
@@ -100,7 +95,6 @@ __all__ = [
     "series_inverse",
     "stabilization_onset",
     "stabilization_ratio_check",
-    "sv_hyperdet_asymptotic",
     "sv_hyperdet_degree",
     "symmetric_point",
     "verify_minimal_point_constants",

@@ -42,13 +42,10 @@ __all__ = [
     "binary_asymptotics",
     "convergence_sweep",
     "discriminant_ratios",
-    "ed_asymptotic",
-    "hyperdet_asymptotic",
     "log_ed_asymptotic",
     "log_hyperdet_asymptotic",
     "log_sv_hyperdet_asymptotic",
     "relative_error",
-    "sv_hyperdet_asymptotic",
     "verify_minimal_point_constants",
 ]
 
@@ -70,12 +67,6 @@ def log_hyperdet_asymptotic(d: int, n: int) -> float:
             - (3 * d - 6) / 2 * math.log(d)
             + d * n * math.log(d - 1)
             - (d - 3) / 2 * math.log(n))
-
-
-def hyperdet_asymptotic(d: int, n: int) -> float:
-    """Value form of ``log_hyperdet_asymptotic`` (may overflow to inf for
-    very large d*n; use the log form for comparisons)."""
-    return math.exp(log_hyperdet_asymptotic(d, n))
 
 
 def log_ed_asymptotic(d: int, n: int) -> float:
@@ -103,10 +94,6 @@ def log_ed_asymptotic(d: int, n: int) -> float:
             - (d - 1) / 2 * math.log(size))
 
 
-def ed_asymptotic(d: int, n: int) -> float:
-    return math.exp(log_ed_asymptotic(d, n))
-
-
 def log_sv_hyperdet_asymptotic(d: int, n: int, omega: int) -> float:
     """log of the large-n estimate for the equal-weight Veronese variant:
 
@@ -128,10 +115,6 @@ def log_sv_hyperdet_asymptotic(d: int, n: int, omega: int) -> float:
             - (3 * d - 6) / 2 * math.log(d)
             + d * n * math.log(wd - 1)
             - (d - 3) / 2 * math.log(n))
-
-
-def sv_hyperdet_asymptotic(d: int, n: int, omega: int) -> float:
-    return math.exp(log_sv_hyperdet_asymptotic(d, n, omega))
 
 
 @dataclass(frozen=True)
@@ -212,14 +195,13 @@ def discriminant_ratios(n: int, omega: int) -> DiscriminantRatios:
     exact = (n + 1) * (omega - 1) ** n
     ed_f = veronese_frobenius_ed_degree(n, omega)
     ed_gen = ((2 * omega - 1) ** (n + 1) - (omega - 1) ** (n + 1)) // omega
-    ratio_f = Fraction(exact, ed_f)
-    ratio_gen = Fraction(exact, ed_gen)
+    # one true division of integers each: correctly rounded, like float(Fraction)
     return DiscriminantRatios(
         n=n,
         omega=omega,
-        fixed_omega_ratio=float(ratio_f / (Fraction(omega - 2, omega - 1) * n)),
-        fixed_n_ratio=float(ratio_f / (n + 1)),
-        gen_ratio=float(ratio_gen / Fraction(n + 1, 2 ** (n + 1) - 1)),
+        fixed_omega_ratio=exact * (omega - 1) / (ed_f * (omega - 2) * n),
+        fixed_n_ratio=exact / (ed_f * (n + 1)),
+        gen_ratio=exact * (2 ** (n + 1) - 1) / (ed_gen * (n + 1)),
     )
 
 

@@ -152,11 +152,15 @@ def _render(args: argparse.Namespace, records: List[dict],
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return
+    try:
+        fh = open(out_path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot open --out path {out_path!r}: {exc.strerror}") from None
+    with fh:
+        fh.write(text)
 
 
 # -- scalar commands ----------------------------------------------------------
@@ -403,7 +407,11 @@ def _cmd_asympt(args: argparse.Namespace) -> Tuple[str, int]:
                 params["rel_error"] = _fmt_float(asy.relative_error(exact, log_est))
             records.append(_record("asympt", params, _estimate_value(log_est)))
         return _render(args, records), 0
+    if args.compare:
+        raise UsageError(f"--compare applies only to {', '.join(asy.FORMULAS)}, not {formula!r}")
     if formula == "binary":
+        if args.grid is not None:
+            raise UsageError(f"binary estimates take no grid, got {args.grid!r}")
         if args.d < 2:
             raise UsageError("binary estimates require d >= 2")
         est = asy.binary_asymptotics(args.d)
@@ -483,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="n value, range a:b[:step], or comma list (weight for discriminant)")
     p.add_argument("--omega", type=int, default=None,
                    help="weight for the sv formula (default 1); a usage error with any other")
-    p.add_argument("--compare", action="store_true", help="include exact values and rel. errors")
+    p.add_argument("--compare", action="store_true",
+                   help="include exact values and rel. errors (hyperdet, ed, sv)")
     add_common(p, _cmd_asympt)
 
     return parser
@@ -502,10 +511,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise UsageError(f"--jobs (default from SEGRE_DEGREES_JOBS) must be at least 1, "
                              f"got {args.jobs}")
         text, code = args.run(args)
+        _emit(text, args.out)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
-    _emit(text, args.out)
     return code
 
 

@@ -25,7 +25,7 @@ alongside.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import perm
 from typing import List, Sequence, Tuple
 
 from .combinat import VerificationError, binomial, multinomial_fold
@@ -101,16 +101,11 @@ def generic_ed_degree(dims: Sequence[int], weights: Sequence[int] | None = None)
 
 def binary_generic_ed_degree(d: int) -> int:
     """Generic ED degree of a product of d projective lines via the closed
-    form  d! * sum_{i=0}^{d} (-2)^i / i! * (2^(d+1-i) - 1)."""
+    form  d! * sum_{i=0}^{d} (-2)^i / i! * (2^(d+1-i) - 1), summed on
+    integers as  sum_i (-2)^i perm(d, d-i) (2^(d+1-i) - 1)."""
     if d < 1:
         raise ValueError(f"need at least one factor, got {d}")
-    total = Fraction(0)
-    for i in range(d + 1):
-        total += Fraction((-2) ** i, factorial(i)) * (2 ** (d + 1 - i) - 1)
-    value = total * factorial(d)
-    if value.denominator != 1:
-        raise VerificationError(f"binary generic ED degree for d={d} is not an integer: {value}")
-    return int(value)
+    return sum((-2) ** i * perm(d, d - i) * (2 ** (d + 1 - i) - 1) for i in range(d + 1))
 
 
 def stabilization_onset(base_dims: Sequence[int], m_max: int) -> List[Tuple[int, int]]:

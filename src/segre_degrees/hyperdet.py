@@ -22,10 +22,10 @@ that need a hypersurface should gate on ``is_dual_nondefective``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import perm
 from typing import Iterator, Sequence, Tuple
 
-from .combinat import VerificationError, binomial, multinomial_fold
+from .combinat import binomial, multinomial_fold
 from .truncpoly import TruncatedPoly, elementary_symmetric
 
 __all__ = [
@@ -90,20 +90,12 @@ def hyperdet_degree(dims: Sequence[int]) -> int:
 
 def binary_hyperdet_degree(d: int) -> int:
     """Degree of the hyperdeterminant of format 2 x 2 x ... x 2 (d factors)
-    via the closed form  d! * sum_{i=0}^{d} (-2)^i / i! * (d - i + 1).
-
-    The partial sums are exact rationals; the total is an integer.
+    via the closed form  d! * sum_{i=0}^{d} (-2)^i / i! * (d - i + 1),
+    summed on integers as  sum_i (-2)^i perm(d, d-i) (d - i + 1).
     """
     if d < 1:
         raise ValueError(f"need at least one factor, got {d}")
-    total = Fraction(0)
-    for i in range(d + 1):
-        total += Fraction((-2) ** i, factorial(i)) * (d - i + 1)
-    value = total * factorial(d)
-    if value.denominator != 1:
-        raise VerificationError(f"binary hyperdeterminant degree for d={d} is not an integer: "
-                                f"{value}")
-    return int(value)
+    return sum((-2) ** i * perm(d, d - i) * (d - i + 1) for i in range(d + 1))
 
 
 def symmetric_point(d: int) -> Tuple[Fraction, ...]:

@@ -12,10 +12,15 @@ hypersurface.
 
 ``ChernData`` records the degrees deg(c_0),...,deg(c_m).  Degrees alone do
 not determine the Chern data of a Segre product, so the type optionally
-carries the full multigraded Chern polynomial together with the degree of its
-top monomial class; ``chern_data_product`` requires that polynomial and
-raises without it.  The shortcut that needs only degrees is the product with
-a smooth hypersurface Y_n in P^{n+1} of degree d:
+carries the total Chern class as a tensor product of factors: one list of
+coefficients c_0..c_{n_i} per factor, in that factor's own hyperplane class,
+together with the degree of the top monomial class.  Pairing a monomial with
+a power of h = sum of the factor classes leaves a multinomial, so the class
+degrees are one ``combinat.multinomial_fold`` of the reversed lists, and a
+Segre product concatenates the factors; ``chern_data_product`` raises without
+them.  The multigraded-ring route they replaced is a test oracle in
+``tests/ring_oracle.py``.  The shortcut that needs only degrees is the
+product with a smooth hypersurface Y_n in P^{n+1} of degree d:
 
     delta_0(X x Y_n) = sum_i alpha_i(n, m, d) * deg(c_i(X)) ,
 
@@ -42,8 +47,7 @@ from math import comb, factorial, perm
 from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
-from .combinat import binomial, multinomial
-from .truncpoly import TruncatedPoly
+from .combinat import binomial, multinomial_fold
 
 __all__ = [
     "ChernData",
@@ -70,15 +74,17 @@ class ChernData:
 
     ``class_degrees[j]`` is deg(c_j . h^(m-j)) for the hyperplane class h;
     in particular class_degrees[0] is the degree of the variety.  When the
-    data came from an explicit multigraded Chern polynomial, ``chern_poly``
-    holds it and ``point_degree`` is the degree of the top monomial class
-    x1^c1...xk^ck as a zero-cycle (1 for products of projective spaces, d for
+    total Chern class is known as a product over factors, ``factors`` holds
+    one tuple c_0..c_{n_i} per factor, the coefficients of
+    c(X_i) = sum_k c_k x_i^k in that factor's hyperplane class x_i, and
+    ``point_degree`` is the degree of the top monomial class
+    x1^n1...xk^nk as a zero-cycle (1 for products of projective spaces, d for
     a degree-d hypersurface); products need both.
     """
 
     dim: int
     class_degrees: Tuple[int, ...]
-    chern_poly: TruncatedPoly | None = None
+    factors: Tuple[Tuple[int, ...], ...] = ()
     point_degree: int = 1
 
     def __post_init__(self) -> None:
@@ -92,6 +98,9 @@ class ChernData:
             raise ValueError(f"the variety degree must be positive, got {degrees[0]}")
         if self.point_degree < 1:
             raise ValueError(f"point degree must be positive, got {self.point_degree}")
+        if self.factors and sum(len(c) - 1 for c in self.factors) != self.dim:
+            raise ValueError(f"Chern factors of lengths {[len(c) for c in self.factors]} do not "
+                             f"span dimension {self.dim}")
         object.__setattr__(self, "class_degrees", degrees)
 
 
@@ -113,41 +122,29 @@ class PolarProfile:
         return self.deltas[0] if self.deltas[0] else None
 
 
-def _degrees_from_poly(poly: TruncatedPoly, point_degree: int) -> Tuple[int, ...]:
-    """Degrees deg(c_j . h^(m-j)) read off a multigraded total Chern class.
+def _from_factors(factors: Tuple[Tuple[int, ...], ...], point_degree: int) -> ChernData:
+    """Chern data of a product from its per-factor Chern coefficients.
 
-    h is the sum of all ring variables; pairing x^e against h^(m-j) leaves
-    the multinomial count of the complementary exponent caps - e.
+    deg(c_j . h^(m-j)) pairs each monomial x^e with |e| = j against h^(m-j),
+    which leaves multinomial(n - e) times the point degree; with k = n - e
+    that is the |k| = m - j entry of the fold of the reversed lists.
     """
-    caps = poly.caps
-    m = sum(caps)
-    degrees = [0] * (m + 1)
-    for exp, coeff in poly.terms.items():
-        j = sum(exp)
-        degrees[j] += coeff * multinomial(tuple(c - e for c, e in zip(caps, exp)))
-    return tuple(point_degree * v for v in degrees)
+    g = multinomial_fold(c[::-1] for c in factors)
+    return ChernData(
+        dim=len(g) - 1,
+        class_degrees=tuple(point_degree * v for v in reversed(g)),
+        factors=factors,
+        point_degree=point_degree,
+    )
 
 
 def chern_data_projective_space_product(dims: Sequence[int]) -> ChernData:
     """Chern data of P^{n1} x ... x P^{nd}: total Chern class
-    prod_i (1 + x_i)^(n_i + 1) in the ring with caps (n1,...,nd)."""
+    prod_i (1 + x_i)^(n_i + 1), truncated at x_i^(n_i)."""
     dims_t = tuple(int(n) for n in dims)
     if not dims_t or any(n < 0 for n in dims_t):
         raise ValueError(f"invalid dimensions {dims_t}")
-    caps = dims_t
-    poly = TruncatedPoly.constant(caps, 1)
-    for i, n in enumerate(dims_t):
-        factor = TruncatedPoly(caps, {
-            tuple(k if j == i else 0 for j in range(len(caps))): binomial(n + 1, k)
-            for k in range(n + 1)
-        })
-        poly = poly * factor
-    return ChernData(
-        dim=sum(dims_t),
-        class_degrees=_degrees_from_poly(poly, 1),
-        chern_poly=poly,
-        point_degree=1,
-    )
+    return _from_factors(tuple(tuple(comb(n + 1, k) for k in range(n + 1)) for n in dims_t), 1)
 
 
 def _hypersurface_chern_coeffs(n: int, deg_d: int, top: int) -> List[int]:
@@ -171,38 +168,20 @@ def chern_data_smooth_hypersurface(n: int, deg_d: int) -> ChernData:
         raise ValueError(f"dimension must be non-negative, got {n}")
     if deg_d < 1:
         raise ValueError(f"hypersurface degree must be positive, got {deg_d}")
-    coeffs = _hypersurface_chern_coeffs(n, deg_d, n)
-    poly = TruncatedPoly((n,), {(j,): c for j, c in enumerate(coeffs)})
-    return ChernData(
-        dim=n,
-        class_degrees=_degrees_from_poly(poly, deg_d),
-        chern_poly=poly,
-        point_degree=deg_d,
-    )
+    return _from_factors((tuple(_hypersurface_chern_coeffs(n, deg_d, n)),), deg_d)
 
 
 def chern_data_product(a: ChernData, b: ChernData) -> ChernData:
     """Chern data of the Segre product of two varieties, by the Whitney
-    formula in the combined multigraded ring.
+    formula: the total Chern class is the product of the two, so the factors
+    concatenate and the point degrees multiply.
 
-    Both inputs must carry their multigraded Chern polynomial; degrees alone
-    lose the split of the hyperplane class across the factors.
+    Both inputs must carry their factors; degrees alone lose the split of
+    the hyperplane class across the factors.
     """
-    if a.chern_poly is None or b.chern_poly is None:
-        raise ValueError("chern_data_product needs the full Chern polynomial of both factors")
-    caps = a.chern_poly.caps + b.chern_poly.caps
-    terms = {}
-    for ea, ca in a.chern_poly.terms.items():
-        for eb, cb in b.chern_poly.terms.items():
-            terms[ea + eb] = ca * cb
-    poly = TruncatedPoly(caps, terms)
-    point_degree = a.point_degree * b.point_degree
-    return ChernData(
-        dim=a.dim + b.dim,
-        class_degrees=_degrees_from_poly(poly, point_degree),
-        chern_poly=poly,
-        point_degree=point_degree,
-    )
+    if not a.factors or not b.factors:
+        raise ValueError("chern_data_product needs the Chern factors of both varieties")
+    return _from_factors(a.factors + b.factors, a.point_degree * b.point_degree)
 
 
 def polar_class(cd: ChernData, i: int) -> int:

@@ -1,7 +1,9 @@
 """Independent oracles for the exact values: the truncated-ring and
 ``Fraction`` expansions that computed the degrees before the univariate
 kernel in ``combinat.multinomial_fold`` (they fill all prod(n_i + 1) cells of
-the d-variate ring, so keep their inputs small), and the ``Fraction`` and
+the d-variate ring, so keep their inputs small), the multigraded total Chern
+classes that gave the Chern class degrees before ``polar`` kept one
+coefficient list per factor, and the ``Fraction`` and
 full-range binomial bodies of the sums behind the ``verify`` suites before
 those moved onto integers: the alpha coefficients, the alternating binomial
 and g identities, and the evaluation of a ring element at a rational point.
@@ -13,7 +15,7 @@ from fractions import Fraction
 from math import factorial
 from typing import List, Sequence, Tuple
 
-from segre_degrees.combinat import VerificationError, binomial
+from segre_degrees.combinat import VerificationError, binomial, multinomial
 from segre_degrees.hyperdet import degree_series_denominator, symmetric_point
 from segre_degrees.truncpoly import TruncatedPoly, series_inverse
 
@@ -107,6 +109,55 @@ def fraction_generic_ed_degree(dims: Sequence[int], weights: Sequence[int] | Non
         raise VerificationError(f"generic ED degree of {dims_t} with weights {weights_t} "
                                 f"is not an integer: {total}")
     return int(total)
+
+
+def ring_chern_degrees(poly: TruncatedPoly, point_degree: int) -> Tuple[int, ...]:
+    """Degrees deg(c_j . h^(m-j)) read off a multigraded total Chern class.
+
+    h is the sum of all ring variables; pairing x^e against h^(m-j) leaves
+    the multinomial count of the complementary exponent caps - e.
+    """
+    caps = poly.caps
+    m = sum(caps)
+    degrees = [0] * (m + 1)
+    for exp, coeff in poly.terms.items():
+        j = sum(exp)
+        degrees[j] += coeff * multinomial(tuple(c - e for c, e in zip(caps, exp)))
+    return tuple(point_degree * v for v in degrees)
+
+
+def ring_chern_projective_space_product(dims: Sequence[int]) -> TruncatedPoly:
+    """Total Chern class prod_i (1 + x_i)^(n_i + 1) of P^{n1} x ... x P^{nd}
+    in the ring with caps (n1,...,nd); its point degree is 1."""
+    dims_t = tuple(int(n) for n in dims)
+    caps = dims_t
+    poly = TruncatedPoly.constant(caps, 1)
+    for i, n in enumerate(dims_t):
+        factor = TruncatedPoly(caps, {
+            tuple(k if j == i else 0 for j in range(len(caps))): binomial(n + 1, k)
+            for k in range(n + 1)
+        })
+        poly = poly * factor
+    return poly
+
+
+def ring_chern_smooth_hypersurface(n: int, deg_d: int) -> TruncatedPoly:
+    """Total Chern class (1+y)^(n+2) / (1 + d y) of a smooth degree-d
+    hypersurface Y_n, by series inversion in the ring with cap n; its point
+    degree is d."""
+    numerator = TruncatedPoly((n,), {(k,): binomial(n + 2, k) for k in range(n + 1)})
+    denominator = TruncatedPoly((n,), {(k,): deg_d ** k for k in range(min(n, 1) + 1)})
+    return numerator * series_inverse(denominator)
+
+
+def ring_chern_product(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
+    """The Whitney product in the combined multigraded ring: the variables of
+    the two factors are disjoint, so exponents concatenate."""
+    terms = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            terms[ea + eb] = ca * cb
+    return TruncatedPoly(a.caps + b.caps, terms)
 
 
 def symbolic_mixed_partial(d: int, indices: Sequence[int]) -> Fraction:

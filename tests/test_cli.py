@@ -157,6 +157,19 @@ def test_omega_is_only_for_the_sv_formula(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["binary", "8", "2:10"], "binary estimates take no grid"),
+    (["binary", "8", "--compare"], "--compare applies only to hyperdet, ed, sv"),
+    (["discriminant", "3", "4", "--compare"], "--compare applies only to hyperdet, ed, sv"),
+], ids=["binary-grid", "binary-compare", "discriminant-compare"])
+def test_asympt_refuses_arguments_it_would_ignore(capsys, argv, message):
+    code, out, err = run(["asympt", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_cap_budget_guard(capsys):
     # the kernel model for 200,200,200 is ~336 kB (tracemalloc peak ~150 kB)
     code, out, err = run(["hyperdet", "200,200,200", "--cap-bytes", "100000"], capsys)
@@ -237,6 +250,17 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())[0]["result"] == "6"
+
+
+@pytest.mark.parametrize("argv", [["hyperdet", "1,1,1"], ["table", "table2"]],
+                         ids=["hyperdet", "table2"])
+def test_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, argv):
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        code, out, err = run([*argv, "--out", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(str(target)) in err
 
 
 def test_timing_flag_adds_field(capsys):

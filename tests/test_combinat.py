@@ -43,3 +43,20 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_hyperdet_and_the_package_import_the_ring():
+    """The truncated ring is a test oracle and the ``rw-constants`` route; it
+    must not creep back onto another production path."""
+    importers = set()
+    for path in sorted(Path(segre_degrees.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "truncpoly" for name in names):
+                importers.add(path.name)
+    assert importers == {"__init__.py", "hyperdet.py"}

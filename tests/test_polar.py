@@ -28,7 +28,9 @@ from segre_degrees.combinat import binomial
 from segre_degrees.polar import _alternating_sum, _g_scaled
 
 from ring_oracle import (binomial_alpha_coefficients, binomial_alternating_identity_holds,
-                         binomial_alternating_sum, fraction_g_identity_holds, fraction_g_sum)
+                         binomial_alternating_sum, fraction_g_identity_holds, fraction_g_sum,
+                         ring_chern_degrees, ring_chern_product,
+                         ring_chern_projective_space_product, ring_chern_smooth_hypersurface)
 
 
 def test_chern_data_products_of_projective_spaces():
@@ -99,6 +101,27 @@ def test_dual_degree_cross_oracle():
         delta0 = dual_profile(chern_data_projective_space_product(dims)).deltas[0]
         assert delta0 == hyperdet_degree(dims)
         assert (delta0 == 0) == (not is_dual_nondefective(dims))
+
+
+def test_class_degrees_match_the_ring_oracle():
+    # the per-factor fold against the multigraded ring, one multinomial per cell
+    formats = [*partition_formats(10), (0,), (0, 0), (0, 1), (2, 0, 1), (0, 0, 3), (1, 0, 1, 2)]
+    for dims in formats:
+        assert chern_data_projective_space_product(dims).class_degrees == \
+            ring_chern_degrees(ring_chern_projective_space_product(dims), 1), dims
+
+
+def test_products_with_hypersurfaces_match_the_ring_oracle():
+    for dims in [(1,), (1, 1), (1, 2), (2, 3), (1, 1, 1)]:
+        x = chern_data_projective_space_product(dims)
+        x_ring = ring_chern_projective_space_product(dims)
+        for n in range(8):
+            for d in range(1, 5):
+                y = chern_data_smooth_hypersurface(n, d)
+                y_ring = ring_chern_smooth_hypersurface(n, d)
+                assert y.class_degrees == ring_chern_degrees(y_ring, d)
+                assert chern_data_product(x, y).class_degrees == \
+                    ring_chern_degrees(ring_chern_product(x_ring, y_ring), d), (dims, n, d)
 
 
 def test_chern_data_product_requires_polynomials():
@@ -237,3 +260,5 @@ def test_chern_data_validation():
         ChernData(dim=0, class_degrees=(0,))
     with pytest.raises(ValueError):
         ChernData(dim=0, class_degrees=(1,), point_degree=0)
+    with pytest.raises(ValueError):
+        ChernData(dim=1, class_degrees=(1, 2), factors=((1, 2, 1),))
