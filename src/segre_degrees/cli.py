@@ -11,6 +11,8 @@ significant digits, and term/row orders are fixed.  Timing information is
 therefore only added on request (``--timing``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap.
+Any other exception is a bug; it is not caught, so it ends the process with
+a traceback.
 """
 
 from __future__ import annotations
@@ -54,19 +56,32 @@ class CapBudgetError(Exception):
     pass
 
 
+def _check_cap(what: str, ints: int, bits: int, cap_bytes: int) -> None:
+    """Refuse a computation that holds ``ints`` integers below 2^bits at a time
+    if they need more than ``cap_bytes``: 8 bytes of slot, 28 + 4 per 30 bits
+    each, plus 4 kB of frames and small objects."""
+    approx = ints * (36 + 4 * (bits // 30)) + 4096
+    if approx > cap_bytes:
+        raise CapBudgetError(f"{what} needs about {approx} bytes ({ints} integers up to "
+                             f"{bits} bits), over the budget of {cap_bytes}")
+
+
 def _check_cap_budget(dims: Sequence[int], weights: Sequence[int], cap_bytes: int) -> None:
-    """Refuse a degree whose kernel, ``combinat.multinomial_fold``, needs more
-    than ``cap_bytes``: two lists of N + 1 integers below d^N prod_j 2^(n_j+1)
-    w_j^n_j (8 bytes of slot, 28 + 4 per 30 bits each), plus 4 kB of frames and
-    coefficient lists.  (x - 1).bit_length() is ceil(log2 x)."""
+    """The degree kernel, ``combinat.multinomial_fold``, holds two lists of
+    N + 1 integers below d^N prod_j 2^(n_j+1) w_j^n_j.  (x - 1).bit_length()
+    is ceil(log2 x)."""
     n_total, d = sum(dims), len(dims)
     bits = (n_total * (d - 1).bit_length() + n_total + d
             + sum(n * (w - 1).bit_length() for n, w in zip(dims, weights)))
-    approx = 2 * (n_total + 1) * (36 + 4 * (bits // 30)) + 4096
-    if approx > cap_bytes:
-        raise CapBudgetError(
-            f"dims {tuple(dims)} need about {approx} bytes in the degree kernel (N={n_total}, "
-            f"d={d}, coefficients up to {bits} bits), over the budget of {cap_bytes}")
+    _check_cap(f"the degree kernel for dims {tuple(dims)} (N={n_total}, d={d})",
+               2 * (n_total + 1), bits, cap_bytes)
+
+
+def _check_power_cap(base: int, exponent: int, cap_bytes: int) -> None:
+    """The closed forms build base^exponent and hold fewer than ten integers
+    of about its size at a time (tracemalloc peak up to eight on Python 3.11)."""
+    _check_cap(f"the closed form with {base}^{exponent}", 10,
+               exponent * (base - 1).bit_length(), cap_bytes)
 
 
 def _parse_ints(text: str, what: str) -> Tuple[int, ...]:
@@ -87,7 +102,7 @@ def _parse_grid(text: str) -> Tuple[int, ...]:
     """A grid argument: a single value, 'a:b', 'a:b:step', or 'a,b,c'."""
     if ":" in text:
         parts = text.split(":")
-        if len(parts) not in (2, 3) or not all(p.lstrip("-").isdigit() for p in parts):
+        if len(parts) not in (2, 3) or not all(p.removeprefix("-").isdecimal() for p in parts):
             raise UsageError(f"cannot parse range {text!r}")
         lo, hi = int(parts[0]), int(parts[1])
         step = int(parts[2]) if len(parts) == 3 else 1
@@ -174,6 +189,8 @@ def _timed(fn: Callable, *fn_args) -> Tuple[int, float]:
 
 def _cmd_hyperdet(args: argparse.Namespace) -> Tuple[str, int]:
     dims = _parse_dims(args.dims)
+    if args.omega < 1:
+        raise UsageError(f"--omega must be positive, got {args.omega}")
     _check_cap_budget(dims, (args.omega,) * len(dims), args.cap_bytes)
     value, elapsed = _timed(sv_hyperdet_degree, dims, args.omega)
     note = ""
@@ -202,6 +219,7 @@ def _cmd_eddeg(args: argparse.Namespace) -> Tuple[str, int]:
         metric = "frobenius"
         if weights[0] < 2:
             raise UsageError("single-factor weights must be at least 2")
+        _check_power_cap(weights[0] - 1, dims[0] + 1, args.cap_bytes)
         value, elapsed = _timed(veronese_frobenius_ed_degree, dims[0], weights[0])
     else:
         raise UsageError("Frobenius ED degrees with non-unit weights are only "
@@ -385,6 +403,8 @@ def _cmd_asympt(args: argparse.Namespace) -> Tuple[str, int]:
     if args.omega is not None and formula != "sv":
         raise UsageError(f"--omega applies only to the sv formula, not {formula!r}")
     omega = 1 if args.omega is None else args.omega
+    if omega < 1:
+        raise UsageError(f"--omega must be positive, got {omega}")
     if formula in asy.FORMULAS:
         if args.d < 3:
             raise UsageError(f"formula {formula!r} requires d >= 3")
@@ -430,6 +450,10 @@ def _cmd_asympt(args: argparse.Namespace) -> Tuple[str, int]:
             omega = int(args.grid)
         except ValueError:
             raise UsageError(f"cannot parse weight {args.grid!r}")
+        if args.d < 1 or omega < 3:
+            raise UsageError(f"discriminant ratios need n >= 1 and weight >= 3, "
+                             f"got n={args.d}, weight={omega}")
+        _check_power_cap(2 * omega - 1, args.d + 1, args.cap_bytes)
         ratios = asy.discriminant_ratios(args.d, omega)
         base = {"formula": "discriminant", "n": str(args.d), "omega": str(omega)}
         quantities = [
@@ -498,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXIT_CODES = {UsageError: 2, ValueError: 2, VerificationError: 1, CapBudgetError: 3}
+_EXIT_CODES = {UsageError: 2, VerificationError: 1, CapBudgetError: 3}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -506,6 +530,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # exact values outgrow the int -> str digit limit (4300 by default since
+    # Python 3.10.7/3.11); lift it while they are printed and restore it after
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         if args.jobs < 1:
             raise UsageError(f"--jobs (default from SEGRE_DEGREES_JOBS) must be at least 1, "
@@ -515,6 +544,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
     return code
 
 

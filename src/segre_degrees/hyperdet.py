@@ -13,7 +13,9 @@ re-embedded by the same degree-w Veronese map, the weight enters as
 S = sum x_j / (1 + x_j) and expanding (1 - w S)^(-2) turns the coefficient
 into  sum_k (|k| + 1) w^|k| multinomial(k) prod_j (-1)^(n_j-k_j) C(n_j+1, k_j+1),
 which ``combinat.multinomial_fold`` sums grouped by |k| in O(d N^2) integer
-operations for N = sum n_j.
+operations for N = sum n_j.  The d-variate expansion of the series in the
+truncated ring is a test oracle (``tests/ring_oracle.py``); nothing here
+builds a ring.
 
 Defective formats (dual not a hypersurface) yield coefficient 0; callers
 that need a hypersurface should gate on ``is_dual_nondefective``.
@@ -26,11 +28,9 @@ from math import perm
 from typing import Iterator, Sequence, Tuple
 
 from .combinat import binomial, multinomial_fold
-from .truncpoly import TruncatedPoly, elementary_symmetric
 
 __all__ = [
     "binary_hyperdet_degree",
-    "degree_series_denominator",
     "hyperdet_degree",
     "is_dual_nondefective",
     "mixed_partial_at_symmetric_point",
@@ -50,19 +50,6 @@ def is_dual_nondefective(dims: Sequence[int]) -> bool:
     if not dims:
         raise ValueError("a format needs at least one factor")
     return max(dims) * 2 <= sum(dims)
-
-
-def degree_series_denominator(caps: Sequence[int], weight: int = 1) -> TruncatedPoly:
-    """sum_{i=0}^{d} (1 - weight*i) e_i(x), truncated to the given caps."""
-    caps_t = tuple(caps)
-    if weight < 1:
-        raise ValueError(f"weight must be positive, got {weight}")
-    total = TruncatedPoly.zero(caps_t)
-    for i in range(len(caps_t) + 1):
-        coeff = 1 - weight * i
-        if coeff:
-            total = total + elementary_symmetric(caps_t, i) * coeff
-    return total
 
 
 def sv_hyperdet_degree(dims: Sequence[int], weight: int = 1) -> int:

@@ -1,4 +1,5 @@
-"""Independent oracles for the exact values: the truncated-ring and
+"""Independent oracles for the exact values: the degree-series denominator
+``sum (1 - w i) e_i`` in the truncated ring, the truncated-ring and
 ``Fraction`` expansions that computed the degrees before the univariate
 kernel in ``combinat.multinomial_fold`` (they fill all prod(n_i + 1) cells of
 the d-variate ring, so keep their inputs small), the multigraded total Chern
@@ -16,8 +17,21 @@ from math import factorial
 from typing import List, Sequence, Tuple
 
 from segre_degrees.combinat import VerificationError, binomial, multinomial
-from segre_degrees.hyperdet import degree_series_denominator, symmetric_point
-from segre_degrees.truncpoly import TruncatedPoly, series_inverse
+from segre_degrees.hyperdet import symmetric_point
+from segre_degrees.truncpoly import TruncatedPoly, elementary_symmetric, series_inverse
+
+
+def degree_series_denominator(caps: Sequence[int], weight: int = 1) -> TruncatedPoly:
+    """sum_{i=0}^{d} (1 - weight*i) e_i(x), truncated to the given caps."""
+    caps_t = tuple(caps)
+    if weight < 1:
+        raise ValueError(f"weight must be positive, got {weight}")
+    total = TruncatedPoly.zero(caps_t)
+    for i in range(len(caps_t) + 1):
+        coeff = 1 - weight * i
+        if coeff:
+            total = total + elementary_symmetric(caps_t, i) * coeff
+    return total
 
 
 def series_inverse_square(h: TruncatedPoly) -> TruncatedPoly:

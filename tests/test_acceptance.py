@@ -26,7 +26,6 @@ from segre_degrees.eddeg import (
 )
 from segre_degrees.hyperdet import (
     binary_hyperdet_degree,
-    degree_series_denominator,
     hyperdet_degree,
     is_dual_nondefective,
     mixed_partial_at_symmetric_point,
@@ -44,6 +43,8 @@ from segre_degrees.polar import (
     f_identity_holds,
     g_identity_holds,
 )
+
+from ring_oracle import degree_series_denominator
 
 TABLE2 = {
     (1, 1): [2, 6, 8, 8, 8, 8],

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -56,6 +57,45 @@ def test_parse_errors_exit_2(capsys):
     code, _, err = run(["eddeg", "1,2", "--weights", "2,2"], capsys)
     assert code == 2
     assert "generic" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hyperdet", "1,1,1", "--omega", "-2"],
+    ["asympt", "sv", "3", "2", "--omega", "0"],
+    ["asympt", "discriminant", "0", "3"],
+    ["asympt", "discriminant", "5", "2"],
+    ["asympt", "hyperdet", "3", "1:--5"],
+], ids=["hyperdet-omega", "sv-omega", "discriminant-n", "discriminant-weight", "grid-range"])
+def test_out_of_range_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
+    def broken(dims, weight=1):
+        raise ValueError("a bug in the kernel")
+
+    monkeypatch.setattr(cli, "sv_hyperdet_degree", broken)
+    with pytest.raises(ValueError, match="a bug in the kernel"):
+        main(["hyperdet", "1,1,1"])
+    assert capsys.readouterr().out == ""
+
+
+def test_exact_values_print_at_any_size(capsys):
+    n, w = 20000, 3
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(["eddeg", str(n), "--weights", str(w)], capsys)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    assert len(out) > limit
+    # the Veronese closed form, printed with the digit limit lifted here too
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{((w - 1) ** (n + 1) - 1) // (w - 2)}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_eddeg_command(capsys):
@@ -204,6 +244,35 @@ def test_cap_model_bounds_the_kernel_peak(dims):
         with pytest.raises(cli.CapBudgetError):
             cli._check_cap_budget(dims, weights, peak - 1)
         cli._check_cap_budget(dims, weights, 16 * peak)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eddeg", "3", "--weights", "3", "--cap-bytes", "1000"],
+    ["asympt", "discriminant", "5", "3", "--cap-bytes", "1"],
+])
+def test_cap_budget_guards_the_closed_forms(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert "closed form" in err
+    assert run(argv[:-2], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("n, omega", [(5000, 3), (20000, 3), (2000, 11), (5000, 100)])
+def test_cap_model_bounds_the_closed_form_peak(n, omega):
+    cases = [
+        (lambda: eddeg.veronese_frobenius_ed_degree(n, omega), omega - 1),
+        (lambda: asympt.discriminant_ratios(n, omega), 2 * omega - 1),
+    ]
+    for closed_form, base in cases:
+        tracemalloc.start()
+        try:
+            closed_form()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with pytest.raises(cli.CapBudgetError):
+            cli._check_power_cap(base, n + 1, peak - 1)
+        cli._check_power_cap(base, n + 1, 16 * peak)
 
 
 def test_overflowed_estimate_is_valid_json(capsys):
@@ -374,20 +443,26 @@ def test_verify_identities_sees_one_perturbed_term(monkeypatch, capsys, name, ar
 
 
 def test_verify_rw_constants_sees_one_perturbed_term(monkeypatch, capsys):
-    original = asympt.degree_series_denominator
-
-    def perturbed(caps, weight=1):
-        # add 1 to the top coefficient, x1*...*xd, of the d = 5 denominator
-        h = original(caps, weight)
-        if len(caps) != 5:
-            return h
-        terms = dict(h.terms)
-        terms[(1,) * 5] += 1
-        return TruncatedPoly(h.caps, terms)
-
-    monkeypatch.setattr(asympt, "degree_series_denominator", perturbed)
+    original = asympt._subset_term
+    # add 1 to the term of the full subset, x1*...*xd, of the d = 5 sum H(c) (d-1)^d
+    monkeypatch.setattr(asympt, "_subset_term",
+                        lambda d, size: original(d, size) + ((d, size) == (5, 5)))
     code, out, _ = run(["verify", "rw-constants", "--max", "6"], capsys)
     assert code == 1
     assert out.splitlines() == [
         "FAIL denominator does not vanish at the symmetric point for d=5",
         "verify rw-constants: FAILED (checked=4, failures=1, max=6)"]
+
+
+def test_verify_rw_constants_builds_no_ring(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the truncated ring is on a production path")
+
+    for name, value in list(vars(TruncatedPoly).items()):
+        if isinstance(value, property):
+            monkeypatch.setattr(TruncatedPoly, name, property(refuse))
+        elif isinstance(value, classmethod) or callable(value):
+            monkeypatch.setattr(TruncatedPoly, name, refuse)
+    code, out, _ = run(["verify", "rw-constants", "--max", "11"], capsys)
+    assert code == 0
+    assert out == "verify rw-constants: ok (checked=9, failures=0, max=11)\n"

@@ -9,7 +9,6 @@ import pytest
 
 from segre_degrees.hyperdet import (
     binary_hyperdet_degree,
-    degree_series_denominator,
     hyperdet_degree,
     is_dual_nondefective,
     mixed_partial_at_symmetric_point,
@@ -18,7 +17,7 @@ from segre_degrees.hyperdet import (
     symmetric_point,
 )
 
-from ring_oracle import symbolic_mixed_partial
+from ring_oracle import degree_series_denominator, symbolic_mixed_partial
 
 
 def series_coefficient_oracle(dims, weight=1):

@@ -14,7 +14,7 @@ from segre_degrees.truncpoly import (
     series_inverse,
 )
 
-from ring_oracle import fraction_evaluate, series_inverse_square
+from ring_oracle import degree_series_denominator, fraction_evaluate, series_inverse_square
 
 
 def random_poly(rng: random.Random, caps, max_terms=6, coeff_range=9):
@@ -116,8 +116,6 @@ def test_series_inverse_square_is_two_sided_inverse():
 
 def test_inverse_square_of_degree_series_denominators():
     # the denominators that actually occur, over a spread of cap shapes
-    from segre_degrees.hyperdet import degree_series_denominator
-
     shapes = [(6, 6), (4, 4, 4), (2, 2, 2, 2), (1, 1, 1, 1, 1), (1,) * 6, (3, 1, 2)]
     for caps in shapes:
         for weight in (1, 2):
