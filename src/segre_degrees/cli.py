@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 from typing import Callable, List, Sequence, Tuple
@@ -108,7 +107,10 @@ def _parse_grid(text: str) -> Tuple[int, ...]:
         step = int(parts[2]) if len(parts) == 3 else 1
         if step < 1 or hi < lo:
             raise UsageError(f"invalid range {text!r}")
-        return tuple(range(lo, hi + 1, step))
+        try:
+            return tuple(range(lo, hi + 1, step))
+        except OverflowError:
+            raise UsageError(f"range {text!r} has too many values") from None
     return _parse_ints(text, "grid")
 
 
@@ -171,11 +173,10 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        fh = open(out_path, "w")
+        with open(out_path, "w") as fh:
+            fh.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot open --out path {out_path!r}: {exc.strerror}") from None
-    with fh:
-        fh.write(text)
+        raise UsageError(f"cannot write --out path {out_path!r}: {exc.strerror}") from None
 
 
 # -- scalar commands ----------------------------------------------------------
@@ -231,29 +232,17 @@ def _cmd_eddeg(args: argparse.Namespace) -> Tuple[str, int]:
 # -- tables -------------------------------------------------------------------
 
 
-def _dual_cell(n: int) -> int:
-    base = chern_data_projective_space_product((1, 1))
-    return delta0_product_with_hypersurface(base, n, 2)
-
-
-def _map_cells(fn: Callable, tasks: Sequence, jobs: int) -> list:
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
-
-
 def _base_label(base: Tuple[int, ...]) -> str:
     return "x".join(f"P{n}" for n in base)
 
 
+def _ed_row(base: Tuple[int, ...], columns: int) -> List[str]:
+    """Frobenius ED degrees of base x P^m for m < columns."""
+    return [str(frobenius_ed_degree(base + (m,))) for m in range(columns)]
+
+
 def _table_table2(args: argparse.Namespace) -> str:
-    tasks = [base + (m,) for base in TABLE2_BASES for m in range(TABLE2_COLUMNS)]
-    values = [str(v) for v in _map_cells(frobenius_ed_degree, tasks, args.jobs)]
-    rows = [values[i * TABLE2_COLUMNS:(i + 1) * TABLE2_COLUMNS]
-            for i in range(len(TABLE2_BASES))]
+    rows = [_ed_row(base, TABLE2_COLUMNS) for base in TABLE2_BASES]
     records = [_record("table", {"name": "table2", "base": _join(base)}, row)
                for base, row in zip(TABLE2_BASES, rows)]
     csv_rows = [["X"] + [f"m={m}" for m in range(TABLE2_COLUMNS)]]
@@ -265,14 +254,12 @@ def _table_table2(args: argparse.Namespace) -> str:
 
 
 def _table_stabilization(args: argparse.Namespace) -> str:
-    tasks = [base + (m,) for base in TABLE2_BASES for m in range(sum(base) + 4)]
-    values = iter(_map_cells(frobenius_ed_degree, tasks, args.jobs))
     records = []
     csv_rows = [["base", "m", "ed_degree", "stable_from"]]
     plain = []
     for base in TABLE2_BASES:
         stable_from = sum(base)
-        row = [str(next(values)) for _ in range(stable_from + 4)]
+        row = _ed_row(base, stable_from + 4)
         records.append(_record("table", {"name": "stabilization", "base": _join(base)}, row,
                                stable_from=stable_from))
         csv_rows += [[_base_label(base), m, v, stable_from] for m, v in enumerate(row)]
@@ -281,11 +268,11 @@ def _table_stabilization(args: argparse.Namespace) -> str:
 
 
 def _table_dual_example(args: argparse.Namespace) -> str:
-    ns = list(range(6))
-    values = _map_cells(_dual_cell, ns, args.jobs)
+    base = chern_data_projective_space_product((1, 1))
+    values = [delta0_product_with_hypersurface(base, n, 2) for n in range(6)]
     records = [_record("table", {"name": "dual-example", "n": str(n)}, str(v))
-               for n, v in zip(ns, values)]
-    csv_rows = [["n", "dual_degree"]] + [[n, v] for n, v in zip(ns, values)]
+               for n, v in enumerate(values)]
+    csv_rows = [["n", "dual_degree"]] + [[n, v] for n, v in enumerate(values)]
     return _render(args, records, csv_rows, [_join(values)])
 
 
@@ -419,7 +406,11 @@ def _cmd_asympt(args: argparse.Namespace) -> Tuple[str, int]:
             params = {"formula": formula, "d": str(args.d), "n": str(n)}
             if formula == "sv":
                 params["omega"] = str(omega)
-            log_est = log_estimate_fn(args.d, n, omega)
+            try:
+                log_est = log_estimate_fn(args.d, n, omega)
+            except OverflowError:
+                raise UsageError(f"factor count d={args.d} and grid value n={n} are too "
+                                 f"large for a float estimate") from None
             if args.compare:
                 _check_cap_budget((n,) * args.d, (omega,) * args.d, args.cap_bytes)
                 exact = exact_fn((n,) * args.d, omega)
@@ -434,7 +425,10 @@ def _cmd_asympt(args: argparse.Namespace) -> Tuple[str, int]:
             raise UsageError(f"binary estimates take no grid, got {args.grid!r}")
         if args.d < 2:
             raise UsageError("binary estimates require d >= 2")
-        est = asy.binary_asymptotics(args.d)
+        try:
+            est = asy.binary_asymptotics(args.d)
+        except OverflowError:
+            raise UsageError(f"factor count d={args.d} is too large for a float estimate") from None
         base = {"formula": "binary", "d": str(args.d)}
         quantities = [
             ("hyperdet", _estimate_value(est.log_hyperdet)),
@@ -479,12 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-        # a string default goes through ``type`` too, so a bad environment value
-        # is a usage error like a bad flag
-        p.add_argument("--jobs", type=int, default=os.environ.get("SEGRE_DEGREES_JOBS", "1"),
-                       help="worker processes for table fills (default from SEGRE_DEGREES_JOBS)")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="no effect, tables fill in process; a positive integer, "
+                            "kept so that scripts that pass it still run")
         p.add_argument("--cap-bytes", type=int, default=DEFAULT_CAP_BYTES,
-                       help="memory budget in bytes for an exact degree; larger requests exit 3")
+                       help="memory budget in bytes (at least 1) for an exact value; "
+                            "larger requests exit 3")
         p.add_argument("--timing", action="store_true",
                        help="include elapsed milliseconds (non-deterministic output)")
 
@@ -537,8 +531,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         if args.jobs < 1:
-            raise UsageError(f"--jobs (default from SEGRE_DEGREES_JOBS) must be at least 1, "
-                             f"got {args.jobs}")
+            raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+        if args.cap_bytes < 1:
+            raise UsageError(f"--cap-bytes must be at least 1, got {args.cap_bytes}")
         text, code = args.run(args)
         _emit(text, args.out)
     except tuple(_EXIT_CODES) as exc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import os
 import sys
 import tracemalloc
 
@@ -65,12 +66,31 @@ def test_parse_errors_exit_2(capsys):
     ["asympt", "discriminant", "0", "3"],
     ["asympt", "discriminant", "5", "2"],
     ["asympt", "hyperdet", "3", "1:--5"],
-], ids=["hyperdet-omega", "sv-omega", "discriminant-n", "discriminant-weight", "grid-range"])
+    ["hyperdet", "1,1,1", "--cap-bytes", "-5"],
+    ["hyperdet", "1,1,1", "--cap-bytes", "0"],
+], ids=["hyperdet-omega", "sv-omega", "discriminant-n", "discriminant-weight", "grid-range",
+        "cap-bytes-negative", "cap-bytes-zero"])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["asympt", "binary", HUGE], "factor count d="),
+    (["asympt", "hyperdet", "3", HUGE], "grid value n="),
+    (["asympt", "hyperdet", "3", "1:" + HUGE], "range '1:"),
+    (["asympt", "ed", HUGE, "5"], "factor count d="),
+], ids=["binary-d", "hyperdet-n", "hyperdet-range", "ed-d"])
+def test_arguments_beyond_float_range_are_usage_errors(capsys, argv, named):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
@@ -149,12 +169,6 @@ def test_jobs_do_not_change_bytes(capsys):
     base = run(["table", "dual-example", "--format", "csv"], capsys)[1]
     parallel = run(["table", "dual-example", "--format", "csv", "--jobs", "2"], capsys)[1]
     assert base == parallel
-
-
-def test_jobs_default_comes_from_environment(monkeypatch, capsys):
-    base = run(["table", "dual-example", "--format", "csv"], capsys)[1]
-    monkeypatch.setenv("SEGRE_DEGREES_JOBS", "2")
-    assert run(["table", "dual-example", "--format", "csv"], capsys)[1] == base
 
 
 def test_verify_suites_pass(capsys):
@@ -286,31 +300,16 @@ def test_overflowed_estimate_is_valid_json(capsys):
     assert run(["asympt", "hyperdet", "3", "400"], capsys)[1] == "inf\n"
 
 
-def test_worker_pool_is_sized_by_the_cells(monkeypatch, capsys):
-    pools = []
+def test_tables_fill_in_process(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        pytest.fail("a table fill started a process")
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.delenv("SEGRE_DEGREES_JOBS", raising=False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    base = run(["table", "dual-example"], capsys)[1]
-    assert run(["table", "dual-example", "--jobs", "8"], capsys)[1] == base
-    assert pools == [6]
-    pools.clear()
-    base = run(["table", "stabilization", "--format", "csv"], capsys)[1]
-    assert run(["table", "stabilization", "--format", "csv", "--jobs", "2"], capsys)[1] == base
-    assert pools == [2]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    for name in cli._TABLES:
+        base = run(["table", name, "--jobs", "1"], capsys)
+        for jobs in ("2", "8"):
+            assert run(["table", name, "--jobs", jobs], capsys) == base
 
 
 def test_out_file(tmp_path, capsys):
@@ -330,6 +329,14 @@ def test_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, argv)
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(str(target)) in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_write_failure_is_a_usage_error(capsys):
+    code, out, err = run(["hyperdet", "1,1,1", "--out", "/dev/full"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'/dev/full'" in err
 
 
 def test_timing_flag_adds_field(capsys):
@@ -376,13 +383,11 @@ def test_jobs_must_be_a_positive_integer(monkeypatch, capsys):
         assert code == 2
         assert out == ""
         assert "error:" in err
-    for value in ("abc", "-2", "0"):
-        monkeypatch.setenv("SEGRE_DEGREES_JOBS", value)
-        code, out, err = run(["table", "dual-example"], capsys)
-        assert code == 2
-        assert out == ""
-        assert "error:" in err
-        assert "Traceback" not in err
+    # SEGRE_DEGREES_JOBS is not read, so no value of it can fail a run
+    base = run(["table", "dual-example", "--format", "csv"], capsys)
+    monkeypatch.setenv("SEGRE_DEGREES_JOBS", "abc")
+    assert run(["table", "dual-example", "--format", "csv"], capsys) == base
+    assert base[0] == 0
 
 
 def test_verify_max_has_a_minimum_per_suite(capsys):

@@ -45,18 +45,29 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-def test_only_the_package_imports_the_ring():
-    """The truncated ring is a test oracle and is on no production path; the
-    package imports it only so that the benchmark tracer can patch it."""
-    importers = set()
+def _imported_modules():
+    """(file name, dotted names) of every import in the package, top-level or
+    nested in a function."""
     for path in sorted(Path(segre_degrees.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+                yield path.name, [node.module or ""] + [f"{node.module or ''}.{a.name}"
+                                                        for a in node.names]
             elif isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            else:
-                continue
-            if any(name.split(".")[-1] == "truncpoly" for name in names):
-                importers.add(path.name)
+                yield path.name, [a.name for a in node.names]
+
+
+def test_only_the_package_imports_the_ring():
+    """The truncated ring is a test oracle and is on no production path; the
+    package imports it only so that the benchmark tracer can patch it."""
+    importers = {name for name, modules in _imported_modules()
+                 if any(m.split(".")[-1] == "truncpoly" for m in modules)}
     assert importers == {"__init__.py"}
+
+
+def test_the_package_starts_no_processes_or_threads():
+    """Every computation runs in the calling thread of the calling process."""
+    banned = {"concurrent", "multiprocessing", "threading", "subprocess"}
+    found = [(name, m) for name, modules in _imported_modules()
+             for m in modules if m.split(".")[0] in banned]
+    assert found == []
