@@ -10,9 +10,9 @@ plain estimate would overflow.
 The constants feeding the main estimate (the location of the vanishing point
 of the series denominator, the Hessian determinant there, and the leading
 amplitude) are recomputed on integers and exact rationals, the value at the
-point as a 2^d-term subset sum and the rest from O(d) mixed partials, and
-compared with their closed forms; any mismatch raises, since it would
-invalidate the estimates.  No truncated ring is built.
+point as a subset sum grouped by subset size and the rest from O(d) mixed
+partials, and compared with their closed forms; any mismatch raises, since it
+would invalidate the estimates.  No truncated ring is built.
 """
 
 from __future__ import annotations
@@ -223,16 +223,18 @@ def verify_minimal_point_constants(d: int) -> MinimalPointCheck:
     is exactly an inverse square, with trivial numerator).
 
     H(c) is the sum over all 2^d subsets S of {1..d} of the terms of the
-    denominator, added on integers over the common denominator (d-1)^d; it is
-    a separate route from the partials, which are O(d) sums at c.  The
-    remaining constants are a few ``Fraction`` operations.
+    denominator, added on integers over the common denominator (d-1)^d.  A
+    term depends only on |S|, so the sum is grouped by size: C(d, k) subsets
+    of size k, d + 1 terms.  It is a separate route from the partials, which
+    are O(d) sums at c.  The remaining constants are a few ``Fraction``
+    operations.
     """
     if d < 3:
         raise ValueError(f"the estimate requires at least three factors, got d={d}")
     point = symmetric_point(d)
     c1 = point[0]
 
-    h_at_c = Fraction(sum(_subset_term(d, subset.bit_count()) for subset in range(1 << d)),
+    h_at_c = Fraction(sum(math.comb(d, k) * _subset_term(d, k) for k in range(d + 1)),
                       (d - 1) ** d)
     if h_at_c != 0:
         raise VerificationError(f"denominator does not vanish at the symmetric point for d={d}")

@@ -7,12 +7,12 @@ estimates with optional exact comparison.
 
 Output is deterministic byte for byte: exact integers are serialized as
 decimal strings (they outgrow 2^53 quickly), floats are printed with 12
-significant digits, and term/row orders are fixed.  Timing information is
-therefore only added on request (``--timing``).
+significant digits, and term/row orders are fixed.  ``--timing`` leaves them
+as they are: ``main`` writes one ``timing:`` line on stderr after the output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap.
-Any other exception is a bug; it is not caught, so it ends the process with
-a traceback.
+Exit codes: 0 success, 1 verification failure, 2 usage error (one ``error:``
+line, argparse's own included), 3 resource cap.  Any other exception is a
+bug; it is not caught, so it ends the process with a traceback.
 """
 
 from __future__ import annotations
@@ -51,6 +51,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's errors as ``UsageError``, like every other usage error."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 class CapBudgetError(Exception):
     pass
 
@@ -65,15 +72,12 @@ def _check_cap(what: str, ints: int, bits: int, cap_bytes: int) -> None:
                              f"{bits} bits), over the budget of {cap_bytes}")
 
 
-def _check_cap_budget(dims: Sequence[int], weights: Sequence[int], cap_bytes: int) -> None:
+def _check_cap_budget(n_total: int, d: int, weight_bits: int, cap_bytes: int) -> None:
     """The degree kernel, ``combinat.multinomial_fold``, holds two lists of
-    N + 1 integers below d^N prod_j 2^(n_j+1) w_j^n_j.  (x - 1).bit_length()
-    is ceil(log2 x)."""
-    n_total, d = sum(dims), len(dims)
-    bits = (n_total * (d - 1).bit_length() + n_total + d
-            + sum(n * (w - 1).bit_length() for n, w in zip(dims, weights)))
-    _check_cap(f"the degree kernel for dims {tuple(dims)} (N={n_total}, d={d})",
-               2 * (n_total + 1), bits, cap_bytes)
+    N + 1 integers below d^N prod_j 2^(n_j+1) w_j^n_j; ``weight_bits`` is
+    sum_j n_j ceil(log2 w_j).  (x - 1).bit_length() is ceil(log2 x)."""
+    bits = n_total * (d - 1).bit_length() + n_total + d + weight_bits
+    _check_cap(f"the degree kernel for N={n_total}, d={d}", 2 * (n_total + 1), bits, cap_bytes)
 
 
 def _check_power_cap(base: int, exponent: int, cap_bytes: int) -> None:
@@ -81,6 +85,13 @@ def _check_power_cap(base: int, exponent: int, cap_bytes: int) -> None:
     of about its size at a time (tracemalloc peak up to eight on Python 3.11)."""
     _check_cap(f"the closed form with {base}^{exponent}", 10,
                exponent * (base - 1).bit_length(), cap_bytes)
+
+
+def _positive(text: str) -> int:
+    """The ``type=`` of every option that takes a positive integer."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _parse_ints(text: str, what: str) -> Tuple[int, ...]:
@@ -97,21 +108,27 @@ def _parse_dims(text: str) -> Tuple[int, ...]:
     return dims
 
 
-def _parse_grid(text: str) -> Tuple[int, ...]:
-    """A grid argument: a single value, 'a:b', 'a:b:step', or 'a,b,c'."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (2, 3) or not all(p.removeprefix("-").isdecimal() for p in parts):
-            raise UsageError(f"cannot parse range {text!r}")
-        lo, hi = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
-        if step < 1 or hi < lo:
-            raise UsageError(f"invalid range {text!r}")
-        try:
-            return tuple(range(lo, hi + 1, step))
-        except OverflowError:
-            raise UsageError(f"range {text!r} has too many values") from None
-    return _parse_ints(text, "grid")
+def _parse_grid(text: str) -> Sequence[int]:
+    """A grid argument: a single value, 'a,b,c', 'a:b' or 'a:b:step'.  A range
+    stays a ``range``, so its length is known before any point is built."""
+    if ":" not in text:
+        grid = _parse_ints(text, "grid")
+        if min(grid) < 1:
+            raise UsageError("grid values must be at least 1")
+        return grid
+    parts = text.split(":")
+    if len(parts) not in (2, 3) or not all(p.removeprefix("-").isdecimal() for p in parts):
+        raise UsageError(f"cannot parse range {text!r}")
+    lo, hi = int(parts[0]), int(parts[1])
+    step = int(parts[2]) if len(parts) == 3 else 1
+    if step < 1 or not 1 <= lo <= hi:
+        raise UsageError(f"invalid range {text!r}: need 1 <= a <= b and step >= 1")
+    grid = range(lo, hi + 1, step)
+    try:
+        len(grid)
+    except OverflowError:
+        raise UsageError(f"range {text!r} has too many values") from None
+    return grid
 
 
 def _fmt_float(x: float) -> str:
@@ -137,19 +154,15 @@ def _render(args: argparse.Namespace, records: List[dict],
     if args.format == "json":
         # an estimate that overflowed is written as plain and CSV print it
         objs = [{k: _fmt_float(v) if isinstance(v, float) and not math.isfinite(v) else v
-                 for k, v in rec.items() if k != "elapsed_ms" or args.timing}
-                for rec in records]
+                 for k, v in rec.items()} for rec in records]
         return json.dumps(objs, sort_keys=True, separators=(", ", ": "), indent=1,
                           allow_nan=False) + "\n"
     if args.format == "csv":
         if csv_rows is None:
-            header = ["command", "parameters", "result", "note"]
-            csv_rows = [header + ["elapsed_ms"] if args.timing else header]
+            csv_rows = [["command", "parameters", "result", "note"]]
             for rec in records:
                 params = ";".join(f"{k}={v}" for k, v in sorted(rec["parameters"].items()))
                 csv_rows.append([rec["command"], params, str(rec["result"]), rec["note"]])
-                if args.timing:
-                    csv_rows[-1].append(f"{rec['elapsed_ms']:.3f}" if "elapsed_ms" in rec else "")
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows)
         return buf.getvalue()
@@ -161,8 +174,6 @@ def _render(args: argparse.Namespace, records: List[dict],
                       for key in ("quantity", "exact", "rel_error") if key in rec["parameters"]]
             if rec["note"]:
                 extras.append(f"({rec['note']})")
-            if args.timing and "elapsed_ms" in rec:
-                extras.append(f"[{rec['elapsed_ms']:.3f} ms]")
             text = _fmt_float(result) if isinstance(result, float) else str(result)
             plain.append(text + "  " + " ".join(extras) if extras else text)
     return "\n".join(plain) + "\n"
@@ -182,23 +193,16 @@ def _emit(text: str, out_path: str | None) -> None:
 # -- scalar commands ----------------------------------------------------------
 
 
-def _timed(fn: Callable, *fn_args) -> Tuple[int, float]:
-    start = time.perf_counter()
-    value = fn(*fn_args)
-    return value, round((time.perf_counter() - start) * 1000.0, 3)
-
-
 def _cmd_hyperdet(args: argparse.Namespace) -> Tuple[str, int]:
     dims = _parse_dims(args.dims)
-    if args.omega < 1:
-        raise UsageError(f"--omega must be positive, got {args.omega}")
-    _check_cap_budget(dims, (args.omega,) * len(dims), args.cap_bytes)
-    value, elapsed = _timed(sv_hyperdet_degree, dims, args.omega)
+    n_total = sum(dims)
+    _check_cap_budget(n_total, len(dims), n_total * (args.omega - 1).bit_length(), args.cap_bytes)
+    value = sv_hyperdet_degree(dims, args.omega)
     note = ""
     if args.omega == 1 and value == 0 and not is_dual_nondefective(dims):
         note = "dual defective"
     params = {"dims": _join(dims), "omega": str(args.omega)}
-    return _render(args, [_record("hyperdet", params, str(value), note, elapsed_ms=elapsed)]), 0
+    return _render(args, [_record("hyperdet", params, str(value), note)]), 0
 
 
 def _cmd_eddeg(args: argparse.Namespace) -> Tuple[str, int]:
@@ -208,25 +212,24 @@ def _cmd_eddeg(args: argparse.Namespace) -> Tuple[str, int]:
         raise UsageError(f"{len(dims)} dims but {len(weights)} weights")
     if any(w < 1 for w in weights):
         raise UsageError(f"weights must be positive, got {weights}")
+    metric = "generic" if args.generic else "frobenius"
     if args.generic:
-        metric = "generic"
-        _check_cap_budget(dims, weights, args.cap_bytes)
-        value, elapsed = _timed(generic_ed_degree, dims, weights)
+        weight_bits = sum(n * (w - 1).bit_length() for n, w in zip(dims, weights))
+        _check_cap_budget(sum(dims), len(dims), weight_bits, args.cap_bytes)
+        value = generic_ed_degree(dims, weights)
     elif all(w == 1 for w in weights):
-        metric = "frobenius"
-        _check_cap_budget(dims, weights, args.cap_bytes)
-        value, elapsed = _timed(frobenius_ed_degree, dims)
+        _check_cap_budget(sum(dims), len(dims), 0, args.cap_bytes)
+        value = frobenius_ed_degree(dims)
     elif len(dims) == 1:
-        metric = "frobenius"
         if weights[0] < 2:
             raise UsageError("single-factor weights must be at least 2")
         _check_power_cap(weights[0] - 1, dims[0] + 1, args.cap_bytes)
-        value, elapsed = _timed(veronese_frobenius_ed_degree, dims[0], weights[0])
+        value = veronese_frobenius_ed_degree(dims[0], weights[0])
     else:
         raise UsageError("Frobenius ED degrees with non-unit weights are only "
                          "available for a single factor; use --generic")
     params = {"dims": _join(dims), "weights": _join(weights), "metric": metric}
-    return _render(args, [_record("eddeg", params, str(value), elapsed_ms=elapsed)]), 0
+    return _render(args, [_record("eddeg", params, str(value))]), 0
 
 
 # -- tables -------------------------------------------------------------------
@@ -323,27 +326,25 @@ def _verify_rw_constants(max_d: int, report: Callable[[str], None]) -> int:
 
 
 def _verify_stabilization(max_total: int, report: Callable[[str], None]) -> int:
-    checked = 0
-    for base in partition_formats(max_total):
-        checked += 1
+    bases = list(partition_formats(max_total))
+    for base in bases:
         try:
             stabilization_onset(base, sum(base) + 3)
         except VerificationError as exc:
             report(str(exc))
-    return checked + _ratio_check(report, m_max=6, n_max=12, d_max=4)
+    return len(bases) + _ratio_check(report, m_max=6, n_max=12, d_max=4)
 
 
 def _verify_cross_oracle(max_total: int, report: Callable[[str], None]) -> int:
-    checked = 0
-    for dims in partition_formats(max_total):
-        checked += 1
+    formats = list(partition_formats(max_total))
+    for dims in formats:
         series = hyperdet_degree(dims)
         polar = dual_profile(chern_data_projective_space_product(dims)).deltas[0]
         if series != polar:
             report(f"dual degree mismatch for {dims}: series {series}, polar {polar}")
         if (series == 0) != (not is_dual_nondefective(dims)):
             report(f"defectiveness disagreement for {dims}: degree {series}")
-    return checked
+    return len(formats)
 
 
 # suite -> (sweep, default --max, smallest --max that checks at least one case
@@ -390,16 +391,17 @@ def _cmd_asympt(args: argparse.Namespace) -> Tuple[str, int]:
     if args.omega is not None and formula != "sv":
         raise UsageError(f"--omega applies only to the sv formula, not {formula!r}")
     omega = 1 if args.omega is None else args.omega
-    if omega < 1:
-        raise UsageError(f"--omega must be positive, got {omega}")
     if formula in asy.FORMULAS:
         if args.d < 3:
             raise UsageError(f"formula {formula!r} requires d >= 3")
         if args.grid is None:
             raise UsageError(f"formula {formula!r} needs a grid of n values")
         grid = _parse_grid(args.grid)
-        if any(n < 1 for n in grid):
-            raise UsageError("grid values must be at least 1")
+        # a record and its JSON text take under 3 kB a point (tracemalloc, Python 3.11)
+        approx = 4096 * (len(grid) + 1)
+        if approx > args.cap_bytes:
+            raise CapBudgetError(f"a grid of {len(grid)} points needs about {approx} bytes, "
+                                 f"over the budget of {args.cap_bytes}")
         exact_fn, log_estimate_fn = asy.FORMULAS[formula]
         records = []
         for n in grid:
@@ -412,7 +414,8 @@ def _cmd_asympt(args: argparse.Namespace) -> Tuple[str, int]:
                 raise UsageError(f"factor count d={args.d} and grid value n={n} are too "
                                  f"large for a float estimate") from None
             if args.compare:
-                _check_cap_budget((n,) * args.d, (omega,) * args.d, args.cap_bytes)
+                _check_cap_budget(n * args.d, args.d, n * args.d * (omega - 1).bit_length(),
+                                  args.cap_bytes)
                 exact = exact_fn((n,) * args.d, omega)
                 params["exact"] = str(exact)
                 params["rel_error"] = _fmt_float(asy.relative_error(exact, log_est))
@@ -463,7 +466,7 @@ def _cmd_asympt(args: argparse.Namespace) -> Tuple[str, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="segre-degrees",
         description="Exact degrees and ED degrees of products of projective "
                     "spaces, their dual hypersurfaces, and growth estimates.")
@@ -473,18 +476,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="no effect, tables fill in process; a positive integer, "
-                            "kept so that scripts that pass it still run")
-        p.add_argument("--cap-bytes", type=int, default=DEFAULT_CAP_BYTES,
-                       help="memory budget in bytes (at least 1) for an exact value; "
-                            "larger requests exit 3")
+        p.add_argument("--jobs", type=_positive, default=1,
+                       help="no effect, tables fill in process; kept for scripts that pass it")
+        p.add_argument("--cap-bytes", type=_positive, default=DEFAULT_CAP_BYTES,
+                       help="byte budget of an exact value or an asympt grid; over it exits 3")
         p.add_argument("--timing", action="store_true",
-                       help="include elapsed milliseconds (non-deterministic output)")
+                       help="write the elapsed milliseconds on stderr; stdout is unchanged")
 
     p = sub.add_parser("hyperdet", help="degree of the dual hypersurface of a format")
     p.add_argument("dims", help="comma-separated factor dimensions, e.g. 1,1,2")
-    p.add_argument("--omega", type=int, default=1, help="equal Veronese weight on every factor")
+    p.add_argument("--omega", type=_positive, default=1, help="Veronese weight of every factor")
     add_common(p, _cmd_hyperdet)
 
     p = sub.add_parser("eddeg", help="ED degree of a format")
@@ -507,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("d", type=int, help="factor count (n for the discriminant ratios)")
     p.add_argument("grid", nargs="?", default=None,
                    help="n value, range a:b[:step], or comma list (weight for discriminant)")
-    p.add_argument("--omega", type=int, default=None,
+    p.add_argument("--omega", type=_positive, default=None,
                    help="weight for the sv formula (default 1); a usage error with any other")
     p.add_argument("--compare", action="store_true",
                    help="include exact values and rel. errors (hyperdet, ed, sv)")
@@ -520,22 +521,21 @@ _EXIT_CODES = {UsageError: 2, VerificationError: 1, CapBudgetError: 3}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     # exact values outgrow the int -> str digit limit (4300 by default since
     # Python 3.10.7/3.11); lift it while they are printed and restore it after
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        if args.jobs < 1:
-            raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-        if args.cap_bytes < 1:
-            raise UsageError(f"--cap-bytes must be at least 1, got {args.cap_bytes}")
+        args = build_parser().parse_args(argv)
+        start = time.perf_counter()
         text, code = args.run(args)
+        run_ms = (time.perf_counter() - start) * 1000.0
         _emit(text, args.out)
+        if args.timing:
+            print(f"timing: {args.command} {run_ms:.3f} ms", file=sys.stderr)
+    except SystemExit as exc:  # -h/--help, after argparse printed the help
+        return exc.code
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))

@@ -6,7 +6,9 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
+import re
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -58,6 +60,29 @@ def test_parse_errors_exit_2(capsys):
     code, _, err = run(["eddeg", "1,2", "--weights", "2,2"], capsys)
     assert code == 2
     assert "generic" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "nosuchtable"],
+    ["hyperdet"],
+    ["hyperdet", "1,1,1", "--jobs", "x"],
+    ["verify", "identities", "--max", "x"],
+    ["asympt", "foo", "3", "4"],
+    ["hyperdet", "1,1,1", "--bogus"],
+    [],
+], ids=["unknown-choice", "missing-positional", "non-integer-option", "non-integer-max",
+        "unknown-formula", "unknown-flag", "no-arguments"])
+def test_argparse_errors_are_one_error_line(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["asympt", "--help"]], ids=["top", "asympt"])
+def test_help_prints_usage_on_stdout(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: segre-degrees")
 
 
 @pytest.mark.parametrize("argv", [
@@ -255,9 +280,40 @@ def test_cap_model_bounds_the_kernel_peak(dims):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        model = (sum(dims), d, sum(n * (w - 1).bit_length() for n, w in zip(dims, weights)))
         with pytest.raises(cli.CapBudgetError):
-            cli._check_cap_budget(dims, weights, peak - 1)
-        cli._check_cap_budget(dims, weights, 16 * peak)
+            cli._check_cap_budget(*model, peak - 1)
+        cli._check_cap_budget(*model, 16 * peak)
+
+
+def test_cap_refusal_names_the_kernel_not_the_dims(capsys):
+    code, out, err = run(["asympt", "hyperdet", "1000000", "5", "--compare"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: the degree kernel for N=5000000, d=1000000 ")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("argv", [["hyperdet", "3", "1:300"],
+                                  ["sv", "3", "1:3000", "--omega", "7"]])
+def test_cap_model_bounds_the_grid_peak(capsys, argv):
+    argv = ["asympt", *argv, "--format", "json"]
+    args = cli.build_parser().parse_args(argv)
+    tracemalloc.start()
+    try:
+        args.run(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run([*argv, "--cap-bytes", str(peak - 1)], capsys)[:2] == (3, "")
+    assert run([*argv, "--cap-bytes", str(16 * peak)], capsys)[0] == 0
+
+
+def test_huge_grid_is_refused_before_it_is_built(capsys):
+    start = time.perf_counter()
+    code, out, err = run(["asympt", "hyperdet", "3", "1:100000000"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: a grid of 100000000 points ")
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("argv", [
@@ -339,9 +395,21 @@ def test_out_write_failure_is_a_usage_error(capsys):
     assert "'/dev/full'" in err
 
 
-def test_timing_flag_adds_field(capsys):
-    _, out, _ = run(["hyperdet", "1,1,1", "--format", "json", "--timing"], capsys)
-    assert "elapsed_ms" in json.loads(out)[0]
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["hyperdet", "1,1,1"],
+    ["eddeg", "1,2"],
+    ["table", "dual-example"],
+    ["verify", "cross-oracle", "--max", "3"],
+    ["asympt", "hyperdet", "3", "5:7", "--compare"],
+], ids=lambda argv: argv[0])
+def test_timing_is_one_stderr_line_and_keeps_stdout(capsys, argv, fmt):
+    argv = [*argv, "--format", fmt]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    code, timed_out, timed_err = run([*argv, "--timing"], capsys)
+    assert (code, timed_out) == (0, out)
+    assert re.fullmatch(rf"timing: {argv[0]} \d+\.\d+ ms\n", timed_err)
 
 
 def test_verify_honours_format_and_out(tmp_path, capsys):
@@ -457,6 +525,20 @@ def test_verify_rw_constants_sees_one_perturbed_term(monkeypatch, capsys):
     assert out.splitlines() == [
         "FAIL denominator does not vanish at the symmetric point for d=5",
         "verify rw-constants: FAILED (checked=4, failures=1, max=6)"]
+
+
+def test_verify_rw_constants_sums_one_term_per_subset_size(monkeypatch, capsys):
+    calls = []
+    original = asympt._subset_term
+
+    def counted(d, size):
+        calls.append((d, size))
+        return original(d, size)
+
+    monkeypatch.setattr(asympt, "_subset_term", counted)
+    assert run(["verify", "rw-constants", "--max", "11"], capsys)[0] == 0
+    # d + 1 sizes for each d = 3..11, where all 2^d subsets would be 4088 terms
+    assert len(calls) == sum(d + 1 for d in range(3, 12)) == 72
 
 
 def test_verify_rw_constants_builds_no_ring(monkeypatch, capsys):

@@ -71,3 +71,26 @@ def test_the_package_starts_no_processes_or_threads():
     found = [(name, m) for name, modules in _imported_modules()
              for m in modules if m.split(".")[0] in banned]
     assert found == []
+
+
+def test_only_emit_writes_stdout():
+    """Diagnostics never touch stdout: every ``print`` names its stream, and
+    ``sys.stdout`` appears only in ``cli._emit``."""
+    found = []
+    for path in sorted(Path(segre_degrees.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "cli.py":
+            (emit,) = [node for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name == "_emit"]
+            allowed = {id(node) for node in ast.walk(emit)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "print"
+                    and not any(kw.arg == "file" for kw in node.keywords)):
+                found.append(f"{path.name}:{node.lineno} print without file=")
+            names_stdout = (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                            or isinstance(node, ast.Name) and node.id == "stdout")
+            if names_stdout and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno} stdout")
+    assert found == []
