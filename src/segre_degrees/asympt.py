@@ -18,7 +18,7 @@ would invalidate the estimates.  No truncated ring is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence, Tuple
 
@@ -108,37 +108,9 @@ def log_sv_hyperdet_asymptotic(d: int, n: int, omega: int) -> float:
             - (d - 3) / 2 * math.log(n))
 
 
-@dataclass(frozen=True)
-class BinaryAsymptotics:
-    """Large-d estimates for products of d projective lines."""
-
-    d: int
-    log_hyperdet: float
-    log_ed_frobenius: float
-    log_ed_generic: float
-
-    @property
-    def hyperdet(self) -> float:
-        return math.exp(self.log_hyperdet)
-
-    @property
-    def ed_frobenius(self) -> float:
-        return math.exp(self.log_ed_frobenius)
-
-    @property
-    def ed_generic(self) -> float:
-        return math.exp(self.log_ed_generic)
-
-    @property
-    def hyperdet_over_ed_frobenius(self) -> float:
-        """Equals (d+3)/e^2 identically."""
-        return math.exp(self.log_hyperdet - self.log_ed_frobenius)
-
-    @property
-    def hyperdet_over_ed_generic(self) -> float:
-        """Equals (d+3)/(2^(d+1) e - 1) identically (the e^(d+2) factors of
-        the two estimates cancel)."""
-        return math.exp(self.log_hyperdet - self.log_ed_generic)
+# Large-d log estimates for products of d projective lines.
+BinaryAsymptotics = namedtuple("BinaryAsymptotics",
+                               "d log_hyperdet log_ed_frobenius log_ed_generic")
 
 
 def binary_asymptotics(d: int) -> BinaryAsymptotics:
@@ -148,6 +120,10 @@ def binary_asymptotics(d: int) -> BinaryAsymptotics:
         sqrt(2 pi) d^((2d+1)/2) (d+3) / e^(d+2)
         sqrt(2 pi) d^((2d+1)/2) / e^d
         sqrt(2 pi) d^((2d+1)/2) (2^(d+1) e - 1) / e^(d+2)
+
+    Their ratios are identically hyperdet / ed_frobenius = (d+3)/e^2 and
+    hyperdet / ed_generic = (d+3)/(2^(d+1) e - 1), since the e^(d+2) factors
+    cancel.  The fields are logarithms of the three estimates.
     """
     if d < 2:
         raise ValueError(f"need at least two factors, got {d}")
@@ -163,17 +139,13 @@ def binary_asymptotics(d: int) -> BinaryAsymptotics:
     )
 
 
-@dataclass(frozen=True)
-class DiscriminantRatios:
-    """Exact degree ratios for the degree-omega hypersurface dual of the
-    Veronese P^n, each normalized by its limiting form (so every field tends
-    to 1 in the corresponding regime)."""
-
-    n: int
-    omega: int
-    fixed_omega_ratio: float  # [N / ED_F] / [((w-2)/(w-1)) n],   n -> inf
-    fixed_n_ratio: float      # [N / ED_F] / (n+1),               w -> inf
-    gen_ratio: float          # [N / ED_gen] / [(n+1)/(2^(n+1)-1)], w -> inf
+# Exact degree ratios for the degree-omega hypersurface dual of the Veronese
+# P^n, each normalized by its limiting form, so each tends to 1 in its regime:
+# fixed_omega_ratio = [N / ED_F] / [((w-2)/(w-1)) n] as n -> inf,
+# fixed_n_ratio = [N / ED_F] / (n+1) as w -> inf, and
+# gen_ratio = [N / ED_gen] / [(n+1)/(2^(n+1)-1)] as w -> inf.
+DiscriminantRatios = namedtuple("DiscriminantRatios",
+                                "n omega fixed_omega_ratio fixed_n_ratio gen_ratio")
 
 
 def discriminant_ratios(n: int, omega: int) -> DiscriminantRatios:
@@ -196,17 +168,13 @@ def discriminant_ratios(n: int, omega: int) -> DiscriminantRatios:
     )
 
 
-@dataclass(frozen=True)
-class MinimalPointCheck:
-    """Exact values of the constants at the symmetric vanishing point
-    c = (1/(d-1), ..., 1/(d-1)) of the degree-series denominator."""
-
-    d: int
-    denominator_at_point: Fraction   # 0
-    last_partial: Fraction           # -(d/(d-1))^(d-2), non-zero (smoothness)
-    q: Fraction                      # (d-2)/d
-    hessian_det: Fraction            # (d-2)^(d-1) / d^(d-2)
-    leading_constant: Fraction       # (d-1)^(2d-2) / d^(2d-4)
+# Exact values of the constants at the symmetric vanishing point
+# c = (1/(d-1), ..., 1/(d-1)) of the degree-series denominator:
+# denominator_at_point = 0, last_partial = -(d/(d-1))^(d-2) (non-zero, so the
+# point is smooth), q = (d-2)/d, hessian_det = (d-2)^(d-1) / d^(d-2) and
+# leading_constant = (d-1)^(2d-2) / d^(2d-4), all ``Fraction``s.
+MinimalPointCheck = namedtuple(
+    "MinimalPointCheck", "d denominator_at_point last_partial q hessian_det leading_constant")
 
 
 def _subset_term(d: int, size: int) -> int:
@@ -277,16 +245,12 @@ def relative_error(exact: int, log_estimate: float) -> float:
     return abs(1.0 - math.exp(log_estimate - math.log(exact)))
 
 
-@dataclass(frozen=True)
-class ConvergencePoint:
-    grid_value: int        # n for the fixed-d sweeps, d for the binary sweep
-    exact: int
-    log_estimate: float
-    rel_error: float
+# One grid point of a sweep; grid_value is n for the fixed-d sweeps and d for
+# the binary sweep.
+ConvergencePoint = namedtuple("ConvergencePoint", "grid_value exact log_estimate rel_error")
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(namedtuple("ConvergenceReport", "formula d points")):
     """Exact-versus-estimate record over a grid.
 
     ``strictly_decreasing`` is the trend acceptance check (the error term is
@@ -295,13 +259,7 @@ class ConvergenceReport:
     1/n error term.
     """
 
-    formula: str
-    d: int
-    points: Tuple[ConvergencePoint, ...]
-
-    @property
-    def rel_errors(self) -> Tuple[float, ...]:
-        return tuple(p.rel_error for p in self.points)
+    __slots__ = ()
 
     @property
     def error_times_grid(self) -> Tuple[float, ...]:
@@ -309,7 +267,7 @@ class ConvergenceReport:
 
     @property
     def strictly_decreasing(self) -> bool:
-        errs = self.rel_errors
+        errs = [p.rel_error for p in self.points]
         return all(b < a for a, b in zip(errs, errs[1:]))
 
 

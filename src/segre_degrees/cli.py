@@ -437,8 +437,8 @@ def _cmd_asympt(args: argparse.Namespace) -> Tuple[str, int]:
             ("hyperdet", _estimate_value(est.log_hyperdet)),
             ("ed-frobenius", _estimate_value(est.log_ed_frobenius)),
             ("ed-generic", _estimate_value(est.log_ed_generic)),
-            ("hyperdet/ed-frobenius", _round12(est.hyperdet_over_ed_frobenius)),
-            ("hyperdet/ed-generic", _round12(est.hyperdet_over_ed_generic)),
+            ("hyperdet/ed-frobenius", _round12(math.exp(est.log_hyperdet - est.log_ed_frobenius))),
+            ("hyperdet/ed-generic", _round12(math.exp(est.log_hyperdet - est.log_ed_generic))),
         ]
     else:
         if args.grid is None:

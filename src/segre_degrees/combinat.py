@@ -3,13 +3,27 @@
 from __future__ import annotations
 
 from math import comb, factorial
-from typing import Iterable, List, Sequence
+from operator import index
+from typing import Iterable, List, Sequence, Tuple
 
-__all__ = ["VerificationError", "binomial", "multinomial", "multinomial_fold"]
+__all__ = ["VerificationError", "as_format", "binomial", "multinomial", "multinomial_fold"]
 
 
 class VerificationError(Exception):
     """An exact identity or integrality invariant failed to hold."""
+
+
+def as_format(dims: Iterable[int]) -> Tuple[int, ...]:
+    """The format (n1, ..., nd) of a product of projective spaces as a tuple.
+
+    Each entry goes through ``operator.index``, so a float, ``Fraction`` or
+    ``str`` raises ``TypeError`` instead of being truncated; an empty format
+    or a negative dimension raises ``ValueError``.
+    """
+    dims_t = tuple(map(index, dims))
+    if not dims_t or any(n < 0 for n in dims_t):
+        raise ValueError(f"invalid dimensions {dims_t}")
+    return dims_t
 
 
 def binomial(a: int, b: int) -> int:

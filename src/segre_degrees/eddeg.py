@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import perm
+from operator import index
 from typing import List, Sequence, Tuple
 
-from .combinat import VerificationError, binomial, multinomial_fold
+from .combinat import VerificationError, as_format, binomial, multinomial_fold
 
 __all__ = [
     "binary_generic_ed_degree",
@@ -48,10 +49,7 @@ def frobenius_ed_degree(dims: Sequence[int]) -> int:
     A single factor gives 1: a projective space has a unique critical
     rank-one approximation of a general point, namely the point itself.
     """
-    dims_t = tuple(int(n) for n in dims)
-    if not dims_t or any(n < 0 for n in dims_t):
-        raise ValueError(f"invalid dimensions {dims_t}")
-    return sum(multinomial_fold(_frobenius_factor(n) for n in dims_t))
+    return sum(multinomial_fold(_frobenius_factor(n) for n in as_format(dims)))
 
 
 def _frobenius_factor(n: int) -> List[int]:
@@ -83,10 +81,8 @@ def veronese_frobenius_ed_degree(n: int, omega: int) -> int:
 def generic_ed_degree(dims: Sequence[int], weights: Sequence[int] | None = None) -> int:
     """Generic ED degree of the Segre-Veronese product with the given
     dimensions and weights (all weights 1 when omitted)."""
-    dims_t = tuple(int(n) for n in dims)
-    if not dims_t or any(n < 0 for n in dims_t):
-        raise ValueError(f"invalid dimensions {dims_t}")
-    weights_t = tuple(int(w) for w in weights) if weights is not None else (1,) * len(dims_t)
+    dims_t = as_format(dims)
+    weights_t = tuple(map(index, weights)) if weights is not None else (1,) * len(dims_t)
     if len(weights_t) != len(dims_t):
         raise ValueError("weights must match the number of factors")
     if any(w < 1 for w in weights_t):
@@ -115,7 +111,7 @@ def stabilization_onset(base_dims: Sequence[int], m_max: int) -> List[Tuple[int,
     would falsify the specialization argument behind the stabilization, so it
     is raised as a ``VerificationError`` rather than reported.
     """
-    base = tuple(int(n) for n in base_dims)
+    base = tuple(map(index, base_dims))
     n_total = sum(base)
     if m_max < n_total:
         raise ValueError(f"m_max {m_max} below the stabilization threshold {n_total}")

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import perm
 from typing import Iterator, Sequence, Tuple
 
-from .combinat import binomial, multinomial_fold
+from .combinat import as_format, binomial, multinomial_fold
 
 __all__ = [
     "binary_hyperdet_degree",
@@ -56,9 +56,7 @@ def sv_hyperdet_degree(dims: Sequence[int], weight: int = 1) -> int:
     """Degree of the dual hypersurface of a product of degree-``weight``
     Veronese re-embeddings of projective spaces (equal weight on every
     factor); 0 when the dual has higher codimension."""
-    dims_t = tuple(int(n) for n in dims)
-    if not dims_t or any(n < 0 for n in dims_t):
-        raise ValueError(f"invalid dimensions {dims_t}")
+    dims_t = as_format(dims)
     if weight < 1:
         raise ValueError(f"weight must be positive, got {weight}")
     g = multinomial_fold([(-1) ** (n - k) * binomial(n + 1, k + 1) for k in range(n + 1)]

@@ -40,14 +40,14 @@ The ``Fraction`` bodies they replaced are kept as test oracles in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import cycle, repeat
 from math import comb, factorial, perm
-from operator import mul
+from operator import index, mul
 from typing import Iterable, List, Sequence, Tuple
 
-from .combinat import binomial, multinomial_fold
+from .combinat import as_format, binomial, multinomial_fold
 
 __all__ = [
     "ChernData",
@@ -68,8 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(namedtuple("ChernData", "dim class_degrees factors point_degree")):
     """Degrees of the (Chern-Mather) classes of an embedded variety.
 
     ``class_degrees[j]`` is deg(c_j . h^(m-j)) for the hyperplane class h;
@@ -82,44 +81,29 @@ class ChernData:
     a degree-d hypersurface); products need both.
     """
 
-    dim: int
-    class_degrees: Tuple[int, ...]
-    factors: Tuple[Tuple[int, ...], ...] = ()
-    point_degree: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        degrees = tuple(int(v) for v in self.class_degrees)
-        if self.dim < 0:
-            raise ValueError(f"dimension must be non-negative, got {self.dim}")
-        if len(degrees) != self.dim + 1:
+    def __new__(cls, dim: int, class_degrees: Sequence[int],
+                factors: Tuple[Tuple[int, ...], ...] = (), point_degree: int = 1) -> ChernData:
+        degrees = tuple(map(index, class_degrees))
+        if dim < 0:
+            raise ValueError(f"dimension must be non-negative, got {dim}")
+        if len(degrees) != dim + 1:
             raise ValueError(
-                f"need {self.dim + 1} class degrees for dimension {self.dim}, got {len(degrees)}")
+                f"need {dim + 1} class degrees for dimension {dim}, got {len(degrees)}")
         if degrees[0] < 1:
             raise ValueError(f"the variety degree must be positive, got {degrees[0]}")
-        if self.point_degree < 1:
-            raise ValueError(f"point degree must be positive, got {self.point_degree}")
-        if self.factors and sum(len(c) - 1 for c in self.factors) != self.dim:
-            raise ValueError(f"Chern factors of lengths {[len(c) for c in self.factors]} do not "
-                             f"span dimension {self.dim}")
-        object.__setattr__(self, "class_degrees", degrees)
+        if point_degree < 1:
+            raise ValueError(f"point degree must be positive, got {point_degree}")
+        if factors and sum(len(c) - 1 for c in factors) != dim:
+            raise ValueError(f"Chern factors of lengths {[len(c) for c in factors]} do not "
+                             f"span dimension {dim}")
+        return super().__new__(cls, dim, degrees, factors, point_degree)
 
 
-@dataclass(frozen=True)
-class PolarProfile:
-    """All polar classes delta_0..delta_m of a variety plus the codimension
-    of its dual that they imply."""
-
-    deltas: Tuple[int, ...]
-    dual_codim: int
-
-    @property
-    def is_dual_hypersurface(self) -> bool:
-        return self.dual_codim == 1
-
-    @property
-    def dual_degree(self) -> int | None:
-        """deg(Y^dual) when the dual is a hypersurface, else None."""
-        return self.deltas[0] if self.deltas[0] else None
+# All polar classes delta_0..delta_m of a variety plus the codimension of its
+# dual that they imply (1 when the dual is a hypersurface of degree delta_0).
+PolarProfile = namedtuple("PolarProfile", "deltas dual_codim")
 
 
 def _from_factors(factors: Tuple[Tuple[int, ...], ...], point_degree: int) -> ChernData:
@@ -141,10 +125,8 @@ def _from_factors(factors: Tuple[Tuple[int, ...], ...], point_degree: int) -> Ch
 def chern_data_projective_space_product(dims: Sequence[int]) -> ChernData:
     """Chern data of P^{n1} x ... x P^{nd}: total Chern class
     prod_i (1 + x_i)^(n_i + 1), truncated at x_i^(n_i)."""
-    dims_t = tuple(int(n) for n in dims)
-    if not dims_t or any(n < 0 for n in dims_t):
-        raise ValueError(f"invalid dimensions {dims_t}")
-    return _from_factors(tuple(tuple(comb(n + 1, k) for k in range(n + 1)) for n in dims_t), 1)
+    factors = tuple(tuple(comb(n + 1, k) for k in range(n + 1)) for n in as_format(dims))
+    return _from_factors(factors, 1)
 
 
 def _hypersurface_chern_coeffs(n: int, deg_d: int, top: int) -> List[int]:
@@ -248,17 +230,9 @@ def delta0_product_with_hypersurface(cd: ChernData, n: int, deg_d: int) -> int:
     return sum(a * v for a, v in zip(alphas, cd.class_degrees))
 
 
-@dataclass(frozen=True)
-class RatioCheckReport:
-    """Outcome of an exhaustive alpha-ratio sweep; failures carry the
-    witness tuple (n, m, d, i, alpha(n+1), alpha(n))."""
-
-    checked: int
-    failures: Tuple[Tuple[int, int, int, int, int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+# Outcome of an exhaustive alpha-ratio sweep: the number of (n, m, d, i) cases
+# checked, and one witness tuple (n, m, d, i, alpha(n+1), alpha(n)) per failure.
+RatioCheckReport = namedtuple("RatioCheckReport", "checked failures")
 
 
 def stabilization_ratio_check(m_max: int, n_max: int, d_max: int) -> RatioCheckReport:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from segre_degrees import asympt
+from segre_degrees import polar
 from segre_degrees.asympt import (
     VerificationError,
     binary_asymptotics,
@@ -64,14 +65,15 @@ def test_sv_reduces_to_unit_weight():
 def test_binary_ratios():
     for d in (2, 5, 8, 20):
         est = binary_asymptotics(d)
-        assert est.hyperdet_over_ed_frobenius == \
+        assert math.exp(est.log_hyperdet - est.log_ed_frobenius) == \
             pytest.approx((d + 3) / math.e ** 2, rel=1e-12)
         # the e^(d+2) factors cancel between the two estimates; the exact
         # integer ratio N/ED_gen matches this to 7 digits by d=12
         expected = (d + 3) / (2.0 ** (d + 1) * math.e - 1)
-        assert est.hyperdet_over_ed_generic == pytest.approx(expected, rel=1e-12)
+        assert math.exp(est.log_hyperdet - est.log_ed_generic) == \
+            pytest.approx(expected, rel=1e-12)
         # the Frobenius estimate is Stirling's approximation of d!
-        assert est.ed_frobenius == pytest.approx(
+        assert math.exp(est.log_ed_frobenius) == pytest.approx(
             math.sqrt(2 * math.pi) * d ** (d + 0.5) / math.e ** d, rel=1e-12)
     with pytest.raises(ValueError):
         binary_asymptotics(1)
@@ -168,3 +170,36 @@ def test_formula_table_looks_functions_up_when_called(monkeypatch, formula, exac
     monkeypatch.setattr(asympt, log_name, spy(log_name))
     convergence_sweep(formula, 3, (2, 3), omega=2)
     assert calls == [exact_name, log_name] * 2
+
+
+
+
+@pytest.mark.parametrize("make, fields", [
+    pytest.param(lambda: binary_asymptotics(5),
+                 "d log_hyperdet log_ed_frobenius log_ed_generic", id="BinaryAsymptotics"),
+    pytest.param(lambda: discriminant_ratios(2, 3),
+                 "n omega fixed_omega_ratio fixed_n_ratio gen_ratio", id="DiscriminantRatios"),
+    pytest.param(lambda: verify_minimal_point_constants(3),
+                 "d denominator_at_point last_partial q hessian_det leading_constant",
+                 id="MinimalPointCheck"),
+    pytest.param(lambda: convergence_sweep("hyperdet", 3, (2, 3)).points[0],
+                 "grid_value exact log_estimate rel_error", id="ConvergencePoint"),
+    pytest.param(lambda: convergence_sweep("hyperdet", 3, (2, 3)),
+                 "formula d points", id="ConvergenceReport"),
+    pytest.param(lambda: polar.chern_data_projective_space_product((1, 1)),
+                 "dim class_degrees factors point_degree", id="ChernData"),
+    pytest.param(lambda: polar.dual_profile(polar.chern_data_projective_space_product((1,))),
+                 "deltas dual_codim", id="PolarProfile"),
+    pytest.param(lambda: polar.stabilization_ratio_check(1, 2, 2),
+                 "checked failures", id="RatioCheckReport"),
+])
+def test_result_types_refuse_assignment(request, make, fields):
+    """Every result record is immutable: no field can be rebound and no
+    attribute added."""
+    result = make()
+    assert type(result).__name__ == request.node.callspec.id
+    for field in fields.split():
+        with pytest.raises(AttributeError):
+            setattr(result, field, getattr(result, field))
+    with pytest.raises(AttributeError):
+        result.extra = 1

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
+from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
@@ -8,7 +11,10 @@ import pytest
 
 import segre_degrees
 from segre_degrees import asympt, combinat
-from segre_degrees.combinat import binomial, multinomial
+from segre_degrees.combinat import as_format, binomial, multinomial
+from segre_degrees.eddeg import frobenius_ed_degree, generic_ed_degree, stabilization_onset
+from segre_degrees.hyperdet import hyperdet_degree, sv_hyperdet_degree
+from segre_degrees.polar import ChernData, chern_data_projective_space_product
 
 
 def test_binomial_standard_and_convention():
@@ -29,6 +35,33 @@ def test_multinomial_small_and_oracle():
     assert multinomial((0, 4)) == 1
     with pytest.raises(ValueError):
         multinomial((2, -1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: frobenius_ed_degree((1.9, 1, 1)),
+    lambda: hyperdet_degree(("1", 1, 1)),
+    lambda: sv_hyperdet_degree((1, Fraction(3, 2), 1), 2),
+    lambda: generic_ed_degree((1, 3), (1.7, 1)),
+    lambda: generic_ed_degree((1.0, 3)),
+    lambda: stabilization_onset((1.5,), 3),
+    lambda: chern_data_projective_space_product((2.0,)),
+    lambda: ChernData(1, (1, 2.9)),
+], ids=["frobenius-float", "hyperdet-str", "sv-fraction", "generic-float-weight",
+        "generic-float-dim", "onset-float-base", "chern-float-dim", "chern-float-degree"])
+def test_non_integer_formats_raise_instead_of_truncating(call):
+    """A float, ``Fraction`` or ``str`` entry is refused, not rounded down to
+    the answer for a neighbouring format."""
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_formats_refuse_empty_and_negative_entries():
+    assert as_format(range(3)) == (0, 1, 2)
+    for kernel in (frobenius_ed_degree, hyperdet_degree, generic_ed_degree,
+                   chern_data_projective_space_product):
+        for dims in ((), (1, -1)):
+            with pytest.raises(ValueError, match="invalid dimensions"):
+                kernel(dims)
 
 
 def test_verification_error_lives_in_combinat_and_is_reexported():
@@ -71,6 +104,17 @@ def test_the_package_starts_no_processes_or_threads():
     found = [(name, m) for name, modules in _imported_modules()
              for m in modules if m.split(".")[0] in banned]
     assert found == []
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    """Start-up cost of every process: ``dataclasses`` and the ``inspect`` it
+    pulls in cost ~20 ms of import.  ``-S`` keeps ``site`` from loading them."""
+    src = str(Path(segre_degrees.__file__).parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import segre_degrees.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_only_emit_writes_stdout():

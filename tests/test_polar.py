@@ -73,12 +73,10 @@ def test_polar_classes_and_dual_profiles():
         profile = dual_profile(chern_data_projective_space_product((n,)))
         assert profile.deltas[:n] == (0,) * n
         assert profile.dual_codim == n + 1
-        assert not profile.is_dual_hypersurface
-        assert profile.dual_degree is None
 
     cube = dual_profile(chern_data_projective_space_product((1, 1, 1)))
     assert cube.deltas[0] == 4
-    assert cube.is_dual_hypersurface
+    assert cube.dual_codim == 1
 
 
 def test_dual_degree_of_smooth_hypersurfaces_is_classical():
@@ -198,7 +196,6 @@ def test_identity_sums_match_their_oracles():
 
 def test_stabilization_ratio_check_report():
     report = stabilization_ratio_check(6, 12, 4)
-    assert report.ok
     assert report.failures == ()
     assert report.checked > 0
     with pytest.raises(ValueError):
@@ -255,6 +252,8 @@ def test_g_identity_values_and_recurrence():
 
 def test_chern_data_validation():
     with pytest.raises(ValueError):
+        ChernData(dim=-1, class_degrees=())
+    with pytest.raises(ValueError):
         ChernData(dim=1, class_degrees=(1,))
     with pytest.raises(ValueError):
         ChernData(dim=0, class_degrees=(0,))
@@ -262,3 +261,13 @@ def test_chern_data_validation():
         ChernData(dim=0, class_degrees=(1,), point_degree=0)
     with pytest.raises(ValueError):
         ChernData(dim=1, class_degrees=(1, 2), factors=((1, 2, 1),))
+    # positional construction runs the same checks in __new__
+    with pytest.raises(ValueError):
+        ChernData(1, (1,))
+    with pytest.raises(ValueError):
+        ChernData(1, (1, 2), ((1, 2, 1),), 1)
+    # the class degrees are normalized to a tuple; the defaults fill the rest
+    cd = ChernData(1, [2, 4])
+    assert cd == ChernData(dim=1, class_degrees=(2, 4), factors=(), point_degree=1)
+    assert cd.class_degrees == (2, 4) and type(cd.class_degrees) is tuple
+    assert repr(cd) == "ChernData(dim=1, class_degrees=(2, 4), factors=(), point_degree=1)"
