@@ -32,12 +32,10 @@ from .eddeg import (frobenius_ed_degree, generic_ed_degree, stabilization_onset,
                     veronese_frobenius_ed_degree)
 from .hyperdet import hyperdet_degree, is_dual_nondefective, partition_formats, sv_hyperdet_degree
 from .polar import (
-    alternating_binomial_identity_holds,
     chern_data_projective_space_product,
     delta0_product_with_hypersurface,
     dual_profile,
-    f_identity_holds,
-    g_identity_holds,
+    identity_sweep,
     stabilization_ratio_check,
 )
 
@@ -91,6 +89,14 @@ def _positive(text: str) -> int:
     """The ``type=`` of every option that takes a positive integer."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _integer(text: str) -> int:
+    """The ``type=`` of ``verify --max``: digits after an optional minus sign,
+    as strict as ``_positive``; each suite checks its own minimum."""
+    if not text.removeprefix("-").isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
     return int(text)
 
 
@@ -298,21 +304,7 @@ def _ratio_check(report: Callable[[str], None], **bounds: int) -> int:
 
 
 def _verify_identities(max_n: int, report: Callable[[str], None]) -> int:
-    checked = 0
-    for n in range(max_n + 1):
-        for m in range(n + 1):
-            for i in range(m + 1):
-                checked += 1
-                if not alternating_binomial_identity_holds(n, m, i):
-                    report(f"binomial identity failed at n={n} m={m} i={i}")
-            checked += 1
-            if not f_identity_holds(n, m):
-                report(f"f identity failed at n={n} m={m}")
-        for j in range(1, n + 1):
-            checked += 1
-            if not g_identity_holds(n, j):
-                report(f"g identity failed at n={n} j={j}")
-    return checked + _ratio_check(report, m_max=max_n, n_max=max_n, d_max=5)
+    return identity_sweep(max_n, report) + _ratio_check(report, m_max=max_n, n_max=max_n, d_max=5)
 
 
 def _verify_rw_constants(max_d: int, report: Callable[[str], None]) -> int:
@@ -500,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     p.add_argument("suite", choices=tuple(_SUITES))
-    p.add_argument("--max", type=int, default=None, help="sweep bound (suite-specific default)")
+    p.add_argument("--max", type=_integer, default=None, help="sweep bound (suite-specific default)")
     add_common(p, _cmd_verify)
 
     p = sub.add_parser("asympt", help="growth estimates, optionally against exact values")

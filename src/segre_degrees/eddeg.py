@@ -66,6 +66,7 @@ def _frobenius_factor(n: int) -> List[int]:
 def veronese_frobenius_ed_degree(n: int, omega: int) -> int:
     """Frobenius ED degree of the degree-omega Veronese embedding of P^n:
     n+1 for omega = 2, ((omega-1)^(n+1) - 1)/(omega-2) for omega > 2."""
+    n, omega = index(n), index(omega)
     if n < 0:
         raise ValueError(f"dimension must be non-negative, got {n}")
     if omega < 2:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import perm
+from operator import index
 from typing import Iterator, Sequence, Tuple
 
 from .combinat import as_format, binomial, multinomial_fold
@@ -57,6 +58,7 @@ def sv_hyperdet_degree(dims: Sequence[int], weight: int = 1) -> int:
     Veronese re-embeddings of projective spaces (equal weight on every
     factor); 0 when the dual has higher codimension."""
     dims_t = as_format(dims)
+    weight = index(weight)
     if weight < 1:
         raise ValueError(f"weight must be positive, got {weight}")
     g = multinomial_fold([(-1) ** (n - k) * binomial(n + 1, k + 1) for k in range(n + 1)]

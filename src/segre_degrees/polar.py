@@ -27,14 +27,20 @@ product with a smooth hypersurface Y_n in P^{n+1} of degree d:
 where alpha_i is an explicit alternating binomial sum (see
 ``alpha_coefficients``) satisfying alpha_i(n+1, m, d) = (d-1) alpha_i(n, m, d)
 for n >= m.  That ratio, and the binomial identities proving it, are checked
-exhaustively by the ``*_identity_holds`` functions and
-``stabilization_ratio_check``.
+case by case by the ``*_identity_holds`` functions, and exhaustively by
+``identity_sweep`` and ``stabilization_ratio_check``.
 
 Those checks sum their defining series term by term on Python integers: the
 alpha and alternating sums run only over the terms that can be non-zero, and
 the g sum is scaled by (n+1)! (n+2)! so that every term is an integer.  No
 sum is replaced by its closed form, which would make the check a tautology.
-The ``Fraction`` bodies they replaced are kept as test oracles in
+The two sweeps sum each distinct series once and hand it to every case that
+reads it: the alpha and alternating sums depend on m and i only through
+m - i + 1, so each row n holds one dot per value of it (per d for alpha), and
+the f and g values of row n+1 serve both the recurrences of row n and the
+checks of row n+1.  Every case still makes its own comparison, and a sweep
+holds two rows at a time, never a table over all n.  The ``Fraction``
+bodies the integer sums replaced are kept as test oracles in
 ``tests/ring_oracle.py``.
 """
 
@@ -45,7 +51,7 @@ from fractions import Fraction
 from itertools import cycle, repeat
 from math import comb, factorial, perm
 from operator import index, mul
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .combinat import as_format, binomial, multinomial_fold
 
@@ -63,6 +69,7 @@ __all__ = [
     "f_sum",
     "g_identity_holds",
     "g_sum",
+    "identity_sweep",
     "polar_class",
     "stabilization_ratio_check",
 ]
@@ -148,6 +155,7 @@ def chern_data_smooth_hypersurface(n: int, deg_d: int) -> ChernData:
     """
     if n < 0:
         raise ValueError(f"dimension must be non-negative, got {n}")
+    deg_d = index(deg_d)
     if deg_d < 1:
         raise ValueError(f"hypersurface degree must be positive, got {deg_d}")
     return _from_factors((tuple(_hypersurface_chern_coeffs(n, deg_d, n)),), deg_d)
@@ -206,22 +214,50 @@ def alpha_coefficients(n: int, m: int, deg_d: int) -> List[int]:
     (m+n+1-s) C(m+n-s, m-i) = (m-i+1) C(m+n+1-s, m-i+1), so with k = s - i
     each alpha_i is d (m-i+1) (-1)^i times the dot product of the signed
     coefficients (-1)^k g_k, k = 0..n, with the column C(m+n+1-i-k, m-i+1).
+    That dot depends on m and i only through low = m - i + 1, so the
+    coefficients are a readout of the dots S(n, low, d), low = 1..m+1, of
+    ``_alpha_dots``, which ``stabilization_ratio_check`` reads as well.
     """
     if n < 0 or m < 0:
         raise ValueError(f"dimensions must be non-negative, got n={n}, m={m}")
+    deg_d = index(deg_d)
     if deg_d < 1:
         raise ValueError(f"hypersurface degree must be positive, got {deg_d}")
-    signed = list(map(mul, cycle((1, -1)), _hypersurface_chern_coeffs(n, deg_d, n)))
-    alphas = []
-    for i in range(m + 1):
-        total = _column_dot(signed, n, m - i + 1)
-        alphas.append(deg_d * (-total if i & 1 else total))
-    return alphas
+    return _alpha_readout(_alpha_dots(n, (deg_d,), m + 1)[0], m, deg_d)
 
 
-def _column_dot(signed: Iterable[int], n: int, low: int) -> int:
-    """low * sum_{k=0}^{n} signed[k] C(low+n-k, low), by C-level iteration."""
-    return low * sum(map(mul, signed, map(comb, range(low + n, low - 1, -1), repeat(low))))
+def _alpha_dots(n: int, degrees: Sequence[int], top: int) -> List[List[int]]:
+    """For each d in ``degrees``, the row S(n, low, d), low = 1..top, with
+    alpha_i(n, m, d) = d (-1)^i S(n, m-i+1, d); the signed Chern coefficients
+    of each d are built once for the whole row."""
+    signed_rows = [list(map(mul, cycle((1, -1)), _hypersurface_chern_coeffs(n, d, n)))
+                   for d in degrees]
+    return _dots(signed_rows, n, range(1, top + 1))
+
+
+def _alpha_readout(dots: Sequence[int], m: int, deg_d: int) -> List[int]:
+    """alpha_0..alpha_m from a row of ``_alpha_dots`` that reaches low = m + 1."""
+    return list(map(mul, cycle((deg_d, -deg_d)), reversed(dots[:m + 1])))
+
+
+def _alpha_readouts(dots: Sequence[int], top: int, deg_d: int) -> List[List[int]]:
+    """``_alpha_readout(dots, m, deg_d)`` for m = 0..top, as slices of the
+    readout of top: alpha_i(n, m, d) = (-1)^(top-m) alpha_{top-m+i}(n, top, d)."""
+    full = _alpha_readout(dots, top, deg_d)
+    negated = [-a for a in full]
+    return [(negated if (top - m) & 1 else full)[top - m:] for m in range(top + 1)]
+
+
+def _dots(signed_rows: Sequence[Sequence[int]], n: int, lows: Iterable[int]) -> List[List[int]]:
+    """low * sum_{k=0}^{n} signed[k] C(low+n-k, low) for each row of signed
+    coefficients and each low, by C-level iteration; the binomial column of a
+    low is built once for all rows."""
+    out: List[List[int]] = [[] for _ in signed_rows]
+    for low in lows:
+        column = list(map(comb, range(low + n, low - 1, -1), repeat(low)))
+        for row, signed in zip(out, signed_rows):
+            row.append(low * sum(map(mul, signed, column)))
+    return out
 
 
 def delta0_product_with_hypersurface(cd: ChernData, n: int, deg_d: int) -> int:
@@ -237,25 +273,38 @@ RatioCheckReport = namedtuple("RatioCheckReport", "checked failures")
 
 def stabilization_ratio_check(m_max: int, n_max: int, d_max: int) -> RatioCheckReport:
     """Verify alpha_i(n+1, m, d) = (d-1) alpha_i(n, m, d) for every
-    0 <= i <= m <= m_max, m <= n < n_max, 2 <= d <= d_max."""
+    0 <= i <= m <= m_max, m <= n < n_max, 2 <= d <= d_max.
+
+    Each case reads its two alpha vectors out of the ``_alpha_dots`` rows of
+    n and n+1, so every dot is summed once per (n, low, d) and the sweep holds
+    two rows per d at a time.  Failures are listed in (m, d, n, i) order."""
     if m_max < 0 or n_max < 0 or d_max < 2:
         raise ValueError("ranges must cover at least m=0, d=2")
+    degrees = range(2, d_max + 1)
     checked = 0
     failures = []
-    for m in range(m_max + 1):
-        for d in range(2, d_max + 1):
-            prev = alpha_coefficients(m, m, d)
-            for n in range(m, n_max):
-                cur = alpha_coefficients(n + 1, m, d)
-                for i in range(m + 1):
-                    checked += 1
-                    if cur[i] != (d - 1) * prev[i]:
-                        failures.append((n, m, d, i, cur[i], prev[i]))
-                prev = cur
+    # row n serves the cases of n and of n - 1, so it reaches low = min(n, m_max) + 1
+    rows = _alpha_dots(0, degrees, 1)
+    for n in range(n_max):
+        nxts = _alpha_dots(n + 1, degrees, min(n + 1, m_max, n_max - 1) + 1)
+        top = min(n, m_max)
+        for d, row, nxt in zip(degrees, rows, nxts):
+            # (d-1) alpha(n, m, d), read out of the scaled row
+            wanted = _alpha_readouts([(d - 1) * v for v in row], top, d)
+            for m, (cur, want) in enumerate(zip(_alpha_readouts(nxt, top, d), wanted)):
+                checked += m + 1
+                if cur != want:
+                    prev = _alpha_readout(row, m, d)
+                    failures += [(n, m, d, i, cur[i], prev[i]) for i in range(m + 1)
+                                 if cur[i] != want[i]]
+        rows = nxts
+    failures.sort(key=lambda w: (w[1], w[2], w[0], w[3]))
     return RatioCheckReport(checked=checked, failures=tuple(failures))
 
 
 # -- binomial identities behind the ratio ------------------------------------
+# Each identity is split into its defining sums and a comparison helper, so
+# that ``identity_sweep`` can feed the helper sums it shares between cases.
 
 
 def alternating_binomial_identity_holds(n: int, m: int, i: int) -> bool:
@@ -266,26 +315,37 @@ def alternating_binomial_identity_holds(n: int, m: int, i: int) -> bool:
     """
     if not (n >= m >= i >= 0):
         raise ValueError(f"need n >= m >= i >= 0, got n={n}, m={m}, i={i}")
+    return _alternating_holds(n, m, i, _alternating_sum(n, m, i))
+
+
+def _alternating_holds(n: int, m: int, i: int, total: int) -> bool:
     rhs = (n + m + 2 - i) * comb(m + n + 1 - i, n + 1)
-    return _alternating_sum(n, m, i) == (-rhs if i & 1 else rhs)
+    return total == (-rhs if i & 1 else rhs)
 
 
 def _alternating_sum(n: int, m: int, i: int) -> int:
     """The left-hand side of ``alternating_binomial_identity_holds``, summed
     like ``alpha_coefficients``: only r <= n+i contributes, and with k = r - i
     each term is (-1)^(k+i) (m-i+1) C(n+2, k+1) C(m+n+1-i-k, m-i+1)."""
-    signed = map(mul, cycle((1, -1)), map(comb, repeat(n + 2), range(1, n + 2)))
-    total = _column_dot(signed, n, m - i + 1)
+    total = _dots([_signed_binomials(n + 2, n + 1)], n, (m - i + 1,))[0][0]
     return -total if i & 1 else total
+
+
+def _signed_binomials(a: int, count: int) -> List[int]:
+    """(-1)^k C(a, k+1) for k = 0..count-1: the signed coefficients of the
+    alternating sum of n (a = n+2, count = n+1) and of f(n) (a = count = n+1)."""
+    return list(map(mul, cycle((1, -1)), map(comb, repeat(a), range(1, count + 1))))
 
 
 def f_sum(n: int, m: int) -> int:
     """f(n) = sum_{r=0}^{n} (-1)^r C(n+1, r+1) C(m+n+1-r, m)."""
-    total = 0
-    for r in range(n + 1):
-        term = comb(n + 1, r + 1) * comb(m + n + 1 - r, m)
-        total += -term if r & 1 else term
-    return total
+    return _f_dot(_signed_binomials(n + 1, n + 1), m)
+
+
+def _f_dot(signed: Sequence[int], m: int) -> int:
+    """f(n, m) from its signed coefficients (-1)^r C(n+1, r+1), r = 0..n."""
+    n = len(signed) - 1
+    return sum(map(mul, signed, map(comb, range(m + n + 1, m, -1), repeat(m))))
 
 
 def f_identity_holds(n: int, m: int) -> bool:
@@ -297,10 +357,13 @@ def f_identity_holds(n: int, m: int) -> bool:
     integers here)."""
     if not (n >= m >= 0):
         raise ValueError(f"need n >= m >= 0, got n={n}, m={m}")
-    f_n = f_sum(n, m)
+    return _f_holds(n, m, f_sum(n, m), f_sum(n + 1, m))
+
+
+def _f_holds(n: int, m: int, f_n: int, f_next: int) -> bool:
     if f_n != comb(m + n + 2, m):
         return False
-    lhs = (1 + n - m) * f_n + (n + 3) * f_sum(n + 1, m)
+    lhs = (1 + n - m) * f_n + (n + 3) * f_next
     rhs = 2 * factorial(n + 2 + m) // (factorial(n + 1) * factorial(m))
     return lhs == rhs
 
@@ -314,11 +377,24 @@ def _g_scaled(n: int, j: int) -> int:
     """G(n,j) = (n+1)! (n+2)! g(n,j), summed term by term on integers:
     the s-th term times (n+1)! (n+2)! is
     (-1)^s (n+1-s+j)! * (n+1)!/(n+1-s)! * C(n+2, s+1) * (n+1-s)."""
-    total = 0
+    return _g_dot(_g_weights(n), j, list(map(factorial, range(n + 2 + j))))
+
+
+def _g_weights(n: int) -> List[int]:
+    """The j-free factors (-1)^s (n+1)!/(n+1-s)! C(n+2, s+1) (n+1-s) of the
+    terms of G(n, j), s = 0..n."""
+    weights = []
     for s in range(n + 1):
-        term = factorial(n + 1 - s + j) * perm(n + 1, s) * comb(n + 2, s + 1) * (n + 1 - s)
-        total += -term if s & 1 else term
-    return total
+        term = perm(n + 1, s) * comb(n + 2, s + 1) * (n + 1 - s)
+        weights.append(-term if s & 1 else term)
+    return weights
+
+
+def _g_dot(weights: Sequence[int], j: int, factorials: Sequence[int]) -> int:
+    """G(n, j) from the ``_g_weights`` of n: the s-th weight times (n+1-s+j)!,
+    read from ``factorials[k] = k!``, which reaches k = n+1+j."""
+    n = len(weights) - 1
+    return sum(map(mul, weights, factorials[n + 1 + j:j:-1]))
 
 
 def g_identity_holds(n: int, j: int) -> bool:
@@ -331,8 +407,46 @@ def g_identity_holds(n: int, j: int) -> bool:
     are checked on integers."""
     if not (n >= j >= 1):
         raise ValueError(f"need n >= j >= 1, got n={n}, j={j}")
+    return _g_holds(n, j, _g_scaled(n, j), _g_scaled(n + 1, j))
+
+
+def _g_holds(n: int, j: int, g_n: int, g_next: int) -> bool:
     top = factorial(n + 2 + j)
-    g_n = _g_scaled(n, j)
-    if g_n != top:
-        return False
-    return (n + 1 - j) * g_n + _g_scaled(n + 1, j) == 2 * (n + 2) * top
+    return g_n == top and (n + 1 - j) * g_n + g_next == 2 * (n + 2) * top
+
+
+def identity_sweep(max_n: int, report: Callable[[str], None]) -> int:
+    """Check the three identities above for every n <= max_n and all their
+    m, i and j, report each failure, and return the number of cases.
+
+    Each distinct sum is summed once: the alternating dots once per (n, low)
+    with low = m - i + 1, and f(n+1, m) and G(n+1, j) once, for the
+    recurrences of row n and the values of row n+1.  The sweep holds two rows
+    of each, O(max_n) integers."""
+    checked = 0
+    factorials = list(map(factorial, range(2 * max_n + 3)))
+    f_row = [f_sum(0, 0)]
+    g_row: List[int] = []
+    for n in range(max_n + 1):
+        # row n+1 of f and G, as far as row n's recurrences and row n+1's values reach
+        top = min(n + 1, max_n)
+        signed = _signed_binomials(n + 2, n + 2)
+        f_next = [_f_dot(signed, m) for m in range(top + 1)]
+        weights = _g_weights(n + 1)
+        g_next = [_g_dot(weights, j, factorials) for j in range(1, top + 1)]
+        alternating = _dots([signed[:n + 1]], n, range(1, n + 2))[0]
+        for m in range(n + 1):
+            for i in range(m + 1):
+                checked += 1
+                total = alternating[m - i]
+                if not _alternating_holds(n, m, i, -total if i & 1 else total):
+                    report(f"binomial identity failed at n={n} m={m} i={i}")
+            checked += 1
+            if not _f_holds(n, m, f_row[m], f_next[m]):
+                report(f"f identity failed at n={n} m={m}")
+        for j in range(1, n + 1):
+            checked += 1
+            if not _g_holds(n, j, g_row[j - 1], g_next[j - 1]):
+                report(f"g identity failed at n={n} j={j}")
+        f_row, g_row = f_next, g_next
+    return checked

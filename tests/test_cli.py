@@ -8,6 +8,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 import time
 import tracemalloc
 
@@ -67,10 +68,14 @@ def test_parse_errors_exit_2(capsys):
     ["hyperdet"],
     ["hyperdet", "1,1,1", "--jobs", "x"],
     ["verify", "identities", "--max", "x"],
+    ["verify", "identities", "--max", "+5"],
+    ["verify", "identities", "--max", "1_0"],
+    ["verify", "identities", "--max", " 3"],
     ["asympt", "foo", "3", "4"],
     ["hyperdet", "1,1,1", "--bogus"],
     [],
 ], ids=["unknown-choice", "missing-positional", "non-integer-option", "non-integer-max",
+        "plus-signed-max", "underscored-max", "space-padded-max",
         "unknown-formula", "unknown-flag", "no-arguments"])
 def test_argparse_errors_are_one_error_line(capsys, argv):
     code, out, err = run(argv, capsys)
@@ -429,20 +434,135 @@ def test_verify_honours_format_and_out(tmp_path, capsys):
                                 "verify,checked=6;failures=0;max=3;suite=cross-oracle,ok,"]
 
 
+def _perturbed_at(monkeypatch, name, key, where):
+    """Add 1 to polar.<name>'s value wherever ``key(*args) == where``."""
+    original = getattr(polar, name)
+    monkeypatch.setattr(polar, name, lambda *a: original(*a) + (key(*a) == where))
+
+
 def test_verify_failures_in_every_format(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "f_identity_holds", lambda n, m: (n, m) != (1, 0))
+    # f(3, 0) is summed once, for the recurrence of row 2, the last of --max 2
+    _perturbed_at(monkeypatch, "_f_dot", lambda signed, m: (len(signed) - 1, m), (3, 0))
     code, out, _ = run(["verify", "identities", "--max", "2"], capsys)
     assert code == 1
     lines = out.splitlines()
-    assert lines[0] == "FAIL f identity failed at n=1 m=0"
+    assert lines[0] == "FAIL f identity failed at n=2 m=0"
     assert lines[1].startswith("verify identities: FAILED (checked=")
     assert lines[1].endswith(", failures=1, max=2)")
     code, out, _ = run(["verify", "identities", "--max", "2", "--format", "json"], capsys)
     assert code == 1
     fail, summary = json.loads(out)
-    assert (fail["result"], fail["note"]) == ("FAIL", "f identity failed at n=1 m=0")
+    assert (fail["result"], fail["note"]) == ("FAIL", "f identity failed at n=2 m=0")
     assert summary["result"] == "FAILED"
     assert summary["parameters"]["failures"] == "1"
+
+
+def test_verify_identities_reports_a_wrong_alternating_dot_for_every_case_that_reads_it(
+        monkeypatch, capsys):
+    original = polar._dots
+
+    def perturbed(signed_rows, n, lows):
+        rows = original(signed_rows, n, lows)
+        # the sweep dots one alternating row at a time, the ratio check four, d = 2..5
+        if len(signed_rows) == 1 and n == 3:
+            rows[0][1] += 1  # low = 2
+        return rows
+
+    monkeypatch.setattr(polar, "_dots", perturbed)
+    code, out, _ = run(["verify", "identities", "--max", "4"], capsys)
+    assert code == 1
+    assert out.splitlines()[:4] == [
+        "FAIL binomial identity failed at n=3 m=1 i=0",
+        "FAIL binomial identity failed at n=3 m=2 i=1",
+        "FAIL binomial identity failed at n=3 m=3 i=2",
+        "verify identities: FAILED (checked=140, failures=3, max=4)",
+    ]
+
+
+def test_verify_identities_reports_a_wrong_g_value_in_both_rows_that_read_it(monkeypatch,
+                                                                              capsys):
+    _perturbed_at(monkeypatch, "_g_dot", lambda weights, j, _: (len(weights) - 1, j), (3, 2))
+    code, out, _ = run(["verify", "identities", "--max", "4"], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL g identity failed at n=2 j=2",
+        "FAIL g identity failed at n=3 j=2",
+        "verify identities: FAILED (checked=140, failures=2, max=4)",
+    ]
+
+
+def test_verify_identities_lists_alpha_ratio_witnesses_by_m_d_n_i(monkeypatch, capsys):
+    original = polar._alpha_dots
+
+    def perturbed(n, degrees, top):
+        rows = original(n, degrees, top)
+        if n == 3:
+            rows[0][0] += 1  # S(3, low=1, d=2), read by alpha_m(3, m, 2) for every m
+        return rows
+
+    monkeypatch.setattr(polar, "_alpha_dots", perturbed)
+    code, out, _ = run(["verify", "identities", "--max", "4"], capsys)
+    assert code == 1
+    # row 3 is alpha(n+1) of the cases n = 2 and alpha(n) of the cases n = 3
+    witnesses = [(2, 0, 2, 0), (3, 0, 2, 0), (2, 1, 2, 1), (3, 1, 2, 1),
+                 (2, 2, 2, 2), (3, 2, 2, 2), (3, 3, 2, 3)]
+    assert out.splitlines() == [
+        *(f"FAIL alpha ratio failed at (n, m, d, i)={w}" for w in witnesses),
+        "verify identities: FAILED (checked=140, failures=7, max=4)",
+    ]
+
+
+def _sum_calls(monkeypatch, names_and_keys):
+    """Count the calls of each polar.<name> by ``key(*args)``."""
+    counts = {name: Counter() for name, _ in names_and_keys}
+    for name, key in names_and_keys:
+        original = getattr(polar, name)
+
+        def counted(*a, _original=original, _count=counts[name], _key=key):
+            _count[_key(*a)] += 1
+            return _original(*a)
+
+        monkeypatch.setattr(polar, name, counted)
+    return counts
+
+
+def test_verify_identities_sums_each_defining_series_once(monkeypatch, capsys):
+    top = 22
+    counts = _sum_calls(monkeypatch, [
+        ("_dots", lambda signed_rows, n, lows: (n, tuple(lows), len(signed_rows))),
+        ("_hypersurface_chern_coeffs", lambda n, d, _: (n, d)),
+        ("_f_dot", lambda signed, m: (len(signed) - 1, m)),
+        ("_g_weights", lambda n: n),
+        ("_g_dot", lambda weights, j, _: (len(weights) - 1, j)),
+    ])
+    run(["verify", "identities", "--max", str(top)], capsys)
+    first = {name: Counter(c) for name, c in counts.items()}
+    for c in counts.values():
+        c.clear()
+    assert run(["verify", "identities", "--max", str(top)], capsys)[0] == 0
+    assert counts == first  # no cache: the second run does the same work
+
+    # one dot per (n, low) for the alternating sums and per (n, low, d) for the alphas;
+    # the alpha row of n = top is read only as alpha(n+1) of n = top - 1
+    dots = Counter()
+    for (n, lows, rows), calls in counts["_dots"].items():
+        for low in lows:
+            dots[n, low] += rows * calls
+    wanted = Counter()
+    for n in range(top + 1):
+        for low in range(1, n + 2):
+            wanted[n, low] += 1
+        for low in range(1, min(n, top - 1) + 2):
+            wanted[n, low] += 4
+    assert dots == wanted
+    assert counts["_hypersurface_chern_coeffs"] == Counter(
+        (n, d) for n in range(top + 1) for d in range(2, 6))
+    # f(n, m) and G(n, j) for every row n <= top and the n+1 values of row top
+    assert counts["_f_dot"] == Counter(
+        (n, m) for n in range(top + 2) for m in range(min(n, top) + 1))
+    assert counts["_g_weights"] == Counter(range(1, top + 2))
+    assert counts["_g_dot"] == Counter(
+        (n, j) for n in range(top + 2) for j in range(1, min(n, top) + 1))
 
 
 def test_jobs_must_be_a_positive_integer(monkeypatch, capsys):

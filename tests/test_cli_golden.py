@@ -6,7 +6,9 @@ pinned.  This replays every pinned case through ``cli.main``: plain, csv and
 json output, the single large degrees, every table, ``--jobs 2`` fills, and
 the refusals with exit codes 2 and 3, and replays two cases under the
 benchmark's tracer, which wraps package names from outside and so needs
-each of them to stay where it looks.
+each of them to stay where it looks.  The verify case counts are also
+checked against the benchmark's count formulas for ``--max`` values that no
+pin covers.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import catalog  # noqa: E402
+from pin import verify_checked  # noqa: E402
 from spans import Tracer  # noqa: E402
 
 PINS = json.loads((PERFBENCH / "pins.json").read_text())["cases"]
@@ -59,3 +62,11 @@ def test_traced_replay_resolves_every_name_and_keeps_the_bytes(capsys):
     assert calls["asympt.constants"] == 4
     assert calls["hyperdet.degree"] == 1
     assert calls["cli"] == 2
+
+
+@pytest.mark.parametrize("suite, maxima", [("identities", range(31)), ("stabilization", range(1, 8))])
+def test_verify_checked_counts_match_the_count_formulas(capsys, suite, maxima):
+    for top in maxima:
+        assert main(["verify", suite, "--max", str(top)]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert f"(checked={verify_checked(suite, top)}, failures=0, max={top})" in summary

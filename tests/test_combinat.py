@@ -12,9 +12,11 @@ import pytest
 import segre_degrees
 from segre_degrees import asympt, combinat
 from segre_degrees.combinat import as_format, binomial, multinomial
-from segre_degrees.eddeg import frobenius_ed_degree, generic_ed_degree, stabilization_onset
+from segre_degrees.eddeg import (frobenius_ed_degree, generic_ed_degree, stabilization_onset,
+                                 veronese_frobenius_ed_degree)
 from segre_degrees.hyperdet import hyperdet_degree, sv_hyperdet_degree
-from segre_degrees.polar import ChernData, chern_data_projective_space_product
+from segre_degrees.polar import (ChernData, alpha_coefficients, chern_data_projective_space_product,
+                                 chern_data_smooth_hypersurface, delta0_product_with_hypersurface)
 
 
 def test_binomial_standard_and_convention():
@@ -51,6 +53,22 @@ def test_multinomial_small_and_oracle():
 def test_non_integer_formats_raise_instead_of_truncating(call):
     """A float, ``Fraction`` or ``str`` entry is refused, not rounded down to
     the answer for a neighbouring format."""
+    with pytest.raises(TypeError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sv_hyperdet_degree((1, 1, 1), 1.5),
+    lambda: alpha_coefficients(2, 1, 2.5),
+    lambda: delta0_product_with_hypersurface(chern_data_projective_space_product((1,)), 2, 2.5),
+    lambda: chern_data_smooth_hypersurface(2, 2.5),
+    lambda: veronese_frobenius_ed_degree(2, 3.5),
+    lambda: veronese_frobenius_ed_degree(2.0, 3),
+], ids=["sv-float-weight", "alpha-float-degree", "delta0-float-degree",
+        "hypersurface-float-degree", "veronese-float-weight", "veronese-float-dim"])
+def test_non_integer_scalars_raise_type_error(call):
+    """A float weight, degree or dimension is a type error, not a float
+    answer from an exact function or a failed verification."""
     with pytest.raises(TypeError):
         call()
 
