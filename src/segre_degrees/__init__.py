@@ -9,7 +9,7 @@ else is imported from its submodule (``hyperdet``, ``eddeg``, ``polar``,
 ``asympt``, ``combinat``).
 """
 
-# perfbench/spans.py patches segre_degrees.truncpoly by name (ROADMAP item 3)
+# imported only so that perfbench/spans.py can patch segre_degrees.truncpoly by name
 from . import truncpoly  # noqa: F401
 from .eddeg import frobenius_ed_degree, stabilization_onset
 from .hyperdet import hyperdet_degree

@@ -85,51 +85,33 @@ def _check_power_cap(base: int, exponent: int, cap_bytes: int) -> None:
                exponent * (base - 1).bit_length(), cap_bytes)
 
 
-def _positive(text: str) -> int:
-    """The ``type=`` of every option that takes a positive integer."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+def _integers(text: str, what: str, least: int, sep: str | None = None) -> Tuple[int, ...]:
+    """The one rule for every integer in argv: ASCII digits after an optional
+    minus sign, each value at least ``least``.  ``sep`` splits a comma list or
+    a range into values; without it ``text`` is one value."""
+    parts = text.split(sep) if sep else [text]
+    if not all(part.removeprefix("-").isdecimal() and part.isascii() for part in parts):
+        raise UsageError(f"{what} must be {'integers' if sep else 'an integer'}, got {text!r}")
+    values = tuple(map(int, parts))
+    if min(values) < least:
+        raise UsageError(f"{what} must be at least {least}, got {text!r}")
+    return values
 
 
-def _integer(text: str) -> int:
-    """The ``type=`` of ``verify --max``: digits after an optional minus sign,
-    as strict as ``_positive``; each suite checks its own minimum."""
-    if not text.removeprefix("-").isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
-    return int(text)
-
-
-def _parse_ints(text: str, what: str) -> Tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"cannot parse {what} {text!r}: expected comma-separated integers")
-
-
-def _parse_dims(text: str) -> Tuple[int, ...]:
-    dims = _parse_ints(text, "dims")
-    if any(n < 0 for n in dims):
-        raise UsageError(f"dimensions must be non-negative, got {dims}")
-    return dims
+def _option(what: str, least: int) -> Callable[[str], int]:
+    """The ``type=`` of an option that takes one integer."""
+    return lambda text: _integers(text, what, least)[0]
 
 
 def _parse_grid(text: str) -> Sequence[int]:
     """A grid argument: a single value, 'a,b,c', 'a:b' or 'a:b:step'.  A range
     stays a ``range``, so its length is known before any point is built."""
     if ":" not in text:
-        grid = _parse_ints(text, "grid")
-        if min(grid) < 1:
-            raise UsageError("grid values must be at least 1")
-        return grid
-    parts = text.split(":")
-    if len(parts) not in (2, 3) or not all(p.removeprefix("-").isdecimal() for p in parts):
-        raise UsageError(f"cannot parse range {text!r}")
-    lo, hi = int(parts[0]), int(parts[1])
-    step = int(parts[2]) if len(parts) == 3 else 1
-    if step < 1 or not 1 <= lo <= hi:
+        return _integers(text, "grid values", 1, ",")
+    bounds = _integers(text, "range a:b[:step]", 1, ":")
+    if len(bounds) not in (2, 3) or bounds[1] < bounds[0]:
         raise UsageError(f"invalid range {text!r}: need 1 <= a <= b and step >= 1")
-    grid = range(lo, hi + 1, step)
+    grid = range(bounds[0], bounds[1] + 1, *bounds[2:])
     try:
         len(grid)
     except OverflowError:
@@ -200,7 +182,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_hyperdet(args: argparse.Namespace) -> Tuple[str, int]:
-    dims = _parse_dims(args.dims)
+    dims = _integers(args.dims, "dims", 0, ",")
     n_total = sum(dims)
     _check_cap_budget(n_total, len(dims), n_total * (args.omega - 1).bit_length(), args.cap_bytes)
     value = sv_hyperdet_degree(dims, args.omega)
@@ -212,12 +194,11 @@ def _cmd_hyperdet(args: argparse.Namespace) -> Tuple[str, int]:
 
 
 def _cmd_eddeg(args: argparse.Namespace) -> Tuple[str, int]:
-    dims = _parse_dims(args.dims)
-    weights = _parse_ints(args.weights, "weights") if args.weights else (1,) * len(dims)
+    dims = _integers(args.dims, "dims", 0, ",")
+    weights = (_integers(args.weights, "--weights", 1, ",") if args.weights is not None
+               else (1,) * len(dims))
     if len(weights) != len(dims):
         raise UsageError(f"{len(dims)} dims but {len(weights)} weights")
-    if any(w < 1 for w in weights):
-        raise UsageError(f"weights must be positive, got {weights}")
     metric = "generic" if args.generic else "frobenius"
     if args.generic:
         weight_bits = sum(n * (w - 1).bit_length() for n, w in zip(dims, weights))
@@ -296,6 +277,16 @@ _TABLES = {
 # Each sweep reports every failure through ``report`` and returns its case count.
 
 
+def _each_case(check: Callable, cases: Sequence, report: Callable[[str], None]) -> int:
+    """Runs ``check`` on every case and reports each ``VerificationError``."""
+    for case in cases:
+        try:
+            check(case)
+        except VerificationError as exc:
+            report(str(exc))
+    return len(cases)
+
+
 def _ratio_check(report: Callable[[str], None], **bounds: int) -> int:
     ratio = stabilization_ratio_check(**bounds)
     for witness in ratio.failures:
@@ -308,23 +299,13 @@ def _verify_identities(max_n: int, report: Callable[[str], None]) -> int:
 
 
 def _verify_rw_constants(max_d: int, report: Callable[[str], None]) -> int:
-    ds = range(3, max_d + 1)
-    for d in ds:
-        try:
-            asy.verify_minimal_point_constants(d)
-        except VerificationError as exc:
-            report(str(exc))
-    return len(ds)
+    return _each_case(asy.verify_minimal_point_constants, range(3, max_d + 1), report)
 
 
 def _verify_stabilization(max_total: int, report: Callable[[str], None]) -> int:
-    bases = list(partition_formats(max_total))
-    for base in bases:
-        try:
-            stabilization_onset(base, sum(base) + 3)
-        except VerificationError as exc:
-            report(str(exc))
-    return len(bases) + _ratio_check(report, m_max=6, n_max=12, d_max=4)
+    return (_each_case(lambda base: stabilization_onset(base, sum(base) + 3),
+                       list(partition_formats(max_total)), report)
+            + _ratio_check(report, m_max=6, n_max=12, d_max=4))
 
 
 def _verify_cross_oracle(max_total: int, report: Callable[[str], None]) -> int:
@@ -340,20 +321,21 @@ def _verify_cross_oracle(max_total: int, report: Callable[[str], None]) -> int:
 
 
 # suite -> (sweep, default --max, smallest --max that checks at least one case
-# of the suite's own sweep)
+# of the suite's own sweep, largest --max: its run takes about a second)
 _SUITES = {
-    "identities": (_verify_identities, 30, 0),
-    "rw-constants": (_verify_rw_constants, 10, 3),
-    "stabilization": (_verify_stabilization, 7, 1),
-    "cross-oracle": (_verify_cross_oracle, 7, 1),
+    "identities": (_verify_identities, 30, 0, 100),
+    "rw-constants": (_verify_rw_constants, 10, 3, 200),
+    "stabilization": (_verify_stabilization, 7, 1, 15),
+    "cross-oracle": (_verify_cross_oracle, 7, 1, 20),
 }
 
 
 def _cmd_verify(args: argparse.Namespace) -> Tuple[str, int]:
-    sweep, default_max, min_max = _SUITES[args.suite]
-    max_value = default_max if args.max is None else args.max
-    if max_value < min_max:
-        raise UsageError(f"--max for {args.suite} must be at least {min_max}, got {max_value}")
+    sweep, default_max, least, most = _SUITES[args.suite]
+    what = f"--max for {args.suite}"
+    max_value = default_max if args.max is None else _integers(args.max, what, least)[0]
+    if max_value > most:
+        raise UsageError(f"{what} must be at most {most}, got {max_value}")
     failed: List[str] = []
     checked = sweep(max_value, failed.append)
     status = "ok" if not failed else "FAILED"
@@ -378,37 +360,48 @@ def _estimate_value(log_estimate: float) -> float:
     return _round12(math.exp(log_estimate)) if log_estimate < 709 else float("inf")
 
 
+# formula -> (least d, the argument after d: a grid of n values, the weight or none)
+_ASYMPT_ARGS = {**{formula: (3, "a grid of n values") for formula in asy.FORMULAS},
+                "binary": (2, None), "discriminant": (1, "the weight")}
+
+
 def _cmd_asympt(args: argparse.Namespace) -> Tuple[str, int]:
     formula = args.formula
     if args.omega is not None and formula != "sv":
         raise UsageError(f"--omega applies only to the sv formula, not {formula!r}")
     omega = 1 if args.omega is None else args.omega
+    least_d, after_d = _ASYMPT_ARGS[formula]
+    d = _integers(args.d, "d", 1)[0]  # a count; a formula that needs more says so by name
+    if d < least_d:
+        raise UsageError(f"formula {formula!r} requires d >= {least_d}")
+    if after_d is None and args.grid is not None:
+        raise UsageError(f"{formula} estimates take no grid, got {args.grid!r}")
+    if after_d is not None and args.grid is None:
+        raise UsageError(f"formula {formula!r} needs {after_d} after d")
     if formula in asy.FORMULAS:
-        if args.d < 3:
-            raise UsageError(f"formula {formula!r} requires d >= 3")
-        if args.grid is None:
-            raise UsageError(f"formula {formula!r} needs a grid of n values")
         grid = _parse_grid(args.grid)
         # a record and its JSON text take under 3 kB a point (tracemalloc, Python 3.11)
         approx = 4096 * (len(grid) + 1)
         if approx > args.cap_bytes:
             raise CapBudgetError(f"a grid of {len(grid)} points needs about {approx} bytes, "
                                  f"over the budget of {args.cap_bytes}")
+        if args.compare:
+            # the kernel model grows with n, so its largest point stands for all
+            top = grid[-1] if isinstance(grid, range) else max(grid)
+            _check_cap_budget(top * d, d, top * d * (omega - 1).bit_length(), args.cap_bytes)
         exact_fn, log_estimate_fn = asy.FORMULAS[formula]
         records = []
         for n in grid:
-            params = {"formula": formula, "d": str(args.d), "n": str(n)}
+            params = {"formula": formula, "d": str(d), "n": str(n)}
             if formula == "sv":
                 params["omega"] = str(omega)
             try:
-                log_est = log_estimate_fn(args.d, n, omega)
+                log_est = log_estimate_fn(d, n, omega)
             except OverflowError:
-                raise UsageError(f"factor count d={args.d} and grid value n={n} are too "
+                raise UsageError(f"factor count d={d} and grid value n={n} are too "
                                  f"large for a float estimate") from None
             if args.compare:
-                _check_cap_budget(n * args.d, args.d, n * args.d * (omega - 1).bit_length(),
-                                  args.cap_bytes)
-                exact = exact_fn((n,) * args.d, omega)
+                exact = exact_fn((n,) * d, omega)
                 params["exact"] = str(exact)
                 params["rel_error"] = _fmt_float(asy.relative_error(exact, log_est))
             records.append(_record("asympt", params, _estimate_value(log_est)))
@@ -416,15 +409,11 @@ def _cmd_asympt(args: argparse.Namespace) -> Tuple[str, int]:
     if args.compare:
         raise UsageError(f"--compare applies only to {', '.join(asy.FORMULAS)}, not {formula!r}")
     if formula == "binary":
-        if args.grid is not None:
-            raise UsageError(f"binary estimates take no grid, got {args.grid!r}")
-        if args.d < 2:
-            raise UsageError("binary estimates require d >= 2")
         try:
-            est = asy.binary_asymptotics(args.d)
+            est = asy.binary_asymptotics(d)
         except OverflowError:
-            raise UsageError(f"factor count d={args.d} is too large for a float estimate") from None
-        base = {"formula": "binary", "d": str(args.d)}
+            raise UsageError(f"factor count d={d} is too large for a float estimate") from None
+        base = {"formula": "binary", "d": str(d)}
         quantities = [
             ("hyperdet", _estimate_value(est.log_hyperdet)),
             ("ed-frobenius", _estimate_value(est.log_ed_frobenius)),
@@ -433,18 +422,10 @@ def _cmd_asympt(args: argparse.Namespace) -> Tuple[str, int]:
             ("hyperdet/ed-generic", _round12(math.exp(est.log_hyperdet - est.log_ed_generic))),
         ]
     else:
-        if args.grid is None:
-            raise UsageError("discriminant ratios need the weight as second argument")
-        try:
-            omega = int(args.grid)
-        except ValueError:
-            raise UsageError(f"cannot parse weight {args.grid!r}")
-        if args.d < 1 or omega < 3:
-            raise UsageError(f"discriminant ratios need n >= 1 and weight >= 3, "
-                             f"got n={args.d}, weight={omega}")
-        _check_power_cap(2 * omega - 1, args.d + 1, args.cap_bytes)
-        ratios = asy.discriminant_ratios(args.d, omega)
-        base = {"formula": "discriminant", "n": str(args.d), "omega": str(omega)}
+        omega = _integers(args.grid, "the weight", 3)[0]
+        _check_power_cap(2 * omega - 1, d + 1, args.cap_bytes)
+        ratios = asy.discriminant_ratios(d, omega)
+        base = {"formula": "discriminant", "n": str(d), "omega": str(omega)}
         quantities = [
             ("ratio-to-ed/large-n-form", _round12(ratios.fixed_omega_ratio)),
             ("ratio-to-ed/large-weight-form", _round12(ratios.fixed_n_ratio)),
@@ -468,16 +449,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-        p.add_argument("--jobs", type=_positive, default=1,
+        p.add_argument("--jobs", type=_option("--jobs", 1), default=1,
                        help="no effect, tables fill in process; kept for scripts that pass it")
-        p.add_argument("--cap-bytes", type=_positive, default=DEFAULT_CAP_BYTES,
+        p.add_argument("--cap-bytes", type=_option("--cap-bytes", 1), default=DEFAULT_CAP_BYTES,
                        help="byte budget of an exact value or an asympt grid; over it exits 3")
         p.add_argument("--timing", action="store_true",
                        help="write the elapsed milliseconds on stderr; stdout is unchanged")
 
     p = sub.add_parser("hyperdet", help="degree of the dual hypersurface of a format")
     p.add_argument("dims", help="comma-separated factor dimensions, e.g. 1,1,2")
-    p.add_argument("--omega", type=_positive, default=1, help="Veronese weight of every factor")
+    p.add_argument("--omega", type=_option("--omega", 1), default=1,
+                   help="Veronese weight of every factor")
     add_common(p, _cmd_hyperdet)
 
     p = sub.add_parser("eddeg", help="ED degree of a format")
@@ -492,15 +474,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     p.add_argument("suite", choices=tuple(_SUITES))
-    p.add_argument("--max", type=_integer, default=None, help="sweep bound (suite-specific default)")
+    p.add_argument("--max", default=None, help="sweep bound (suite-specific default and range)")
     add_common(p, _cmd_verify)
 
     p = sub.add_parser("asympt", help="growth estimates, optionally against exact values")
     p.add_argument("formula", choices=(*asy.FORMULAS, "binary", "discriminant"))
-    p.add_argument("d", type=int, help="factor count (n for the discriminant ratios)")
+    p.add_argument("d", help="factor count (n for the discriminant ratios)")
     p.add_argument("grid", nargs="?", default=None,
                    help="n value, range a:b[:step], or comma list (weight for discriminant)")
-    p.add_argument("--omega", type=_positive, default=None,
+    p.add_argument("--omega", type=_option("--omega", 1), default=None,
                    help="weight for the sv formula (default 1); a usage error with any other")
     p.add_argument("--compare", action="store_true",
                    help="include exact values and rel. errors (hyperdet, ed, sv)")

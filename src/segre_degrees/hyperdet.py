@@ -47,9 +47,7 @@ def is_dual_nondefective(dims: Sequence[int]) -> bool:
     Criterion: max n_j <= sum of the other n_i.  For a single factor this
     reads n1 <= 0, so only the point P^0 passes.
     """
-    dims = tuple(dims)
-    if not dims:
-        raise ValueError("a format needs at least one factor")
+    dims = as_format(dims)
     return max(dims) * 2 <= sum(dims)
 
 

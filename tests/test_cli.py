@@ -63,20 +63,52 @@ def test_parse_errors_exit_2(capsys):
     assert "generic" in err
 
 
+# every position where the command line reads an integer; "{}" is replaced by the token
+INTEGER_POSITIONS = {
+    "hyperdet-dims": ["hyperdet", "{}"],
+    "eddeg-dims": ["eddeg", "{}"],
+    "weights": ["eddeg", "2", "--weights", "{}"],
+    "grid-list": ["asympt", "hyperdet", "3", "{}"],
+    "range-start": ["asympt", "hyperdet", "3", "{}:5"],
+    "range-stop": ["asympt", "hyperdet", "3", "1:{}"],
+    "range-step": ["asympt", "hyperdet", "3", "1:5:{}"],
+    "asympt-d": ["asympt", "hyperdet", "{}", "5"],
+    "discriminant-weight": ["asympt", "discriminant", "5", "{}"],
+    "hyperdet-omega": ["hyperdet", "1,1,1", "--omega", "{}"],
+    "sv-omega": ["asympt", "sv", "3", "2", "--omega", "{}"],
+    "jobs": ["table", "dual-example", "--jobs", "{}"],
+    "cap-bytes": ["hyperdet", "1,1,1", "--cap-bytes", "{}"],
+    "max": ["verify", "identities", "--max", "{}"],
+}
+# tokens that a looser parser (int(), str.isdecimal, str.isdigit) would take, and broken
+# numbers and lists
+EDGE_TOKENS = {"plus": "+1", "underscore": "1_0", "space": " 1", "arabic-indic": "\u0661",
+               "exponent": "1e3", "superscript": "\u00b2", "empty": "", "comma": ",",
+               "empty-item": "1,,2"}
+
+
 @pytest.mark.parametrize("argv", [
-    ["table", "nosuchtable"],
-    ["hyperdet"],
-    ["hyperdet", "1,1,1", "--jobs", "x"],
-    ["verify", "identities", "--max", "x"],
-    ["verify", "identities", "--max", "+5"],
-    ["verify", "identities", "--max", "1_0"],
-    ["verify", "identities", "--max", " 3"],
-    ["asympt", "foo", "3", "4"],
-    ["hyperdet", "1,1,1", "--bogus"],
-    [],
-], ids=["unknown-choice", "missing-positional", "non-integer-option", "non-integer-max",
-        "plus-signed-max", "underscored-max", "space-padded-max",
-        "unknown-formula", "unknown-flag", "no-arguments"])
+    pytest.param(["table", "nosuchtable"], id="unknown-choice"),
+    pytest.param(["hyperdet"], id="missing-positional"),
+    pytest.param(["hyperdet", "1,1,1", "--jobs", "x"], id="non-integer-option"),
+    pytest.param(["verify", "identities", "--max", "x"], id="non-integer-max"),
+    pytest.param(["verify", "identities", "--max", "+5"], id="plus-signed-max"),
+    pytest.param(["verify", "identities", "--max", "1_0"], id="underscored-max"),
+    pytest.param(["verify", "identities", "--max", " 3"], id="space-padded-max"),
+    pytest.param(["asympt", "foo", "3", "4"], id="unknown-formula"),
+    pytest.param(["hyperdet", "1,1,1", "--bogus"], id="unknown-flag"),
+    pytest.param([], id="no-arguments"),
+    # integers that int() took before every argument went through cli._integers
+    pytest.param(["hyperdet", "1_0,1,1"], id="found-dims-underscore"),
+    pytest.param(["hyperdet", " 1,+1"], id="found-dims-space-plus"),
+    pytest.param(["asympt", "hyperdet", "+3", "2"], id="found-d-plus"),
+    pytest.param(["asympt", "hyperdet", "1_0", "2"], id="found-d-underscore"),
+    pytest.param(["asympt", "discriminant", "5", "1_0"], id="found-weight-underscore"),
+    pytest.param(["eddeg", "2", "--weights", "+4"], id="found-weights-plus"),
+    *(pytest.param([part.replace("{}", token) for part in template], id=f"{where}-{name}")
+      for where, template in INTEGER_POSITIONS.items()
+      for name, token in EDGE_TOKENS.items()),
+])
 def test_argparse_errors_are_one_error_line(capsys, argv):
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
@@ -98,8 +130,18 @@ def test_help_prints_usage_on_stdout(capsys, argv):
     ["asympt", "hyperdet", "3", "1:--5"],
     ["hyperdet", "1,1,1", "--cap-bytes", "-5"],
     ["hyperdet", "1,1,1", "--cap-bytes", "0"],
+    ["hyperdet", "1,-1"],
+    ["eddeg", "1,1", "--weights", "2,0"],
+    ["asympt", "hyperdet", "3", "4,0"],
+    ["asympt", "hyperdet", "3", "0:5"],
+    ["asympt", "hyperdet", "3", "1:5:0"],
+    ["asympt", "hyperdet", "3", "5:4"],
+    ["asympt", "binary", "1"],
+    ["verify", "identities", "--max", "101"],
 ], ids=["hyperdet-omega", "sv-omega", "discriminant-n", "discriminant-weight", "grid-range",
-        "cap-bytes-negative", "cap-bytes-zero"])
+        "cap-bytes-negative", "cap-bytes-zero", "negative-dims", "zero-weight", "zero-grid-value",
+        "zero-range-start", "zero-range-step", "descending-range", "binary-d",
+        "found-identities-max-over-ceiling"])
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     code, out, err = run(argv, capsys)
     assert code == 2
@@ -319,6 +361,18 @@ def test_huge_grid_is_refused_before_it_is_built(capsys):
     assert (code, out) == (3, "")
     assert err.startswith("error: a grid of 100000000 points ")
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("grid", ["100:450:50", "450,100,200"], ids=["range", "list"])
+def test_compare_cap_is_checked_for_the_largest_point_before_any(monkeypatch, capsys, grid):
+    def refuse(dims, omega):
+        pytest.fail(f"an exact value for {dims} was computed before the cap refused the grid")
+
+    argv = ["asympt", "hyperdet", "3", grid, "--compare", "--cap-bytes", "1400000"]
+    alone = run([*argv[:3], "450", *argv[4:]], capsys)
+    assert alone[:2] == (3, "")
+    monkeypatch.setitem(asympt.FORMULAS, "hyperdet", (refuse, asympt.FORMULAS["hyperdet"][1]))
+    assert run(argv, capsys) == alone
 
 
 @pytest.mark.parametrize("argv", [
@@ -585,6 +639,12 @@ def test_verify_max_has_a_minimum_per_suite(capsys):
         assert code == 2
         assert out == ""
         assert f"at least {minimum}" in err
+    for suite, maximum in (("identities", 100), ("rw-constants", 200),
+                           ("stabilization", 15), ("cross-oracle", 20)):
+        assert cli._SUITES[suite][1] <= maximum
+        code, out, err = run(["verify", suite, "--max", str(maximum + 1)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --max for {suite} must be at most {maximum}, got {maximum + 1}\n"
     code, out, _ = run(["verify", "cross-oracle", "--max", "1"], capsys)
     assert code == 0
     assert out == "verify cross-oracle: ok (checked=1, failures=0, max=1)\n"

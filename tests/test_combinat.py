@@ -156,3 +156,28 @@ def test_only_emit_writes_stdout():
             if names_stdout and id(node) not in allowed:
                 found.append(f"{path.name}:{node.lineno} stdout")
     assert found == []
+
+
+def test_one_function_turns_argv_text_into_integers():
+    """Every integer the command line reads goes through ``cli._integers``:
+    ``int`` (called or passed as ``type=int``) and the digit tests of ``str``
+    appear nowhere else in ``cli.py``, so a new option cannot grow a second,
+    looser parser."""
+    path = Path(segre_degrees.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (rule,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_integers"]
+    allowed = {id(node) for node in ast.walk(rule)}
+    hints = [hint for node in ast.walk(tree)
+             for hint in (getattr(node, "annotation", None), getattr(node, "returns", None))
+             if hint is not None]
+    annotations = {id(node) for hint in hints for node in ast.walk(hint)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in allowed or id(node) in annotations:
+            continue
+        if isinstance(node, ast.Name) and node.id == "int":
+            found.append(f"cli.py:{node.lineno} int")
+        if isinstance(node, ast.Attribute) and node.attr in ("isdecimal", "isdigit", "isnumeric"):
+            found.append(f"cli.py:{node.lineno} .{node.attr}")
+    assert found == []

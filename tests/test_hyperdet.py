@@ -47,6 +47,12 @@ def test_dual_nondefectiveness_criterion():
     assert not is_dual_nondefective((2,))
     assert is_dual_nondefective((3, 3))
     assert not is_dual_nondefective((2, 3))
+    # a format is checked as every other function that takes one checks it
+    with pytest.raises(TypeError):
+        is_dual_nondefective((2.0, 1, 1))
+    for dims in ((-3, 1), ()):
+        with pytest.raises(ValueError, match="invalid dimensions"):
+            is_dual_nondefective(dims)
 
 
 def test_known_degrees():
