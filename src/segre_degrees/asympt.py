@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .combinat import VerificationError
@@ -197,6 +196,8 @@ def verify_minimal_point_constants(d: int) -> MinimalPointCheck:
     are O(d) sums at c.  The remaining constants are a few ``Fraction``
     operations.
     """
+    from fractions import Fraction
+
     if d < 3:
         raise ValueError(f"the estimate requires at least three factors, got d={d}")
     point = symmetric_point(d)

@@ -18,10 +18,10 @@ bug; it is not caught, so it ends the process with a traceback.
 from __future__ import annotations
 
 import argparse
-import csv
+import gc
 import io
-import json
 import math
+import os
 import sys
 import time
 from typing import Callable, List, Sequence, Tuple
@@ -54,6 +54,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise UsageError(message)
+
+    def print_help(self, file=None) -> None:
+        """``-h`` writes through ``_emit``, so an unwritable stdout is a usage error."""
+        if file is None:
+            _emit(self.format_help(), None)
+        else:
+            super().print_help(file)
 
 
 class CapBudgetError(Exception):
@@ -140,12 +147,16 @@ def _render(args: argparse.Namespace, records: List[dict],
     (header included) and ``plain`` lines replace the generic CSV and plain
     layouts where a table's golden layout differs."""
     if args.format == "json":
+        import json
+
         # an estimate that overflowed is written as plain and CSV print it
         objs = [{k: _fmt_float(v) if isinstance(v, float) and not math.isfinite(v) else v
                  for k, v in rec.items()} for rec in records]
         return json.dumps(objs, sort_keys=True, separators=(", ", ": "), indent=1,
                           allow_nan=False) + "\n"
     if args.format == "csv":
+        import csv
+
         if csv_rows is None:
             csv_rows = [["command", "parameters", "result", "note"]]
             for rec in records:
@@ -169,7 +180,18 @@ def _render(args: argparse.Namespace, records: List[dict],
 
 def _emit(text: str, out_path: str | None) -> None:
     if not out_path:
-        sys.stdout.write(text)
+        if sys.stdout is None:  # the process started with fd 1 closed
+            raise UsageError("cannot write stdout: it is closed")
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the interpreter flushes stdout again at exit; with fd 1 on
+            # os.devnull that flush cannot fail a second time
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise UsageError(f"cannot write stdout: {exc.strerror}") from None
         return
     try:
         with open(out_path, "w") as fh:
@@ -519,5 +541,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     return code
 
 
+def run() -> int:
+    """The process entry point, for ``python -m segre_degrees.cli`` and the
+    ``segre-degrees`` script.  After ``main`` it moves every object into the
+    permanent generation, so the collections of interpreter teardown skip the
+    module, class and function graphs instead of freeing them one by one;
+    flushing, ``atexit`` and file closing still run.  ``main`` never freezes:
+    tests and library callers run it many times in one process."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -24,12 +24,14 @@ alongside.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import perm
 from operator import index
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from .combinat import VerificationError, as_format, binomial, multinomial_fold
+
+if TYPE_CHECKING:  # annotations only; each function that builds a Fraction imports it
+    from fractions import Fraction
 
 __all__ = [
     "binary_generic_ed_degree",
@@ -132,6 +134,8 @@ def matrix_ed_polynomial(entries: Sequence[Sequence[Fraction | int]]) -> List[Fr
     degree min(rows, cols) and leading coefficient (-1)^min(rows, cols).
     Uses the Faddeev-LeVerrier trace recurrence over exact rationals.
     """
+    from fractions import Fraction
+
     rows = [[Fraction(v) for v in row] for row in entries]
     if not rows or not rows[0]:
         raise ValueError("matrix must be non-empty")

@@ -23,12 +23,14 @@ that need a hypersurface should gate on ``is_dual_nondefective``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import perm
 from operator import index
-from typing import Iterator, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, Sequence, Tuple
 
 from .combinat import as_format, binomial, multinomial_fold
+
+if TYPE_CHECKING:  # annotations only; each function that builds a Fraction imports it
+    from fractions import Fraction
 
 __all__ = [
     "binary_hyperdet_degree",
@@ -86,6 +88,8 @@ def binary_hyperdet_degree(d: int) -> int:
 def symmetric_point(d: int) -> Tuple[Fraction, ...]:
     """The point (1/(d-1), ..., 1/(d-1)) where the degree-series denominator
     vanishes; it drives the coefficient asymptotics."""
+    from fractions import Fraction
+
     if d < 2:
         raise ValueError(f"need at least two factors, got {d}")
     return (Fraction(1, d - 1),) * d
@@ -108,6 +112,8 @@ def mixed_partial_at_symmetric_point(d: int, indices: Sequence[int]) -> Fraction
         raise ValueError(f"repeated differentiation indices in {idx}")
     if any(not 1 <= i <= d for i in idx):
         raise ValueError(f"indices {idx} out of range 1..{d}")
+    from fractions import Fraction
+
     k = len(idx)
     c = Fraction(1, d - 1)
     return sum((1 - i) * binomial(d - k, i - k) * c ** (i - k) for i in range(k, d + 1))

@@ -47,13 +47,15 @@ bodies the integer sums replaced are kept as test oracles in
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import cycle, repeat
 from math import comb, factorial, perm
 from operator import index, mul
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Sequence, Tuple
 
 from .combinat import as_format, binomial, multinomial_fold
+
+if TYPE_CHECKING:  # annotations only; each function that builds a Fraction imports it
+    from fractions import Fraction
 
 __all__ = [
     "ChernData",
@@ -370,6 +372,8 @@ def _f_holds(n: int, m: int, f_n: int, f_next: int) -> bool:
 
 def g_sum(n: int, j: int) -> Fraction:
     """g(n,j) = sum_{s=0}^{n} (-1)^s (n+1-s+j)! / ((n+1-s)! (s+1)! (n-s)!)."""
+    from fractions import Fraction
+
     return Fraction(_g_scaled(n, j), factorial(n + 1) * factorial(n + 2))
 
 

@@ -14,11 +14,13 @@ forms are deterministic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 from operator import getitem
-from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+
+if TYPE_CHECKING:  # annotations only; each function that builds a Fraction imports it
+    from fractions import Fraction
 
 __all__ = [
     "Exponent",
@@ -213,6 +215,8 @@ class TruncatedPoly:
         coeff * prod_j p_j^(e_j) q_j^(c_j - e_j); the numerators are summed on
         integers and a single ``Fraction`` is built at the end.
         """
+        from fractions import Fraction
+
         vals = [Fraction(v) for v in values]
         if len(vals) != len(self.caps):
             raise ValueError(f"expected {len(self.caps)} values, got {len(vals)}")

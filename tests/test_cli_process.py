@@ -1,0 +1,162 @@
+"""The real process path: ``python -m segre_degrees.cli`` as a child process.
+
+The other CLI tests call ``cli.main`` in process.  These start the module the
+way a user or the benchmark does, through its ``__main__`` block and
+interpreter teardown, and check that the exit code, stdout and stderr bytes
+are the ones ``cli.main`` gives in process.  They also hold the exit contract
+when stdout cannot be written: a closed pipe, a full device or a closed fd 1
+is a usage error (exit 2, one ``error:`` line), buffered or unbuffered.
+"""
+
+from __future__ import annotations
+
+import ast
+import gc
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import segre_degrees
+from segre_degrees import cli
+from segre_degrees.cli import main
+
+SRC = Path(segre_degrees.__file__).resolve().parent.parent
+
+
+def _child(argv, unbuffered=False, **popen):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    popen.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "segre_degrees.cli", *argv],
+                          stderr=subprocess.PIPE, env=env, timeout=60, **popen)
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    pytest.param(["hyperdet", "1,1,1"], 0, id="hyperdet-plain"),
+    pytest.param(["hyperdet", "1,1,1", "--format", "csv"], 0, id="hyperdet-csv"),
+    pytest.param(["hyperdet", "1,1,1", "--format", "json"], 0, id="hyperdet-json"),
+    pytest.param(["eddeg", "1,2"], 0, id="eddeg-plain"),
+    pytest.param(["eddeg", "2,2", "--generic", "--format", "csv"], 0, id="eddeg-csv"),
+    pytest.param(["eddeg", "1,2", "--format", "json"], 0, id="eddeg-json"),
+    pytest.param(["table", "table2"], 0, id="table2"),
+    pytest.param(["hyperdet", "1,x,3"], 2, id="usage-refusal"),
+    pytest.param(["hyperdet", "3,3,3", "--cap-bytes", "1"], 3, id="cap-refusal"),
+    pytest.param(["--help"], 0, id="help"),
+])
+def test_the_process_gives_the_bytes_and_code_of_main(capsys, argv, exit_code):
+    assert main(argv) == exit_code
+    captured = capsys.readouterr()
+    done = _child(argv)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        exit_code, captured.out.encode(), captured.err.encode())
+
+
+def test_the_process_writes_out_file_bytes_of_main(tmp_path, capsys):
+    argv = ["table", "stabilization", "--format", "json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    target = tmp_path / "out.json"
+    done = _child([*argv, "--out", str(target)])
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert target.read_bytes() == expected
+
+
+def test_the_process_writes_one_timing_line(capsys):
+    assert main(["hyperdet", "1,1,1"]) == 0
+    expected = capsys.readouterr().out.encode()
+    done = _child(["hyperdet", "1,1,1", "--timing"])
+    assert (done.returncode, done.stdout) == (0, expected)
+    assert re.fullmatch(rb"timing: hyperdet \d+\.\d{3} ms\n", done.stderr)
+
+
+def _closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return {"stdout": write_end}
+
+
+def _full_device():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    return {"stdout": os.open("/dev/full", os.O_WRONLY)}
+
+
+def _closed_fd():
+    return {"stdout": None, "preexec_fn": lambda: os.close(1)}
+
+
+@pytest.mark.parametrize("argv", [["hyperdet", "1,1,1"], ["--help"]], ids=["hyperdet", "help"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", [_closed_pipe, _full_device, _closed_fd],
+                         ids=["closed-pipe", "dev-full", "closed-fd"])
+def test_an_unwritable_stdout_is_a_usage_error(sink, unbuffered, argv):
+    popen = sink()
+    try:
+        done = _child(argv, unbuffered, **popen)
+    finally:
+        if popen["stdout"] is not None:
+            os.close(popen["stdout"])
+    assert done.returncode == 2
+    assert done.stderr.startswith(b"error: cannot write stdout: ")
+    assert done.stderr.count(b"\n") == 1
+
+
+def _main_block_call(tree: ast.Module) -> str:
+    """The name of the function that the ``__main__`` block of ``tree`` calls."""
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (stmt,) = block.body
+    return stmt.exc.args[0].func.id
+
+
+def test_the_script_and_the_main_block_share_one_entry_function():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    cli_path = SRC / "segre_degrees" / "cli.py"
+    entry = _main_block_call(ast.parse(cli_path.read_text(), str(cli_path)))
+    assert project["scripts"] == {"segre-degrees": f"segre_degrees.cli:{entry}"}
+
+
+def test_the_entry_function_freezes_after_main_and_main_does_not(monkeypatch, capsys):
+    """``main`` runs many times in one process (tests, replays, library
+    callers), so only the process entry point freezes the heap."""
+    before = gc.get_freeze_count()
+    assert main(["hyperdet", "1,1,1"]) == 0
+    assert gc.get_freeze_count() == before
+    monkeypatch.setattr(sys, "argv", ["segre-degrees", "hyperdet", "1,1,1"])
+    try:
+        assert cli.run() == 0
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out == "4\n" * 2
+
+
+def test_only_the_entry_function_freezes_and_nothing_calls_os_exit():
+    """``gc.freeze`` appears only in the function the ``__main__`` block calls,
+    and ``os._exit``, which skips ``atexit`` and the final flush, nowhere."""
+    found, entry_freezes = [], False
+    for path in sorted((SRC / "segre_degrees").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "cli.py":
+            entry = _main_block_call(tree)
+            (fn,) = [node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == entry]
+            allowed = {id(node) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "freeze" and id(node) in allowed:
+                entry_freezes = True
+            elif name in ("freeze", "_exit"):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+    assert entry_freezes

@@ -135,6 +135,25 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("fmt, loaded", [("plain", []), ("csv", ["csv"]), ("json", ["json"])])
+def test_a_request_imports_json_csv_and_fractions_only_where_used(fmt, loaded):
+    """Start-up cost of every process: ``json``, ``csv`` and ``fractions`` (with
+    the ``decimal`` it pulls in) are imported by the code that uses them, so a
+    plain ``hyperdet`` loads none of them.  Every submodule is still imported
+    with the package, where the benchmark tracer looks it up.  ``-S`` keeps
+    ``site`` from loading them."""
+    src = str(Path(segre_degrees.__file__).parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import segre_degrees.cli as cli; "
+            "cli.main(sys.argv[1:]); "
+            "lazy = {'json', 'csv', 'fractions', 'decimal'}; "
+            "eager = {'asympt', 'combinat', 'eddeg', 'hyperdet', 'polar', 'truncpoly'}; "
+            "print(sorted(lazy & set(sys.modules)), "
+            "sorted(eager - {m.split('.')[-1] for m in sys.modules}), file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-S", "-c", code, "hyperdet", "1,1,1", "--format", fmt],
+                          capture_output=True, text=True, check=True)
+    assert done.stderr.strip() == f"{loaded} []"
+
+
 def test_only_emit_writes_stdout():
     """Diagnostics never touch stdout: every ``print`` names its stream, and
     ``sys.stdout`` appears only in ``cli._emit``."""
