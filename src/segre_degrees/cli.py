@@ -10,21 +10,22 @@ decimal strings (they outgrow 2^53 quickly), floats are printed with 12
 significant digits, and term/row orders are fixed.  ``--timing`` leaves them
 as they are: ``main`` writes one ``timing:`` line on stderr after the output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (one ``error:``
-line, argparse's own included), 3 resource cap.  Any other exception is a
+The command line grammar is one table, ``_COMMANDS``, which ``parse_args``
+walks and ``--help`` prints.  Exit codes: 0 success, 1 verification failure,
+2 usage error (one ``error:`` line), 3 resource cap.  Any other exception is a
 bug; it is not caught, so it ends the process with a traceback.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import io
 import math
 import os
 import sys
 import time
-from typing import Callable, List, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from . import asympt as asy
 from .combinat import VerificationError
@@ -47,20 +48,6 @@ TABLE2_COLUMNS = 6
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises argparse's errors as ``UsageError``, like every other usage error."""
-
-    def error(self, message: str):
-        raise UsageError(message)
-
-    def print_help(self, file=None) -> None:
-        """``-h`` writes through ``_emit``, so an unwritable stdout is a usage error."""
-        if file is None:
-            _emit(self.format_help(), None)
-        else:
-            super().print_help(file)
 
 
 class CapBudgetError(Exception):
@@ -105,11 +92,6 @@ def _integers(text: str, what: str, least: int, sep: str | None = None) -> Tuple
     return values
 
 
-def _option(what: str, least: int) -> Callable[[str], int]:
-    """The ``type=`` of an option that takes one integer."""
-    return lambda text: _integers(text, what, least)[0]
-
-
 def _parse_grid(text: str) -> Sequence[int]:
     """A grid argument: a single value, 'a,b,c', 'a:b' or 'a:b:step'.  A range
     stays a ``range``, so its length is known before any point is built."""
@@ -141,7 +123,7 @@ def _record(command: str, parameters: dict, result: object, note: str = "", **ex
     return dict(command=command, parameters=parameters, result=result, note=note, **extra)
 
 
-def _render(args: argparse.Namespace, records: List[dict],
+def _render(args: SimpleNamespace, records: List[dict],
             csv_rows: List[list] | None = None, plain: List[str] | None = None) -> str:
     """The one output path: records as JSON, CSV or plain text.  ``csv_rows``
     (header included) and ``plain`` lines replace the generic CSV and plain
@@ -178,6 +160,15 @@ def _render(args: argparse.Namespace, records: List[dict],
     return "\n".join(plain) + "\n"
 
 
+def _silence(stream) -> None:
+    """Points the fd of ``stream`` at os.devnull after a write to it failed:
+    the interpreter flushes stdout and stderr again at exit, and with the fd on
+    os.devnull that flush cannot fail a second time."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if not out_path:
         if sys.stdout is None:  # the process started with fd 1 closed
@@ -186,11 +177,7 @@ def _emit(text: str, out_path: str | None) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as exc:
-            # the interpreter flushes stdout again at exit; with fd 1 on
-            # os.devnull that flush cannot fail a second time
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            _silence(sys.stdout)
             raise UsageError(f"cannot write stdout: {exc.strerror}") from None
         return
     try:
@@ -200,10 +187,23 @@ def _emit(text: str, out_path: str | None) -> None:
         raise UsageError(f"cannot write --out path {out_path!r}: {exc.strerror}") from None
 
 
+def _note(line: str) -> None:
+    """Writes one ``timing:`` or ``error:`` line on stderr.  A stderr that
+    cannot be written (a closed pipe, a full device, a closed fd 2) loses the
+    line, never the exit code: there is no other stream to report it on."""
+    if sys.stderr is None:  # the process started with fd 2 closed
+        return
+    try:
+        sys.stderr.write(line + "\n")
+        sys.stderr.flush()
+    except OSError:
+        _silence(sys.stderr)
+
+
 # -- scalar commands ----------------------------------------------------------
 
 
-def _cmd_hyperdet(args: argparse.Namespace) -> Tuple[str, int]:
+def _cmd_hyperdet(args: SimpleNamespace) -> Tuple[str, int]:
     dims = _integers(args.dims, "dims", 0, ",")
     n_total = sum(dims)
     _check_cap_budget(n_total, len(dims), n_total * (args.omega - 1).bit_length(), args.cap_bytes)
@@ -215,7 +215,7 @@ def _cmd_hyperdet(args: argparse.Namespace) -> Tuple[str, int]:
     return _render(args, [_record("hyperdet", params, str(value), note)]), 0
 
 
-def _cmd_eddeg(args: argparse.Namespace) -> Tuple[str, int]:
+def _cmd_eddeg(args: SimpleNamespace) -> Tuple[str, int]:
     dims = _integers(args.dims, "dims", 0, ",")
     weights = (_integers(args.weights, "--weights", 1, ",") if args.weights is not None
                else (1,) * len(dims))
@@ -253,7 +253,7 @@ def _ed_row(base: Tuple[int, ...], columns: int) -> List[str]:
     return [str(frobenius_ed_degree(base + (m,))) for m in range(columns)]
 
 
-def _table_table2(args: argparse.Namespace) -> str:
+def _table_table2(args: SimpleNamespace) -> str:
     rows = [_ed_row(base, TABLE2_COLUMNS) for base in TABLE2_BASES]
     records = [_record("table", {"name": "table2", "base": _join(base)}, row)
                for base, row in zip(TABLE2_BASES, rows)]
@@ -265,7 +265,7 @@ def _table_table2(args: argparse.Namespace) -> str:
     return _render(args, records, csv_rows, plain)
 
 
-def _table_stabilization(args: argparse.Namespace) -> str:
+def _table_stabilization(args: SimpleNamespace) -> str:
     records = []
     csv_rows = [["base", "m", "ed_degree", "stable_from"]]
     plain = []
@@ -279,7 +279,7 @@ def _table_stabilization(args: argparse.Namespace) -> str:
     return _render(args, records, csv_rows, plain)
 
 
-def _table_dual_example(args: argparse.Namespace) -> str:
+def _table_dual_example(args: SimpleNamespace) -> str:
     base = chern_data_projective_space_product((1, 1))
     values = [delta0_product_with_hypersurface(base, n, 2) for n in range(6)]
     records = [_record("table", {"name": "dual-example", "n": str(n)}, str(v))
@@ -352,7 +352,7 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args: argparse.Namespace) -> Tuple[str, int]:
+def _cmd_verify(args: SimpleNamespace) -> Tuple[str, int]:
     sweep, default_max, least, most = _SUITES[args.suite]
     what = f"--max for {args.suite}"
     max_value = default_max if args.max is None else _integers(args.max, what, least)[0]
@@ -387,7 +387,7 @@ _ASYMPT_ARGS = {**{formula: (3, "a grid of n values") for formula in asy.FORMULA
                 "binary": (2, None), "discriminant": (1, "the weight")}
 
 
-def _cmd_asympt(args: argparse.Namespace) -> Tuple[str, int]:
+def _cmd_asympt(args: SimpleNamespace) -> Tuple[str, int]:
     formula = args.formula
     if args.omega is not None and formula != "sv":
         raise UsageError(f"--omega applies only to the sv formula, not {formula!r}")
@@ -457,60 +457,179 @@ def _cmd_asympt(args: argparse.Namespace) -> Tuple[str, int]:
     return _render(args, records), 0
 
 
-# -- plumbing -----------------------------------------------------------------
+# -- command line grammar -----------------------------------------------------
+# ``_COMMANDS`` is the whole grammar: ``parse_args`` walks argv against it and
+# ``--help`` prints it.  A positional is (name, choices or None, optional, help);
+# only the last may be optional.  An option is (name, takes, default, help),
+# where ``takes`` is what follows it: _FLAG for nothing, _TEXT for any text, a
+# tuple of choices, or an integer, the least value ``_integers`` accepts.
+
+_FLAG, _TEXT = "flag", "text"
+_HELP_OPTION = ("--help", _FLAG, False, "show this help and exit")
+_COMMON_OPTIONS = (
+    ("--format", ("plain", "csv", "json"), "plain", "output format"),
+    ("--out", _TEXT, None, "write output to a file instead of stdout"),
+    ("--jobs", 1, 1, "no effect, tables fill in process; kept for scripts that pass it"),
+    ("--cap-bytes", 1, DEFAULT_CAP_BYTES,
+     "byte budget of an exact value or an asympt grid; over it exits 3"),
+    ("--timing", _FLAG, False, "write the elapsed milliseconds on stderr; stdout is unchanged"),
+)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="segre-degrees",
-        description="Exact degrees and ED degrees of products of projective "
-                    "spaces, their dual hypersurfaces, and growth estimates.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _cmd_table(args: SimpleNamespace) -> Tuple[str, int]:
+    return _TABLES[args.name](args), 0
 
-    def add_common(p: argparse.ArgumentParser, run: Callable) -> None:
-        p.set_defaults(run=run)
-        p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-        p.add_argument("--jobs", type=_option("--jobs", 1), default=1,
-                       help="no effect, tables fill in process; kept for scripts that pass it")
-        p.add_argument("--cap-bytes", type=_option("--cap-bytes", 1), default=DEFAULT_CAP_BYTES,
-                       help="byte budget of an exact value or an asympt grid; over it exits 3")
-        p.add_argument("--timing", action="store_true",
-                       help="write the elapsed milliseconds on stderr; stdout is unchanged")
 
-    p = sub.add_parser("hyperdet", help="degree of the dual hypersurface of a format")
-    p.add_argument("dims", help="comma-separated factor dimensions, e.g. 1,1,2")
-    p.add_argument("--omega", type=_option("--omega", 1), default=1,
-                   help="Veronese weight of every factor")
-    add_common(p, _cmd_hyperdet)
+# command -> (help, run, positionals, options besides help and the common ones)
+_COMMANDS = {
+    "hyperdet": ("degree of the dual hypersurface of a format", _cmd_hyperdet,
+                 (("dims", None, False, "comma-separated factor dimensions, e.g. 1,1,2"),),
+                 (("--omega", 1, 1, "Veronese weight of every factor"),)),
+    "eddeg": ("ED degree of a format", _cmd_eddeg,
+              (("dims", None, False, "comma-separated factor dimensions"),),
+              (("--generic", _FLAG, False, "generic metric instead of Frobenius"),
+               ("--weights", _TEXT, None, "comma-separated Veronese weights"))),
+    "table": ("emit a frozen table", _cmd_table,
+              (("name", tuple(_TABLES), False, "the table"),), ()),
+    "verify": ("run an exhaustive verification suite", _cmd_verify,
+               (("suite", tuple(_SUITES), False, "the suite"),),
+               (("--max", _TEXT, None, "sweep bound (suite-specific default and range)"),)),
+    "asympt": ("growth estimates, optionally against exact values", _cmd_asympt,
+               (("formula", (*asy.FORMULAS, "binary", "discriminant"), False, "the estimate"),
+                ("d", None, False, "factor count (n for the discriminant ratios)"),
+                ("grid", None, True,
+                 "n value, range a:b[:step], or comma list (weight for discriminant)")),
+               (("--omega", 1, None,
+                 "weight for the sv formula (default 1); a usage error with any other"),
+                ("--compare", _FLAG, False,
+                 "include exact values and rel. errors (hyperdet, ed, sv)"))),
+}
 
-    p = sub.add_parser("eddeg", help="ED degree of a format")
-    p.add_argument("dims", help="comma-separated factor dimensions")
-    p.add_argument("--generic", action="store_true", help="generic metric instead of Frobenius")
-    p.add_argument("--weights", default=None, help="comma-separated Veronese weights")
-    add_common(p, _cmd_eddeg)
 
-    p = sub.add_parser("table", help="emit a frozen table")
-    p.add_argument("name", choices=tuple(_TABLES))
-    add_common(p, lambda args: (_TABLES[args.name](args), 0))
+def _is_option(token: str) -> bool:
+    """``-x`` and ``--x`` are options; ``-`` and a negative number such as
+    ``-2`` are values, which the command or ``_integers`` then judges."""
+    return token[:1] == "-" and token[1:2] not in "0123456789"
 
-    p = sub.add_parser("verify", help="run an exhaustive verification suite")
-    p.add_argument("suite", choices=tuple(_SUITES))
-    p.add_argument("--max", default=None, help="sweep bound (suite-specific default and range)")
-    add_common(p, _cmd_verify)
 
-    p = sub.add_parser("asympt", help="growth estimates, optionally against exact values")
-    p.add_argument("formula", choices=(*asy.FORMULAS, "binary", "discriminant"))
-    p.add_argument("d", help="factor count (n for the discriminant ratios)")
-    p.add_argument("grid", nargs="?", default=None,
-                   help="n value, range a:b[:step], or comma list (weight for discriminant)")
-    p.add_argument("--omega", type=_option("--omega", 1), default=None,
-                   help="weight for the sv formula (default 1); a usage error with any other")
-    p.add_argument("--compare", action="store_true",
-                   help="include exact values and rel. errors (hyperdet, ed, sv)")
-    add_common(p, _cmd_asympt)
+def _dest(option: str) -> str:
+    """The attribute that holds an option's value: ``--cap-bytes`` -> ``cap_bytes``."""
+    return option[2:].replace("-", "_")
 
-    return parser
+
+def _choose(value: str, choices: Tuple[str, ...], what: str) -> str:
+    if value not in choices:
+        raise UsageError(f"{what} must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+def _read_option(token: str, rest: Iterator[str], options: Sequence[tuple]) -> Tuple[tuple, object]:
+    """The option that ``token`` names, exactly or as the unique prefix of a
+    long name, and its value: after ``=`` in ``token``, or else the next token
+    of ``rest``."""
+    typed, eq, value = token.partition("=")
+    typed = "--help" if typed == "-h" else typed
+    specs = (_HELP_OPTION, *options)
+    matches = ([spec for spec in specs if spec[0] == typed]
+               or [spec for spec in specs if typed[:2] == "--" and spec[0].startswith(typed)])
+    if len(matches) != 1:
+        raise UsageError(f"option {typed} is ambiguous: it could be "
+                         f"{', '.join(spec[0] for spec in matches)}" if matches
+                         else f"unknown option {typed}")
+    name, takes = matches[0][:2]
+    if takes == _FLAG:
+        if eq:
+            raise UsageError(f"{name} takes no value, got {token!r}")
+        return matches[0], True
+    if not eq:
+        value = next(rest, None)
+        if value is None or _is_option(value):
+            raise UsageError(f"{name} needs a value")
+    if takes == _TEXT:
+        return matches[0], value
+    if isinstance(takes, tuple):
+        return matches[0], _choose(value, takes, name)
+    return matches[0], _integers(value, name, takes)[0]
+
+
+def _help_request(command: str | None) -> SimpleNamespace:
+    return SimpleNamespace(command=command, run=lambda args: (_usage(command), 0),
+                           out=None, timing=False)
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Reads argv against ``_COMMANDS``: the command, then its options and
+    positionals in any order.  A value follows its option as the next token or
+    after ``=``; a long option may be shortened to a unique prefix; the last of
+    a repeated option wins; every token after ``--`` is a positional.  Returns
+    the command's ``run`` and one attribute per positional and option, or for
+    ``-h``/``--help`` a request whose ``run`` gives the usage.  Anything else is
+    a ``UsageError``."""
+    if not argv:
+        raise UsageError(f"a command is required: one of {', '.join(_COMMANDS)}")
+    command, *tail = argv
+    if _is_option(command):  # before the command only help is an option
+        _read_option(command, iter(()), ())
+        return _help_request(None)
+    _, run, positionals, options = _COMMANDS[_choose(command, tuple(_COMMANDS), "the command")]
+    options = (*options, *_COMMON_OPTIONS)
+    values = {_dest(name): default for name, _, default, _ in options}
+    given: List[str] = []
+    rest = iter(tail)
+    for token in rest:
+        if token == "--":
+            given.extend(rest)  # drains ``rest``, so the loop ends here
+        elif _is_option(token):
+            spec, value = _read_option(token, rest, options)
+            if spec is _HELP_OPTION:
+                return _help_request(command)
+            values[_dest(spec[0])] = value
+        else:
+            given.append(token)
+    if len(given) > len(positionals):
+        raise UsageError(f"unexpected argument {given[len(positionals)]!r}")
+    for index, (name, choices, optional, _) in enumerate(positionals):
+        if index < len(given):
+            values[name] = given[index] if choices is None else _choose(given[index], choices, name)
+        elif optional:
+            values[name] = None
+        else:
+            raise UsageError(f"the argument {name} is required")
+    return SimpleNamespace(command=command, run=run, **values)
+
+
+def _usage(command: str | None) -> str:
+    """The ``--help`` text of ``command``, or of the program for None, written
+    from ``_COMMANDS``."""
+    if command is None:
+        head = f"{{{','.join(_COMMANDS)}}} ..."
+        about = ("Exact degrees and ED degrees of products of projective spaces, "
+                 "their dual hypersurfaces, and growth estimates.")
+        sections = [("commands", [(name, spec[0]) for name, spec in _COMMANDS.items()])]
+        options = (_HELP_OPTION,)
+    else:
+        about, _, positionals, options = _COMMANDS[command]
+        head = " ".join([command, "[options]"] + [f"[{name}]" if optional else name
+                                                  for name, _, optional, _ in positionals])
+        sections = [("positional arguments",
+                     [(name, f"{text} (one of {', '.join(choices)})" if choices else text)
+                      for name, choices, _, text in positionals])]
+        options = (_HELP_OPTION, *options, *_COMMON_OPTIONS)
+    rows = []
+    for name, takes, _, text in options:
+        if name == "--help":
+            name = "-h, --help"
+        elif isinstance(takes, tuple):
+            name += f" {{{','.join(takes)}}}"
+        elif takes != _FLAG:
+            name += " " + _dest(name).upper()
+        rows.append((name, text))
+    sections.append(("options", rows))
+    width = max(len(left) for _, rows in sections for left, _ in rows) + 2
+    lines = [f"usage: segre-degrees {head}", "", about]
+    for title, rows in sections:
+        lines += ["", f"{title}:", *(f"  {left:<{width}}{right}" for left, right in rows)]
+    return "\n".join(lines) + "\n"
 
 
 _EXIT_CODES = {UsageError: 2, VerificationError: 1, CapBudgetError: 3}
@@ -523,17 +642,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         start = time.perf_counter()
         text, code = args.run(args)
         run_ms = (time.perf_counter() - start) * 1000.0
         _emit(text, args.out)
         if args.timing:
-            print(f"timing: {args.command} {run_ms:.3f} ms", file=sys.stderr)
-    except SystemExit as exc:  # -h/--help, after argparse printed the help
-        return exc.code
+            _note(f"timing: {args.command} {run_ms:.3f} ms")
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
     finally:
         if digit_limit is not None:

@@ -108,6 +108,18 @@ EDGE_TOKENS = {"plus": "+1", "underscore": "1_0", "space": " 1", "arabic-indic":
     *(pytest.param([part.replace("{}", token) for part in template], id=f"{where}-{name}")
       for where, template in INTEGER_POSITIONS.items()
       for name, token in EDGE_TOKENS.items()),
+    # the grammar of cli.parse_args
+    pytest.param(["asympt", "hyperdet", "3", "2", "--c"], id="grammar-ambiguous-prefix"),
+    pytest.param(["hyperdet", "1,1,1", "--omega"], id="grammar-option-without-value"),
+    pytest.param(["hyperdet", "1,1,1", "--out", "--timing"], id="grammar-option-then-option"),
+    pytest.param(["hyperdet", "1,1,1", "--timing=1"], id="grammar-flag-with-value"),
+    pytest.param(["table", "table2", "extra"], id="grammar-extra-positional"),
+    pytest.param(["hyperdet", "1,1,1", "--", "--omega", "3"], id="grammar-option-after-double-dash"),
+    pytest.param(["hyperdet", "1,1,1", "-x"], id="grammar-unknown-short-option"),
+    pytest.param(["nosuch", "1,1,1"], id="grammar-unknown-subcommand"),
+    pytest.param(["--format", "json", "hyperdet", "1,1,1"], id="grammar-option-before-subcommand"),
+    pytest.param(["hyperdet", "1,1,1", "--format=xml"], id="grammar-unknown-choice-after-equals"),
+    pytest.param(["hyperdet", "1,1,1", "--omega=-2"], id="grammar-negative-value-after-equals"),
 ])
 def test_argparse_errors_are_one_error_line(capsys, argv):
     code, out, err = run(argv, capsys)
@@ -115,11 +127,64 @@ def test_argparse_errors_are_one_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["asympt", "--help"]], ids=["top", "asympt"])
-def test_help_prints_usage_on_stdout(capsys, argv):
+@pytest.mark.parametrize("argv, canonical", [
+    pytest.param("hyperdet 2 --omega=3", "hyperdet 2 --omega 3", id="option-equals-value"),
+    pytest.param("hyperdet 2 --om 3", "hyperdet 2 --omega 3", id="unique-prefix"),
+    pytest.param("hyperdet 1,1,1 --form json", "hyperdet 1,1,1 --format json", id="prefix-of-choices"),
+    pytest.param("hyperdet 1,1,1 --form=csv", "hyperdet 1,1,1 --format csv", id="prefix-equals-value"),
+    pytest.param("eddeg 1,3 --gen", "eddeg 1,3 --generic", id="prefix-of-flag"),
+    pytest.param("hyperdet --omega 3 2", "hyperdet 2 --omega 3", id="option-before-positional"),
+    pytest.param("asympt hyperdet --compare 3 2:4", "asympt hyperdet 3 2:4 --compare",
+                 id="option-between-positionals"),
+    pytest.param("asympt --compare --format csv sv 3 2 --omega 2",
+                 "asympt sv 3 2 --omega 2 --compare --format csv", id="options-first"),
+    pytest.param("hyperdet -- 1,1,1", "hyperdet 1,1,1", id="double-dash"),
+    pytest.param("table --format csv -- table2", "table table2 --format csv",
+                 id="double-dash-after-option"),
+    pytest.param("hyperdet 2 --omega 5 --omega 3", "hyperdet 2 --omega 3", id="repeated-option"),
+    pytest.param("eddeg 1,3 --generic --generic", "eddeg 1,3 --generic", id="repeated-flag"),
+    pytest.param("verify identities --m=3", "verify identities --max 3", id="verify-max-prefix"),
+])
+def test_every_spelling_gives_the_bytes_of_its_canonical_form(capsys, argv, canonical):
+    expected = run(canonical.split(), capsys)
+    assert expected[0] == 0
+    assert run(argv.split(), capsys) == expected
+
+
+# the options and positionals of each subcommand, as the README lists them
+COMMON_OPTIONS = ["--format", "--out", "--jobs", "--cap-bytes", "--timing"]
+SUBCOMMAND_ARGUMENTS = {
+    "hyperdet": ["dims", "--omega"],
+    "eddeg": ["dims", "--generic", "--weights"],
+    "table": ["name", "table2", "stabilization", "dual-example"],
+    "verify": ["suite", "identities", "rw-constants", "stabilization", "cross-oracle", "--max"],
+    "asympt": ["formula", "hyperdet", "ed", "sv", "binary", "discriminant", "d", "grid",
+               "--omega", "--compare"],
+}
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["--help"], list(SUBCOMMAND_ARGUMENTS), id="top"),
+    pytest.param(["-h"], list(SUBCOMMAND_ARGUMENTS), id="top-h"),
+    *(pytest.param([command, flag], arguments + COMMON_OPTIONS, id=f"{command}{suffix}")
+      for command, arguments in SUBCOMMAND_ARGUMENTS.items()
+      for flag, suffix in (("--help", ""), ("-h", "-h"))),
+])
+def test_help_prints_usage_on_stdout(capsys, argv, named):
     code, out, err = run(argv, capsys)
     assert (code, err) == (0, "")
     assert out.startswith("usage: segre-degrees")
+    words = set(re.findall(r"[-\w]+", out))
+    assert [name for name in named if name not in words] == []
+
+
+@pytest.mark.parametrize("argv", [["hyperdet", "--help", "1,x"], ["table", "nosuch", "-h"],
+                                  ["verify", "identities", "--he"]],
+                         ids=["before-a-bad-positional", "after-a-bad-choice", "prefix"])
+def test_help_anywhere_is_the_subcommand_usage(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: segre-degrees {argv[0]} ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -344,7 +409,7 @@ def test_cap_refusal_names_the_kernel_not_the_dims(capsys):
                                   ["sv", "3", "1:3000", "--omega", "7"]])
 def test_cap_model_bounds_the_grid_peak(capsys, argv):
     argv = ["asympt", *argv, "--format", "json"]
-    args = cli.build_parser().parse_args(argv)
+    args = cli.parse_args(argv)
     tracemalloc.start()
     try:
         args.run(args)

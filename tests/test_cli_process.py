@@ -5,7 +5,9 @@ way a user or the benchmark does, through its ``__main__`` block and
 interpreter teardown, and check that the exit code, stdout and stderr bytes
 are the ones ``cli.main`` gives in process.  They also hold the exit contract
 when stdout cannot be written: a closed pipe, a full device or a closed fd 1
-is a usage error (exit 2, one ``error:`` line), buffered or unbuffered.
+is a usage error (exit 2, one ``error:`` line), buffered or unbuffered.  A
+stderr that cannot be written loses its ``timing:`` or ``error:`` line but
+keeps the exit code.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ def _child(argv, unbuffered=False, **popen):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     popen.setdefault("stdout", subprocess.PIPE)
+    popen.setdefault("stderr", subprocess.PIPE)
     return subprocess.run([sys.executable, "-m", "segre_degrees.cli", *argv],
-                          stderr=subprocess.PIPE, env=env, timeout=60, **popen)
+                          env=env, timeout=60, **popen)
 
 
 @pytest.mark.parametrize("argv, exit_code", [
@@ -75,36 +78,56 @@ def test_the_process_writes_one_timing_line(capsys):
     assert re.fullmatch(rb"timing: hyperdet \d+\.\d{3} ms\n", done.stderr)
 
 
-def _closed_pipe():
+def _closed_pipe(stream="stdout"):
     read_end, write_end = os.pipe()
     os.close(read_end)
-    return {"stdout": write_end}
+    return {stream: write_end}
 
 
-def _full_device():
+def _full_device(stream="stdout"):
     if not os.path.exists("/dev/full"):
         pytest.skip("needs /dev/full")
-    return {"stdout": os.open("/dev/full", os.O_WRONLY)}
+    return {stream: os.open("/dev/full", os.O_WRONLY)}
 
 
-def _closed_fd():
-    return {"stdout": None, "preexec_fn": lambda: os.close(1)}
+def _closed_fd(stream="stdout"):
+    fd = {"stdout": 1, "stderr": 2}[stream]
+    return {stream: None, "preexec_fn": lambda: os.close(fd)}
+
+
+def _child_with_sink(sink, stream, argv, unbuffered):
+    popen = sink(stream)
+    try:
+        return _child(argv, unbuffered, **popen)
+    finally:
+        if popen[stream] is not None:
+            os.close(popen[stream])
+
+
+SINKS = pytest.mark.parametrize("sink", [_closed_pipe, _full_device, _closed_fd],
+                                ids=["closed-pipe", "dev-full", "closed-fd"])
 
 
 @pytest.mark.parametrize("argv", [["hyperdet", "1,1,1"], ["--help"]], ids=["hyperdet", "help"])
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("sink", [_closed_pipe, _full_device, _closed_fd],
-                         ids=["closed-pipe", "dev-full", "closed-fd"])
+@SINKS
 def test_an_unwritable_stdout_is_a_usage_error(sink, unbuffered, argv):
-    popen = sink()
-    try:
-        done = _child(argv, unbuffered, **popen)
-    finally:
-        if popen["stdout"] is not None:
-            os.close(popen["stdout"])
+    done = _child_with_sink(sink, "stdout", argv, unbuffered)
     assert done.returncode == 2
     assert done.stderr.startswith(b"error: cannot write stdout: ")
     assert done.stderr.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("argv, exit_code, stdout", [
+    pytest.param(["hyperdet", "1,1,1", "--timing"], 0, b"4\n", id="timing"),
+    pytest.param(["hyperdet", "1,x"], 2, b"", id="usage-refusal"),
+    pytest.param(["hyperdet", "3,3,3", "--cap-bytes", "1"], 3, b"", id="cap-refusal"),
+])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@SINKS
+def test_an_unwritable_stderr_keeps_the_exit_code(sink, unbuffered, argv, exit_code, stdout):
+    done = _child_with_sink(sink, "stderr", argv, unbuffered)
+    assert (done.returncode, done.stdout) == (exit_code, stdout)
 
 
 def _main_block_call(tree: ast.Module) -> str:

@@ -154,6 +154,26 @@ def test_a_request_imports_json_csv_and_fractions_only_where_used(fmt, loaded):
     assert done.stderr.strip() == f"{loaded} []"
 
 
+def test_a_plain_request_loads_no_argument_parser_or_translations():
+    """Start-up cost of every process: ``cli.parse_args`` reads argv from the
+    command table, so a request loads neither ``argparse`` nor the ``gettext``
+    and ``locale`` that argparse pulls in to translate its messages.  ``-S``
+    keeps ``site`` from loading them."""
+    src = str(Path(segre_degrees.__file__).parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import segre_degrees.cli as cli; "
+            "cli.main(sys.argv[1:]); "
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-S", "-c", code, "hyperdet", "1,1,1"],
+                          capture_output=True, text=True, check=True)
+    assert (done.stdout, done.stderr) == ("4\n", "[]\n")
+
+
+def test_no_module_imports_argparse():
+    found = [(name, m) for name, modules in _imported_modules()
+             for m in modules if m.split(".")[0] == "argparse"]
+    assert found == []
+
+
 def test_only_emit_writes_stdout():
     """Diagnostics never touch stdout: every ``print`` names its stream, and
     ``sys.stdout`` appears only in ``cli._emit``."""
