@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from .combinat import VerificationError
 from .eddeg import frobenius_ed_degree, veronese_frobenius_ed_degree
@@ -255,16 +255,10 @@ class ConvergenceReport(namedtuple("ConvergenceReport", "formula d points")):
     """Exact-versus-estimate record over a grid.
 
     ``strictly_decreasing`` is the trend acceptance check (the error term is
-    of order 1/n, so relative errors must fall along an increasing grid);
-    ``error_times_grid`` records rel_error * grid for the boundedness of that
-    1/n error term.
+    of order 1/n, so relative errors must fall along an increasing grid).
     """
 
     __slots__ = ()
-
-    @property
-    def error_times_grid(self) -> Tuple[float, ...]:
-        return tuple(p.rel_error * p.grid_value for p in self.points)
 
     @property
     def strictly_decreasing(self) -> bool:

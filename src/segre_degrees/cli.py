@@ -170,7 +170,7 @@ def _silence(stream) -> None:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if not out_path:
+    if out_path is None:
         if sys.stdout is None:  # the process started with fd 1 closed
             raise UsageError("cannot write stdout: it is closed")
         try:
@@ -229,9 +229,7 @@ def _cmd_eddeg(args: SimpleNamespace) -> Tuple[str, int]:
     elif all(w == 1 for w in weights):
         _check_cap_budget(sum(dims), len(dims), 0, args.cap_bytes)
         value = frobenius_ed_degree(dims)
-    elif len(dims) == 1:
-        if weights[0] < 2:
-            raise UsageError("single-factor weights must be at least 2")
+    elif len(dims) == 1:  # not all weights are 1, so the one weight is at least 2
         _check_power_cap(weights[0] - 1, dims[0] + 1, args.cap_bytes)
         value = veronese_frobenius_ed_degree(dims[0], weights[0])
     else:
@@ -242,19 +240,18 @@ def _cmd_eddeg(args: SimpleNamespace) -> Tuple[str, int]:
 
 
 # -- tables -------------------------------------------------------------------
+# The ED tables read each row from ``stabilization_onset``, which checks it as
+# it is printed: a row that fails to stabilize raises ``VerificationError``.
 
 
 def _base_label(base: Tuple[int, ...]) -> str:
     return "x".join(f"P{n}" for n in base)
 
 
-def _ed_row(base: Tuple[int, ...], columns: int) -> List[str]:
-    """Frobenius ED degrees of base x P^m for m < columns."""
-    return [str(frobenius_ed_degree(base + (m,))) for m in range(columns)]
-
-
 def _table_table2(args: SimpleNamespace) -> str:
-    rows = [_ed_row(base, TABLE2_COLUMNS) for base in TABLE2_BASES]
+    # every base has sum <= 5 = TABLE2_COLUMNS - 1, so each row reaches its onset
+    rows = [[str(v) for _, v in stabilization_onset(base, TABLE2_COLUMNS - 1)]
+            for base in TABLE2_BASES]
     records = [_record("table", {"name": "table2", "base": _join(base)}, row)
                for base, row in zip(TABLE2_BASES, rows)]
     csv_rows = [["X"] + [f"m={m}" for m in range(TABLE2_COLUMNS)]]
@@ -271,7 +268,7 @@ def _table_stabilization(args: SimpleNamespace) -> str:
     plain = []
     for base in TABLE2_BASES:
         stable_from = sum(base)
-        row = _ed_row(base, stable_from + 4)
+        row = [str(v) for _, v in stabilization_onset(base, stable_from + 3)]
         records.append(_record("table", {"name": "stabilization", "base": _join(base)}, row,
                                stable_from=stable_from))
         csv_rows += [[_base_label(base), m, v, stable_from] for m, v in enumerate(row)]
@@ -309,15 +306,8 @@ def _each_case(check: Callable, cases: Sequence, report: Callable[[str], None]) 
     return len(cases)
 
 
-def _ratio_check(report: Callable[[str], None], **bounds: int) -> int:
-    ratio = stabilization_ratio_check(**bounds)
-    for witness in ratio.failures:
-        report(f"alpha ratio failed at (n, m, d, i)={witness[:4]}")
-    return ratio.checked
-
-
 def _verify_identities(max_n: int, report: Callable[[str], None]) -> int:
-    return identity_sweep(max_n, report) + _ratio_check(report, m_max=max_n, n_max=max_n, d_max=5)
+    return identity_sweep(max_n, report) + stabilization_ratio_check(max_n, max_n, 5, report)
 
 
 def _verify_rw_constants(max_d: int, report: Callable[[str], None]) -> int:
@@ -327,7 +317,7 @@ def _verify_rw_constants(max_d: int, report: Callable[[str], None]) -> int:
 def _verify_stabilization(max_total: int, report: Callable[[str], None]) -> int:
     return (_each_case(lambda base: stabilization_onset(base, sum(base) + 3),
                        list(partition_formats(max_total)), report)
-            + _ratio_check(report, m_max=6, n_max=12, d_max=4))
+            + stabilization_ratio_check(6, 12, 4, report))
 
 
 def _verify_cross_oracle(max_total: int, report: Callable[[str], None]) -> int:

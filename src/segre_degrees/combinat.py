@@ -29,8 +29,8 @@ def as_format(dims: Iterable[int]) -> Tuple[int, ...]:
 def binomial(a: int, b: int) -> int:
     """C(a, b), with C(a, b) = 0 whenever b < 0 or b > a.
 
-    The zero convention for a negative lower index is relied on throughout
-    the polar-class sums.  The upper index must be non-negative.
+    The package's own sums stay within 0 <= b <= a; the full-range sums of
+    the test oracles rely on the zeros.  The upper index must be non-negative.
     """
     if a < 0:
         raise ValueError(f"binomial upper index must be non-negative, got {a}")

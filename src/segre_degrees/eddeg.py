@@ -75,10 +75,8 @@ def veronese_frobenius_ed_degree(n: int, omega: int) -> int:
         raise ValueError(f"Veronese weight must be at least 2, got {omega}")
     if omega == 2:
         return n + 1
-    value, rem = divmod((omega - 1) ** (n + 1) - 1, omega - 2)
-    if rem:
-        raise VerificationError(f"Veronese ED degree for n={n}, omega={omega} is not an integer")
-    return value
+    # (omega-1)^(n+1) = 1 (mod omega-2), so the division is exact
+    return ((omega - 1) ** (n + 1) - 1) // (omega - 2)
 
 
 def generic_ed_degree(dims: Sequence[int], weights: Sequence[int] | None = None) -> int:

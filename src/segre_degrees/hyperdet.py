@@ -119,7 +119,7 @@ def mixed_partial_at_symmetric_point(d: int, indices: Sequence[int]) -> Fraction
     return sum((1 - i) * binomial(d - k, i - k) * c ** (i - k) for i in range(k, d + 1))
 
 
-def partition_formats(max_total: int, max_factors: int | None = None) -> Iterator[Tuple[int, ...]]:
+def partition_formats(max_total: int) -> Iterator[Tuple[int, ...]]:
     """All non-decreasing tuples of positive n_i with sum <= max_total.
 
     One representative per permutation class; the degree computations here
@@ -128,8 +128,6 @@ def partition_formats(max_total: int, max_factors: int | None = None) -> Iterato
     def rec(remaining: int, smallest: int, prefix: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
         if prefix:
             yield prefix
-        if max_factors is not None and len(prefix) == max_factors:
-            return
         for n in range(smallest, remaining + 1):
             yield from rec(remaining - n, n, prefix + (n,))
 

@@ -50,12 +50,9 @@ from collections import namedtuple
 from itertools import cycle, repeat
 from math import comb, factorial, perm
 from operator import index, mul
-from typing import TYPE_CHECKING, Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .combinat import as_format, binomial, multinomial_fold
-
-if TYPE_CHECKING:  # annotations only; each function that builds a Fraction imports it
-    from fractions import Fraction
 
 __all__ = [
     "ChernData",
@@ -70,7 +67,6 @@ __all__ = [
     "f_identity_holds",
     "f_sum",
     "g_identity_holds",
-    "g_sum",
     "identity_sweep",
     "polar_class",
     "stabilization_ratio_check",
@@ -268,18 +264,15 @@ def delta0_product_with_hypersurface(cd: ChernData, n: int, deg_d: int) -> int:
     return sum(a * v for a, v in zip(alphas, cd.class_degrees))
 
 
-# Outcome of an exhaustive alpha-ratio sweep: the number of (n, m, d, i) cases
-# checked, and one witness tuple (n, m, d, i, alpha(n+1), alpha(n)) per failure.
-RatioCheckReport = namedtuple("RatioCheckReport", "checked failures")
-
-
-def stabilization_ratio_check(m_max: int, n_max: int, d_max: int) -> RatioCheckReport:
+def stabilization_ratio_check(m_max: int, n_max: int, d_max: int,
+                              report: Callable[[str], None]) -> int:
     """Verify alpha_i(n+1, m, d) = (d-1) alpha_i(n, m, d) for every
-    0 <= i <= m <= m_max, m <= n < n_max, 2 <= d <= d_max.
+    0 <= i <= m <= m_max, m <= n < n_max, 2 <= d <= d_max, report each
+    failure, and return the number of cases.
 
     Each case reads its two alpha vectors out of the ``_alpha_dots`` rows of
     n and n+1, so every dot is summed once per (n, low, d) and the sweep holds
-    two rows per d at a time.  Failures are listed in (m, d, n, i) order."""
+    two rows per d at a time.  Failures are reported in (m, d, n, i) order."""
     if m_max < 0 or n_max < 0 or d_max < 2:
         raise ValueError("ranges must cover at least m=0, d=2")
     degrees = range(2, d_max + 1)
@@ -296,12 +289,11 @@ def stabilization_ratio_check(m_max: int, n_max: int, d_max: int) -> RatioCheckR
             for m, (cur, want) in enumerate(zip(_alpha_readouts(nxt, top, d), wanted)):
                 checked += m + 1
                 if cur != want:
-                    prev = _alpha_readout(row, m, d)
-                    failures += [(n, m, d, i, cur[i], prev[i]) for i in range(m + 1)
-                                 if cur[i] != want[i]]
+                    failures += [(m, d, n, i) for i in range(m + 1) if cur[i] != want[i]]
         rows = nxts
-    failures.sort(key=lambda w: (w[1], w[2], w[0], w[3]))
-    return RatioCheckReport(checked=checked, failures=tuple(failures))
+    for m, d, n, i in sorted(failures):
+        report(f"alpha ratio failed at (n, m, d, i)={(n, m, d, i)}")
+    return checked
 
 
 # -- binomial identities behind the ratio ------------------------------------
@@ -370,15 +362,10 @@ def _f_holds(n: int, m: int, f_n: int, f_next: int) -> bool:
     return lhs == rhs
 
 
-def g_sum(n: int, j: int) -> Fraction:
-    """g(n,j) = sum_{s=0}^{n} (-1)^s (n+1-s+j)! / ((n+1-s)! (s+1)! (n-s)!)."""
-    from fractions import Fraction
-
-    return Fraction(_g_scaled(n, j), factorial(n + 1) * factorial(n + 2))
-
-
 def _g_scaled(n: int, j: int) -> int:
-    """G(n,j) = (n+1)! (n+2)! g(n,j), summed term by term on integers:
+    """G(n,j) = (n+1)! (n+2)! g(n,j) for
+    g(n,j) = sum_{s=0}^{n} (-1)^s (n+1-s+j)! / ((n+1-s)! (s+1)! (n-s)!),
+    summed term by term on integers:
     the s-th term times (n+1)! (n+2)! is
     (-1)^s (n+1-s+j)! * (n+1)!/(n+1-s)! * C(n+2, s+1) * (n+1-s)."""
     return _g_dot(_g_weights(n), j, list(map(factorial, range(n + 2 + j))))

@@ -6,10 +6,8 @@ and is silently discarded.  Terms are stored sparsely as a dict mapping
 exponent tuples to Python integers, so coefficients never overflow; zero
 coefficients are never stored.
 
-Instances are immutable by convention (every operation returns a fresh
-polynomial), which makes them safe to share across threads or worker
-processes.  Serialization uses graded lexicographic term order, so string
-forms are deterministic.
+Instances are immutable by convention: every operation returns a fresh
+polynomial.
 """
 
 from __future__ import annotations
@@ -114,18 +112,11 @@ class TruncatedPoly:
                 out.pop(exp, None)
         return TruncatedPoly._raw(self.caps, out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "TruncatedPoly":
         return TruncatedPoly._raw(self.caps, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other: "TruncatedPoly | int") -> "TruncatedPoly":
-        if isinstance(other, int):
-            other = TruncatedPoly.constant(self.caps, other)
+    def __sub__(self, other: "TruncatedPoly") -> "TruncatedPoly":
         return self + (-other)
-
-    def __rsub__(self, other: int) -> "TruncatedPoly":
-        return TruncatedPoly.constant(self.caps, other) - self
 
     def __mul__(self, other: "TruncatedPoly | int") -> "TruncatedPoly":
         if isinstance(other, int):
@@ -150,28 +141,10 @@ class TruncatedPoly:
                     del out[exp]
         return TruncatedPoly._raw(caps, out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "TruncatedPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = TruncatedPoly.constant(self.caps, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         return self.caps == other.caps and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     # -- queries -------------------------------------------------------------
 
@@ -188,10 +161,6 @@ class TruncatedPoly:
         exp_t = tuple(int(e) for e in exp)
         _check_exponent(exp_t, self.caps)
         return self.terms.get(exp_t, 0)
-
-    def sorted_terms(self) -> list[tuple[Exponent, int]]:
-        """Terms in graded lexicographic order (ascending total degree)."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     # -- calculus ------------------------------------------------------------
 
@@ -228,28 +197,8 @@ class TruncatedPoly:
             numerator += coeff * prod(map(getitem, scaled, exp))
         return Fraction(numerator, prod(row[0] for row in scaled))
 
-    # -- display -------------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp, coeff in self.sorted_terms():
-            factors = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                       for i, e in enumerate(exp) if e]
-            if not factors:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append("*".join(factors))
-            elif coeff == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(f"{coeff}*" + "*".join(factors))
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
-
     def __repr__(self) -> str:
-        return f"TruncatedPoly(caps={self.caps}, {self})"
+        return f"TruncatedPoly(caps={self.caps}, terms={self.terms})"
 
 
 def graded_exponents(caps: Sequence[int]) -> Iterator[Exponent]:

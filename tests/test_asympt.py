@@ -116,7 +116,6 @@ def test_minimal_point_constants_closed_forms():
 def test_convergence_sweeps_decrease():
     report = convergence_sweep("hyperdet", 3, (5, 10, 20))
     assert report.strictly_decreasing
-    assert len(report.error_times_grid) == 3
     report = convergence_sweep("ed", 3, (5, 10, 20))
     assert report.strictly_decreasing
     report = convergence_sweep("binary", 0, (4, 8, 12))
@@ -190,8 +189,6 @@ def test_formula_table_looks_functions_up_when_called(monkeypatch, formula, exac
                  "dim class_degrees factors point_degree", id="ChernData"),
     pytest.param(lambda: polar.dual_profile(polar.chern_data_projective_space_product((1,))),
                  "deltas dual_codim", id="PolarProfile"),
-    pytest.param(lambda: polar.stabilization_ratio_check(1, 2, 2),
-                 "checked failures", id="RatioCheckReport"),
 ])
 def test_result_types_refuse_assignment(request, make, fields):
     """Every result record is immutable: no field can be rebound and no

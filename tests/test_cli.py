@@ -9,6 +9,7 @@ import os
 import re
 import sys
 from collections import Counter
+from fractions import Fraction
 import time
 import tracemalloc
 
@@ -352,7 +353,11 @@ def test_omega_is_only_for_the_sv_formula(capsys):
     (["binary", "8", "2:10"], "binary estimates take no grid"),
     (["binary", "8", "--compare"], "--compare applies only to hyperdet, ed, sv"),
     (["discriminant", "3", "4", "--compare"], "--compare applies only to hyperdet, ed, sv"),
-], ids=["binary-grid", "binary-compare", "discriminant-compare"])
+    (["hyperdet", "3"], "formula 'hyperdet' needs a grid of n values after d"),
+    (["sv", "3"], "formula 'sv' needs a grid of n values after d"),
+    (["discriminant", "3"], "formula 'discriminant' needs the weight after d"),
+], ids=["binary-grid", "binary-compare", "discriminant-compare", "hyperdet-no-grid",
+        "sv-no-grid", "discriminant-no-weight"])
 def test_asympt_refuses_arguments_it_would_ignore(capsys, argv, message):
     code, out, err = run(["asympt", *argv], capsys)
     assert code == 2
@@ -503,12 +508,14 @@ def test_out_file(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["hyperdet", "1,1,1"], ["table", "table2"]],
                          ids=["hyperdet", "table2"])
 def test_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, argv):
-    for target in (tmp_path / "missing" / "x", tmp_path):
-        code, out, err = run([*argv, "--out", str(target)], capsys)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert repr(str(target)) in err
+    # an empty path is a path that cannot be opened, not a request for stdout
+    for target in (tmp_path / "missing" / "x", tmp_path, ""):
+        for spelling in (["--out", str(target)], [f"--out={target}"]):
+            code, out, err = run([*argv, *spelling], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert repr(str(target)) in err
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -738,6 +745,36 @@ def test_stabilization_failure_is_a_verification_failure(monkeypatch, capsys):
     assert lines[0].startswith("FAIL ED degree of (1, 1) x P^m failed to stabilize for m >= 2")
     assert lines[1].startswith("verify stabilization: FAILED (checked=")
     assert lines[1].endswith(", failures=1, max=2)")
+    # both ED tables check each row as they print it
+    for name in ("table2", "stabilization"):
+        code, out, err = run(["table", name], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ED degree of (1, 1) x P^m failed to stabilize for m >= 2")
+        assert err.count("\n") == 1
+
+
+def test_verify_cross_oracle_reports_both_disagreements(monkeypatch, capsys):
+    original = cli.hyperdet_degree
+    monkeypatch.setattr(cli, "hyperdet_degree",
+                        lambda dims: 0 if dims == (1, 1, 1) else original(dims))
+    code, out, _ = run(["verify", "cross-oracle", "--max", "3"], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL dual degree mismatch for (1, 1, 1): series 0, polar 4",
+        "FAIL defectiveness disagreement for (1, 1, 1): degree 0",
+        "verify cross-oracle: FAILED (checked=6, failures=2, max=3)"]
+
+
+def test_verify_rw_constants_sees_a_wrong_mixed_partial(monkeypatch, capsys):
+    original = asympt.mixed_partial_at_symmetric_point
+    monkeypatch.setattr(asympt, "mixed_partial_at_symmetric_point",
+                        lambda d, indices: original(d, indices) + (tuple(indices) == (1, d)))
+    code, out, _ = run(["verify", "rw-constants", "--max", "6"], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        *(f"FAIL mixed partial mismatch for d={d}: {1 - 2 * Fraction(d, d - 1) ** (d - 3)}"
+          for d in range(3, 7)),
+        "verify rw-constants: FAILED (checked=4, failures=4, max=6)"]
 
 
 def _perturbed(fn, args):

@@ -28,6 +28,7 @@ def random_poly(rng: random.Random, caps, max_terms=6, coeff_range=9):
 def test_construction_drops_zero_coefficients():
     p = TruncatedPoly((2, 2), {(1, 0): 0, (0, 1): 3})
     assert p.terms == {(0, 1): 3}
+    assert repr(p) == "TruncatedPoly(caps=(2, 2), terms={(0, 1): 3})"
     assert TruncatedPoly((2,), {}).is_zero
 
 
@@ -162,19 +163,6 @@ def test_evaluation_matches_the_fraction_route():
     assert h.evaluate((Fraction(1, 2),) * 3) == fraction_evaluate(h, (Fraction(1, 2),) * 3) == 0
 
 
-def test_power_matches_repeated_multiplication():
-    p = TruncatedPoly((2, 2), {(1, 0): 1, (0, 1): 2, (0, 0): 1})
-    q = TruncatedPoly.constant((2, 2), 1)
-    for k in range(5):
-        assert p ** k == q
-        q = q * p
-    with pytest.raises(ValueError):
-        p ** -1
-
-
 def test_graded_order_is_deterministic():
     exps = list(graded_exponents((1, 2)))
     assert exps == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (1, 2)]
-    p = TruncatedPoly((1, 2), {e: 1 for e in exps})
-    assert [e for e, _ in p.sorted_terms()] == exps
-    assert str(TruncatedPoly((1,), {(0,): 1, (1,): -2})) == "1 - 2*x1"
