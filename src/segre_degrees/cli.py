@@ -255,11 +255,8 @@ def _table_table2(args: SimpleNamespace) -> str:
     records = [_record("table", {"name": "table2", "base": _join(base)}, row)
                for base, row in zip(TABLE2_BASES, rows)]
     csv_rows = [["X"] + [f"m={m}" for m in range(TABLE2_COLUMNS)]]
-    plain = ["X      " + "".join(f"m={m:<5}" for m in range(TABLE2_COLUMNS))]
-    for base, row in zip(TABLE2_BASES, rows):
-        csv_rows.append([_base_label(base)] + row)
-        plain.append(f"{_base_label(base):<7}" + "".join(f"{v:<7}" for v in row))
-    return _render(args, records, csv_rows, plain)
+    csv_rows += [[_base_label(base)] + row for base, row in zip(TABLE2_BASES, rows)]
+    return _render(args, records, csv_rows, ["".join(f"{c:<7}" for c in row) for row in csv_rows])
 
 
 def _table_stabilization(args: SimpleNamespace) -> str:
@@ -520,8 +517,9 @@ def _read_option(token: str, rest: Iterator[str], options: Sequence[tuple]) -> T
     typed, eq, value = token.partition("=")
     typed = "--help" if typed == "-h" else typed
     specs = (_HELP_OPTION, *options)
+    prefix = typed[:2] == "--" and len(typed) > 2  # a bare ``--`` is a prefix of no option
     matches = ([spec for spec in specs if spec[0] == typed]
-               or [spec for spec in specs if typed[:2] == "--" and spec[0].startswith(typed)])
+               or [spec for spec in specs if prefix and spec[0].startswith(typed)])
     if len(matches) != 1:
         raise UsageError(f"option {typed} is ambiguous: it could be "
                          f"{', '.join(spec[0] for spec in matches)}" if matches

@@ -38,9 +38,10 @@ The two sweeps sum each distinct series once and hand it to every case that
 reads it: the alpha and alternating sums depend on m and i only through
 m - i + 1, so each row n holds one dot per value of it (per d for alpha), and
 the f and g values of row n+1 serve both the recurrences of row n and the
-checks of row n+1.  Every case still makes its own comparison, and a sweep
-holds two rows at a time, never a table over all n.  The ``Fraction``
-bodies the integer sums replaced are kept as test oracles in
+checks of row n+1.  Each distinct comparison is made once, and a failed one
+is reported for every case that reads it, while the case count still counts
+every case.  A sweep holds two rows at a time, never a table over all n.  The
+``Fraction`` bodies the integer sums replaced are kept as test oracles in
 ``tests/ring_oracle.py``.
 """
 
@@ -214,7 +215,7 @@ def alpha_coefficients(n: int, m: int, deg_d: int) -> List[int]:
     coefficients (-1)^k g_k, k = 0..n, with the column C(m+n+1-i-k, m-i+1).
     That dot depends on m and i only through low = m - i + 1, so the
     coefficients are a readout of the dots S(n, low, d), low = 1..m+1, of
-    ``_alpha_dots``, which ``stabilization_ratio_check`` reads as well.
+    ``_alpha_dots``, which ``stabilization_ratio_check`` compares directly.
     """
     if n < 0 or m < 0:
         raise ValueError(f"dimensions must be non-negative, got n={n}, m={m}")
@@ -236,14 +237,6 @@ def _alpha_dots(n: int, degrees: Sequence[int], top: int) -> List[List[int]]:
 def _alpha_readout(dots: Sequence[int], m: int, deg_d: int) -> List[int]:
     """alpha_0..alpha_m from a row of ``_alpha_dots`` that reaches low = m + 1."""
     return list(map(mul, cycle((deg_d, -deg_d)), reversed(dots[:m + 1])))
-
-
-def _alpha_readouts(dots: Sequence[int], top: int, deg_d: int) -> List[List[int]]:
-    """``_alpha_readout(dots, m, deg_d)`` for m = 0..top, as slices of the
-    readout of top: alpha_i(n, m, d) = (-1)^(top-m) alpha_{top-m+i}(n, top, d)."""
-    full = _alpha_readout(dots, top, deg_d)
-    negated = [-a for a in full]
-    return [(negated if (top - m) & 1 else full)[top - m:] for m in range(top + 1)]
 
 
 def _dots(signed_rows: Sequence[Sequence[int]], n: int, lows: Iterable[int]) -> List[List[int]]:
@@ -270,9 +263,10 @@ def stabilization_ratio_check(m_max: int, n_max: int, d_max: int,
     0 <= i <= m <= m_max, m <= n < n_max, 2 <= d <= d_max, report each
     failure, and return the number of cases.
 
-    Each case reads its two alpha vectors out of the ``_alpha_dots`` rows of
-    n and n+1, so every dot is summed once per (n, low, d) and the sweep holds
-    two rows per d at a time.  Failures are reported in (m, d, n, i) order."""
+    A case holds exactly when S(n+1, low, d) = (d-1) S(n, low, d) for
+    low = m - i + 1 (see ``_alpha_dots``), so each (n, low, d) is compared once
+    and the sweep holds two rows per d at a time.  A failed comparison is
+    reported for every case that reads it, in (m, d, n, i) order."""
     if m_max < 0 or n_max < 0 or d_max < 2:
         raise ValueError("ranges must cover at least m=0, d=2")
     degrees = range(2, d_max + 1)
@@ -283,13 +277,11 @@ def stabilization_ratio_check(m_max: int, n_max: int, d_max: int,
     for n in range(n_max):
         nxts = _alpha_dots(n + 1, degrees, min(n + 1, m_max, n_max - 1) + 1)
         top = min(n, m_max)
+        checked += len(degrees) * (top + 1) * (top + 2) // 2
         for d, row, nxt in zip(degrees, rows, nxts):
-            # (d-1) alpha(n, m, d), read out of the scaled row
-            wanted = _alpha_readouts([(d - 1) * v for v in row], top, d)
-            for m, (cur, want) in enumerate(zip(_alpha_readouts(nxt, top, d), wanted)):
-                checked += m + 1
-                if cur != want:
-                    failures += [(m, d, n, i) for i in range(m + 1) if cur[i] != want[i]]
+            for low in range(1, top + 2):
+                if nxt[low - 1] != (d - 1) * row[low - 1]:
+                    failures += [(m, d, n, m + 1 - low) for m in range(low - 1, top + 1)]
         rows = nxts
     for m, d, n, i in sorted(failures):
         report(f"alpha ratio failed at (n, m, d, i)={(n, m, d, i)}")
@@ -309,20 +301,19 @@ def alternating_binomial_identity_holds(n: int, m: int, i: int) -> bool:
     """
     if not (n >= m >= i >= 0):
         raise ValueError(f"need n >= m >= i >= 0, got n={n}, m={m}, i={i}")
-    return _alternating_holds(n, m, i, _alternating_sum(n, m, i))
+    return _alternating_holds(n, m - i + 1, _alternating_sum(n, m - i + 1))
 
 
-def _alternating_holds(n: int, m: int, i: int, total: int) -> bool:
-    rhs = (n + m + 2 - i) * comb(m + n + 1 - i, n + 1)
-    return total == (-rhs if i & 1 else rhs)
+def _alternating_holds(n: int, low: int, dot: int) -> bool:
+    """The identity divided by (-1)^i, for the ``_alternating_sum`` of low."""
+    return dot == (n + low + 1) * comb(n + low, n + 1)
 
 
-def _alternating_sum(n: int, m: int, i: int) -> int:
-    """The left-hand side of ``alternating_binomial_identity_holds``, summed
-    like ``alpha_coefficients``: only r <= n+i contributes, and with k = r - i
-    each term is (-1)^(k+i) (m-i+1) C(n+2, k+1) C(m+n+1-i-k, m-i+1)."""
-    total = _dots([_signed_binomials(n + 2, n + 1)], n, (m - i + 1,))[0][0]
-    return -total if i & 1 else total
+def _alternating_sum(n: int, low: int) -> int:
+    """(-1)^i times the left-hand side of ``alternating_binomial_identity_holds``,
+    summed like ``alpha_coefficients``: only r <= n+i contributes, and with k = r - i
+    each term is (-1)^k low C(n+2, k+1) C(n+low-k, low) for low = m - i + 1."""
+    return _dots([_signed_binomials(n + 2, n + 1)], n, (low,))[0][0]
 
 
 def _signed_binomials(a: int, count: int) -> List[int]:
@@ -426,12 +417,13 @@ def identity_sweep(max_n: int, report: Callable[[str], None]) -> int:
         weights = _g_weights(n + 1)
         g_next = [_g_dot(weights, j, factorials) for j in range(1, top + 1)]
         alternating = _dots([signed[:n + 1]], n, range(1, n + 2))[0]
+        failed = [low for low, dot in enumerate(alternating, 1)
+                  if not _alternating_holds(n, low, dot)]
+        checked += (n + 1) * (n + 2) // 2
         for m in range(n + 1):
-            for i in range(m + 1):
-                checked += 1
-                total = alternating[m - i]
-                if not _alternating_holds(n, m, i, -total if i & 1 else total):
-                    report(f"binomial identity failed at n={n} m={m} i={i}")
+            for low in reversed(failed):  # i = m + 1 - low rises as low falls
+                if low <= m + 1:
+                    report(f"binomial identity failed at n={n} m={m} i={m + 1 - low}")
             checked += 1
             if not _f_holds(n, m, f_row[m], f_next[m]):
                 report(f"f identity failed at n={n} m={m}")

@@ -121,11 +121,16 @@ EDGE_TOKENS = {"plus": "+1", "underscore": "1_0", "space": " 1", "arabic-indic":
     pytest.param(["--format", "json", "hyperdet", "1,1,1"], id="grammar-option-before-subcommand"),
     pytest.param(["hyperdet", "1,1,1", "--format=xml"], id="grammar-unknown-choice-after-equals"),
     pytest.param(["hyperdet", "1,1,1", "--omega=-2"], id="grammar-negative-value-after-equals"),
+    # a help prefix needs a character after ``--``
+    pytest.param(["--"], id="grammar-bare-double-dash"),
+    pytest.param(["--", "hyperdet", "1,1,1"], id="grammar-double-dash-before-subcommand"),
+    pytest.param(["--=x"], id="grammar-double-dash-with-value"),
 ])
 def test_argparse_errors_are_one_error_line(capsys, argv):
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--help" not in err  # no argv here types it, so no error may name it
 
 
 @pytest.mark.parametrize("argv, canonical", [
@@ -167,6 +172,8 @@ SUBCOMMAND_ARGUMENTS = {
 @pytest.mark.parametrize("argv, named", [
     pytest.param(["--help"], list(SUBCOMMAND_ARGUMENTS), id="top"),
     pytest.param(["-h"], list(SUBCOMMAND_ARGUMENTS), id="top-h"),
+    pytest.param(["--h"], list(SUBCOMMAND_ARGUMENTS), id="top-prefix-h"),
+    pytest.param(["--he"], list(SUBCOMMAND_ARGUMENTS), id="top-prefix-he"),
     *(pytest.param([command, flag], arguments + COMMON_OPTIONS, id=f"{command}{suffix}")
       for command, arguments in SUBCOMMAND_ARGUMENTS.items()
       for flag, suffix in (("--help", ""), ("-h", "-h"))),
@@ -635,6 +642,27 @@ def test_verify_identities_lists_alpha_ratio_witnesses_by_m_d_n_i(monkeypatch, c
     assert out.splitlines() == [
         *(f"FAIL alpha ratio failed at (n, m, d, i)={w}" for w in witnesses),
         "verify identities: FAILED (checked=140, failures=7, max=4)",
+    ]
+
+
+def test_verify_identities_maps_an_alpha_ratio_witness_at_low_2_and_d_3(monkeypatch, capsys):
+    original = polar._alpha_dots
+
+    def perturbed(n, degrees, top):
+        rows = original(n, degrees, top)
+        if n == 4:
+            rows[1][1] += 1  # S(4, low=2, d=3), read by alpha_{m-1}(4, m, 3) for m >= 1
+        return rows
+
+    monkeypatch.setattr(polar, "_alpha_dots", perturbed)
+    code, out, _ = run(["verify", "identities", "--max", "5"], capsys)
+    assert code == 1
+    # row 4 is alpha(n+1) of the cases n = 3 and alpha(n) of the cases n = 4, with i = m - 1
+    witnesses = [(3, 1, 3, 0), (4, 1, 3, 0), (3, 2, 3, 1), (4, 2, 3, 1),
+                 (3, 3, 3, 2), (4, 3, 3, 2), (4, 4, 3, 3)]
+    assert out.splitlines() == [
+        *(f"FAIL alpha ratio failed at (n, m, d, i)={w}" for w in witnesses),
+        "verify identities: FAILED (checked=232, failures=7, max=5)",
     ]
 
 

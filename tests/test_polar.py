@@ -3,10 +3,12 @@ exhaustive binomial identities."""
 
 from __future__ import annotations
 
+from collections import Counter
 from math import factorial
 
 import pytest
 
+from segre_degrees import polar
 from segre_degrees.hyperdet import hyperdet_degree, is_dual_nondefective, partition_formats
 from segre_degrees.polar import (
     ChernData,
@@ -20,6 +22,7 @@ from segre_degrees.polar import (
     f_identity_holds,
     f_sum,
     g_identity_holds,
+    identity_sweep,
     polar_class,
     stabilization_ratio_check,
 )
@@ -184,12 +187,31 @@ def test_identity_sums_match_their_oracles():
     for n in range(23):
         for m in range(n + 1):
             for i in range(m + 1):
-                assert _alternating_sum(n, m, i) == binomial_alternating_sum(n, m, i)
+                # the production sum is (-1)^i times the left-hand side, read by low = m - i + 1
+                lhs = (-1) ** i * _alternating_sum(n, m - i + 1)
+                assert lhs == binomial_alternating_sum(n, m, i)
                 assert alternating_binomial_identity_holds(n, m, i) == \
                     binomial_alternating_identity_holds(n, m, i)
         for j in range(1, n + 1):
             assert _g_scaled(n, j) == fraction_g_sum(n, j) * factorial(n + 1) * factorial(n + 2)
             assert g_identity_holds(n, j) == fraction_g_identity_holds(n, j)
+
+
+def test_identity_sweep_compares_each_alternating_dot_once(monkeypatch):
+    calls = Counter()
+    original = polar._alternating_holds
+
+    def counted(n, low, dot):
+        calls[n, low] += 1
+        return original(n, low, dot)
+
+    monkeypatch.setattr(polar, "_alternating_holds", counted)
+    max_n = 12
+    lines = []
+    identity_sweep(max_n, lines.append)
+    assert lines == []
+    # one comparison per (n, low), so sum_{n <= max_n} (n + 1) in all
+    assert calls == Counter((n, low) for n in range(max_n + 1) for low in range(1, n + 2))
 
 
 def test_stabilization_ratio_check_report():

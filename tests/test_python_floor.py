@@ -1,0 +1,27 @@
+"""The package must parse under the oldest Python that pyproject.toml allows,
+even where only a newer interpreter runs the tests."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "segre_degrees").glob("*.py"))
+FLOOR = (3, 10)  # requires-python = ">=3.10"
+
+
+def test_requires_python_names_the_floor():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert f'requires-python = ">={FLOOR[0]}.{FLOOR[1]}"' in pyproject.read_text()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_source_parses_at_the_python_floor(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=FLOOR)
+
+
+def test_the_floor_check_rejects_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=FLOOR)
