@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from .combinat import VerificationError
 from .eddeg import frobenius_ed_degree, veronese_frobenius_ed_degree
 from .hyperdet import (
-    binary_hyperdet_degree,
     hyperdet_degree,
     mixed_partial_at_symmetric_point,
     sv_hyperdet_degree,
@@ -34,7 +33,6 @@ from .hyperdet import (
 __all__ = [
     "BinaryAsymptotics",
     "ConvergencePoint",
-    "ConvergenceReport",
     "DiscriminantRatios",
     "FORMULAS",
     "MinimalPointCheck",
@@ -246,30 +244,15 @@ def relative_error(exact: int, log_estimate: float) -> float:
     return abs(1.0 - math.exp(log_estimate - math.log(exact)))
 
 
-# One grid point of a sweep; grid_value is n for the fixed-d sweeps and d for
-# the binary sweep.
+# One grid point of a sweep; exact and rel_error are None when the sweep does
+# not compare.
 ConvergencePoint = namedtuple("ConvergencePoint", "grid_value exact log_estimate rel_error")
 
 
-class ConvergenceReport(namedtuple("ConvergenceReport", "formula d points")):
-    """Exact-versus-estimate record over a grid.
-
-    ``strictly_decreasing`` is the trend acceptance check (the error term is
-    of order 1/n, so relative errors must fall along an increasing grid).
-    """
-
-    __slots__ = ()
-
-    @property
-    def strictly_decreasing(self) -> bool:
-        errs = [p.rel_error for p in self.points]
-        return all(b < a for a, b in zip(errs, errs[1:]))
-
-
 # formula -> (exact_fn(dims, omega), log_estimate_fn(d, n, omega)) on the
-# hypercubical format (n+1)^d.  Each entry looks its functions up when called,
-# so a caller that replaces a module attribute (a tracer, a test double) sees
-# every call.
+# hypercubical format (n+1)^d; only ``convergence_sweep`` calls them.  Each
+# entry looks its functions up when called, so a caller that replaces a
+# module attribute (a tracer, a test double) sees every call.
 FORMULAS = {
     "hyperdet": (lambda dims, omega: hyperdet_degree(dims),
                  lambda d, n, omega: log_hyperdet_asymptotic(d, n)),
@@ -280,21 +263,22 @@ FORMULAS = {
 }
 
 
-def convergence_sweep(formula: str, d: int, grid: Sequence[int], omega: int = 1) -> ConvergenceReport:
-    """Exact values against estimates over a grid.
+def convergence_sweep(formula: str, d: int, grid: Sequence[int], omega: int = 1,
+                      compare: bool = True) -> Tuple[ConvergencePoint, ...]:
+    """Estimates over a grid of n for fixed d >= 3 on the hypercubical format
+    (n+1)^d, and with ``compare`` the exact values and relative errors.
 
-    formula: "hyperdet" and "ed" sweep n for fixed d >= 3 on the hypercubical
-    format (n+1)^d; "sv" does the same with equal Veronese weight omega;
-    "binary" sweeps d itself (the d argument is ignored) on 2 x ... x 2.
+    formula: "hyperdet", "ed", or "sv" with equal Veronese weight omega.  At
+    each n the estimate comes first, so an ``OverflowError`` from it is
+    raised before the exact value at that n is computed.
     """
-    if formula == "binary":
-        triples = [(dd, binary_hyperdet_degree(dd), binary_asymptotics(dd).log_hyperdet)
-                   for dd in grid]
-    elif formula in FORMULAS:
-        exact_fn, log_estimate_fn = FORMULAS[formula]
-        triples = [(n, exact_fn((n,) * d, omega), log_estimate_fn(d, n, omega)) for n in grid]
-    else:
+    if formula not in FORMULAS:
         raise ValueError(f"unknown formula {formula!r}")
-    points = tuple(ConvergencePoint(g, exact, log_est, relative_error(exact, log_est))
-                   for g, exact, log_est in triples)
-    return ConvergenceReport(formula=formula, d=d, points=points)
+    exact_fn, log_estimate_fn = FORMULAS[formula]
+    points = []
+    for n in grid:
+        log_est = log_estimate_fn(d, n, omega)
+        exact = exact_fn((n,) * d, omega) if compare else None
+        rel_error = relative_error(exact, log_est) if compare else None
+        points.append(ConvergencePoint(n, exact, log_est, rel_error))
+    return tuple(points)

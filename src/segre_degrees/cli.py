@@ -40,6 +40,8 @@ from .polar import (
     stabilization_ratio_check,
 )
 
+__all__ = ["CapBudgetError", "UsageError", "main", "parse_args", "run"]
+
 DEFAULT_CAP_BYTES = 2 * 1024 ** 3
 
 TABLE2_BASES: Tuple[Tuple[int, int], ...] = ((1, 1), (1, 2), (2, 2), (2, 3))
@@ -394,26 +396,24 @@ def _cmd_asympt(args: SimpleNamespace) -> Tuple[str, int]:
         if approx > args.cap_bytes:
             raise CapBudgetError(f"a grid of {len(grid)} points needs about {approx} bytes, "
                                  f"over the budget of {args.cap_bytes}")
+        # the kernel model and the estimate grow with n: the largest point stands for all
+        top = grid[-1] if isinstance(grid, range) else max(grid)
         if args.compare:
-            # the kernel model grows with n, so its largest point stands for all
-            top = grid[-1] if isinstance(grid, range) else max(grid)
             _check_cap_budget(top * d, d, top * d * (omega - 1).bit_length(), args.cap_bytes)
-        exact_fn, log_estimate_fn = asy.FORMULAS[formula]
+        try:
+            points = asy.convergence_sweep(formula, d, grid, omega, args.compare)
+        except OverflowError:
+            raise UsageError(f"factor count d={d} and grid value n={top} are too "
+                             f"large for a float estimate") from None
         records = []
-        for n in grid:
-            params = {"formula": formula, "d": str(d), "n": str(n)}
+        for point in points:
+            params = {"formula": formula, "d": str(d), "n": str(point.grid_value)}
             if formula == "sv":
                 params["omega"] = str(omega)
-            try:
-                log_est = log_estimate_fn(d, n, omega)
-            except OverflowError:
-                raise UsageError(f"factor count d={d} and grid value n={n} are too "
-                                 f"large for a float estimate") from None
             if args.compare:
-                exact = exact_fn((n,) * d, omega)
-                params["exact"] = str(exact)
-                params["rel_error"] = _fmt_float(asy.relative_error(exact, log_est))
-            records.append(_record("asympt", params, _estimate_value(log_est)))
+                params["exact"] = str(point.exact)
+                params["rel_error"] = _fmt_float(point.rel_error)
+            records.append(_record("asympt", params, _estimate_value(point.log_estimate)))
         return _render(args, records), 0
     if args.compare:
         raise UsageError(f"--compare applies only to {', '.join(asy.FORMULAS)}, not {formula!r}")

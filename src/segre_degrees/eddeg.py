@@ -99,7 +99,11 @@ def generic_ed_degree(dims: Sequence[int], weights: Sequence[int] | None = None)
 def binary_generic_ed_degree(d: int) -> int:
     """Generic ED degree of a product of d projective lines via the closed
     form  d! * sum_{i=0}^{d} (-2)^i / i! * (2^(d+1-i) - 1), summed on
-    integers as  sum_i (-2)^i perm(d, d-i) (2^(d+1-i) - 1)."""
+    integers as  sum_i (-2)^i perm(d, d-i) (2^(d+1-i) - 1).
+
+    No package code calls it: it is the independent closed-form route that
+    the tests and ``perfbench/pin.py`` check ``generic_ed_degree`` against.
+    """
     if d < 1:
         raise ValueError(f"need at least one factor, got {d}")
     return sum((-2) ** i * perm(d, d - i) * (2 ** (d + 1 - i) - 1) for i in range(d + 1))
@@ -112,7 +116,7 @@ def stabilization_onset(base_dims: Sequence[int], m_max: int) -> List[Tuple[int,
     would falsify the specialization argument behind the stabilization, so it
     is raised as a ``VerificationError`` rather than reported.
     """
-    base = tuple(map(index, base_dims))
+    base = as_format(base_dims)
     n_total = sum(base)
     if m_max < n_total:
         raise ValueError(f"m_max {m_max} below the stabilization threshold {n_total}")

@@ -79,6 +79,9 @@ def binary_hyperdet_degree(d: int) -> int:
     """Degree of the hyperdeterminant of format 2 x 2 x ... x 2 (d factors)
     via the closed form  d! * sum_{i=0}^{d} (-2)^i / i! * (d - i + 1),
     summed on integers as  sum_i (-2)^i perm(d, d-i) (d - i + 1).
+
+    No package code calls it: it is the independent closed-form route that
+    the tests and ``perfbench/pin.py`` check ``hyperdet_degree`` against.
     """
     if d < 1:
         raise ValueError(f"need at least one factor, got {d}")

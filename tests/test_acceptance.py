@@ -15,7 +15,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from segre_degrees.asympt import convergence_sweep, verify_minimal_point_constants
+from segre_degrees.asympt import (
+    binary_asymptotics,
+    convergence_sweep,
+    relative_error,
+    verify_minimal_point_constants,
+)
 from segre_degrees.cli import main
 from segre_degrees.eddeg import (
     binary_generic_ed_degree,
@@ -174,9 +179,12 @@ def test_criterion_09_minimal_point_constants():
 def test_criterion_10_convergence_trends():
     with criterion(10, "estimate convergence trends"):
         start = time.perf_counter()
-        assert convergence_sweep("hyperdet", 3, (5, 10, 20)).strictly_decreasing
-        assert convergence_sweep("ed", 3, (5, 10, 20)).strictly_decreasing
-        assert convergence_sweep("binary", 0, (4, 8, 12)).strictly_decreasing
+        for formula in ("hyperdet", "ed"):
+            errors = [p.rel_error for p in convergence_sweep(formula, 3, (5, 10, 20))]
+            assert errors[2] < errors[1] < errors[0]
+        errors = [relative_error(binary_hyperdet_degree(d), binary_asymptotics(d).log_hyperdet)
+                  for d in (4, 8, 12)]
+        assert errors[2] < errors[1] < errors[0]
         assert time.perf_counter() - start < 60.0
 
 

@@ -452,6 +452,19 @@ def test_compare_cap_is_checked_for_the_largest_point_before_any(monkeypatch, ca
     assert run(argv, capsys) == alone
 
 
+@pytest.mark.parametrize("argv", [["asympt", "hyperdet", "3", "5:20:5"],
+                                  ["asympt", "ed", "4", "2:10:2"]])
+def test_grid_without_compare_computes_no_exact_value(monkeypatch, capsys, argv):
+    def refuse(dims, omega):
+        pytest.fail(f"an exact value for {dims} was computed without --compare")
+
+    expected = run(argv, capsys)
+    assert expected[0] == 0
+    formula = argv[1]
+    monkeypatch.setitem(asympt.FORMULAS, formula, (refuse, asympt.FORMULAS[formula][1]))
+    assert run(argv, capsys) == expected
+
+
 @pytest.mark.parametrize("argv", [
     ["eddeg", "3", "--weights", "3", "--cap-bytes", "1000"],
     ["asympt", "discriminant", "5", "3", "--cap-bytes", "1"],
@@ -490,6 +503,17 @@ def test_overflowed_estimate_is_valid_json(capsys):
     (record,) = json.loads(out, parse_constant=reject)
     assert record["result"] == "inf"
     assert run(["asympt", "hyperdet", "3", "400"], capsys)[1] == "inf\n"
+
+
+@pytest.mark.parametrize("d, grid, top", [("3", "5," + "9" * 400, "9" * 400),
+                                          ("3", "9" * 400 + ",5", "9" * 400),
+                                          ("1" + "0" * 400, "5,6", "6")],
+                         ids=["last-n", "first-n", "huge-d"])
+def test_estimate_overflow_names_d_and_the_largest_grid_value(capsys, d, grid, top):
+    code, out, err = run(["asympt", "hyperdet", d, grid], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: factor count d={d} and grid value n={top} are too large "
+                   "for a float estimate\n")
 
 
 def test_tables_fill_in_process(monkeypatch, capsys):

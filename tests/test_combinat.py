@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -76,9 +79,9 @@ def test_non_integer_scalars_raise_type_error(call):
 def test_formats_refuse_empty_and_negative_entries():
     assert as_format(range(3)) == (0, 1, 2)
     for kernel in (frobenius_ed_degree, hyperdet_degree, generic_ed_degree,
-                   chern_data_projective_space_product):
+                   chern_data_projective_space_product, lambda dims: stabilization_onset(dims, 3)):
         for dims in ((), (1, -1)):
-            with pytest.raises(ValueError, match="invalid dimensions"):
+            with pytest.raises(ValueError, match=re.escape(f"invalid dimensions {dims}")):
                 kernel(dims)
 
 
@@ -94,6 +97,24 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+_MODULES = ["segre_degrees", *(f"segre_degrees.{path.stem}" for path in
+                                sorted(Path(segre_degrees.__file__).parent.glob("*.py"))
+                                if path.stem != "__init__")]
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_all_lists_every_public_definition_and_nothing_stale(name):
+    """``from module import *`` works, so every ``__all__`` entry resolves,
+    and it exports every public function, class and named tuple the module
+    defines."""
+    module = importlib.import_module(name)
+    exec(f"from {name} import *", {})
+    defined = {key for key, value in vars(module).items()
+               if not key.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
+               and value.__module__ == name}
+    assert defined - set(module.__all__) == set()
 
 
 def _imported_modules():
