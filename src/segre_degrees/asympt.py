@@ -9,10 +9,11 @@ plain estimate would overflow.
 
 The constants feeding the main estimate (the location of the vanishing point
 of the series denominator, the Hessian determinant there, and the leading
-amplitude) are recomputed on integers and exact rationals, the value at the
-point as a subset sum grouped by subset size and the rest from O(d) mixed
-partials, and compared with their closed forms; any mismatch raises, since it
-would invalidate the estimates.  No truncated ring is built.
+amplitude) are recomputed on integers, each rational as a reduced
+(numerator, denominator) pair, the value at the point as a subset sum grouped
+by subset size and the rest from O(d) mixed partials, and compared with their
+closed forms; any mismatch raises, since it would invalidate the estimates.
+No truncated ring is built.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ import math
 from collections import namedtuple
 from typing import Sequence, Tuple
 
-from .combinat import VerificationError
+from .combinat import VerificationError, rational
 from .eddeg import frobenius_ed_degree, veronese_frobenius_ed_degree
 from .hyperdet import (
     hyperdet_degree,
     mixed_partial_at_symmetric_point,
     sv_hyperdet_degree,
-    symmetric_point,
 )
 
 __all__ = [
@@ -169,7 +169,8 @@ def discriminant_ratios(n: int, omega: int) -> DiscriminantRatios:
 # c = (1/(d-1), ..., 1/(d-1)) of the degree-series denominator:
 # denominator_at_point = 0, last_partial = -(d/(d-1))^(d-2) (non-zero, so the
 # point is smooth), q = (d-2)/d, hessian_det = (d-2)^(d-1) / d^(d-2) and
-# leading_constant = (d-1)^(2d-2) / d^(2d-4), all ``Fraction``s.
+# leading_constant = (d-1)^(2d-2) / d^(2d-4), each a reduced integer pair
+# (numerator, denominator) with a positive denominator.
 MinimalPointCheck = namedtuple(
     "MinimalPointCheck", "d denominator_at_point last_partial q hessian_det leading_constant")
 
@@ -180,9 +181,39 @@ def _subset_term(d: int, size: int) -> int:
     return (1 - size) * (d - 1) ** (d - size)
 
 
+def _q(d: int, d_last: Tuple[int, int], d_mixed: Tuple[int, int]) -> Tuple[int, int]:
+    """q = 1 - c d_mixed / d_last at c = 1/(d-1), which is (N_1 - N_2) / N_1
+    for the scaled partials N_k of ``mixed_partial_at_symmetric_point``."""
+    (a, b), (a2, b2) = d_last, d_mixed
+    return rational((d - 1) * a * b2 - a2 * b, (d - 1) * a * b2)
+
+
+def _hessian_det(d: int, q: Tuple[int, int]) -> Tuple[int, int]:
+    """d q^(d-1); q is reduced, so its powers are too."""
+    return rational(d * q[0] ** (d - 1), q[1] ** (d - 1))
+
+
+def _leading_constant(d: int, d_last: Tuple[int, int]) -> Tuple[int, int]:
+    """1 / (c d_last)^2 at c = 1/(d-1)."""
+    a, b = d_last
+    return rational(((d - 1) * b) ** 2, a ** 2)
+
+
+def _rational_str(value: Tuple[int, int]) -> str:
+    """The pair as ``str(Fraction(*value))`` prints it."""
+    p, q = rational(*value)
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+def _check(name: str, d: int, value: Tuple[int, int], num: int, den: int) -> None:
+    """Raise unless the pair ``value`` equals num / den, by cross-multiplication."""
+    if value[0] * den != num * value[1]:
+        raise VerificationError(f"{name} mismatch for d={d}: {_rational_str(value)}")
+
+
 def verify_minimal_point_constants(d: int) -> MinimalPointCheck:
-    """Recompute, over exact rationals, every constant the degree estimate
-    uses, and compare with the closed forms; raise on any mismatch.
+    """Recompute, on integers, every constant the degree estimate uses, and
+    compare with the closed forms; raise on any mismatch.
 
     The amplitude is G(c) / (c_d dH(c))^2 with G identically 1 (the series
     is exactly an inverse square, with trivial numerator).
@@ -191,40 +222,31 @@ def verify_minimal_point_constants(d: int) -> MinimalPointCheck:
     denominator, added on integers over the common denominator (d-1)^d.  A
     term depends only on |S|, so the sum is grouped by size: C(d, k) subsets
     of size k, d + 1 terms.  It is a separate route from the partials, which
-    are O(d) sums at c.  The remaining constants are a few ``Fraction``
-    operations.
+    are O(d) sums at c.  The remaining constants are reduced integer pairs
+    built from the two partials, and each check cross-multiplies a pair with
+    its closed form.  No ``Fraction`` is built.
     """
-    from fractions import Fraction
-
     if d < 3:
         raise ValueError(f"the estimate requires at least three factors, got d={d}")
-    point = symmetric_point(d)
-    c1 = point[0]
-
-    h_at_c = Fraction(sum(math.comb(d, k) * _subset_term(d, k) for k in range(d + 1)),
+    h_at_c = rational(sum(math.comb(d, k) * _subset_term(d, k) for k in range(d + 1)),
                       (d - 1) ** d)
-    if h_at_c != 0:
+    if h_at_c != (0, 1):
         raise VerificationError(f"denominator does not vanish at the symmetric point for d={d}")
 
     d_last = mixed_partial_at_symmetric_point(d, (d,))
-    if d_last != -Fraction(d, d - 1) ** (d - 2):
-        raise VerificationError(f"last partial mismatch for d={d}: {d_last}")
+    _check("last partial", d, d_last, -d ** (d - 2), (d - 1) ** (d - 2))
 
     d_mixed = mixed_partial_at_symmetric_point(d, (1, d))
-    if d_mixed != -2 * Fraction(d, d - 1) ** (d - 3):
-        raise VerificationError(f"mixed partial mismatch for d={d}: {d_mixed}")
+    _check("mixed partial", d, d_mixed, -2 * d ** (d - 3), (d - 1) ** (d - 3))
 
-    q = 1 + c1 * (Fraction(0) - d_mixed) / d_last
-    if q != Fraction(d - 2, d):
-        raise VerificationError(f"q mismatch for d={d}: {q}")
+    q = _q(d, d_last, d_mixed)
+    _check("q", d, q, d - 2, d)
 
-    hess = d * q ** (d - 1)
-    if hess != Fraction((d - 2) ** (d - 1), d ** (d - 2)):
-        raise VerificationError(f"Hessian determinant mismatch for d={d}: {hess}")
+    hess = _hessian_det(d, q)
+    _check("Hessian determinant", d, hess, (d - 2) ** (d - 1), d ** (d - 2))
 
-    leading = 1 / (-point[-1] * d_last) ** 2
-    if leading != Fraction((d - 1) ** (2 * d - 2), d ** (2 * d - 4)):
-        raise VerificationError(f"leading constant mismatch for d={d}: {leading}")
+    leading = _leading_constant(d, d_last)
+    _check("leading constant", d, leading, (d - 1) ** (2 * d - 2), d ** (2 * d - 4))
 
     return MinimalPointCheck(
         d=d,

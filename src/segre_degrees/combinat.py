@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import index
 from typing import Iterable, List, Sequence, Tuple
 
-__all__ = ["VerificationError", "as_format", "binomial", "multinomial", "multinomial_fold"]
+__all__ = [
+    "VerificationError", "as_format", "binomial", "multinomial", "multinomial_fold", "rational",
+]
 
 
 class VerificationError(Exception):
@@ -37,6 +39,17 @@ def binomial(a: int, b: int) -> int:
     if b < 0 or b > a:
         return 0
     return comb(a, b)
+
+
+def rational(num: int, den: int) -> Tuple[int, int]:
+    """num / den as a reduced pair (p, q) of integers with q > 0: the exact
+    rationals of the package, which builds no ``Fraction``."""
+    if den == 0:
+        raise ZeroDivisionError(f"rational({num}, 0)")
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
 
 
 def multinomial(parts: Iterable[int]) -> int:

@@ -23,13 +23,12 @@ that need a hypersurface should gate on ``is_dual_nondefective``.
 
 from __future__ import annotations
 
-from math import perm
 from operator import index
 from typing import TYPE_CHECKING, Iterator, Sequence, Tuple
 
-from .combinat import as_format, binomial, multinomial_fold
+from .combinat import as_format, binomial, multinomial_fold, rational
 
-if TYPE_CHECKING:  # annotations only; each function that builds a Fraction imports it
+if TYPE_CHECKING:  # annotations only; symmetric_point imports it when called
     from fractions import Fraction
 
 __all__ = [
@@ -78,14 +77,19 @@ def hyperdet_degree(dims: Sequence[int]) -> int:
 def binary_hyperdet_degree(d: int) -> int:
     """Degree of the hyperdeterminant of format 2 x 2 x ... x 2 (d factors)
     via the closed form  d! * sum_{i=0}^{d} (-2)^i / i! * (d - i + 1),
-    summed on integers as  sum_i (-2)^i perm(d, d-i) (d - i + 1).
+    summed on integers as  sum_i (-2)^i perm(d, d-i) (d - i + 1)  by Horner's
+    rule in -2 from i = d down, with perm(d, d-i) = d!/i! as a running product.
 
     No package code calls it: it is the independent closed-form route that
     the tests and ``perfbench/pin.py`` check ``hyperdet_degree`` against.
     """
     if d < 1:
         raise ValueError(f"need at least one factor, got {d}")
-    return sum((-2) ** i * perm(d, d - i) * (d - i + 1) for i in range(d + 1))
+    total, falling = 0, 1  # falling = d!/i!
+    for i in range(d, -1, -1):
+        total = -2 * total + falling * (d - i + 1)
+        falling *= i
+    return total
 
 
 def symmetric_point(d: int) -> Tuple[Fraction, ...]:
@@ -98,13 +102,16 @@ def symmetric_point(d: int) -> Tuple[Fraction, ...]:
     return (Fraction(1, d - 1),) * d
 
 
-def mixed_partial_at_symmetric_point(d: int, indices: Sequence[int]) -> Fraction:
-    """Mixed partial of H = sum (1-i) e_i at the symmetric vanishing point.
+def mixed_partial_at_symmetric_point(d: int, indices: Sequence[int]) -> Tuple[int, int]:
+    """Mixed partial of H = sum (1-i) e_i at the symmetric vanishing point, as
+    a reduced pair (numerator, denominator) with a positive denominator.
 
     ``indices`` are distinct variable indices in 1..d.  Differentiating e_i in
     k distinct variables leaves e_{i-k} of the other d - k, so at c = 1/(d-1)
-    the partial is  sum_{i>=k} (1-i) C(d-k, i-k) c^(i-k);  callers can check it
-    against the closed form -k * (d/(d-1))^(d-k-1).
+    the partial is  sum_{i>=k} (1-i) C(d-k, i-k) c^(i-k).  Scaled by
+    (d-1)^(d-k) it is the integer  N_k = sum_{i>=k} (1-i) C(d-k, i-k) (d-1)^(d-i),
+    summed by Horner's rule in d - 1.  Callers can check it against the closed
+    form -k * (d/(d-1))^(d-k-1).
     """
     if d < 2:
         raise ValueError(f"need at least two factors, got {d}")
@@ -115,11 +122,13 @@ def mixed_partial_at_symmetric_point(d: int, indices: Sequence[int]) -> Fraction
         raise ValueError(f"repeated differentiation indices in {idx}")
     if any(not 1 <= i <= d for i in idx):
         raise ValueError(f"indices {idx} out of range 1..{d}")
-    from fractions import Fraction
-
     k = len(idx)
-    c = Fraction(1, d - 1)
-    return sum((1 - i) * binomial(d - k, i - k) * c ** (i - k) for i in range(k, d + 1))
+    m = d - k
+    total, b = 0, 1  # b runs through C(m, j), j = i - k
+    for j in range(m + 1):
+        total = total * (d - 1) + (1 - k - j) * b
+        b = b * (m - j) // (j + 1)
+    return rational(total, (d - 1) ** m)
 
 
 def partition_formats(max_total: int) -> Iterator[Tuple[int, ...]]:

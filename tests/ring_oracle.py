@@ -7,15 +7,17 @@ classes that gave the Chern class degrees before ``polar`` kept one
 coefficient list per factor, and the ``Fraction`` and
 full-range binomial bodies of the sums behind the ``verify`` suites before
 those moved onto integers: the alpha coefficients, the alternating binomial
-and g identities, and the evaluation of a ring element at a rational point.
+and g identities, the evaluation of a ring element at a rational point, and
+the mixed partials and minimal-point constants behind ``verify rw-constants``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import List, Sequence, Tuple
 
+from segre_degrees.asympt import MinimalPointCheck
 from segre_degrees.combinat import VerificationError, binomial, multinomial
 from segre_degrees.hyperdet import symmetric_point
 from segre_degrees.truncpoly import TruncatedPoly, elementary_symmetric, series_inverse
@@ -181,6 +183,33 @@ def symbolic_mixed_partial(d: int, indices: Sequence[int]) -> Fraction:
     for i in indices:
         p = p.partial_derivative(i - 1)
     return p.evaluate(symmetric_point(d))
+
+
+def fraction_mixed_partial(d: int, indices: Sequence[int]) -> Fraction:
+    """Mixed partial of H = sum (1-i) e_i at the symmetric point as the
+    ``Fraction`` sum  sum_{i>=k} (1-i) C(d-k, i-k) c^(i-k),  c = 1/(d-1)."""
+    k = len(indices)
+    c = Fraction(1, d - 1)
+    return sum((1 - i) * binomial(d - k, i - k) * c ** (i - k) for i in range(k, d + 1))
+
+
+def fraction_minimal_point_constants(d: int) -> MinimalPointCheck:
+    """The constants of ``asympt.verify_minimal_point_constants`` as
+    ``Fraction`` operations, checked against the same closed forms."""
+    c = Fraction(1, d - 1)
+    h_at_c = Fraction(sum(comb(d, k) * (1 - k) * (d - 1) ** (d - k) for k in range(d + 1)),
+                      (d - 1) ** d)
+    d_last = fraction_mixed_partial(d, (d,))
+    d_mixed = fraction_mixed_partial(d, (1, d))
+    q = 1 + c * (Fraction(0) - d_mixed) / d_last
+    hess = d * q ** (d - 1)
+    leading = 1 / (-c * d_last) ** 2
+    if (h_at_c, d_last, d_mixed, q, hess, leading) != (
+            0, -Fraction(d, d - 1) ** (d - 2), -2 * Fraction(d, d - 1) ** (d - 3),
+            Fraction(d - 2, d), Fraction((d - 2) ** (d - 1), d ** (d - 2)),
+            Fraction((d - 1) ** (2 * d - 2), d ** (2 * d - 4))):
+        raise VerificationError(f"minimal-point constants mismatch for d={d}")
+    return MinimalPointCheck(d, h_at_c, d_last, q, hess, leading)
 
 
 def fraction_evaluate(poly: TruncatedPoly, values: Sequence[Fraction | int]) -> Fraction:

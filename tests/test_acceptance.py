@@ -13,7 +13,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
 
 from segre_degrees.asympt import (
     binary_asymptotics,
@@ -159,21 +159,28 @@ def test_criterion_08_identity_suites():
         assert time.perf_counter() - start < 30.0
 
 
+def _reduced(pair):
+    num, den = pair
+    assert den > 0 and gcd(num, den) == 1, pair
+    return Fraction(num, den)
+
+
 def test_criterion_09_minimal_point_constants():
     with criterion(9, "exact minimal-point constants"):
         for d in range(3, 11):
             chk = verify_minimal_point_constants(d)
-            assert chk.denominator_at_point == 0
-            assert chk.q == Fraction(d - 2, d)
-            assert chk.hessian_det == Fraction((d - 2) ** (d - 1), d ** (d - 2))
-            assert chk.leading_constant == Fraction((d - 1) ** (2 * d - 2),
-                                                    d ** (2 * d - 4))
+            assert _reduced(chk.denominator_at_point) == 0
+            assert _reduced(chk.last_partial) == -Fraction(d, d - 1) ** (d - 2)
+            assert _reduced(chk.q) == Fraction(d - 2, d)
+            assert _reduced(chk.hessian_det) == Fraction((d - 2) ** (d - 1), d ** (d - 2))
+            assert _reduced(chk.leading_constant) == Fraction((d - 1) ** (2 * d - 2),
+                                                              d ** (2 * d - 4))
             h = degree_series_denominator((1,) * d)
             assert h.evaluate(symmetric_point(d)) == 0
             for k in range(1, d + 1):
                 expected = -k * Fraction(d, d - 1) ** (d - k - 1)
                 for subset in combinations(range(1, d + 1), k):
-                    assert mixed_partial_at_symmetric_point(d, subset) == expected
+                    assert _reduced(mixed_partial_at_symmetric_point(d, subset)) == expected
 
 
 def test_criterion_10_convergence_trends():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -21,6 +22,21 @@ from segre_degrees.asympt import (
     verify_minimal_point_constants,
 )
 from segre_degrees.hyperdet import binary_hyperdet_degree
+
+from ring_oracle import fraction_minimal_point_constants
+
+RATIONAL_FIELDS = ("denominator_at_point", "last_partial", "q", "hessian_det", "leading_constant")
+
+
+def as_fractions(chk):
+    """The rational fields of a ``MinimalPointCheck`` as ``Fraction``s, after
+    checking that each is a reduced pair with a positive denominator."""
+    out = {}
+    for field in RATIONAL_FIELDS:
+        num, den = getattr(chk, field)
+        assert den > 0 and gcd(num, den) == 1, (chk.d, field)
+        out[field] = Fraction(num, den)
+    return out
 
 
 def test_three_factor_reduction():
@@ -98,20 +114,34 @@ def test_relative_error_survives_huge_values():
 
 
 def test_minimal_point_constants_closed_forms():
-    chk = verify_minimal_point_constants(3)
-    assert chk.denominator_at_point == 0
-    assert chk.q == Fraction(1, 3)
-    assert chk.hessian_det == Fraction(1, 3)
-    assert chk.leading_constant == Fraction(16, 9)
-    assert chk.last_partial == Fraction(-3, 2)
+    chk = as_fractions(verify_minimal_point_constants(3))
+    assert chk["denominator_at_point"] == 0
+    assert chk["q"] == Fraction(1, 3)
+    assert chk["hessian_det"] == Fraction(1, 3)
+    assert chk["leading_constant"] == Fraction(16, 9)
+    assert chk["last_partial"] == Fraction(-3, 2)
     for d in range(3, 11):
-        chk = verify_minimal_point_constants(d)
-        assert chk.q == Fraction(d - 2, d)
-        assert chk.hessian_det == Fraction((d - 2) ** (d - 1), d ** (d - 2))
-        assert chk.leading_constant == Fraction((d - 1) ** (2 * d - 2), d ** (2 * d - 4))
-        assert chk.last_partial == -Fraction(d, d - 1) ** (d - 2)
+        chk = as_fractions(verify_minimal_point_constants(d))
+        assert chk["q"] == Fraction(d - 2, d)
+        assert chk["hessian_det"] == Fraction((d - 2) ** (d - 1), d ** (d - 2))
+        assert chk["leading_constant"] == Fraction((d - 1) ** (2 * d - 2), d ** (2 * d - 4))
+        assert chk["last_partial"] == -Fraction(d, d - 1) ** (d - 2)
     with pytest.raises(ValueError):
         verify_minimal_point_constants(2)
+
+
+def test_minimal_point_constants_match_the_fraction_oracle():
+    for d in range(3, 81):
+        chk = verify_minimal_point_constants(d)
+        oracle = fraction_minimal_point_constants(d)
+        assert chk.d == oracle.d == d
+        assert as_fractions(chk) == {field: getattr(oracle, field) for field in RATIONAL_FIELDS}
+
+
+def test_failure_messages_print_pairs_as_fractions():
+    for num in range(-13, 14):
+        for den in (*range(-7, 0), *range(1, 8), 3 ** 40):
+            assert asympt._rational_str((num, den)) == str(Fraction(num, den)), (num, den)
 
 
 def _strictly_decreasing(errors):
@@ -154,10 +184,10 @@ def test_discriminant_ratios_trend_to_one():
 def test_verification_error_is_raised_on_mismatch(monkeypatch):
     # sabotage one partial to prove the checks are live
     def broken(d, indices):
-        return Fraction(1)
+        return (1, 1)
 
     monkeypatch.setattr(asympt, "mixed_partial_at_symmetric_point", broken)
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match="^last partial mismatch for d=4: 1$"):
         verify_minimal_point_constants(4)
 
 

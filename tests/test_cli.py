@@ -817,16 +817,56 @@ def test_verify_cross_oracle_reports_both_disagreements(monkeypatch, capsys):
         "verify cross-oracle: FAILED (checked=6, failures=2, max=3)"]
 
 
+def _plus_one(pair):
+    """The reduced pair of pair + 1."""
+    num, den = pair
+    return num + den, den
+
+
 def test_verify_rw_constants_sees_a_wrong_mixed_partial(monkeypatch, capsys):
     original = asympt.mixed_partial_at_symmetric_point
     monkeypatch.setattr(asympt, "mixed_partial_at_symmetric_point",
-                        lambda d, indices: original(d, indices) + (tuple(indices) == (1, d)))
+                        lambda d, indices: _plus_one(original(d, indices))
+                        if tuple(indices) == (1, d) else original(d, indices))
     code, out, _ = run(["verify", "rw-constants", "--max", "6"], capsys)
     assert code == 1
     assert out.splitlines() == [
         *(f"FAIL mixed partial mismatch for d={d}: {1 - 2 * Fraction(d, d - 1) ** (d - 3)}"
           for d in range(3, 7)),
         "verify rw-constants: FAILED (checked=4, failures=4, max=6)"]
+
+
+@pytest.mark.parametrize("name, perturb, message", [
+    # the empty subset's term of H(c) (d-1)^d, at every d
+    ("_subset_term", lambda f: lambda d, size: f(d, size) + (size == 0),
+     lambda d: f"denominator does not vanish at the symmetric point for d={d}"),
+    ("mixed_partial_at_symmetric_point",
+     lambda f: lambda d, indices: _plus_one(f(d, indices)) if tuple(indices) == (d,)
+     else f(d, indices),
+     lambda d: f"last partial mismatch for d={d}: {1 - Fraction(d, d - 1) ** (d - 2)}"),
+    ("_q", lambda f: lambda *a: _plus_one(f(*a)),
+     lambda d: f"q mismatch for d={d}: {Fraction(d - 2, d) + 1}"),
+    ("_hessian_det", lambda f: lambda *a: _plus_one(f(*a)),
+     lambda d: f"Hessian determinant mismatch for d={d}: "
+               f"{Fraction((d - 2) ** (d - 1), d ** (d - 2)) + 1}"),
+    ("_leading_constant", lambda f: lambda *a: _plus_one(f(*a)),
+     lambda d: f"leading constant mismatch for d={d}: "
+               f"{Fraction((d - 1) ** (2 * d - 2), d ** (2 * d - 4)) + 1}"),
+], ids=["denominator", "last-partial", "q", "hessian", "leading"])
+def test_verify_rw_constants_sees_each_wrong_constant(monkeypatch, capsys, name, perturb,
+                                                      message):
+    """Each check is live, and its message prints the value as a ``Fraction``."""
+    monkeypatch.setattr(asympt, name, perturb(getattr(asympt, name)))
+    code, out, _ = run(["verify", "rw-constants", "--max", "6"], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        *(f"FAIL {message(d)}" for d in range(3, 7)),
+        "verify rw-constants: FAILED (checked=4, failures=4, max=6)"]
+
+
+def test_verify_rw_constants_runs_to_its_maximum(capsys):
+    assert run(["verify", "rw-constants", "--max", "200"], capsys) == (
+        0, "verify rw-constants: ok (checked=198, failures=0, max=200)\n", "")
 
 
 def _perturbed(fn, args):

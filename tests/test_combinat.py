@@ -175,6 +175,25 @@ def test_a_request_imports_json_csv_and_fractions_only_where_used(fmt, loaded):
     assert done.stderr.strip() == f"{loaded} []"
 
 
+@pytest.mark.parametrize("argv", [
+    "verify rw-constants --max 11", "verify identities --max 6", "verify stabilization --max 3",
+    "verify cross-oracle --max 4", "table table2", "table stabilization",
+    "asympt hyperdet 3 2:4 --compare",
+])
+def test_no_command_loads_fractions(argv):
+    """Start-up cost of every process: no CLI path builds a ``Fraction``, so
+    none imports ``fractions`` or the ``decimal`` and ``numbers`` it pulls in.
+    ``-S`` keeps ``site`` from loading them."""
+    src = str(Path(segre_degrees.__file__).parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import segre_degrees.cli as cli; "
+            "code = cli.main(sys.argv[1:]); "
+            "print(code, sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)), "
+            "file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-S", "-c", code, *argv.split()],
+                          capture_output=True, text=True, check=True)
+    assert done.stderr == "0 []\n"
+
+
 def test_a_plain_request_loads_no_argument_parser_or_translations():
     """Start-up cost of every process: ``cli.parse_args`` reads argv from the
     command table, so a request loads neither ``argparse`` nor the ``gettext``

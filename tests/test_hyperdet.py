@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, perm
 
 import pytest
 
@@ -17,7 +18,18 @@ from segre_degrees.hyperdet import (
     symmetric_point,
 )
 
-from ring_oracle import degree_series_denominator, symbolic_mixed_partial
+from ring_oracle import (
+    degree_series_denominator,
+    fraction_mixed_partial,
+    symbolic_mixed_partial,
+)
+
+
+def as_fraction(pair):
+    """The exact rational of a reduced (numerator, denominator) pair."""
+    num, den = pair
+    assert den > 0 and gcd(num, den) == 1, pair
+    return Fraction(num, den)
 
 
 def series_coefficient_oracle(dims, weight=1):
@@ -84,6 +96,12 @@ def test_binary_closed_form():
         binary_hyperdet_degree(0)
 
 
+def test_binary_closed_form_matches_the_perm_sum():
+    for d in range(1, 301):
+        assert binary_hyperdet_degree(d) == sum((-2) ** i * perm(d, d - i) * (d - i + 1)
+                                                for i in range(d + 1)), d
+
+
 def test_veronese_single_factor_degrees():
     for n in range(9):
         for omega in range(1, 6):
@@ -114,15 +132,16 @@ def test_denominator_vanishes_at_symmetric_point():
 
 
 def test_mixed_partials_at_symmetric_point():
-    assert mixed_partial_at_symmetric_point(3, (1,)) == Fraction(-3, 2)
-    assert mixed_partial_at_symmetric_point(3, (1, 2)) == -2
-    assert mixed_partial_at_symmetric_point(4, (1,)) == Fraction(-16, 9)
+    assert mixed_partial_at_symmetric_point(3, (1,)) == (-3, 2)
+    assert mixed_partial_at_symmetric_point(3, (1, 2)) == (-2, 1)
+    assert mixed_partial_at_symmetric_point(4, (1,)) == (-16, 9)
+    assert mixed_partial_at_symmetric_point(2, (1, 2)) == (-1, 1)
     # closed form -k (d/(d-1))^(d-k-1) over every non-empty index set
     for d in range(3, 9):
         for k in range(1, d + 1):
             expected = -k * Fraction(d, d - 1) ** (d - k - 1)
             for subset in combinations(range(1, d + 1), k):
-                assert mixed_partial_at_symmetric_point(d, subset) == expected
+                assert as_fraction(mixed_partial_at_symmetric_point(d, subset)) == expected
 
 
 def test_mixed_partials_match_symbolic_differentiation():
@@ -130,7 +149,16 @@ def test_mixed_partials_match_symbolic_differentiation():
         for k in range(1, d + 1):
             for subset in combinations(range(1, d + 1), k):
                 expected = symbolic_mixed_partial(d, subset)
-                assert mixed_partial_at_symmetric_point(d, subset) == expected
+                assert as_fraction(mixed_partial_at_symmetric_point(d, subset)) == expected
+
+
+def test_mixed_partials_match_the_fraction_sum():
+    # the partial depends only on how many indices there are; the verify suite
+    # reads k = 1 and k = 2
+    for d in range(2, 81):
+        for k in sorted({1, min(2, d), d // 2, d}):
+            pair = mixed_partial_at_symmetric_point(d, range(d - k + 1, d + 1))
+            assert as_fraction(pair) == fraction_mixed_partial(d, range(k)), (d, k)
 
 
 def test_repeated_partials_vanish_identically():
