@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_E2 = math.exp(2.0)
 
 
 def log_hyperdet_asymptotic(d: int, n: int) -> float:
@@ -105,9 +106,9 @@ def log_sv_hyperdet_asymptotic(d: int, n: int, omega: int) -> float:
             - (d - 3) / 2 * math.log(n))
 
 
-# Large-d log estimates for products of d projective lines.
-BinaryAsymptotics = namedtuple("BinaryAsymptotics",
-                               "d log_hyperdet log_ed_frobenius log_ed_generic")
+# Large-d log estimates for products of d projective lines, and two ratios.
+BinaryAsymptotics = namedtuple("BinaryAsymptotics", "d log_hyperdet log_ed_frobenius "
+                               "log_ed_generic ratio_frobenius ratio_generic")
 
 
 def binary_asymptotics(d: int) -> BinaryAsymptotics:
@@ -120,7 +121,10 @@ def binary_asymptotics(d: int) -> BinaryAsymptotics:
 
     Their ratios are identically hyperdet / ed_frobenius = (d+3)/e^2 and
     hyperdet / ed_generic = (d+3)/(2^(d+1) e - 1), since the e^(d+2) factors
-    cancel.  The fields are logarithms of the three estimates.
+    cancel.  The fields are the logarithms of the three estimates, then the
+    two ratios themselves, each from its closed form: as the difference of two
+    log estimates a ratio would lose the digits of the Stirling terms, which
+    grow as d log d.
     """
     if d < 2:
         raise ValueError(f"need at least two factors, got {d}")
@@ -128,11 +132,14 @@ def binary_asymptotics(d: int) -> BinaryAsymptotics:
     # log(2^(d+1) e - 1) without forming the huge power
     x = (d + 1) * math.log(2.0) + 1.0
     log_big = x + math.log1p(-math.exp(-x))
+    log_d3 = math.log(d + 3)
     return BinaryAsymptotics(
         d=d,
-        log_hyperdet=stirling + math.log(d + 3) - 2,
+        log_hyperdet=stirling + log_d3 - 2,
         log_ed_frobenius=stirling,
         log_ed_generic=stirling - 2 + log_big,
+        ratio_frobenius=(d + 3) / _E2,
+        ratio_generic=math.exp(log_d3 - log_big),
     )
 
 

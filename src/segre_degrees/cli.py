@@ -10,10 +10,11 @@ decimal strings (they outgrow 2^53 quickly), floats are printed with 12
 significant digits, and term/row orders are fixed.  ``--timing`` leaves them
 as they are: ``main`` writes one ``timing:`` line on stderr after the output.
 
-The command line grammar is one table, ``_COMMANDS``, which ``parse_args``
-walks and ``--help`` prints.  Exit codes: 0 success, 1 verification failure,
-2 usage error (one ``error:`` line), 3 resource cap.  Any other exception is a
-bug; it is not caught, so it ends the process with a traceback.
+The command line grammar is one table, ``_COMMANDS``, with one shape for
+positionals and options, which ``parse_args`` walks and ``--help`` prints.
+Exit codes: 0 success, 1 verification failure, 2 usage error (one ``error:``
+line), 3 resource cap.  Any other exception is a bug; it is not caught, so it
+ends the process with a traceback.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import os
 import sys
 import time
 from types import SimpleNamespace
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from . import asympt as asy
 from .combinat import VerificationError
@@ -382,7 +383,7 @@ def _cmd_asympt(args: SimpleNamespace) -> Tuple[str, int]:
         raise UsageError(f"--omega applies only to the sv formula, not {formula!r}")
     omega = 1 if args.omega is None else args.omega
     least_d, after_d = _ASYMPT_ARGS[formula]
-    d = _integers(args.d, "d", 1)[0]  # a count; a formula that needs more says so by name
+    d = args.d
     if d < least_d:
         raise UsageError(f"formula {formula!r} requires d >= {least_d}")
     if after_d is None and args.grid is not None:
@@ -427,8 +428,8 @@ def _cmd_asympt(args: SimpleNamespace) -> Tuple[str, int]:
             ("hyperdet", _estimate_value(est.log_hyperdet)),
             ("ed-frobenius", _estimate_value(est.log_ed_frobenius)),
             ("ed-generic", _estimate_value(est.log_ed_generic)),
-            ("hyperdet/ed-frobenius", _round12(math.exp(est.log_hyperdet - est.log_ed_frobenius))),
-            ("hyperdet/ed-generic", _round12(math.exp(est.log_hyperdet - est.log_ed_generic))),
+            ("hyperdet/ed-frobenius", _round12(est.ratio_frobenius)),
+            ("hyperdet/ed-generic", _round12(est.ratio_generic)),
         ]
     else:
         omega = _integers(args.grid, "the weight", 3)[0]
@@ -446,13 +447,14 @@ def _cmd_asympt(args: SimpleNamespace) -> Tuple[str, int]:
 
 # -- command line grammar -----------------------------------------------------
 # ``_COMMANDS`` is the whole grammar: ``parse_args`` walks argv against it and
-# ``--help`` prints it.  A positional is (name, choices or None, optional, help);
-# only the last may be optional.  An option is (name, takes, default, help),
-# where ``takes`` is what follows it: _FLAG for nothing, _TEXT for any text, a
-# tuple of choices, or an integer, the least value ``_integers`` accepts.
+# ``--help`` prints it.  Every argument is (name, takes, default, help): an
+# option if its name starts with ``-``, else a positional, which must be given
+# if its default is _REQUIRED (only the last may be left out).  ``takes`` is
+# what ``_value`` reads: _FLAG nothing, _TEXT any text, a tuple of choices, or
+# an integer, the least value ``_integers`` accepts.
 
-_FLAG, _TEXT = "flag", "text"
-_HELP_OPTION = ("--help", _FLAG, False, "show this help and exit")
+_FLAG, _TEXT, _REQUIRED = "flag", "text", "required"
+_HELP = ("--help", _FLAG, False, "show this help and exit")
 _COMMON_OPTIONS = (
     ("--format", ("plain", "csv", "json"), "plain", "output format"),
     ("--out", _TEXT, None, "write output to a file instead of stdout"),
@@ -467,26 +469,26 @@ def _cmd_table(args: SimpleNamespace) -> Tuple[str, int]:
     return _TABLES[args.name](args), 0
 
 
-# command -> (help, run, positionals, options besides help and the common ones)
+# command -> (help, run, arguments besides help and the common options)
 _COMMANDS = {
     "hyperdet": ("degree of the dual hypersurface of a format", _cmd_hyperdet,
-                 (("dims", None, False, "comma-separated factor dimensions, e.g. 1,1,2"),),
-                 (("--omega", 1, 1, "Veronese weight of every factor"),)),
+                 (("dims", _TEXT, _REQUIRED, "comma-separated factor dimensions, e.g. 1,1,2"),
+                  ("--omega", 1, 1, "Veronese weight of every factor"))),
     "eddeg": ("ED degree of a format", _cmd_eddeg,
-              (("dims", None, False, "comma-separated factor dimensions"),),
-              (("--generic", _FLAG, False, "generic metric instead of Frobenius"),
+              (("dims", _TEXT, _REQUIRED, "comma-separated factor dimensions"),
+               ("--generic", _FLAG, False, "generic metric instead of Frobenius"),
                ("--weights", _TEXT, None, "comma-separated Veronese weights"))),
     "table": ("emit a frozen table", _cmd_table,
-              (("name", tuple(_TABLES), False, "the table"),), ()),
+              (("name", tuple(_TABLES), _REQUIRED, "the table"),)),
     "verify": ("run an exhaustive verification suite", _cmd_verify,
-               (("suite", tuple(_SUITES), False, "the suite"),),
-               (("--max", _TEXT, None, "sweep bound (suite-specific default and range)"),)),
+               (("suite", tuple(_SUITES), _REQUIRED, "the suite"),
+                ("--max", _TEXT, None, "sweep bound (suite-specific default and range)"))),
     "asympt": ("growth estimates, optionally against exact values", _cmd_asympt,
-               (("formula", (*asy.FORMULAS, "binary", "discriminant"), False, "the estimate"),
-                ("d", None, False, "factor count (n for the discriminant ratios)"),
-                ("grid", None, True,
-                 "n value, range a:b[:step], or comma list (weight for discriminant)")),
-               (("--omega", 1, None,
+               (("formula", (*asy.FORMULAS, "binary", "discriminant"), _REQUIRED, "the estimate"),
+                ("d", 1, _REQUIRED, "factor count (n for the discriminant ratios)"),
+                ("grid", _TEXT, None,
+                 "n value, range a:b[:step], or comma list (weight for discriminant)"),
+                ("--omega", 1, None,
                  "weight for the sv formula (default 1); a usage error with any other"),
                 ("--compare", _FLAG, False,
                  "include exact values and rel. errors (hyperdet, ed, sv)"))),
@@ -499,50 +501,40 @@ def _is_option(token: str) -> bool:
     return token[:1] == "-" and token[1:2] not in "0123456789"
 
 
-def _dest(option: str) -> str:
-    """The attribute that holds an option's value: ``--cap-bytes`` -> ``cap_bytes``."""
-    return option[2:].replace("-", "_")
+def _arguments(command: str | None) -> Tuple[List[tuple], List[tuple]]:
+    """The positionals and options of ``command`` (of the program for None), help first."""
+    arguments = (_HELP, *_COMMANDS[command][2], *_COMMON_OPTIONS) if command else (_HELP,)
+    return ([spec for spec in arguments if not _is_option(spec[0])],
+            [spec for spec in arguments if _is_option(spec[0])])
 
 
-def _choose(value: str, choices: Tuple[str, ...], what: str) -> str:
-    if value not in choices:
-        raise UsageError(f"{what} must be one of {', '.join(choices)}, got {value!r}")
-    return value
+def _dest(name: str) -> str:
+    """The attribute that holds an argument's value: ``--cap-bytes`` -> ``cap_bytes``."""
+    return name.lstrip("-").replace("-", "_")
 
 
-def _read_option(token: str, rest: Iterator[str], options: Sequence[tuple]) -> Tuple[tuple, object]:
-    """The option that ``token`` names, exactly or as the unique prefix of a
-    long name, and its value: after ``=`` in ``token``, or else the next token
-    of ``rest``."""
-    typed, eq, value = token.partition("=")
+def _value(name: str, takes: object, text: str) -> object:
+    """The one reader of values: ``text`` as ``takes`` reads it, a choice of a
+    tuple, any text, or an integer of at least ``takes``."""
+    if isinstance(takes, tuple):
+        if text not in takes:
+            raise UsageError(f"{name} must be one of {', '.join(takes)}, got {text!r}")
+        return text
+    return text if takes == _TEXT else _integers(text, name, takes)[0]
+
+
+def _find_option(typed: str, options: Sequence[tuple]) -> tuple:
+    """The option that ``typed`` names, exactly or as the unique prefix of a
+    long name; ``-h`` is ``--help``."""
     typed = "--help" if typed == "-h" else typed
-    specs = (_HELP_OPTION, *options)
     prefix = typed[:2] == "--" and len(typed) > 2  # a bare ``--`` is a prefix of no option
-    matches = ([spec for spec in specs if spec[0] == typed]
-               or [spec for spec in specs if prefix and spec[0].startswith(typed)])
+    matches = ([spec for spec in options if spec[0] == typed]
+               or [spec for spec in options if prefix and spec[0].startswith(typed)])
     if len(matches) != 1:
         raise UsageError(f"option {typed} is ambiguous: it could be "
                          f"{', '.join(spec[0] for spec in matches)}" if matches
                          else f"unknown option {typed}")
-    name, takes = matches[0][:2]
-    if takes == _FLAG:
-        if eq:
-            raise UsageError(f"{name} takes no value, got {token!r}")
-        return matches[0], True
-    if not eq:
-        value = next(rest, None)
-        if value is None or _is_option(value):
-            raise UsageError(f"{name} needs a value")
-    if takes == _TEXT:
-        return matches[0], value
-    if isinstance(takes, tuple):
-        return matches[0], _choose(value, takes, name)
-    return matches[0], _integers(value, name, takes)[0]
-
-
-def _help_request(command: str | None) -> SimpleNamespace:
-    return SimpleNamespace(command=command, run=lambda args: (_usage(command), 0),
-                           out=None, timing=False)
+    return matches[0]
 
 
 def parse_args(argv: Sequence[str]) -> SimpleNamespace:
@@ -550,59 +542,64 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     positionals in any order.  A value follows its option as the next token or
     after ``=``; a long option may be shortened to a unique prefix; the last of
     a repeated option wins; every token after ``--`` is a positional.  Returns
-    the command's ``run`` and one attribute per positional and option, or for
-    ``-h``/``--help`` a request whose ``run`` gives the usage.  Anything else is
-    a ``UsageError``."""
+    the command's ``run`` and one attribute per argument, or for ``-h`` or
+    ``--help``, as soon as it is read, a request whose ``run`` gives the usage.
+    Anything else is a ``UsageError``."""
     if not argv:
         raise UsageError(f"a command is required: one of {', '.join(_COMMANDS)}")
-    command, *tail = argv
-    if _is_option(command):  # before the command only help is an option
-        _read_option(command, iter(()), ())
-        return _help_request(None)
-    _, run, positionals, options = _COMMANDS[_choose(command, tuple(_COMMANDS), "the command")]
-    options = (*options, *_COMMON_OPTIONS)
-    values = {_dest(name): default for name, _, default, _ in options}
+    # argv that starts with an option has no command, and that option must ask for help
+    command = None if _is_option(argv[0]) else _value("the command", tuple(_COMMANDS), argv[0])
+    positionals, options = _arguments(command)
+    values = {_dest(name): default for name, _, default, _ in (*positionals, *options)}
     given: List[str] = []
-    rest = iter(tail)
+    rest = iter(argv[1:] if command else argv)
     for token in rest:
-        if token == "--":
+        if token == "--" and command:  # without a command ``--`` is an unknown option
             given.extend(rest)  # drains ``rest``, so the loop ends here
         elif _is_option(token):
-            spec, value = _read_option(token, rest, options)
-            if spec is _HELP_OPTION:
-                return _help_request(command)
-            values[_dest(spec[0])] = value
+            typed, eq, text = token.partition("=")
+            name, takes = _find_option(typed, options)[:2]
+            if takes != _FLAG:
+                if not eq:
+                    text = next(rest, None)
+                    if text is None or _is_option(text):
+                        raise UsageError(f"{name} needs a value")
+                values[_dest(name)] = _value(name, takes, text)
+            elif eq:
+                raise UsageError(f"{name} takes no value, got {token!r}")
+            elif name == "--help":
+                return SimpleNamespace(command=command, run=lambda args: (_usage(command), 0),
+                                       out=None, timing=False)
+            else:
+                values[_dest(name)] = True
         else:
             given.append(token)
     if len(given) > len(positionals):
         raise UsageError(f"unexpected argument {given[len(positionals)]!r}")
-    for index, (name, choices, optional, _) in enumerate(positionals):
-        if index < len(given):
-            values[name] = given[index] if choices is None else _choose(given[index], choices, name)
-        elif optional:
-            values[name] = None
-        else:
+    for (name, takes, _, _), text in zip(positionals, given):
+        values[name] = _value(name, takes, text)
+    for name, _, default, _ in positionals[len(given):]:
+        if default == _REQUIRED:
             raise UsageError(f"the argument {name} is required")
-    return SimpleNamespace(command=command, run=run, **values)
+    return SimpleNamespace(command=command, run=_COMMANDS[command][1], **values)
 
 
 def _usage(command: str | None) -> str:
     """The ``--help`` text of ``command``, or of the program for None, written
-    from ``_COMMANDS``."""
+    from the same argument tuples that ``parse_args`` reads."""
+    positionals, options = _arguments(command)
     if command is None:
         head = f"{{{','.join(_COMMANDS)}}} ..."
         about = ("Exact degrees and ED degrees of products of projective spaces, "
                  "their dual hypersurfaces, and growth estimates.")
         sections = [("commands", [(name, spec[0]) for name, spec in _COMMANDS.items()])]
-        options = (_HELP_OPTION,)
     else:
-        about, _, positionals, options = _COMMANDS[command]
-        head = " ".join([command, "[options]"] + [f"[{name}]" if optional else name
-                                                  for name, _, optional, _ in positionals])
+        about = _COMMANDS[command][0]
+        head = " ".join([command, "[options]"] + [name if default == _REQUIRED else f"[{name}]"
+                                                  for name, _, default, _ in positionals])
         sections = [("positional arguments",
-                     [(name, f"{text} (one of {', '.join(choices)})" if choices else text)
-                      for name, choices, _, text in positionals])]
-        options = (_HELP_OPTION, *options, *_COMMON_OPTIONS)
+                     [(name, f"{text} (one of {', '.join(takes)})" if isinstance(takes, tuple)
+                       else text) for name, takes, _, text in positionals])]
     rows = []
     for name, takes, _, text in options:
         if name == "--help":

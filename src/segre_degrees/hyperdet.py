@@ -24,12 +24,9 @@ that need a hypersurface should gate on ``is_dual_nondefective``.
 from __future__ import annotations
 
 from operator import index
-from typing import TYPE_CHECKING, Iterator, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from .combinat import as_format, binomial, multinomial_fold, rational
-
-if TYPE_CHECKING:  # annotations only; symmetric_point imports it when called
-    from fractions import Fraction
 
 __all__ = [
     "binary_hyperdet_degree",
@@ -38,7 +35,6 @@ __all__ = [
     "mixed_partial_at_symmetric_point",
     "partition_formats",
     "sv_hyperdet_degree",
-    "symmetric_point",
 ]
 
 
@@ -90,16 +86,6 @@ def binary_hyperdet_degree(d: int) -> int:
         total = -2 * total + falling * (d - i + 1)
         falling *= i
     return total
-
-
-def symmetric_point(d: int) -> Tuple[Fraction, ...]:
-    """The point (1/(d-1), ..., 1/(d-1)) where the degree-series denominator
-    vanishes; it drives the coefficient asymptotics."""
-    from fractions import Fraction
-
-    if d < 2:
-        raise ValueError(f"need at least two factors, got {d}")
-    return (Fraction(1, d - 1),) * d
 
 
 def mixed_partial_at_symmetric_point(d: int, indices: Sequence[int]) -> Tuple[int, int]:

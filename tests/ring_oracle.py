@@ -19,7 +19,6 @@ from typing import List, Sequence, Tuple
 
 from segre_degrees.asympt import MinimalPointCheck
 from segre_degrees.combinat import VerificationError, binomial, multinomial
-from segre_degrees.hyperdet import symmetric_point
 from segre_degrees.truncpoly import TruncatedPoly, elementary_symmetric, series_inverse
 
 
@@ -174,6 +173,14 @@ def ring_chern_product(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
         for eb, cb in b.terms.items():
             terms[ea + eb] = ca * cb
     return TruncatedPoly(a.caps + b.caps, terms)
+
+
+def symmetric_point(d: int) -> Tuple[Fraction, ...]:
+    """The point (1/(d-1), ..., 1/(d-1)) where the degree-series denominator
+    vanishes; it drives the coefficient asymptotics."""
+    if d < 2:
+        raise ValueError(f"need at least two factors, got {d}")
+    return (Fraction(1, d - 1),) * d
 
 
 def symbolic_mixed_partial(d: int, indices: Sequence[int]) -> Fraction:

@@ -35,7 +35,6 @@ from segre_degrees.hyperdet import (
     is_dual_nondefective,
     mixed_partial_at_symmetric_point,
     partition_formats,
-    symmetric_point,
 )
 from segre_degrees.polar import (
     alpha_coefficients,
@@ -49,7 +48,7 @@ from segre_degrees.polar import (
     g_identity_holds,
 )
 
-from ring_oracle import degree_series_denominator
+from ring_oracle import degree_series_denominator, symmetric_point
 
 TABLE2 = {
     (1, 1): [2, 6, 8, 8, 8, 8],

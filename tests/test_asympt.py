@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 
@@ -94,6 +96,24 @@ def test_binary_ratios():
             math.sqrt(2 * math.pi) * d ** (d + 0.5) / math.e ** d, rel=1e-12)
     with pytest.raises(ValueError):
         binary_asymptotics(1)
+
+
+def test_binary_ratio_fields_are_their_closed_forms():
+    """Each ratio is within a relative 1e-12 of its closed form while it is a
+    normal float, and within 1e-12 of the smallest normal float below that
+    (the generic ratio from d = 1030 on; it is 0 from d = 1083 on)."""
+    floor = Decimal(sys.float_info.min) * Decimal("1e-12")
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e = Decimal(1).exp()
+        for d in [*range(2, 1100), 10 ** 5, 10 ** 20, 10 ** 300]:
+            est = binary_asymptotics(d)
+            # the generic ratio is below 1e-330 from d = 1100 on
+            generic = (d + 3) / (2 ** Decimal(d + 1) * e - 1) if d < 1100 else Decimal(0)
+            for ratio, exact in ((est.ratio_frobenius, (d + 3) / e ** 2),
+                                 (est.ratio_generic, generic)):
+                assert abs(Decimal(ratio) - exact) <= max(exact * Decimal("1e-12"), floor), d
+            assert (est.ratio_generic == 0) == (d >= 1083)
 
 
 def test_log_domain_stays_finite():
@@ -214,7 +234,8 @@ def test_formula_table_looks_functions_up_when_called(monkeypatch, formula, exac
 
 @pytest.mark.parametrize("make, fields", [
     pytest.param(lambda: binary_asymptotics(5),
-                 "d log_hyperdet log_ed_frobenius log_ed_generic", id="BinaryAsymptotics"),
+                 "d log_hyperdet log_ed_frobenius log_ed_generic ratio_frobenius ratio_generic",
+                 id="BinaryAsymptotics"),
     pytest.param(lambda: discriminant_ratios(2, 3),
                  "n omega fixed_omega_ratio fixed_n_ratio gen_ratio", id="DiscriminantRatios"),
     pytest.param(lambda: verify_minimal_point_constants(3),

@@ -9,9 +9,11 @@ import os
 import re
 import sys
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +135,53 @@ def test_argparse_errors_are_one_error_line(capsys, argv):
     assert "--help" not in err  # no argv here types it, so no error may name it
 
 
+# one argv per fault that the value reader or the option lookup of cli.parse_args reports
+@pytest.mark.parametrize("argv, line", [
+    pytest.param("nosuch 1,1,1", "the command must be one of hyperdet, eddeg, table, verify, "
+                 "asympt, got 'nosuch'", id="command"),
+    pytest.param("table tableX", "name must be one of table2, stabilization, dual-example, "
+                 "got 'tableX'", id="table-choice"),
+    pytest.param("verify nosuch", "suite must be one of identities, rw-constants, "
+                 "stabilization, cross-oracle, got 'nosuch'", id="verify-choice"),
+    pytest.param("asympt foo 3 4", "formula must be one of hyperdet, ed, sv, binary, "
+                 "discriminant, got 'foo'", id="asympt-choice"),
+    pytest.param("hyperdet 1,1,1 --format xml", "--format must be one of plain, csv, json, "
+                 "got 'xml'", id="format-choice"),
+    pytest.param("verify identities --format=yaml", "--format must be one of plain, csv, "
+                 "json, got 'yaml'", id="format-choice-after-equals"),
+    pytest.param("hyperdet 1,1,1 --omega x", "--omega must be an integer, got 'x'",
+                 id="omega-not-integer"),
+    pytest.param("asympt sv 3 2 --omega 0", "--omega must be at least 1, got '0'",
+                 id="omega-below-least"),
+    pytest.param("table table2 --jobs 1e3", "--jobs must be an integer, got '1e3'",
+                 id="jobs-not-integer"),
+    pytest.param("table table2 --jobs 0", "--jobs must be at least 1, got '0'",
+                 id="jobs-below-least"),
+    pytest.param("hyperdet 1,1,1 --cap-bytes +5", "--cap-bytes must be an integer, got '+5'",
+                 id="cap-bytes-not-integer"),
+    pytest.param("hyperdet 1,1,1 --cap-bytes=0", "--cap-bytes must be at least 1, got '0'",
+                 id="cap-bytes-below-least"),
+    pytest.param("asympt binary 1_0", "d must be an integer, got '1_0'", id="d-not-integer"),
+    pytest.param("asympt hyperdet -1 5", "d must be at least 1, got '-1'", id="d-below-least"),
+    pytest.param("asympt binary 1", "formula 'binary' requires d >= 2", id="d-below-formula"),
+    pytest.param("hyperdet 1,1,1 --timing=1", "--timing takes no value, got '--timing=1'",
+                 id="flag-with-value"),
+    pytest.param("eddeg 1,3 --gen=yes", "--generic takes no value, got '--gen=yes'",
+                 id="flag-prefix-with-value"),
+    pytest.param("hyperdet 1,1,1 --omega", "--omega needs a value", id="option-without-value"),
+    pytest.param("hyperdet 1,1,1 --out --timing", "--out needs a value",
+                 id="option-then-option"),
+    pytest.param("asympt hyperdet", "the argument d is required", id="missing-positional"),
+    pytest.param("table table2 extra", "unexpected argument 'extra'", id="extra-positional"),
+    pytest.param("asympt hyperdet 3 2 --c", "option --c is ambiguous: it could be --compare, "
+                 "--cap-bytes", id="ambiguous-prefix"),
+    pytest.param("--format json hyperdet", "unknown option --format", id="option-before-command"),
+    pytest.param("-- hyperdet", "unknown option --", id="double-dash-before-command"),
+])
+def test_usage_errors_name_the_argument_and_the_rule(capsys, argv, line):
+    assert run(argv.split(), capsys) == (2, "", f"error: {line}\n")
+
+
 @pytest.mark.parametrize("argv, canonical", [
     pytest.param("hyperdet 2 --omega=3", "hyperdet 2 --omega 3", id="option-equals-value"),
     pytest.param("hyperdet 2 --om 3", "hyperdet 2 --omega 3", id="unique-prefix"),
@@ -167,6 +216,28 @@ SUBCOMMAND_ARGUMENTS = {
     "asympt": ["formula", "hyperdet", "ed", "sv", "binary", "discriminant", "d", "grid",
                "--omega", "--compare"],
 }
+
+
+def test_the_readme_names_the_whole_grammar():
+    """The README's "Command line" section and ``cli._COMMANDS`` describe one
+    grammar: the section names every subcommand, positional, choice and
+    option, and every option that it names is one, in full or shortened to a
+    prefix as the section allows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    words = set(re.findall(r"[-\w]+", section))
+    unnamed, options = [], set()
+    for command in cli._COMMANDS:
+        positionals, command_options = cli._arguments(command)
+        options.update(name for name, *_ in command_options)
+        for name, takes, _, _ in positionals + command_options:
+            choices = takes if isinstance(takes, tuple) else ()
+            unnamed += [f"{command}: {word}" for word in (command, name, *choices)
+                        if word not in words]
+    assert unnamed == []
+    named = set(re.findall(r"(?<![-\w])--[a-z][-a-z]*", section))
+    assert sorted(typed for typed in named
+                  if not any(option.startswith(typed) for option in options)) == []
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -342,6 +413,29 @@ def test_asympt_command(capsys):
     code, out, _ = run(["asympt", "discriminant", "2", "5"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("d", [3, 8, 359, 10 ** 5, 10 ** 12, 10 ** 20, 10 ** 300],
+                         ids=["3", "8", "359", "1e5", "1e12", "1e20", "1e300"])
+def test_binary_ratios_print_their_closed_forms(capsys, d):
+    """hyperdet/ed-frobenius is (d+3)/e^2 and hyperdet/ed-generic is
+    (d+3)/(2^(d+1) e - 1); taken as the difference of two log estimates they
+    lost the digits of the Stirling terms, which grow as d log d."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e = Decimal(1).exp()
+        frobenius = (d + 3) / e ** 2
+        # below 1e-330 from d = 1100 on, and past the exponent range of decimal later
+        generic = (d + 3) / (2 ** Decimal(d + 1) * e - 1) if d < 1100 else Decimal(0)
+    code, out, _ = run(["asympt", "binary", str(d)], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[3] == f"{float(f'{frobenius:.12g}'):.12g}  quantity=hyperdet/ed-frobenius"
+    printed, label = lines[4].split("  ")
+    assert label == "quantity=hyperdet/ed-generic"
+    # 12 printed digits; the ratio is below the smallest float from d = 1083 on
+    assert (Decimal(printed) == 0 if generic < Decimal("2.5e-324")
+            else abs(Decimal(printed) / generic - 1) < Decimal("1e-11"))
 
 
 def test_omega_is_only_for_the_sv_formula(capsys):

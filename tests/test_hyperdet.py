@@ -15,13 +15,13 @@ from segre_degrees.hyperdet import (
     mixed_partial_at_symmetric_point,
     partition_formats,
     sv_hyperdet_degree,
-    symmetric_point,
 )
 
 from ring_oracle import (
     degree_series_denominator,
     fraction_mixed_partial,
     symbolic_mixed_partial,
+    symmetric_point,
 )
 
 
