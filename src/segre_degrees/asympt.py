@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Sequence, Tuple
+from collections.abc import Sequence
 
 from .combinat import VerificationError, rational
 from .eddeg import frobenius_ed_degree, veronese_frobenius_ed_degree
@@ -39,6 +39,7 @@ __all__ = [
     "VerificationError",
     "binary_asymptotics",
     "convergence_sweep",
+    "discriminant_quotients",
     "discriminant_ratios",
     "log_ed_asymptotic",
     "log_hyperdet_asymptotic",
@@ -152,9 +153,9 @@ DiscriminantRatios = namedtuple("DiscriminantRatios",
                                 "n omega fixed_omega_ratio fixed_n_ratio gen_ratio")
 
 
-def discriminant_ratios(n: int, omega: int) -> DiscriminantRatios:
-    """Compare N(n; w) = (n+1)(w-1)^n against both ED degrees of the
-    degree-w Veronese embedding of P^n."""
+def discriminant_quotients(n: int, omega: int) -> tuple[tuple[int, int], ...]:
+    """The three ratios of ``discriminant_ratios`` as exact (numerator,
+    denominator) pairs of positive integers, in the order of its fields."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if omega < 3:
@@ -162,14 +163,17 @@ def discriminant_ratios(n: int, omega: int) -> DiscriminantRatios:
     exact = (n + 1) * (omega - 1) ** n
     ed_f = veronese_frobenius_ed_degree(n, omega)
     ed_gen = ((2 * omega - 1) ** (n + 1) - (omega - 1) ** (n + 1)) // omega
+    return ((exact * (omega - 1), ed_f * (omega - 2) * n),
+            (exact, ed_f * (n + 1)),
+            (exact * (2 ** (n + 1) - 1), ed_gen * (n + 1)))
+
+
+def discriminant_ratios(n: int, omega: int) -> DiscriminantRatios:
+    """Compare N(n; w) = (n+1)(w-1)^n against both ED degrees of the
+    degree-w Veronese embedding of P^n."""
     # one true division of integers each: correctly rounded, like float(Fraction)
-    return DiscriminantRatios(
-        n=n,
-        omega=omega,
-        fixed_omega_ratio=exact * (omega - 1) / (ed_f * (omega - 2) * n),
-        fixed_n_ratio=exact / (ed_f * (n + 1)),
-        gen_ratio=exact * (2 ** (n + 1) - 1) / (ed_gen * (n + 1)),
-    )
+    quotients = discriminant_quotients(n, omega)
+    return DiscriminantRatios(n, omega, *(num / den for num, den in quotients))
 
 
 # Exact values of the constants at the symmetric vanishing point
@@ -188,31 +192,31 @@ def _subset_term(d: int, size: int) -> int:
     return (1 - size) * (d - 1) ** (d - size)
 
 
-def _q(d: int, d_last: Tuple[int, int], d_mixed: Tuple[int, int]) -> Tuple[int, int]:
+def _q(d: int, d_last: tuple[int, int], d_mixed: tuple[int, int]) -> tuple[int, int]:
     """q = 1 - c d_mixed / d_last at c = 1/(d-1), which is (N_1 - N_2) / N_1
     for the scaled partials N_k of ``mixed_partial_at_symmetric_point``."""
     (a, b), (a2, b2) = d_last, d_mixed
     return rational((d - 1) * a * b2 - a2 * b, (d - 1) * a * b2)
 
 
-def _hessian_det(d: int, q: Tuple[int, int]) -> Tuple[int, int]:
+def _hessian_det(d: int, q: tuple[int, int]) -> tuple[int, int]:
     """d q^(d-1); q is reduced, so its powers are too."""
     return rational(d * q[0] ** (d - 1), q[1] ** (d - 1))
 
 
-def _leading_constant(d: int, d_last: Tuple[int, int]) -> Tuple[int, int]:
+def _leading_constant(d: int, d_last: tuple[int, int]) -> tuple[int, int]:
     """1 / (c d_last)^2 at c = 1/(d-1)."""
     a, b = d_last
     return rational(((d - 1) * b) ** 2, a ** 2)
 
 
-def _rational_str(value: Tuple[int, int]) -> str:
+def _rational_str(value: tuple[int, int]) -> str:
     """The pair as ``str(Fraction(*value))`` prints it."""
     p, q = rational(*value)
     return str(p) if q == 1 else f"{p}/{q}"
 
 
-def _check(name: str, d: int, value: Tuple[int, int], num: int, den: int) -> None:
+def _check(name: str, d: int, value: tuple[int, int], num: int, den: int) -> None:
     """Raise unless the pair ``value`` equals num / den, by cross-multiplication."""
     if value[0] * den != num * value[1]:
         raise VerificationError(f"{name} mismatch for d={d}: {_rational_str(value)}")
@@ -293,7 +297,7 @@ FORMULAS = {
 
 
 def convergence_sweep(formula: str, d: int, grid: Sequence[int], omega: int = 1,
-                      compare: bool = True) -> Tuple[ConvergencePoint, ...]:
+                      compare: bool = True) -> tuple[ConvergencePoint, ...]:
     """Estimates over a grid of n for fixed d >= 3 on the hypercubical format
     (n+1)^d, and with ``compare`` the exact values and relative errors.
 

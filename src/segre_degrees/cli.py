@@ -25,8 +25,8 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable, Sequence
 from types import SimpleNamespace
-from typing import Callable, List, Sequence, Tuple
 
 from . import asympt as asy
 from .combinat import VerificationError
@@ -41,11 +41,15 @@ from .polar import (
     stabilization_ratio_check,
 )
 
+TYPE_CHECKING = False  # true only to type checkers, which know the name
+if TYPE_CHECKING:  # annotations only; ``_ratio_value`` imports decimal on its one path
+    from decimal import Decimal
+
 __all__ = ["CapBudgetError", "UsageError", "main", "parse_args", "run"]
 
 DEFAULT_CAP_BYTES = 2 * 1024 ** 3
 
-TABLE2_BASES: Tuple[Tuple[int, int], ...] = ((1, 1), (1, 2), (2, 2), (2, 3))
+TABLE2_BASES: tuple[tuple[int, int], ...] = ((1, 1), (1, 2), (2, 2), (2, 3))
 TABLE2_COLUMNS = 6
 
 
@@ -82,7 +86,7 @@ def _check_power_cap(base: int, exponent: int, cap_bytes: int) -> None:
                exponent * (base - 1).bit_length(), cap_bytes)
 
 
-def _integers(text: str, what: str, least: int, sep: str | None = None) -> Tuple[int, ...]:
+def _integers(text: str, what: str, least: int, sep: str | None = None) -> tuple[int, ...]:
     """The one rule for every integer in argv: ASCII digits after an optional
     minus sign, each value at least ``least``.  ``sep`` splits a comma list or
     a range into values; without it ``text`` is one value."""
@@ -126,18 +130,15 @@ def _record(command: str, parameters: dict, result: object, note: str = "", **ex
     return dict(command=command, parameters=parameters, result=result, note=note, **extra)
 
 
-def _render(args: SimpleNamespace, records: List[dict],
-            csv_rows: List[list] | None = None, plain: List[str] | None = None) -> str:
+def _render(args: SimpleNamespace, records: list[dict],
+            csv_rows: list[list] | None = None, plain: list[str] | None = None) -> str:
     """The one output path: records as JSON, CSV or plain text.  ``csv_rows``
     (header included) and ``plain`` lines replace the generic CSV and plain
     layouts where a table's golden layout differs."""
     if args.format == "json":
         import json
 
-        # an estimate that overflowed is written as plain and CSV print it
-        objs = [{k: _fmt_float(v) if isinstance(v, float) and not math.isfinite(v) else v
-                 for k, v in rec.items()} for rec in records]
-        return json.dumps(objs, sort_keys=True, separators=(", ", ": "), indent=1,
+        return json.dumps(records, sort_keys=True, separators=(", ", ": "), indent=1,
                           allow_nan=False) + "\n"
     if args.format == "csv":
         import csv
@@ -206,7 +207,7 @@ def _note(line: str) -> None:
 # -- scalar commands ----------------------------------------------------------
 
 
-def _cmd_hyperdet(args: SimpleNamespace) -> Tuple[str, int]:
+def _cmd_hyperdet(args: SimpleNamespace) -> tuple[str, int]:
     dims = _integers(args.dims, "dims", 0, ",")
     n_total = sum(dims)
     _check_cap_budget(n_total, len(dims), n_total * (args.omega - 1).bit_length(), args.cap_bytes)
@@ -218,7 +219,7 @@ def _cmd_hyperdet(args: SimpleNamespace) -> Tuple[str, int]:
     return _render(args, [_record("hyperdet", params, str(value), note)]), 0
 
 
-def _cmd_eddeg(args: SimpleNamespace) -> Tuple[str, int]:
+def _cmd_eddeg(args: SimpleNamespace) -> tuple[str, int]:
     dims = _integers(args.dims, "dims", 0, ",")
     weights = (_integers(args.weights, "--weights", 1, ",") if args.weights is not None
                else (1,) * len(dims))
@@ -247,7 +248,7 @@ def _cmd_eddeg(args: SimpleNamespace) -> Tuple[str, int]:
 # it is printed: a row that fails to stabilize raises ``VerificationError``.
 
 
-def _base_label(base: Tuple[int, ...]) -> str:
+def _base_label(base: tuple[int, ...]) -> str:
     return "x".join(f"P{n}" for n in base)
 
 
@@ -342,13 +343,13 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args: SimpleNamespace) -> Tuple[str, int]:
+def _cmd_verify(args: SimpleNamespace) -> tuple[str, int]:
     sweep, default_max, least, most = _SUITES[args.suite]
     what = f"--max for {args.suite}"
     max_value = default_max if args.max is None else _integers(args.max, what, least)[0]
     if max_value > most:
         raise UsageError(f"{what} must be at most {most}, got {max_value}")
-    failed: List[str] = []
+    failed: list[str] = []
     checked = sweep(max_value, failed.append)
     status = "ok" if not failed else "FAILED"
     params = {"suite": args.suite, "max": str(max_value)}
@@ -368,8 +369,39 @@ def _round12(x: float) -> float:
     return float(_fmt_float(x))
 
 
-def _estimate_value(log_estimate: float) -> float:
-    return _round12(math.exp(log_estimate)) if log_estimate < 709 else float("inf")
+def _estimate_value(log_estimate: float) -> float | str:
+    """An estimate to 12 significant digits, or the text ``inf`` where it
+    overflows a double."""
+    return _round12(math.exp(log_estimate)) if log_estimate < 709 else "inf"
+
+
+def _ratio_value(value: float, d: int,
+                 log10: Callable[[type[Decimal]], Decimal]) -> float | str:
+    """A positive ratio to 12 significant digits.  Below the normal doubles a
+    float holds fewer digits (none at 0), so there they are correctly rounded
+    from ``log10(decimal.Decimal)``, the base-10 logarithm of the exact form,
+    whose integer part has at most as many digits as ``d``; 30 more are kept.
+    Such a value is text, as an overflowed estimate's ``inf`` is."""
+    if value >= sys.float_info.min:
+        return _round12(value)
+    import decimal
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = len(str(d)) + 30
+        log = log10(decimal.Decimal)
+        exponent = math.floor(log)
+        mantissa = (10 ** (log - exponent)).quantize(decimal.Decimal("1e-11"))
+    if mantissa == 10:  # rounded up to the next power of ten
+        mantissa, exponent = decimal.Decimal(1), exponent + 1
+    return f"{mantissa.normalize()}e{exponent:+03d}"
+
+
+def _log10_quotient(dec: type[Decimal], num: int, den: int) -> Decimal:
+    """log10(num / den) for 0 < num < den, read from the integer quotient of
+    about 40 digits that a power of ten times num / den gives: converting the
+    integers themselves to decimal takes time quadratic in their length."""
+    k = (den.bit_length() - num.bit_length()) * 30103 // 100000 + 40
+    return dec(num * 10 ** k // den).log10() - k
 
 
 # formula -> (least d, the argument after d: a grid of n values, the weight or none)
@@ -377,7 +409,7 @@ _ASYMPT_ARGS = {**{formula: (3, "a grid of n values") for formula in asy.FORMULA
                 "binary": (2, None), "discriminant": (1, "the weight")}
 
 
-def _cmd_asympt(args: SimpleNamespace) -> Tuple[str, int]:
+def _cmd_asympt(args: SimpleNamespace) -> tuple[str, int]:
     formula = args.formula
     if args.omega is not None and formula != "sv":
         raise UsageError(f"--omega applies only to the sv formula, not {formula!r}")
@@ -429,18 +461,20 @@ def _cmd_asympt(args: SimpleNamespace) -> Tuple[str, int]:
             ("ed-frobenius", _estimate_value(est.log_ed_frobenius)),
             ("ed-generic", _estimate_value(est.log_ed_generic)),
             ("hyperdet/ed-frobenius", _round12(est.ratio_frobenius)),
-            ("hyperdet/ed-generic", _round12(est.ratio_generic)),
+            # 2^(d+1) e - 1 is 2^(d+1) e to 300 digits wherever the ratio is not a normal double
+            ("hyperdet/ed-generic", _ratio_value(
+                est.ratio_generic, d,
+                lambda dec: (dec(d + 3) / dec(1).exp()).log10() - (d + 1) * dec(2).log10())),
         ]
     else:
         omega = _integers(args.grid, "the weight", 3)[0]
         _check_power_cap(2 * omega - 1, d + 1, args.cap_bytes)
-        ratios = asy.discriminant_ratios(d, omega)
         base = {"formula": "discriminant", "n": str(d), "omega": str(omega)}
-        quantities = [
-            ("ratio-to-ed/large-n-form", _round12(ratios.fixed_omega_ratio)),
-            ("ratio-to-ed/large-weight-form", _round12(ratios.fixed_n_ratio)),
-            ("ratio-to-generic-ed/large-weight-form", _round12(ratios.gen_ratio)),
-        ]
+        names = ("ratio-to-ed/large-n-form", "ratio-to-ed/large-weight-form",
+                 "ratio-to-generic-ed/large-weight-form")
+        # each pair is one true division of integers: correctly rounded, like float(Fraction)
+        quantities = [(name, _ratio_value(num / den, d, lambda dec: _log10_quotient(dec, num, den)))
+                      for name, (num, den) in zip(names, asy.discriminant_quotients(d, omega))]
     records = [_record("asympt", dict(base, quantity=q), value) for q, value in quantities]
     return _render(args, records), 0
 
@@ -465,7 +499,7 @@ _COMMON_OPTIONS = (
 )
 
 
-def _cmd_table(args: SimpleNamespace) -> Tuple[str, int]:
+def _cmd_table(args: SimpleNamespace) -> tuple[str, int]:
     return _TABLES[args.name](args), 0
 
 
@@ -501,7 +535,7 @@ def _is_option(token: str) -> bool:
     return token[:1] == "-" and token[1:2] not in "0123456789"
 
 
-def _arguments(command: str | None) -> Tuple[List[tuple], List[tuple]]:
+def _arguments(command: str | None) -> tuple[list[tuple], list[tuple]]:
     """The positionals and options of ``command`` (of the program for None), help first."""
     arguments = (_HELP, *_COMMANDS[command][2], *_COMMON_OPTIONS) if command else (_HELP,)
     return ([spec for spec in arguments if not _is_option(spec[0])],
@@ -551,7 +585,7 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     command = None if _is_option(argv[0]) else _value("the command", tuple(_COMMANDS), argv[0])
     positionals, options = _arguments(command)
     values = {_dest(name): default for name, _, default, _ in (*positionals, *options)}
-    given: List[str] = []
+    given: list[str] = []
     rest = iter(argv[1:] if command else argv)
     for token in rest:
         if token == "--" and command:  # without a command ``--`` is an unknown option

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from math import comb, factorial, gcd
 from operator import index
-from typing import Iterable, List, Sequence, Tuple
 
 __all__ = [
     "VerificationError", "as_format", "binomial", "multinomial", "multinomial_fold", "rational",
@@ -15,7 +15,7 @@ class VerificationError(Exception):
     """An exact identity or integrality invariant failed to hold."""
 
 
-def as_format(dims: Iterable[int]) -> Tuple[int, ...]:
+def as_format(dims: Iterable[int]) -> tuple[int, ...]:
     """The format (n1, ..., nd) of a product of projective spaces as a tuple.
 
     Each entry goes through ``operator.index``, so a float, ``Fraction`` or
@@ -41,7 +41,7 @@ def binomial(a: int, b: int) -> int:
     return comb(a, b)
 
 
-def rational(num: int, den: int) -> Tuple[int, int]:
+def rational(num: int, den: int) -> tuple[int, int]:
     """num / den as a reduced pair (p, q) of integers with q > 0: the exact
     rationals of the package, which builds no ``Fraction``."""
     if den == 0:
@@ -63,7 +63,7 @@ def multinomial(parts: Iterable[int]) -> int:
     return out
 
 
-def multinomial_fold(factors: Iterable[Sequence[int]]) -> List[int]:
+def multinomial_fold(factors: Iterable[Sequence[int]]) -> list[int]:
     """g[s] = sum over |k| = s of multinomial(k) * prod_j a_j[k_j] for the
     coefficient lists a_j that ``factors`` yields, i.e. sum_s g[s] t^s / s! =
     prod_j sum_k a_j[k] t^k / k!.  Folds one factor at a time with

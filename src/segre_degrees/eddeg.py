@@ -24,12 +24,13 @@ alongside.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import perm
 from operator import index
-from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from .combinat import VerificationError, as_format, binomial, multinomial_fold
 
+TYPE_CHECKING = False  # true only to type checkers, which know the name
 if TYPE_CHECKING:  # annotations only; each function that builds a Fraction imports it
     from fractions import Fraction
 
@@ -54,7 +55,7 @@ def frobenius_ed_degree(dims: Sequence[int]) -> int:
     return sum(multinomial_fold(_frobenius_factor(n) for n in as_format(dims)))
 
 
-def _frobenius_factor(n: int) -> List[int]:
+def _frobenius_factor(n: int) -> list[int]:
     """a(k) = sum_{r <= n-k} (-1)^r C(k+r, r) for k = 0..n: the coefficient of
     x^(n-k) in (1 - x)^(-1) (1 + x)^(-(k+1)), one factor's part of
     1 / (prod (1 - x_j) H) once 1/H = 1 / (P (1 - S)) is expanded in powers of
@@ -109,7 +110,7 @@ def binary_generic_ed_degree(d: int) -> int:
     return sum((-2) ** i * perm(d, d - i) * (2 ** (d + 1 - i) - 1) for i in range(d + 1))
 
 
-def stabilization_onset(base_dims: Sequence[int], m_max: int) -> List[Tuple[int, int]]:
+def stabilization_onset(base_dims: Sequence[int], m_max: int) -> list[tuple[int, int]]:
     """Frobenius ED degrees of base x P^m for m = 0..m_max.
 
     The values must be constant from m = N = sum(base_dims) on; a violation
@@ -128,7 +129,7 @@ def stabilization_onset(base_dims: Sequence[int], m_max: int) -> List[Tuple[int,
     return out
 
 
-def matrix_ed_polynomial(entries: Sequence[Sequence[Fraction | int]]) -> List[Fraction]:
+def matrix_ed_polynomial(entries: Sequence[Sequence[Fraction | int]]) -> list[Fraction]:
     """Coefficients (ascending in eps^2) of det(t t^T - eps^2 I).
 
     The roots in eps^2 are the squared singular values of t.  The matrix is

@@ -23,8 +23,8 @@ that need a hypersurface should gate on ``is_dual_nondefective``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from operator import index
-from typing import Iterator, Sequence, Tuple
 
 from .combinat import as_format, binomial, multinomial_fold, rational
 
@@ -88,7 +88,7 @@ def binary_hyperdet_degree(d: int) -> int:
     return total
 
 
-def mixed_partial_at_symmetric_point(d: int, indices: Sequence[int]) -> Tuple[int, int]:
+def mixed_partial_at_symmetric_point(d: int, indices: Sequence[int]) -> tuple[int, int]:
     """Mixed partial of H = sum (1-i) e_i at the symmetric vanishing point, as
     a reduced pair (numerator, denominator) with a positive denominator.
 
@@ -117,13 +117,13 @@ def mixed_partial_at_symmetric_point(d: int, indices: Sequence[int]) -> Tuple[in
     return rational(total, (d - 1) ** m)
 
 
-def partition_formats(max_total: int) -> Iterator[Tuple[int, ...]]:
+def partition_formats(max_total: int) -> Iterator[tuple[int, ...]]:
     """All non-decreasing tuples of positive n_i with sum <= max_total.
 
     One representative per permutation class; the degree computations here
     are symmetric in the factors, so sweeps over these cover all formats.
     """
-    def rec(remaining: int, smallest: int, prefix: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+    def rec(remaining: int, smallest: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if prefix:
             yield prefix
         for n in range(smallest, remaining + 1):

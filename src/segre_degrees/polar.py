@@ -48,10 +48,10 @@ every case.  A sweep holds two rows at a time, never a table over all n.  The
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from itertools import cycle, repeat
 from math import comb, factorial, perm
 from operator import index, mul
-from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .combinat import as_format, binomial, multinomial_fold
 
@@ -90,7 +90,7 @@ class ChernData(namedtuple("ChernData", "dim class_degrees factors point_degree"
     __slots__ = ()
 
     def __new__(cls, dim: int, class_degrees: Sequence[int],
-                factors: Tuple[Tuple[int, ...], ...] = (), point_degree: int = 1) -> ChernData:
+                factors: tuple[tuple[int, ...], ...] = (), point_degree: int = 1) -> ChernData:
         degrees = tuple(map(index, class_degrees))
         if dim < 0:
             raise ValueError(f"dimension must be non-negative, got {dim}")
@@ -112,7 +112,7 @@ class ChernData(namedtuple("ChernData", "dim class_degrees factors point_degree"
 PolarProfile = namedtuple("PolarProfile", "deltas dual_codim")
 
 
-def _from_factors(factors: Tuple[Tuple[int, ...], ...], point_degree: int) -> ChernData:
+def _from_factors(factors: tuple[tuple[int, ...], ...], point_degree: int) -> ChernData:
     """Chern data of a product from its per-factor Chern coefficients.
 
     deg(c_j . h^(m-j)) pairs each monomial x^e with |e| = j against h^(m-j),
@@ -135,11 +135,11 @@ def chern_data_projective_space_product(dims: Sequence[int]) -> ChernData:
     return _from_factors(factors, 1)
 
 
-def _hypersurface_chern_coeffs(n: int, deg_d: int, top: int) -> List[int]:
-    """Coefficients of (1+y)^(n+2) / (1 + deg_d * y) up to y^top."""
+def _hypersurface_chern_coeffs(n: int, deg_d: int) -> list[int]:
+    """Coefficients of (1+y)^(n+2) / (1 + deg_d * y) up to y^n."""
     out = []
     s = 0
-    for j in range(top + 1):
+    for j in range(n + 1):
         s = comb(n + 2, j) - deg_d * s
         out.append(s)
     return out
@@ -157,7 +157,7 @@ def chern_data_smooth_hypersurface(n: int, deg_d: int) -> ChernData:
     deg_d = index(deg_d)
     if deg_d < 1:
         raise ValueError(f"hypersurface degree must be positive, got {deg_d}")
-    return _from_factors((tuple(_hypersurface_chern_coeffs(n, deg_d, n)),), deg_d)
+    return _from_factors((tuple(_hypersurface_chern_coeffs(n, deg_d)),), deg_d)
 
 
 def chern_data_product(a: ChernData, b: ChernData) -> ChernData:
@@ -197,7 +197,7 @@ def dual_profile(cd: ChernData) -> PolarProfile:
     return PolarProfile(deltas=deltas, dual_codim=first + 1)
 
 
-def alpha_coefficients(n: int, m: int, deg_d: int) -> List[int]:
+def alpha_coefficients(n: int, m: int, deg_d: int) -> list[int]:
     """The coefficients alpha_0..alpha_m expressing delta_0(X x Y_n) in the
     Chern class degrees of an m-dimensional X, for Y_n a smooth degree-d
     hypersurface in P^{n+1}:
@@ -225,25 +225,25 @@ def alpha_coefficients(n: int, m: int, deg_d: int) -> List[int]:
     return _alpha_readout(_alpha_dots(n, (deg_d,), m + 1)[0], m, deg_d)
 
 
-def _alpha_dots(n: int, degrees: Sequence[int], top: int) -> List[List[int]]:
+def _alpha_dots(n: int, degrees: Sequence[int], top: int) -> list[list[int]]:
     """For each d in ``degrees``, the row S(n, low, d), low = 1..top, with
     alpha_i(n, m, d) = d (-1)^i S(n, m-i+1, d); the signed Chern coefficients
     of each d are built once for the whole row."""
-    signed_rows = [list(map(mul, cycle((1, -1)), _hypersurface_chern_coeffs(n, d, n)))
+    signed_rows = [list(map(mul, cycle((1, -1)), _hypersurface_chern_coeffs(n, d)))
                    for d in degrees]
     return _dots(signed_rows, n, range(1, top + 1))
 
 
-def _alpha_readout(dots: Sequence[int], m: int, deg_d: int) -> List[int]:
+def _alpha_readout(dots: Sequence[int], m: int, deg_d: int) -> list[int]:
     """alpha_0..alpha_m from a row of ``_alpha_dots`` that reaches low = m + 1."""
     return list(map(mul, cycle((deg_d, -deg_d)), reversed(dots[:m + 1])))
 
 
-def _dots(signed_rows: Sequence[Sequence[int]], n: int, lows: Iterable[int]) -> List[List[int]]:
+def _dots(signed_rows: Sequence[Sequence[int]], n: int, lows: Iterable[int]) -> list[list[int]]:
     """low * sum_{k=0}^{n} signed[k] C(low+n-k, low) for each row of signed
     coefficients and each low, by C-level iteration; the binomial column of a
     low is built once for all rows."""
-    out: List[List[int]] = [[] for _ in signed_rows]
+    out: list[list[int]] = [[] for _ in signed_rows]
     for low in lows:
         column = list(map(comb, range(low + n, low - 1, -1), repeat(low)))
         for row, signed in zip(out, signed_rows):
@@ -316,7 +316,7 @@ def _alternating_sum(n: int, low: int) -> int:
     return _dots([_signed_binomials(n + 2, n + 1)], n, (low,))[0][0]
 
 
-def _signed_binomials(a: int, count: int) -> List[int]:
+def _signed_binomials(a: int, count: int) -> list[int]:
     """(-1)^k C(a, k+1) for k = 0..count-1: the signed coefficients of the
     alternating sum of n (a = n+2, count = n+1) and of f(n) (a = count = n+1)."""
     return list(map(mul, cycle((1, -1)), map(comb, repeat(a), range(1, count + 1))))
@@ -362,7 +362,7 @@ def _g_scaled(n: int, j: int) -> int:
     return _g_dot(_g_weights(n), j, list(map(factorial, range(n + 2 + j))))
 
 
-def _g_weights(n: int) -> List[int]:
+def _g_weights(n: int) -> list[int]:
     """The j-free factors (-1)^s (n+1)!/(n+1-s)! C(n+2, s+1) (n+1-s) of the
     terms of G(n, j), s = 0..n."""
     weights = []
@@ -408,7 +408,7 @@ def identity_sweep(max_n: int, report: Callable[[str], None]) -> int:
     checked = 0
     factorials = list(map(factorial, range(2 * max_n + 3)))
     f_row = [f_sum(0, 0)]
-    g_row: List[int] = []
+    g_row: list[int] = []
     for n in range(max_n + 1):
         # row n+1 of f and G, as far as row n's recurrences and row n+1's values reach
         top = min(n + 1, max_n)

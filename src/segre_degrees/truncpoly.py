@@ -12,11 +12,12 @@ polynomial.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from itertools import combinations, product
 from math import prod
 from operator import getitem
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
+TYPE_CHECKING = False  # true only to type checkers, which know the name
 if TYPE_CHECKING:  # annotations only; each function that builds a Fraction imports it
     from fractions import Fraction
 
@@ -28,7 +29,7 @@ __all__ = [
     "series_inverse",
 ]
 
-Exponent = Tuple[int, ...]
+Exponent = tuple[int, ...]
 
 
 def _check_exponent(exp: Exponent, caps: Exponent) -> None:
@@ -50,7 +51,7 @@ class TruncatedPoly:
         caps_t = tuple(int(c) for c in caps)
         if any(c < 0 for c in caps_t):
             raise ValueError(f"caps must be non-negative, got {caps_t}")
-        clean: Dict[Exponent, int] = {}
+        clean: dict[Exponent, int] = {}
         if terms:
             for exp, coeff in terms.items():
                 exp_t = tuple(int(e) for e in exp)
@@ -61,7 +62,7 @@ class TruncatedPoly:
         self.terms = clean
 
     @classmethod
-    def _raw(cls, caps: Exponent, terms: Dict[Exponent, int]) -> "TruncatedPoly":
+    def _raw(cls, caps: Exponent, terms: dict[Exponent, int]) -> "TruncatedPoly":
         # Internal fast path: caller guarantees terms are valid and zero-free.
         p = object.__new__(cls)
         p.caps = caps
@@ -128,7 +129,7 @@ class TruncatedPoly:
         a, b = self.terms, other.terms
         if len(b) < len(a):
             a, b = b, a
-        out: Dict[Exponent, int] = {}
+        out: dict[Exponent, int] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 exp = tuple(x + y for x, y in zip(ea, eb))
@@ -168,7 +169,7 @@ class TruncatedPoly:
         """Formal partial derivative with respect to x_{index} (0-based)."""
         if not 0 <= index < len(self.caps):
             raise ValueError(f"variable index {index} out of range")
-        out: Dict[Exponent, int] = {}
+        out: dict[Exponent, int] = {}
         for exp, coeff in self.terms.items():
             e = exp[index]
             if e:
@@ -220,7 +221,7 @@ def elementary_symmetric(caps: Sequence[int], i: int) -> TruncatedPoly:
         raise ValueError(f"elementary symmetric index {i} out of range 0..{d}")
     if i == 0:
         return TruncatedPoly.constant(caps_t, 1)
-    terms: Dict[Exponent, int] = {}
+    terms: dict[Exponent, int] = {}
     live = [j for j in range(d) if caps_t[j] >= 1]
     for combo in combinations(live, i):
         exp = [0] * d
@@ -240,7 +241,7 @@ def series_inverse(h: TruncatedPoly) -> TruncatedPoly:
         raise ValueError("series inverse requires constant term 1")
     caps = h.caps
     rest = [(e, c) for e, c in h.terms.items() if any(e)]
-    inv: Dict[Exponent, int] = {}
+    inv: dict[Exponent, int] = {}
     for e in graded_exponents(caps):
         if not any(e):
             inv[e] = 1

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import math
 import os
 import re
 import sys
 from collections import Counter
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 import time
 import tracemalloc
@@ -415,27 +416,66 @@ def test_asympt_command(capsys):
     assert len(out.splitlines()) == 3
 
 
-@pytest.mark.parametrize("d", [3, 8, 359, 10 ** 5, 10 ** 12, 10 ** 20, 10 ** 300],
-                         ids=["3", "8", "359", "1e5", "1e12", "1e20", "1e300"])
+@pytest.mark.parametrize("d", [3, 8, 359, 1029, 1030, 1066, 1083, 1100, 5000, 10 ** 5, 10 ** 12,
+                               10 ** 20, 10 ** 300],
+                         ids=["3", "8", "359", "1029", "1030", "1066", "1083", "1100", "5000",
+                              "1e5", "1e12", "1e20", "1e300"])
 def test_binary_ratios_print_their_closed_forms(capsys, d):
     """hyperdet/ed-frobenius is (d+3)/e^2 and hyperdet/ed-generic is
     (d+3)/(2^(d+1) e - 1); taken as the difference of two log estimates they
-    lost the digits of the Stirling terms, which grow as d log d."""
+    lost the digits of the Stirling terms, which grow as d log d.  From
+    d = 1029, the last normal double, every printed digit of the generic
+    ratio is the closed form's, correctly rounded; past d = 10^12, where
+    2^(d+1) leaves even decimal's exponent range, the printed mantissa and
+    exponent are read against the base-10 logarithm."""
     with localcontext() as ctx:
-        ctx.prec = 60
+        ctx.prec, ctx.Emax, ctx.Emin = 60 + len(str(d)), MAX_EMAX, MIN_EMIN
         e = Decimal(1).exp()
         frobenius = (d + 3) / e ** 2
-        # below 1e-330 from d = 1100 on, and past the exponent range of decimal later
-        generic = (d + 3) / (2 ** Decimal(d + 1) * e - 1) if d < 1100 else Decimal(0)
+        if d <= 10 ** 12:
+            generic = (d + 3) / (2 ** Decimal(d + 1) * e - 1)
+            exponent = generic.adjusted()
+            mantissa = generic.scaleb(-exponent)
+        else:  # the - 1 moves the value by a factor within 10^-(10^19) of 1
+            log = ((d + 3) / e).log10() - (d + 1) * Decimal(2).log10()
+            exponent = math.floor(log)
+            mantissa = 10 ** (log - exponent)
+        mantissa = Context(prec=12).plus(mantissa)
     code, out, _ = run(["asympt", "binary", str(d)], capsys)
     assert code == 0
     lines = out.splitlines()
     assert lines[3] == f"{float(f'{frobenius:.12g}'):.12g}  quantity=hyperdet/ed-frobenius"
     printed, label = lines[4].split("  ")
     assert label == "quantity=hyperdet/ed-generic"
-    # 12 printed digits; the ratio is below the smallest float from d = 1083 on
-    assert (Decimal(printed) == 0 if generic < Decimal("2.5e-324")
-            else abs(Decimal(printed) / generic - 1) < Decimal("1e-11"))
+    if d < 1029:  # a double, rounded from exp of a difference of logs
+        assert abs(Decimal(printed) / generic - 1) < Decimal("1e-11")
+    else:
+        printed_mantissa, printed_exponent = printed.split("e")
+        assert (Decimal(printed_mantissa), int(printed_exponent)) == (mantissa, exponent)
+
+
+@pytest.mark.parametrize("n", [3200, 3300, 5000, 100000])
+def test_discriminant_ratios_print_every_digit(capsys, n):
+    """The three ratios are quotients of exact integers, and each prints its
+    12 correctly rounded digits, also where it is below the normal doubles:
+    with omega = 3 the generic one is from n = 3176 on, and 0 as a double
+    from n = 3341 on.  Such a value is text in every format."""
+    omega = 3
+    exact = (n + 1) * (omega - 1) ** n
+    ed_f = ((omega - 1) ** (n + 1) - 1) // (omega - 2)
+    ed_gen = ((2 * omega - 1) ** (n + 1) - (omega - 1) ** (n + 1)) // omega
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact, ed_f, ed_gen = map(Decimal, (exact, ed_f, ed_gen))
+        ratios = [exact * (omega - 1) / (ed_f * (omega - 2) * n), exact / (ed_f * (n + 1)),
+                  exact * (2 ** Decimal(n + 1) - 1) / (ed_gen * (n + 1))]
+    code, out, _ = run(["asympt", "discriminant", str(n), str(omega)], capsys)
+    assert code == 0
+    printed = [line.split("  ")[0] for line in out.splitlines()]
+    assert [Decimal(text) for text in printed] == [Context(prec=12).plus(r) for r in ratios]
+    assert ratios[2] < Decimal(sys.float_info.min)
+    code, out, _ = run(["asympt", "discriminant", str(n), str(omega), "--format", "json"], capsys)
+    assert json.loads(out)[2]["result"] == printed[2]
 
 
 def test_omega_is_only_for_the_sv_formula(capsys):
@@ -802,7 +842,7 @@ def test_verify_identities_sums_each_defining_series_once(monkeypatch, capsys):
     top = 22
     counts = _sum_calls(monkeypatch, [
         ("_dots", lambda signed_rows, n, lows: (n, tuple(lows), len(signed_rows))),
-        ("_hypersurface_chern_coeffs", lambda n, d, _: (n, d)),
+        ("_hypersurface_chern_coeffs", lambda n, d: (n, d)),
         ("_f_dot", lambda signed, m: (len(signed) - 1, m)),
         ("_g_weights", lambda n: n),
         ("_g_dot", lambda weights, j, _: (len(weights) - 1, j)),

@@ -137,81 +137,136 @@ def test_only_the_package_imports_the_ring():
     assert importers == {"__init__.py"}
 
 
+# module -> why no package module imports it, at the top level or in a function
+_BANNED_IMPORTS = {
+    **dict.fromkeys(("concurrent", "multiprocessing", "threading", "subprocess"),
+                    "every computation runs in the calling thread of the calling process"),
+    "argparse": "cli.parse_args reads argv from the command table; argparse would load "
+                "gettext and locale to translate its messages",
+    "typing": "annotations name the builtin and collections.abc types; typing loads re, "
+              "enum, functools and contextlib into every process",
+}
+
+
+def _banned_imports(*banned):
+    """(file name, module, reason) of each import, at any depth, of one of
+    ``banned``, each a key of ``_BANNED_IMPORTS``."""
+    return [(name, m, _BANNED_IMPORTS[m.split(".")[0]]) for name, modules in _imported_modules()
+            for m in modules if m.split(".")[0] in banned]
+
+
 def test_the_package_starts_no_processes_or_threads():
-    """Every computation runs in the calling thread of the calling process."""
-    banned = {"concurrent", "multiprocessing", "threading", "subprocess"}
-    found = [(name, m) for name, modules in _imported_modules()
-             for m in modules if m.split(".")[0] in banned]
-    assert found == []
+    assert _banned_imports("concurrent", "multiprocessing", "threading", "subprocess") == []
+
+
+def test_no_module_imports_argparse():
+    assert _banned_imports("argparse") == []
+
+
+def test_no_module_imports_typing():
+    assert _banned_imports("typing") == []
+
+
+# module -> why no request below loads it; json and csv load with their --format only
+_NOT_LOADED_AT_START_UP = {
+    **dict.fromkeys(("typing", "re", "enum", "functools", "contextlib"),
+                    "only annotations used typing, which loads the other four"),
+    **dict.fromkeys(("json", "csv"), "imported by their branch of cli._render"),
+    **dict.fromkeys(("fractions", "decimal", "numbers"),
+                    "no request builds a Fraction; decimal is imported only for a ratio "
+                    "below the normal doubles"),
+    **dict.fromkeys(("argparse", "gettext", "locale"), "argv is read from cli._COMMANDS"),
+    **dict.fromkeys(("dataclasses", "inspect"), "the result types are named tuples"),
+}
+# every submodule the benchmark tracer looks up in sys.modules
+_LOADED_WITH_THE_PACKAGE = {"asympt", "combinat", "eddeg", "hyperdet", "polar", "truncpoly"}
+
+
+def _start_up(argv):
+    """(exit code, stdout, loaded module names) of one ``python -S`` process
+    that imports ``segre_degrees.cli`` and, for a non-empty ``argv``, runs
+    ``cli.main(argv)``.  ``-S`` keeps ``site`` (and any ``.pth`` file it
+    runs) from loading modules first."""
+    src = str(Path(segre_degrees.__file__).parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import segre_degrees.cli as cli; "
+            "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            "print(code, *sorted(sys.modules), file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-S", "-c", code, *argv],
+                          capture_output=True, text=True, check=True)
+    exit_code, *loaded = done.stderr.split()
+    return int(exit_code), done.stdout, set(loaded)
+
+
+def _assert_loads_only_what_it_uses(argv, loaded):
+    """The start-up import contract of every process: it imports the package
+    and its submodules, and none of ``_NOT_LOADED_AT_START_UP`` but the one
+    output module its ``--format`` names."""
+    output = {"csv", "json"} & set(argv)  # each imports re, which imports enum and functools
+    allowed = output | {"re", "enum", "functools"} if output else set()
+    assert sorted(set(_NOT_LOADED_AT_START_UP) & loaded - allowed) == []
+    assert output <= loaded
+    assert _LOADED_WITH_THE_PACKAGE - {m.split(".")[-1] for m in loaded} == set()
 
 
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
-    """Start-up cost of every process: ``dataclasses`` and the ``inspect`` it
-    pulls in cost ~20 ms of import.  ``-S`` keeps ``site`` from loading them."""
-    src = str(Path(segre_degrees.__file__).parent.parent)
-    code = (f"import sys; sys.path.insert(0, {src!r}); import segre_degrees.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-S", "-c", code],
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    """The import alone: ``dataclasses`` and the ``inspect`` it pulls in
+    would cost ~20 ms of every process, and nothing else of the contract
+    loads either."""
+    exit_code, stdout, loaded = _start_up([])
+    assert (exit_code, stdout) == (0, "")
+    _assert_loads_only_what_it_uses([], loaded)
+
+
+def test_a_plain_request_loads_no_argument_parser_or_translations():
+    """``cli.parse_args`` reads argv from the command table, so a request
+    loads neither ``argparse`` nor its ``gettext`` and ``locale``."""
+    exit_code, stdout, loaded = _start_up(["hyperdet", "1,1,1"])
+    assert (exit_code, stdout) == (0, "4\n")
+    _assert_loads_only_what_it_uses(["hyperdet", "1,1,1"], loaded)
 
 
 @pytest.mark.parametrize("fmt, loaded", [("plain", []), ("csv", ["csv"]), ("json", ["json"])])
 def test_a_request_imports_json_csv_and_fractions_only_where_used(fmt, loaded):
-    """Start-up cost of every process: ``json``, ``csv`` and ``fractions`` (with
-    the ``decimal`` it pulls in) are imported by the code that uses them, so a
-    plain ``hyperdet`` loads none of them.  Every submodule is still imported
-    with the package, where the benchmark tracer looks it up.  ``-S`` keeps
-    ``site`` from loading them."""
-    src = str(Path(segre_degrees.__file__).parent.parent)
-    code = (f"import sys; sys.path.insert(0, {src!r}); import segre_degrees.cli as cli; "
-            "cli.main(sys.argv[1:]); "
-            "lazy = {'json', 'csv', 'fractions', 'decimal'}; "
-            "eager = {'asympt', 'combinat', 'eddeg', 'hyperdet', 'polar', 'truncpoly'}; "
-            "print(sorted(lazy & set(sys.modules)), "
-            "sorted(eager - {m.split('.')[-1] for m in sys.modules}), file=sys.stderr)")
-    done = subprocess.run([sys.executable, "-S", "-c", code, "hyperdet", "1,1,1", "--format", fmt],
-                          capture_output=True, text=True, check=True)
-    assert done.stderr.strip() == f"{loaded} []"
+    """``json`` and ``csv`` are imported by the code that uses them, so a
+    plain ``hyperdet`` loads neither."""
+    argv = ["hyperdet", "1,1,1", "--format", fmt]
+    exit_code, _, modules = _start_up(argv)
+    assert exit_code == 0
+    assert sorted({"json", "csv"} & modules) == loaded
+    _assert_loads_only_what_it_uses(argv, modules)
 
 
-@pytest.mark.parametrize("argv", [
-    "verify rw-constants --max 11", "verify identities --max 6", "verify stabilization --max 3",
-    "verify cross-oracle --max 4", "table table2", "table stabilization",
-    "asympt hyperdet 3 2:4 --compare",
+@pytest.mark.parametrize("request_", [
+    "eddeg 1,3 --generic", "table table2", "table stabilization", "table dual-example",
+    "verify identities --max 6", "verify rw-constants --max 11", "verify stabilization --max 3",
+    "verify cross-oracle --max 4", "asympt hyperdet 3 2:4 --compare", "asympt binary 8",
+    "asympt discriminant 3 4",
 ])
-def test_no_command_loads_fractions(argv):
-    """Start-up cost of every process: no CLI path builds a ``Fraction``, so
-    none imports ``fractions`` or the ``decimal`` and ``numbers`` it pulls in.
-    ``-S`` keeps ``site`` from loading them."""
-    src = str(Path(segre_degrees.__file__).parent.parent)
-    code = (f"import sys; sys.path.insert(0, {src!r}); import segre_degrees.cli as cli; "
-            "code = cli.main(sys.argv[1:]); "
-            "print(code, sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)), "
-            "file=sys.stderr)")
-    done = subprocess.run([sys.executable, "-S", "-c", code, *argv.split()],
-                          capture_output=True, text=True, check=True)
-    assert done.stderr == "0 []\n"
+def test_a_request_loads_only_what_it_uses(request_):
+    exit_code, _, loaded = _start_up(request_.split())
+    assert exit_code == 0
+    _assert_loads_only_what_it_uses(request_.split(), loaded)
 
 
-def test_a_plain_request_loads_no_argument_parser_or_translations():
-    """Start-up cost of every process: ``cli.parse_args`` reads argv from the
-    command table, so a request loads neither ``argparse`` nor the ``gettext``
-    and ``locale`` that argparse pulls in to translate its messages.  ``-S``
-    keeps ``site`` from loading them."""
-    src = str(Path(segre_degrees.__file__).parent.parent)
-    code = (f"import sys; sys.path.insert(0, {src!r}); import segre_degrees.cli as cli; "
-            "cli.main(sys.argv[1:]); "
-            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr)")
-    done = subprocess.run([sys.executable, "-S", "-c", code, "hyperdet", "1,1,1"],
-                          capture_output=True, text=True, check=True)
-    assert (done.stdout, done.stderr) == ("4\n", "[]\n")
-
-
-def test_no_module_imports_argparse():
-    found = [(name, m) for name, modules in _imported_modules()
-             for m in modules if m.split(".")[0] == "argparse"]
-    assert found == []
+def test_the_benchmark_tracer_finds_every_name_it_patches():
+    """``perfbench/spans.py`` wraps package functions from outside, by module
+    and name.  In a process that has imported only ``segre_degrees.cli``, each
+    module it names must be loaded and hold each name: this is what keeps
+    ``truncpoly`` imported by the package and every subcommand module
+    imported eagerly.  ``-B`` leaves the benchmark directory as it is."""
+    root = Path(segre_degrees.__file__).parents[2]
+    code = "\n".join([
+        f"import sys; sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]",
+        "import segre_degrees.cli",
+        "from spans import COUNTED_CALLS, TIMED_LAYERS, Tracer",
+        "owners = {owner for targets in TIMED_LAYERS.values() for owner, _ in targets}",
+        "owners |= {owner for owner, _ in COUNTED_CALLS.values()}",
+        "print(sorted(o for o in owners if 'segre_degrees.' + o not in sys.modules))",
+        "with Tracer().patched():  # raises for a name that its module does not hold",
+        "    pass",
+    ])
+    done = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_only_emit_writes_stdout():
