@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .combinat import VerificationError, rational
+from .combinat import VerificationError, binomial_row, rational
 from .eddeg import frobenius_ed_degree, veronese_frobenius_ed_degree
 from .hyperdet import (
     hyperdet_degree,
@@ -125,7 +125,9 @@ def binary_asymptotics(d: int) -> BinaryAsymptotics:
     cancel.  The fields are the logarithms of the three estimates, then the
     two ratios themselves, each from its closed form: as the difference of two
     log estimates a ratio would lose the digits of the Stirling terms, which
-    grow as d log d.
+    grow as d log d.  The generic ratio is (d+3) / (e - 2^-(d+1)) scaled by
+    2^-(d+1), which ``ldexp`` applies exactly, so while it is a normal double
+    it is within a few units in its last place of the closed form.
     """
     if d < 2:
         raise ValueError(f"need at least two factors, got {d}")
@@ -133,14 +135,13 @@ def binary_asymptotics(d: int) -> BinaryAsymptotics:
     # log(2^(d+1) e - 1) without forming the huge power
     x = (d + 1) * math.log(2.0) + 1.0
     log_big = x + math.log1p(-math.exp(-x))
-    log_d3 = math.log(d + 3)
     return BinaryAsymptotics(
         d=d,
-        log_hyperdet=stirling + log_d3 - 2,
+        log_hyperdet=stirling + math.log(d + 3) - 2,
         log_ed_frobenius=stirling,
         log_ed_generic=stirling - 2 + log_big,
         ratio_frobenius=(d + 3) / _E2,
-        ratio_generic=math.exp(log_d3 - log_big),
+        ratio_generic=math.ldexp((d + 3) / (math.e - 2.0 ** -(d + 1)), -(d + 1)),
     )
 
 
@@ -239,7 +240,7 @@ def verify_minimal_point_constants(d: int) -> MinimalPointCheck:
     """
     if d < 3:
         raise ValueError(f"the estimate requires at least three factors, got d={d}")
-    h_at_c = rational(sum(math.comb(d, k) * _subset_term(d, k) for k in range(d + 1)),
+    h_at_c = rational(sum(c * _subset_term(d, k) for k, c in enumerate(binomial_row(d))),
                       (d - 1) ** d)
     if h_at_c != (0, 1):
         raise VerificationError(f"denominator does not vanish at the symmetric point for d={d}")

@@ -7,7 +7,8 @@ from math import comb, factorial, gcd
 from operator import index
 
 __all__ = [
-    "VerificationError", "as_format", "binomial", "multinomial", "multinomial_fold", "rational",
+    "VerificationError", "as_format", "binomial", "binomial_row", "multinomial", "multinomial_fold",
+    "rational",
 ]
 
 
@@ -31,14 +32,29 @@ def as_format(dims: Iterable[int]) -> tuple[int, ...]:
 def binomial(a: int, b: int) -> int:
     """C(a, b), with C(a, b) = 0 whenever b < 0 or b > a.
 
-    The package's own sums stay within 0 <= b <= a; the full-range sums of
-    the test oracles rely on the zeros.  The upper index must be non-negative.
+    Its callers are ``polar.polar_class``, one term of a column per call,
+    within 0 <= b <= a, and the full-range sums of the test oracles, which
+    rely on the zeros; a whole row C(a, .) is ``binomial_row``.  The upper
+    index must be non-negative.
     """
     if a < 0:
         raise ValueError(f"binomial upper index must be non-negative, got {a}")
     if b < 0 or b > a:
         return 0
     return comb(a, b)
+
+
+def binomial_row(a: int) -> list[int]:
+    """[C(a, 0), ..., C(a, a)]: the first half by the running product
+    C(a, k+1) = C(a, k) (a-k) / (k+1), the second mirrored.  That is about a^2
+    bit operations, where a ``comb`` call per entry costs about a^3."""
+    if a < 0:
+        raise ValueError(f"binomial upper index must be non-negative, got {a}")
+    row = [1]
+    for k in range(a // 2):
+        row.append(row[-1] * (a - k) // (k + 1))
+    row.extend(reversed(row[:a + 1 - len(row)]))
+    return row
 
 
 def rational(num: int, den: int) -> tuple[int, int]:

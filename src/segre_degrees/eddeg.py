@@ -28,7 +28,7 @@ from collections.abc import Sequence
 from math import perm
 from operator import index
 
-from .combinat import VerificationError, as_format, binomial, multinomial_fold
+from .combinat import VerificationError, as_format, binomial_row, multinomial_fold
 
 TYPE_CHECKING = False  # true only to type checkers, which know the name
 if TYPE_CHECKING:  # annotations only; each function that builds a Fraction imports it
@@ -60,9 +60,10 @@ def _frobenius_factor(n: int) -> list[int]:
     x^(n-k) in (1 - x)^(-1) (1 + x)^(-(k+1)), one factor's part of
     1 / (prod (1 - x_j) H) once 1/H = 1 / (P (1 - S)) is expanded in powers of
     S.  Pascal's rule gives 2 a(k) = a(k-1) + (-1)^(n-k) C(n+1, k)."""
+    row = binomial_row(n + 1)
     a = [1 - n % 2]
     for k in range(1, n + 1):
-        a.append((a[-1] + (-1) ** (n - k) * binomial(n + 1, k)) // 2)
+        a.append((a[-1] + (-1) ** (n - k) * row[k]) // 2)
     return a
 
 
@@ -90,9 +91,10 @@ def generic_ed_degree(dims: Sequence[int], weights: Sequence[int] | None = None)
     if any(w < 1 for w in weights_t):
         raise ValueError(f"weights must be positive, got {weights_t}")
 
-    # k_l = n_l - i_l and s = N - j turn (N-j)! / prod (n_l-i_l)! into multinomial(k)
+    # k_l = n_l - i_l and s = N - j turn (N-j)! / prod (n_l-i_l)! into multinomial(k),
+    # and C(n_l+1, i_l) into C(n_l+1, k_l+1)
     n_total = sum(dims_t)
-    g = multinomial_fold([binomial(n + 1, n - k) * w ** k for k in range(n + 1)]
+    g = multinomial_fold([c * w ** k for k, c in enumerate(binomial_row(n + 1)[1:])]
                          for n, w in zip(dims_t, weights_t))
     return sum((-1) ** (n_total - s) * (2 ** (s + 1) - 1) * g_s for s, g_s in enumerate(g))
 

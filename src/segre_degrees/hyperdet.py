@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from operator import index
 
-from .combinat import as_format, binomial, multinomial_fold, rational
+from .combinat import as_format, binomial_row, multinomial_fold, rational
 
 __all__ = [
     "binary_hyperdet_degree",
@@ -56,7 +56,7 @@ def sv_hyperdet_degree(dims: Sequence[int], weight: int = 1) -> int:
     weight = index(weight)
     if weight < 1:
         raise ValueError(f"weight must be positive, got {weight}")
-    g = multinomial_fold([(-1) ** (n - k) * binomial(n + 1, k + 1) for k in range(n + 1)]
+    g = multinomial_fold([(-1) ** (n - k) * c for k, c in enumerate(binomial_row(n + 1)[1:])]
                          for n in dims_t)
     return sum((s + 1) * weight ** s * g_s for s, g_s in enumerate(g))
 
@@ -110,10 +110,9 @@ def mixed_partial_at_symmetric_point(d: int, indices: Sequence[int]) -> tuple[in
         raise ValueError(f"indices {idx} out of range 1..{d}")
     k = len(idx)
     m = d - k
-    total, b = 0, 1  # b runs through C(m, j), j = i - k
-    for j in range(m + 1):
+    total = 0
+    for j, b in enumerate(binomial_row(m)):  # b = C(m, j), j = i - k
         total = total * (d - 1) + (1 - k - j) * b
-        b = b * (m - j) // (j + 1)
     return rational(total, (d - 1) ** m)
 
 

@@ -53,7 +53,7 @@ from itertools import cycle, repeat
 from math import comb, factorial, perm
 from operator import index, mul
 
-from .combinat import as_format, binomial, multinomial_fold
+from .combinat import as_format, binomial, binomial_row, multinomial_fold
 
 __all__ = [
     "ChernData",
@@ -131,7 +131,7 @@ def _from_factors(factors: tuple[tuple[int, ...], ...], point_degree: int) -> Ch
 def chern_data_projective_space_product(dims: Sequence[int]) -> ChernData:
     """Chern data of P^{n1} x ... x P^{nd}: total Chern class
     prod_i (1 + x_i)^(n_i + 1), truncated at x_i^(n_i)."""
-    factors = tuple(tuple(comb(n + 1, k) for k in range(n + 1)) for n in as_format(dims))
+    factors = tuple(tuple(binomial_row(n + 1)[:-1]) for n in as_format(dims))
     return _from_factors(factors, 1)
 
 
@@ -139,8 +139,8 @@ def _hypersurface_chern_coeffs(n: int, deg_d: int) -> list[int]:
     """Coefficients of (1+y)^(n+2) / (1 + deg_d * y) up to y^n."""
     out = []
     s = 0
-    for j in range(n + 1):
-        s = comb(n + 2, j) - deg_d * s
+    for c in binomial_row(n + 2)[:n + 1]:
+        s = c - deg_d * s
         out.append(s)
     return out
 
@@ -319,7 +319,7 @@ def _alternating_sum(n: int, low: int) -> int:
 def _signed_binomials(a: int, count: int) -> list[int]:
     """(-1)^k C(a, k+1) for k = 0..count-1: the signed coefficients of the
     alternating sum of n (a = n+2, count = n+1) and of f(n) (a = count = n+1)."""
-    return list(map(mul, cycle((1, -1)), map(comb, repeat(a), range(1, count + 1))))
+    return list(map(mul, cycle((1, -1)), binomial_row(a)[1:count + 1]))
 
 
 def f_sum(n: int, m: int) -> int:
@@ -366,8 +366,8 @@ def _g_weights(n: int) -> list[int]:
     """The j-free factors (-1)^s (n+1)!/(n+1-s)! C(n+2, s+1) (n+1-s) of the
     terms of G(n, j), s = 0..n."""
     weights = []
-    for s in range(n + 1):
-        term = perm(n + 1, s) * comb(n + 2, s + 1) * (n + 1 - s)
+    for s, c in enumerate(binomial_row(n + 2)[1:-1]):
+        term = perm(n + 1, s) * c * (n + 1 - s)
         weights.append(-term if s & 1 else term)
     return weights
 

@@ -101,7 +101,9 @@ def test_binary_ratios():
 def test_binary_ratio_fields_are_their_closed_forms():
     """Each ratio is within a relative 1e-12 of its closed form while it is a
     normal float, and within 1e-12 of the smallest normal float below that
-    (the generic ratio from d = 1030 on; it is 0 from d = 1083 on)."""
+    (the generic ratio from d = 1030 on; it is 0 from d = 1083 on).  Up to
+    d = 1029 the generic ratio's 12 significant digits, as the command line
+    prints them, are the closed form's, correctly rounded."""
     floor = Decimal(sys.float_info.min) * Decimal("1e-12")
     with localcontext() as ctx:
         ctx.prec = 60
@@ -114,6 +116,8 @@ def test_binary_ratio_fields_are_their_closed_forms():
                                  (est.ratio_generic, generic)):
                 assert abs(Decimal(ratio) - exact) <= max(exact * Decimal("1e-12"), floor), d
             assert (est.ratio_generic == 0) == (d >= 1083)
+            if d <= 1029:
+                assert f"{est.ratio_generic:.12g}" == f"{float(f'{generic:.12g}'):.12g}", d
 
 
 def test_log_domain_stays_finite():

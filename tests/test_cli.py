@@ -21,6 +21,7 @@ import pytest
 import segre_degrees.asympt as asympt
 import segre_degrees.cli as cli
 import segre_degrees.eddeg as eddeg
+import segre_degrees.hyperdet as hyperdet
 import segre_degrees.polar as polar
 from segre_degrees.cli import main
 from segre_degrees.combinat import VerificationError
@@ -54,6 +55,7 @@ def test_hyperdet_command(capsys):
     code, out, _ = run(["hyperdet", "2", "--omega", "3"], capsys)
     assert code == 0
     assert out == "12\n"
+    assert run(["hyperdet", "1,1,3000"], capsys) == (0, "0  (dual defective)\n", "")
 
 
 def test_parse_errors_exit_2(capsys):
@@ -423,11 +425,11 @@ def test_asympt_command(capsys):
 def test_binary_ratios_print_their_closed_forms(capsys, d):
     """hyperdet/ed-frobenius is (d+3)/e^2 and hyperdet/ed-generic is
     (d+3)/(2^(d+1) e - 1); taken as the difference of two log estimates they
-    lost the digits of the Stirling terms, which grow as d log d.  From
-    d = 1029, the last normal double, every printed digit of the generic
-    ratio is the closed form's, correctly rounded; past d = 10^12, where
-    2^(d+1) leaves even decimal's exponent range, the printed mantissa and
-    exponent are read against the base-10 logarithm."""
+    lost the digits of the Stirling terms, which grow as d log d.  Every
+    printed digit of the generic ratio is the closed form's, correctly
+    rounded, on both sides of d = 1029, the last normal double; past
+    d = 10^12, where 2^(d+1) leaves even decimal's exponent range, the printed
+    mantissa and exponent are read against the base-10 logarithm."""
     with localcontext() as ctx:
         ctx.prec, ctx.Emax, ctx.Emin = 60 + len(str(d)), MAX_EMAX, MIN_EMIN
         e = Decimal(1).exp()
@@ -447,8 +449,8 @@ def test_binary_ratios_print_their_closed_forms(capsys, d):
     assert lines[3] == f"{float(f'{frobenius:.12g}'):.12g}  quantity=hyperdet/ed-frobenius"
     printed, label = lines[4].split("  ")
     assert label == "quantity=hyperdet/ed-generic"
-    if d < 1029:  # a double, rounded from exp of a difference of logs
-        assert abs(Decimal(printed) / generic - 1) < Decimal("1e-11")
+    if d < 1029:  # a normal double
+        assert Decimal(printed) == mantissa.scaleb(exponent)
     else:
         printed_mantissa, printed_exponent = printed.split("e")
         assert (Decimal(printed_mantissa), int(printed_exponent)) == (mantissa, exponent)
@@ -1021,6 +1023,18 @@ def test_verify_identities_sees_one_perturbed_term(monkeypatch, capsys, name, ar
     assert code == 1
     assert out.startswith(f"FAIL {first_failure}\n")
     assert "verify identities: FAILED" in out
+
+
+@pytest.mark.parametrize("module", [polar, hyperdet], ids=["polar", "hyperdet"])
+def test_verify_cross_oracle_sees_one_wrong_row_in_either_route(monkeypatch, capsys, module):
+    """The series and the polar route both read ``combinat.binomial_row``; a
+    row wrong in one module's namespace only (C(2, 1) = 3) makes them disagree."""
+    original = module.binomial_row
+    monkeypatch.setattr(module, "binomial_row",
+                        lambda a: [c + ((a, k) == (2, 1)) for k, c in enumerate(original(a))])
+    code, out, _ = run(["verify", "cross-oracle", "--max", "4"], capsys)
+    assert code == 1
+    assert any(line.startswith("FAIL dual degree mismatch") for line in out.splitlines())
 
 
 def test_verify_rw_constants_sees_one_perturbed_term(monkeypatch, capsys):

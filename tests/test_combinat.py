@@ -7,14 +7,14 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
 
 import segre_degrees
 from segre_degrees import asympt, combinat
-from segre_degrees.combinat import as_format, binomial, multinomial
+from segre_degrees.combinat import as_format, binomial, binomial_row, multinomial
 from segre_degrees.eddeg import (frobenius_ed_degree, generic_ed_degree, stabilization_onset,
                                  veronese_frobenius_ed_degree)
 from segre_degrees.hyperdet import hyperdet_degree, sv_hyperdet_degree
@@ -29,6 +29,16 @@ def test_binomial_standard_and_convention():
     assert binomial(4, 5) == 0
     with pytest.raises(ValueError):
         binomial(-1, 0)
+
+
+def test_binomial_row_is_the_row_of_math_comb():
+    for a in [*range(301), 1000, 5000]:
+        assert binomial_row(a) == [comb(a, k) for k in range(a + 1)], a
+
+
+def test_binomial_row_refuses_a_negative_upper_index():
+    with pytest.raises(ValueError):
+        binomial_row(-1)
 
 
 def test_multinomial_small_and_oracle():

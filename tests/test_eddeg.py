@@ -120,6 +120,8 @@ def test_stabilization_onset_rows():
     assert [v for _, v in stabilization_onset((2, 3), 5)] == [3, 18, 55, 104, 138, 148]
     assert [v for _, v in stabilization_onset((1, 2), 5)] == [2, 8, 15, 18, 18, 18]
     assert [v for _, v in stabilization_onset((2, 2), 5)] == [3, 15, 37, 55, 61, 61]
+    # the m = 5 value holds at a long factor too
+    assert frobenius_ed_degree((2, 3, 3000)) == 148
     with pytest.raises(ValueError):
         stabilization_onset((2, 3), 4)
 

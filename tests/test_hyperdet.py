@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, perm
 
 import pytest
 
+from segre_degrees import combinat, hyperdet
 from segre_degrees.hyperdet import (
     binary_hyperdet_degree,
     hyperdet_degree,
@@ -114,6 +116,30 @@ def test_veronese_single_factor_degrees():
 def test_unit_weight_reduction():
     for dims in partition_formats(6):
         assert sv_hyperdet_degree(dims, 1) == hyperdet_degree(dims)
+
+
+def test_one_long_factor_builds_one_binomial_row_per_factor(monkeypatch):
+    """Each factor's list is read from its row C(n+1, .), built in O(n) steps;
+    no entry is a ``combinat.binomial`` call, which made one factor of length
+    n cost about n^3."""
+    rows = []
+    row_builder, binomial = hyperdet.binomial_row, combinat.binomial
+
+    def recorded(a):
+        rows.append(a)
+        return row_builder(a)
+
+    def refuse(*args):
+        raise AssertionError(f"combinat.binomial{args} called")
+
+    monkeypatch.setattr(hyperdet, "binomial_row", recorded)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("segre_degrees"):
+            for key, value in list(vars(module).items()):
+                if value is binomial:
+                    monkeypatch.setattr(module, key, refuse)
+    assert hyperdet_degree((1, 1, 3000)) == 0
+    assert rows == [2, 2, 3001]
 
 
 def test_defective_formats_give_zero():

@@ -241,6 +241,10 @@ def test_quadric_stabilization_from_dimension_on():
         stable = delta0_product_with_hypersurface(x, m, 2)
         for n in range(m, m + 4):
             assert delta0_product_with_hypersurface(x, n, 2) == stable
+    # and at a long quadric: P2 x P2 has dimension 4
+    x = chern_data_projective_space_product((2, 2))
+    assert delta0_product_with_hypersurface(x, 3000, 2) == \
+        delta0_product_with_hypersurface(x, 4, 2) == 258
 
 
 def test_alternating_binomial_identity():
