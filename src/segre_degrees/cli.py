@@ -72,9 +72,9 @@ def _check_cap(what: str, ints: int, bits: int, cap_bytes: int) -> None:
 
 
 def _check_cap_budget(n_total: int, d: int, weight_bits: int, cap_bytes: int) -> None:
-    """The degree kernel, ``combinat.multinomial_fold``, holds two lists of
-    N + 1 integers below d^N prod_j 2^(n_j+1) w_j^n_j; ``weight_bits`` is
-    sum_j n_j ceil(log2 w_j).  (x - 1).bit_length() is ceil(log2 x)."""
+    """The degree kernel, ``combinat.multinomial_fold``, holds two lists of N + 1 integers below
+    d^N prod_j 2^(n_j+1) w_j^n_j, its Horner readouts one list and one accumulator within that
+    bound.  ``weight_bits`` is sum_j n_j ceil(log2 w_j); ceil(log2 x) is (x-1).bit_length()."""
     bits = n_total * (d - 1).bit_length() + n_total + d + weight_bits
     _check_cap(f"the degree kernel for N={n_total}, d={d}", 2 * (n_total + 1), bits, cap_bytes)
 

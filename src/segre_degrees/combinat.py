@@ -7,8 +7,8 @@ from math import comb, factorial, gcd
 from operator import index
 
 __all__ = [
-    "VerificationError", "as_format", "binomial", "binomial_row", "multinomial", "multinomial_fold",
-    "rational",
+    "VerificationError", "as_format", "binomial", "binomial_row", "horner", "multinomial",
+    "multinomial_fold", "rational",
 ]
 
 
@@ -55,6 +55,15 @@ def binomial_row(a: int) -> list[int]:
         row.append(row[-1] * (a - k) // (k + 1))
     row.extend(reversed(row[:a + 1 - len(row)]))
     return row
+
+
+def horner(coeffs: Sequence[int], x: int) -> int:
+    """sum_s coeffs[s] x^s (0 for no coefficients) by Horner's rule, one multiply-add
+    per entry: about N^2 bit operations for N entries of O(N) bits, not N^3."""
+    total = 0
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
 
 
 def rational(num: int, den: int) -> tuple[int, int]:

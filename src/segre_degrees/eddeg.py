@@ -28,7 +28,7 @@ from collections.abc import Sequence
 from math import perm
 from operator import index
 
-from .combinat import VerificationError, as_format, binomial_row, multinomial_fold
+from .combinat import VerificationError, as_format, binomial_row, horner, multinomial_fold
 
 TYPE_CHECKING = False  # true only to type checkers, which know the name
 if TYPE_CHECKING:  # annotations only; each function that builds a Fraction imports it
@@ -91,12 +91,11 @@ def generic_ed_degree(dims: Sequence[int], weights: Sequence[int] | None = None)
     if any(w < 1 for w in weights_t):
         raise ValueError(f"weights must be positive, got {weights_t}")
 
-    # k_l = n_l - i_l and s = N - j turn (N-j)! / prod (n_l-i_l)! into multinomial(k),
-    # and C(n_l+1, i_l) into C(n_l+1, k_l+1)
-    n_total = sum(dims_t)
+    # k_l = n_l - i_l, s = N - j turn (N-j)!/prod (n_l-i_l)! into multinomial(k), C(n_l+1, i_l)
+    # into C(n_l+1, k_l+1), and sum_s (-1)^(N-s) (2^(s+1)-1) g_s into (-1)^N (2 g(-2) - g(-1))
     g = multinomial_fold([c * w ** k for k, c in enumerate(binomial_row(n + 1)[1:])]
                          for n, w in zip(dims_t, weights_t))
-    return sum((-1) ** (n_total - s) * (2 ** (s + 1) - 1) * g_s for s, g_s in enumerate(g))
+    return (-1) ** sum(dims_t) * (2 * horner(g, -2) - horner(g, -1))
 
 
 def binary_generic_ed_degree(d: int) -> int:

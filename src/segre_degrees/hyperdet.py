@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from operator import index
 
-from .combinat import as_format, binomial_row, multinomial_fold, rational
+from .combinat import as_format, binomial_row, horner, multinomial_fold, rational
 
 __all__ = [
     "binary_hyperdet_degree",
@@ -58,7 +58,7 @@ def sv_hyperdet_degree(dims: Sequence[int], weight: int = 1) -> int:
         raise ValueError(f"weight must be positive, got {weight}")
     g = multinomial_fold([(-1) ** (n - k) * c for k, c in enumerate(binomial_row(n + 1)[1:])]
                          for n in dims_t)
-    return sum((s + 1) * weight ** s * g_s for s, g_s in enumerate(g))
+    return horner([(s + 1) * g_s for s, g_s in enumerate(g)], weight)
 
 
 def hyperdet_degree(dims: Sequence[int]) -> int:
@@ -96,7 +96,7 @@ def mixed_partial_at_symmetric_point(d: int, indices: Sequence[int]) -> tuple[in
     k distinct variables leaves e_{i-k} of the other d - k, so at c = 1/(d-1)
     the partial is  sum_{i>=k} (1-i) C(d-k, i-k) c^(i-k).  Scaled by
     (d-1)^(d-k) it is the integer  N_k = sum_{i>=k} (1-i) C(d-k, i-k) (d-1)^(d-i),
-    summed by Horner's rule in d - 1.  Callers can check it against the closed
+    read by ``combinat.horner`` in d - 1.  Callers can check it against the closed
     form -k * (d/(d-1))^(d-k-1).
     """
     if d < 2:
@@ -108,12 +108,9 @@ def mixed_partial_at_symmetric_point(d: int, indices: Sequence[int]) -> tuple[in
         raise ValueError(f"repeated differentiation indices in {idx}")
     if any(not 1 <= i <= d for i in idx):
         raise ValueError(f"indices {idx} out of range 1..{d}")
-    k = len(idx)
-    m = d - k
-    total = 0
-    for j, b in enumerate(binomial_row(m)):  # b = C(m, j), j = i - k
-        total = total * (d - 1) + (1 - k - j) * b
-    return rational(total, (d - 1) ** m)
+    m = d - len(idx)  # p = d - i turns N_k into sum_p (p + 1 - d) C(m, p) (d-1)^p
+    terms = [(p + 1 - d) * b for p, b in enumerate(binomial_row(m))]
+    return rational(horner(terms, d - 1), (d - 1) ** m)
 
 
 def partition_formats(max_total: int) -> Iterator[tuple[int, ...]]:

@@ -525,7 +525,7 @@ def test_cap_budget_guard(capsys):
 
 
 @pytest.mark.parametrize("dims", [(3, 3, 3), (60, 60, 60), (200, 200, 200), (1,) * 100,
-                                  (8, 8, 8, 8)])
+                                  (8, 8, 8, 8), (1, 1, 3000), (2, 3, 2000)])
 def test_cap_model_bounds_the_kernel_peak(dims):
     d = len(dims)
     cases = [
