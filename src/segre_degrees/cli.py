@@ -226,13 +226,10 @@ def _cmd_eddeg(args: SimpleNamespace) -> tuple[str, int]:
     if len(weights) != len(dims):
         raise UsageError(f"{len(dims)} dims but {len(weights)} weights")
     metric = "generic" if args.generic else "frobenius"
-    if args.generic:
+    if args.generic or all(w == 1 for w in weights):
         weight_bits = sum(n * (w - 1).bit_length() for n, w in zip(dims, weights))
         _check_cap_budget(sum(dims), len(dims), weight_bits, args.cap_bytes)
-        value = generic_ed_degree(dims, weights)
-    elif all(w == 1 for w in weights):
-        _check_cap_budget(sum(dims), len(dims), 0, args.cap_bytes)
-        value = frobenius_ed_degree(dims)
+        value = generic_ed_degree(dims, weights) if args.generic else frobenius_ed_degree(dims)
     elif len(dims) == 1:  # not all weights are 1, so the one weight is at least 2
         _check_power_cap(weights[0] - 1, dims[0] + 1, args.cap_bytes)
         value = veronese_frobenius_ed_degree(dims[0], weights[0])
@@ -518,7 +515,7 @@ _COMMANDS = {
                (("suite", tuple(_SUITES), _REQUIRED, "the suite"),
                 ("--max", _TEXT, None, "sweep bound (suite-specific default and range)"))),
     "asympt": ("growth estimates, optionally against exact values", _cmd_asympt,
-               (("formula", (*asy.FORMULAS, "binary", "discriminant"), _REQUIRED, "the estimate"),
+               (("formula", tuple(_ASYMPT_ARGS), _REQUIRED, "the estimate"),
                 ("d", 1, _REQUIRED, "factor count (n for the discriminant ratios)"),
                 ("grid", _TEXT, None,
                  "n value, range a:b[:step], or comma list (weight for discriminant)"),

@@ -8,7 +8,7 @@ from operator import index
 
 __all__ = [
     "VerificationError", "as_format", "binomial", "binomial_row", "horner", "multinomial",
-    "multinomial_fold", "rational",
+    "multinomial_fold", "rational", "segre_fold",
 ]
 
 
@@ -108,3 +108,9 @@ def multinomial_fold(factors: Iterable[Sequence[int]]) -> list[int]:
                 term = term * (s + k + 1) // (k + 1)
         g = out
     return g
+
+
+def segre_fold(dims: Sequence[int], weights: Sequence[int]) -> list[int]:
+    """``multinomial_fold`` of the rows C(n_j+1, k+1) w_j^k: the fold both Segre degrees read."""
+    return multinomial_fold([c * w ** k for k, c in enumerate(binomial_row(n + 1)[1:])]
+                            for n, w in zip(dims, weights))

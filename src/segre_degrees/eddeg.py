@@ -16,8 +16,8 @@ isotropic quadric is transversal) of the Segre-Veronese product with weights
         sum_{i1+...+id=j} prod_l  C(n_l+1, i_l) w_l^{n_l-i_l} / (n_l-i_l)! ,
 
 where N = sum n_l and terms with i_l > n_l vanish (reciprocal factorial of a
-negative integer).  Both are readouts of ``combinat.multinomial_fold`` with
-per-factor coefficient lists, O(d N^2) integer operations.  Closed forms for
+negative integer).  Both are readouts of ``combinat.multinomial_fold`` (the second
+through ``combinat.segre_fold``), O(d N^2) integer operations.  Closed forms for
 single Veronese factors and for products of projective lines are provided
 alongside.
 """
@@ -28,7 +28,8 @@ from collections.abc import Sequence
 from math import perm
 from operator import index
 
-from .combinat import VerificationError, as_format, binomial_row, horner, multinomial_fold
+from .combinat import (VerificationError, as_format, binomial_row, horner, multinomial_fold,
+                       segre_fold)
 
 TYPE_CHECKING = False  # true only to type checkers, which know the name
 if TYPE_CHECKING:  # annotations only; each function that builds a Fraction imports it
@@ -93,8 +94,7 @@ def generic_ed_degree(dims: Sequence[int], weights: Sequence[int] | None = None)
 
     # k_l = n_l - i_l, s = N - j turn (N-j)!/prod (n_l-i_l)! into multinomial(k), C(n_l+1, i_l)
     # into C(n_l+1, k_l+1), and sum_s (-1)^(N-s) (2^(s+1)-1) g_s into (-1)^N (2 g(-2) - g(-1))
-    g = multinomial_fold([c * w ** k for k, c in enumerate(binomial_row(n + 1)[1:])]
-                         for n, w in zip(dims_t, weights_t))
+    g = segre_fold(dims_t, weights_t)
     return (-1) ** sum(dims_t) * (2 * horner(g, -2) - horner(g, -1))
 
 

@@ -11,9 +11,10 @@ with e_i the i-th elementary symmetric polynomial.  When every factor is
 re-embedded by the same degree-w Veronese map, the weight enters as
 (1 - w*i).  Writing the bracket as P (1 - w S) with P = prod (1 + x_j) and
 S = sum x_j / (1 + x_j) and expanding (1 - w S)^(-2) turns the coefficient
-into  sum_k (|k| + 1) w^|k| multinomial(k) prod_j (-1)^(n_j-k_j) C(n_j+1, k_j+1),
-which ``combinat.multinomial_fold`` sums grouped by |k| in O(d N^2) integer
-operations for N = sum n_j.  The d-variate expansion of the series in the
+into  (-1)^N sum_k (|k| + 1) (-w)^|k| multinomial(k) prod_j C(n_j+1, k_j+1)
+for N = sum n_j, as prod_j (-1)^(n_j-k_j) = (-1)^N (-1)^|k|: a readout at -w of
+``combinat.segre_fold``, the fold the generic ED degree reads, grouped by |k|
+in O(d N^2) integer operations.  The d-variate expansion of the series in the
 truncated ring is a test oracle (``tests/ring_oracle.py``); nothing here
 builds a ring.
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from operator import index
 
-from .combinat import as_format, binomial_row, horner, multinomial_fold, rational
+from .combinat import as_format, binomial_row, horner, rational, segre_fold
 
 __all__ = [
     "binary_hyperdet_degree",
@@ -56,9 +57,8 @@ def sv_hyperdet_degree(dims: Sequence[int], weight: int = 1) -> int:
     weight = index(weight)
     if weight < 1:
         raise ValueError(f"weight must be positive, got {weight}")
-    g = multinomial_fold([(-1) ** (n - k) * c for k, c in enumerate(binomial_row(n + 1)[1:])]
-                         for n in dims_t)
-    return horner([(s + 1) * g_s for s, g_s in enumerate(g)], weight)
+    g = segre_fold(dims_t, (1,) * len(dims_t))
+    return (-1) ** sum(dims_t) * horner([(s + 1) * g_s for s, g_s in enumerate(g)], -weight)
 
 
 def hyperdet_degree(dims: Sequence[int]) -> int:

@@ -20,8 +20,8 @@ import pytest
 
 import segre_degrees.asympt as asympt
 import segre_degrees.cli as cli
+import segre_degrees.combinat as combinat
 import segre_degrees.eddeg as eddeg
-import segre_degrees.hyperdet as hyperdet
 import segre_degrees.polar as polar
 from segre_degrees.cli import main
 from segre_degrees.combinat import VerificationError
@@ -241,6 +241,18 @@ def test_the_readme_names_the_whole_grammar():
     named = set(re.findall(r"(?<![-\w])--[a-z][-a-z]*", section))
     assert sorted(typed for typed in named
                   if not any(option.startswith(typed) for option in options)) == []
+
+
+def test_the_readme_max_table_is_the_suite_table():
+    """The README's ``verify --max`` table gives each suite's default, minimum and
+    maximum as ``cli._SUITES`` holds them, one row per suite in the same order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| Suite | Default `--max` | Minimum `--max` | Maximum `--max` |\n"
+    rows = readme.split(header, 1)[1].split("\n\n", 1)[0].splitlines()[1:]
+    table = [re.fullmatch(r"\| `([-a-z]+)` \| (\d+) \| (\d+) \| (\d+) \|", row).groups()
+             for row in rows]
+    assert [(suite, *map(int, numbers)) for suite, *numbers in table] == [
+        (suite, default, least, most) for suite, (_, default, least, most) in cli._SUITES.items()]
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -1025,10 +1037,11 @@ def test_verify_identities_sees_one_perturbed_term(monkeypatch, capsys, name, ar
     assert "verify identities: FAILED" in out
 
 
-@pytest.mark.parametrize("module", [polar, hyperdet], ids=["polar", "hyperdet"])
+@pytest.mark.parametrize("module", [polar, combinat], ids=["polar", "combinat"])
 def test_verify_cross_oracle_sees_one_wrong_row_in_either_route(monkeypatch, capsys, module):
-    """The series and the polar route both read ``combinat.binomial_row``; a
-    row wrong in one module's namespace only (C(2, 1) = 3) makes them disagree."""
+    """The polar route reads ``binomial_row`` in its own namespace, the series route through
+    ``combinat.segre_fold``; a row wrong in one namespace only (C(2, 1) = 3) makes them
+    disagree."""
     original = module.binomial_row
     monkeypatch.setattr(module, "binomial_row",
                         lambda a: [c + ((a, k) == (2, 1)) for k, c in enumerate(original(a))])

@@ -181,6 +181,17 @@ def test_matrix_ed_polynomial_against_sympy():
         assert [sympy.Rational(c) for c in got] == expected
 
 
+def test_matrix_ed_polynomial_degree_is_the_frobenius_ed_degree_of_its_format():
+    """A general r x c matrix has min(r, c) singular values: the degree in eps^2
+    is the Frobenius ED degree of P^(r-1) x P^(c-1)."""
+    rng = random.Random(2024)
+    for rows in range(1, 6):
+        for cols in range(1, 6):
+            t = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            degree = len(matrix_ed_polynomial(t)) - 1
+            assert degree == frobenius_ed_degree((rows - 1, cols - 1)) == min(rows, cols)
+
+
 def test_matrix_ed_polynomial_validation():
     with pytest.raises(ValueError):
         matrix_ed_polynomial([])

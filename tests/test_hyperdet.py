@@ -9,7 +9,7 @@ from math import gcd, perm
 
 import pytest
 
-from segre_degrees import combinat, hyperdet
+from segre_degrees import combinat
 from segre_degrees.hyperdet import (
     binary_hyperdet_degree,
     hyperdet_degree,
@@ -119,11 +119,11 @@ def test_unit_weight_reduction():
 
 
 def test_one_long_factor_builds_one_binomial_row_per_factor(monkeypatch):
-    """Each factor's list is read from its row C(n+1, .), built in O(n) steps;
-    no entry is a ``combinat.binomial`` call, which made one factor of length
-    n cost about n^3."""
+    """Each factor's list is read from its row C(n+1, .), built in O(n) steps by
+    ``combinat.segre_fold``; no entry is a ``combinat.binomial`` call, which made
+    one factor of length n cost about n^3."""
     rows = []
-    row_builder, binomial = hyperdet.binomial_row, combinat.binomial
+    row_builder, binomial = combinat.binomial_row, combinat.binomial
 
     def recorded(a):
         rows.append(a)
@@ -132,7 +132,7 @@ def test_one_long_factor_builds_one_binomial_row_per_factor(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"combinat.binomial{args} called")
 
-    monkeypatch.setattr(hyperdet, "binomial_row", recorded)
+    monkeypatch.setattr(combinat, "binomial_row", recorded)
     for name, module in list(sys.modules.items()):
         if name.startswith("segre_degrees"):
             for key, value in list(vars(module).items()):

@@ -19,9 +19,10 @@ from pathlib import Path
 
 import segre_degrees.eddeg as eddeg
 import segre_degrees.hyperdet as hyperdet
-from segre_degrees.combinat import binomial_row, horner, multinomial_fold
+from segre_degrees.combinat import binomial_row, horner, multinomial_fold, segre_fold
 from segre_degrees.eddeg import generic_ed_degree
 from segre_degrees.hyperdet import (
+    hyperdet_degree,
     mixed_partial_at_symmetric_point,
     partition_formats,
     sv_hyperdet_degree,
@@ -73,9 +74,14 @@ def test_each_readout_is_one_or_two_horner_calls(monkeypatch):
 
 
 def test_generic_ed_degree_is_the_sum_of_the_polar_degrees():
+    """One fold, three readings: the Chern class degrees of P^{n1} x ... x P^{nd}
+    are the fold reversed, and both Segre degrees read it, delta_0 and sum delta_i."""
     for dims in [*partition_formats(10), (1, 1, 200), (2, 3, 60), (0, 4)]:
-        deltas = dual_profile(chern_data_projective_space_product(dims)).deltas
+        chern = chern_data_projective_space_product(dims)
+        assert chern.class_degrees == tuple(reversed(segre_fold(dims, (1,) * len(dims)))), dims
+        deltas = dual_profile(chern).deltas
         assert generic_ed_degree(dims) == sum(deltas), dims
+        assert hyperdet_degree(dims) == deltas[0], dims
 
 
 def test_weighted_readouts_match_the_weighted_polar_classes():
