@@ -30,13 +30,9 @@ def as_format(dims: Iterable[int]) -> tuple[int, ...]:
 
 
 def binomial(a: int, b: int) -> int:
-    """C(a, b), with C(a, b) = 0 whenever b < 0 or b > a.
-
-    Its callers are ``polar.polar_class``, one term of a column per call,
-    within 0 <= b <= a, and the full-range sums of the test oracles, which
-    rely on the zeros; a whole row C(a, .) is ``binomial_row``.  The upper
-    index must be non-negative.
-    """
+    """C(a, b) for a >= 0, and 0 whenever b < 0 or b > a: the full-range sums of
+    the test oracles rely on the zeros.  No package module calls it; a whole
+    row C(a, .) is ``binomial_row``."""
     if a < 0:
         raise ValueError(f"binomial upper index must be non-negative, got {a}")
     if b < 0 or b > a:

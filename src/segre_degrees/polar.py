@@ -8,7 +8,9 @@ For a projective variety Y of dimension m, the polar classes are
 with c_j the Chern classes of the tangent bundle (Chern-Mather classes when Y
 is singular; they coincide on smooth varieties).  codim(Y^dual) - 1 is the
 least i with delta_i != 0, and delta_0 is deg(Y^dual) whenever the dual is a
-hypersurface.
+hypersurface.  By the binomial theorem G(1+t) - G(1) = sum_i delta_i t^(i+1)
+for G(u) = sum_j (-1)^j deg(c_j) u^(m+1-j), so delta_0 = G'(1), and the generic
+ED degree sum_i delta_i is G(2) - G(1) (Draisma et al., FoCM 2016, Thm 5.4).
 
 ``ChernData`` records the degrees deg(c_0),...,deg(c_m).  Degrees alone do
 not determine the Chern data of a Segre product, so the type optionally
@@ -18,9 +20,8 @@ together with the degree of the top monomial class.  Pairing a monomial with
 a power of h = sum of the factor classes leaves a multinomial, so the class
 degrees are one ``combinat.multinomial_fold`` of the reversed lists, and a
 Segre product concatenates the factors; ``chern_data_product`` raises without
-them.  The multigraded-ring route they replaced is a test oracle in
-``tests/ring_oracle.py``.  The shortcut that needs only degrees is the
-product with a smooth hypersurface Y_n in P^{n+1} of degree d:
+them.  The shortcut that needs only degrees is the product with a smooth
+hypersurface Y_n in P^{n+1} of degree d:
 
     delta_0(X x Y_n) = sum_i alpha_i(n, m, d) * deg(c_i(X)) ,
 
@@ -41,7 +42,8 @@ the f and g values of row n+1 serve both the recurrences of row n and the
 checks of row n+1.  Each distinct comparison is made once, and a failed one
 is reported for every case that reads it, while the case count still counts
 every case.  A sweep holds two rows at a time, never a table over all n.  The
-``Fraction`` bodies the integer sums replaced are kept as test oracles in
+routes these replaced, the multigraded ring, the per-term polar sum and the
+``Fraction`` bodies of the integer sums, are test oracles in
 ``tests/ring_oracle.py``.
 """
 
@@ -49,11 +51,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
-from itertools import cycle, repeat
+from itertools import accumulate, cycle, repeat
 from math import comb, factorial, perm
 from operator import index, mul
 
-from .combinat import as_format, binomial, binomial_row, multinomial_fold
+from .combinat import as_format, binomial_row, multinomial_fold
 
 __all__ = [
     "ChernData",
@@ -174,27 +176,27 @@ def chern_data_product(a: ChernData, b: ChernData) -> ChernData:
 
 
 def polar_class(cd: ChernData, i: int) -> int:
-    """delta_i = sum_{j=0}^{m-i} (-1)^j C(m+1-j, i+1) deg(c_j)."""
-    m = cd.dim
-    if not 0 <= i <= m:
-        raise ValueError(f"polar class index {i} out of range 0..{m}")
-    total = 0
-    for j in range(m - i + 1):
-        term = binomial(m + 1 - j, i + 1) * cd.class_degrees[j]
-        total += -term if j & 1 else term
-    return total
+    """delta_i, read from ``dual_profile``."""
+    if not 0 <= i <= cd.dim:
+        raise ValueError(f"polar class index {i} out of range 0..{cd.dim}")
+    return dual_profile(cd).deltas[i]
 
 
 def dual_profile(cd: ChernData) -> PolarProfile:
-    """All polar classes and the dual codimension they encode.
+    """All polar classes, read off G(1+t), and the dual codimension they encode.
 
-    delta_m = deg(c_0) >= 1, so some delta is always non-zero; for the
-    tautological P^n this yields dual_codim = n + 1, the convention for an
-    empty dual variety.
+    Each pass of running sums over G's coefficients, highest first, divides G
+    by u - 1 and ends in the remainder, the next coefficient of G(1+t): m+2
+    passes, about m^2 additions in all, where a binomial per term costs about
+    m^3 bit operations.  delta_m = deg(c_0) >= 1, so some delta is non-zero;
+    for P^n, dual_codim = n + 1, the convention for an empty dual variety.
     """
-    deltas = tuple(polar_class(cd, i) for i in range(cd.dim + 1))
-    first = next(i for i, v in enumerate(deltas) if v)
-    return PolarProfile(deltas=deltas, dual_codim=first + 1)
+    coeffs, shifted = [*map(mul, cycle((1, -1)), cd.class_degrees), 0], []
+    while coeffs:
+        coeffs = list(accumulate(coeffs))
+        shifted.append(coeffs.pop())
+    deltas = tuple(shifted[1:])
+    return PolarProfile(deltas, dual_codim=next(i for i, v in enumerate(deltas) if v) + 1)
 
 
 def alpha_coefficients(n: int, m: int, deg_d: int) -> list[int]:

@@ -8,7 +8,8 @@ coefficient list per factor, and the ``Fraction`` and
 full-range binomial bodies of the sums behind the ``verify`` suites before
 those moved onto integers: the alpha coefficients, the alternating binomial
 and g identities, the evaluation of a ring element at a rational point, and
-the mixed partials and minimal-point constants behind ``verify rw-constants``.
+the mixed partials and minimal-point constants behind ``verify rw-constants``,
+and the polar classes with one binomial per term.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import List, Sequence, Tuple
 
 from segre_degrees.asympt import MinimalPointCheck
 from segre_degrees.combinat import VerificationError, binomial, multinomial
+from segre_degrees.polar import ChernData
 from segre_degrees.truncpoly import TruncatedPoly, elementary_symmetric, series_inverse
 
 
@@ -252,6 +254,16 @@ def binomial_alpha_coefficients(n: int, m: int, deg_d: int) -> List[int]:
                 total += -term if s & 1 else term
         alphas.append(deg_d * total)
     return alphas
+
+
+def binomial_polar_class(cd: ChernData, i: int) -> int:
+    """delta_i = sum_{j=0}^{m-i} (-1)^j C(m+1-j, i+1) deg(c_j), one binomial
+    per term: about m^3 bit operations for all i."""
+    total = 0
+    for j in range(cd.dim - i + 1):
+        term = binomial(cd.dim + 1 - j, i + 1) * cd.class_degrees[j]
+        total += -term if j & 1 else term
+    return total
 
 
 def binomial_alternating_sum(n: int, m: int, i: int) -> int:

@@ -23,6 +23,7 @@ from segre_degrees.asympt import (
     relative_error,
     verify_minimal_point_constants,
 )
+from segre_degrees.combinat import rational
 from segre_degrees.hyperdet import binary_hyperdet_degree
 
 from ring_oracle import fraction_minimal_point_constants
@@ -166,6 +167,8 @@ def test_failure_messages_print_pairs_as_fractions():
     for num in range(-13, 14):
         for den in (*range(-7, 0), *range(1, 8), 3 ** 40):
             assert asympt._rational_str((num, den)) == str(Fraction(num, den)), (num, den)
+    with pytest.raises(ZeroDivisionError):
+        rational(1, 0)
 
 
 def _strictly_decreasing(errors):

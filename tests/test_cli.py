@@ -492,6 +492,12 @@ def test_discriminant_ratios_print_every_digit(capsys, n):
     assert json.loads(out)[2]["result"] == printed[2]
 
 
+def test_a_mantissa_rounded_up_to_ten_moves_to_the_next_power():
+    """10^0.999999999999999 rounds to 10.00000000000 at 12 digits, which prints
+    as 1 at the next power of ten."""
+    assert cli._ratio_value(0.0, 5, lambda dec: dec(-400) + dec("0.999999999999999")) == "1e-399"
+
+
 def test_omega_is_only_for_the_sv_formula(capsys):
     for argv in (["ed", "3", "5", "--compare"], ["hyperdet", "3", "5"], ["binary", "3"],
                  ["discriminant", "3", "4"]):

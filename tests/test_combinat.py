@@ -147,6 +147,15 @@ def test_only_the_package_imports_the_ring():
     assert importers == {"__init__.py"}
 
 
+def test_no_module_imports_the_one_entry_binomials():
+    """``combinat.binomial`` and ``combinat.multinomial`` cost one factorial
+    quotient per entry; the package builds whole rows and folds, and keeps the
+    two for the test oracles and the benchmark tracer's call counts."""
+    importers = [(name, m) for name, modules in _imported_modules() for m in modules
+                 if m.split(".")[-2:] in (["combinat", "binomial"], ["combinat", "multinomial"])]
+    assert importers == []
+
+
 # module -> why no package module imports it, at the top level or in a function
 _BANNED_IMPORTS = {
     **dict.fromkeys(("concurrent", "multiprocessing", "threading", "subprocess"),

@@ -3,6 +3,7 @@ exhaustive binomial identities."""
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from math import factorial
 
@@ -30,7 +31,8 @@ from segre_degrees.combinat import binomial
 from segre_degrees.polar import _alternating_sum, _g_scaled
 
 from ring_oracle import (binomial_alpha_coefficients, binomial_alternating_identity_holds,
-                         binomial_alternating_sum, fraction_g_identity_holds, fraction_g_sum,
+                         binomial_alternating_sum, binomial_polar_class,
+                         fraction_g_identity_holds, fraction_g_sum,
                          ring_chern_degrees, ring_chern_product,
                          ring_chern_projective_space_product, ring_chern_smooth_hypersurface)
 
@@ -79,6 +81,22 @@ def test_polar_classes_and_dual_profiles():
     cube = dual_profile(chern_data_projective_space_product((1, 1, 1)))
     assert cube.deltas[0] == 4
     assert cube.dual_codim == 1
+
+
+def test_the_taylor_shift_equals_the_per_term_polar_sums():
+    """Every delta_i of ``dual_profile`` against the sum with one binomial per
+    term, and the index range of ``polar_class``."""
+    hypersurfaces = [chern_data_smooth_hypersurface(n, d) for n in range(13) for d in range(1, 5)]
+    formats = [chern_data_projective_space_product(dims) for dims in partition_formats(12)]
+    rng = random.Random(7)
+    pairs = [chern_data_product(*rng.sample(hypersurfaces + formats, 2)) for _ in range(60)]
+    long_factor = chern_data_projective_space_product((1, 1, 150))
+    for cd in [*hypersurfaces, *formats, *pairs, long_factor]:
+        oracle = tuple(binomial_polar_class(cd, i) for i in range(cd.dim + 1))
+        assert dual_profile(cd).deltas == oracle, cd.class_degrees
+        for i in (-1, cd.dim + 1):
+            with pytest.raises(ValueError):
+                polar_class(cd, i)
 
 
 def test_dual_degree_of_smooth_hypersurfaces_is_classical():

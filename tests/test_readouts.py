@@ -76,7 +76,8 @@ def test_each_readout_is_one_or_two_horner_calls(monkeypatch):
 def test_generic_ed_degree_is_the_sum_of_the_polar_degrees():
     """One fold, three readings: the Chern class degrees of P^{n1} x ... x P^{nd}
     are the fold reversed, and both Segre degrees read it, delta_0 and sum delta_i."""
-    for dims in [*partition_formats(10), (1, 1, 200), (2, 3, 60), (0, 4)]:
+    for dims in [*partition_formats(10), (1, 1, 200), (2, 3, 60), (0, 4), (1, 1, 1000),
+                 (2, 2, 400)]:
         chern = chern_data_projective_space_product(dims)
         assert chern.class_degrees == tuple(reversed(segre_fold(dims, (1,) * len(dims)))), dims
         deltas = dual_profile(chern).deltas
