@@ -12,16 +12,19 @@ hypersurface.  By the binomial theorem G(1+t) - G(1) = sum_i delta_i t^(i+1)
 for G(u) = sum_j (-1)^j deg(c_j) u^(m+1-j), so delta_0 = G'(1), and the generic
 ED degree sum_i delta_i is G(2) - G(1) (Draisma et al., FoCM 2016, Thm 5.4).
 
-``ChernData`` records the degrees deg(c_0),...,deg(c_m).  Degrees alone do
-not determine the Chern data of a Segre product, so the type optionally
-carries the total Chern class as a tensor product of factors: one list of
-coefficients c_0..c_{n_i} per factor, in that factor's own hyperplane class,
-together with the degree of the top monomial class.  Pairing a monomial with
-a power of h = sum of the factor classes leaves a multinomial, so the class
-degrees are one ``combinat.multinomial_fold`` of the reversed lists, and a
-Segre product concatenates the factors; ``chern_data_product`` raises without
-them.  The shortcut that needs only degrees is the product with a smooth
-hypersurface Y_n in P^{n+1} of degree d:
+``ChernData`` records the degrees deg(c_j . h^(m-j)), j = 0..m, and they
+are all a Whitney product needs.  For X of dimension m and Y of dimension n,
+c(X x Y) = c(X) c(Y) and h = h_X + h_Y, so pairing c_a(X) c_b(Y) with
+(h_X + h_Y)^(m+n-a-b) leaves one term of the binomial expansion,
+
+    C(m+n-a-b, m-a) deg(c_a(X) h_X^(m-a)) deg(c_b(Y) h_Y^(n-b)) ,
+
+which is one ``combinat.multinomial_fold`` of the two reversed lists of class
+degrees.  The reversed class degrees of P^n are C(n+1, k+1), so a product of
+projective spaces is one fold of those rows, ``combinat.segre_fold`` at unit
+weights; a factor embedded by O(w) has the rows C(n+1, k+1) w^k.  The
+shortcut for the product with a smooth hypersurface Y_n in P^{n+1} of
+degree d reads only the class degrees of X:
 
     delta_0(X x Y_n) = sum_i alpha_i(n, m, d) * deg(c_i(X)) ,
 
@@ -76,24 +79,15 @@ __all__ = [
 ]
 
 
-class ChernData(namedtuple("ChernData", "dim class_degrees factors point_degree")):
-    """Degrees of the (Chern-Mather) classes of an embedded variety.
-
-    ``class_degrees[j]`` is deg(c_j . h^(m-j)) for the hyperplane class h;
-    in particular class_degrees[0] is the degree of the variety.  When the
-    total Chern class is known as a product over factors, ``factors`` holds
-    one tuple c_0..c_{n_i} per factor, the coefficients of
-    c(X_i) = sum_k c_k x_i^k in that factor's hyperplane class x_i, and
-    ``point_degree`` is the degree of the top monomial class
-    x1^n1...xk^nk as a zero-cycle (1 for products of projective spaces, d for
-    a degree-d hypersurface); products need both.
-    """
+class ChernData(namedtuple("ChernData", "dim class_degrees")):
+    """Degrees of the (Chern-Mather) classes of an embedded variety:
+    ``class_degrees[j]`` is deg(c_j . h^(m-j)) for the hyperplane class h, so
+    class_degrees[0] is the degree of the variety."""
 
     __slots__ = ()
 
-    def __new__(cls, dim: int, class_degrees: Sequence[int],
-                factors: tuple[tuple[int, ...], ...] = (), point_degree: int = 1) -> ChernData:
-        degrees = tuple(map(index, class_degrees))
+    def __new__(cls, dim: int, class_degrees: Sequence[int]) -> ChernData:
+        dim, degrees = index(dim), tuple(map(index, class_degrees))
         if dim < 0:
             raise ValueError(f"dimension must be non-negative, got {dim}")
         if len(degrees) != dim + 1:
@@ -101,12 +95,7 @@ class ChernData(namedtuple("ChernData", "dim class_degrees factors point_degree"
                 f"need {dim + 1} class degrees for dimension {dim}, got {len(degrees)}")
         if degrees[0] < 1:
             raise ValueError(f"the variety degree must be positive, got {degrees[0]}")
-        if point_degree < 1:
-            raise ValueError(f"point degree must be positive, got {point_degree}")
-        if factors and sum(len(c) - 1 for c in factors) != dim:
-            raise ValueError(f"Chern factors of lengths {[len(c) for c in factors]} do not "
-                             f"span dimension {dim}")
-        return super().__new__(cls, dim, degrees, factors, point_degree)
+        return super().__new__(cls, dim, degrees)
 
 
 # All polar classes delta_0..delta_m of a variety plus the codimension of its
@@ -114,27 +103,16 @@ class ChernData(namedtuple("ChernData", "dim class_degrees factors point_degree"
 PolarProfile = namedtuple("PolarProfile", "deltas dual_codim")
 
 
-def _from_factors(factors: tuple[tuple[int, ...], ...], point_degree: int) -> ChernData:
-    """Chern data of a product from its per-factor Chern coefficients.
-
-    deg(c_j . h^(m-j)) pairs each monomial x^e with |e| = j against h^(m-j),
-    which leaves multinomial(n - e) times the point degree; with k = n - e
-    that is the |k| = m - j entry of the fold of the reversed lists.
-    """
-    g = multinomial_fold(c[::-1] for c in factors)
-    return ChernData(
-        dim=len(g) - 1,
-        class_degrees=tuple(point_degree * v for v in reversed(g)),
-        factors=factors,
-        point_degree=point_degree,
-    )
+def _fold(reversed_degrees: Iterable[Sequence[int]]) -> ChernData:
+    """Chern data of a product whose factors have these reversed class degrees."""
+    g = multinomial_fold(reversed_degrees)
+    return ChernData(len(g) - 1, g[::-1])
 
 
 def chern_data_projective_space_product(dims: Sequence[int]) -> ChernData:
-    """Chern data of P^{n1} x ... x P^{nd}: total Chern class
-    prod_i (1 + x_i)^(n_i + 1), truncated at x_i^(n_i)."""
-    factors = tuple(tuple(binomial_row(n + 1)[:-1]) for n in as_format(dims))
-    return _from_factors(factors, 1)
+    """Chern data of P^{n1} x ... x P^{nd}, whose factors have the class
+    degrees C(n+1, j) of c(P^n) = (1 + x)^(n + 1)."""
+    return _fold(binomial_row(n + 1)[1:] for n in as_format(dims))
 
 
 def _hypersurface_chern_coeffs(n: int, deg_d: int) -> list[int]:
@@ -152,27 +130,20 @@ def chern_data_smooth_hypersurface(n: int, deg_d: int) -> ChernData:
 
     The tangent sequence 0 -> T_Y -> T_P|_Y -> O_Y(d) -> 0 gives
     c(Y_n) = (1+y)^(n+2) / (1 + d y) with y the restricted hyperplane class,
-    and deg(y^n . [Y_n]) = d.
+    and deg(y^n . [Y_n]) = d, so each class degree is d times a coefficient.
     """
     if n < 0:
         raise ValueError(f"dimension must be non-negative, got {n}")
     deg_d = index(deg_d)
     if deg_d < 1:
         raise ValueError(f"hypersurface degree must be positive, got {deg_d}")
-    return _from_factors((tuple(_hypersurface_chern_coeffs(n, deg_d)),), deg_d)
+    return ChernData(n, [deg_d * c for c in _hypersurface_chern_coeffs(n, deg_d)])
 
 
 def chern_data_product(a: ChernData, b: ChernData) -> ChernData:
-    """Chern data of the Segre product of two varieties, by the Whitney
-    formula: the total Chern class is the product of the two, so the factors
-    concatenate and the point degrees multiply.
-
-    Both inputs must carry their factors; degrees alone lose the split of
-    the hyperplane class across the factors.
-    """
-    if not a.factors or not b.factors:
-        raise ValueError("chern_data_product needs the Chern factors of both varieties")
-    return _from_factors(a.factors + b.factors, a.point_degree * b.point_degree)
+    """Chern data of the Segre product of any two varieties, by the Whitney
+    formula: one fold of their reversed class degrees (see the module notes)."""
+    return _fold((a.class_degrees[::-1], b.class_degrees[::-1]))
 
 
 def polar_class(cd: ChernData, i: int) -> int:

@@ -1043,17 +1043,42 @@ def test_verify_identities_sees_one_perturbed_term(monkeypatch, capsys, name, ar
     assert "verify identities: FAILED" in out
 
 
-@pytest.mark.parametrize("module", [polar, combinat], ids=["polar", "combinat"])
-def test_verify_cross_oracle_sees_one_wrong_row_in_either_route(monkeypatch, capsys, module):
-    """The polar route reads ``binomial_row`` in its own namespace, the series route through
-    ``combinat.segre_fold``; a row wrong in one namespace only (C(2, 1) = 3) makes them
-    disagree."""
-    original = module.binomial_row
-    monkeypatch.setattr(module, "binomial_row",
-                        lambda a: [c + ((a, k) == (2, 1)) for k, c in enumerate(original(a))])
+@pytest.mark.parametrize("module, name, wrong", [
+    (math, "comb", lambda f: lambda a, k: f(a, k) + ((a, k) == (2, 1))),
+    (combinat, "binomial_row",
+     lambda f: lambda a: [c + ((a, k) == (2, 1)) for k, c in enumerate(f(a))]),
+], ids=["polar", "combinat"])
+def test_verify_cross_oracle_sees_one_wrong_row_in_either_route(monkeypatch, capsys, module,
+                                                                   name, wrong):
+    """The polar route builds its rows from ``math.comb``, the series route from
+    ``combinat.binomial_row`` through ``combinat.segre_fold``; a row wrong in one route only
+    (C(2, 1) = 3) makes them disagree."""
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
     code, out, _ = run(["verify", "cross-oracle", "--max", "4"], capsys)
     assert code == 1
     assert any(line.startswith("FAIL dual degree mismatch") for line in out.splitlines())
+
+
+def test_verify_cross_oracle_sees_a_fold_that_keeps_its_zeros(monkeypatch, capsys):
+    """A fold doubled on every three-factor format keeps every zero, so the
+    defectiveness check cannot see it; the polar route builds its class degrees
+    without the fold, so the dual degree comparison does."""
+    original = combinat.multinomial_fold
+
+    def doubled(factors):
+        rows = list(factors)
+        g = original(rows)
+        return [2 * v for v in g] if len(rows) == 3 else g
+
+    for module in (combinat, eddeg, polar):
+        monkeypatch.setattr(module, "multinomial_fold", doubled)
+    assert cli.hyperdet_degree((2, 2, 2)) == 72
+    code, out, _ = run(["verify", "cross-oracle", "--max", "7"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL dual degree mismatch for (2, 2, 2): series 72, polar 36" in lines
+    assert not any(line.startswith("FAIL defectiveness") for line in lines)
+    assert lines[-1].startswith("verify cross-oracle: FAILED (checked=44, ")
 
 
 def test_verify_rw_constants_sees_one_perturbed_term(monkeypatch, capsys):

@@ -61,8 +61,10 @@ def test_multinomial_small_and_oracle():
     lambda: stabilization_onset((1.5,), 3),
     lambda: chern_data_projective_space_product((2.0,)),
     lambda: ChernData(1, (1, 2.9)),
+    lambda: ChernData(1.0, (1, 2)),
 ], ids=["frobenius-float", "hyperdet-str", "sv-fraction", "generic-float-weight",
-        "generic-float-dim", "onset-float-base", "chern-float-dim", "chern-float-degree"])
+        "generic-float-dim", "onset-float-base", "chern-float-dim", "chern-float-degree",
+        "chern-data-float-dim"])
 def test_non_integer_formats_raise_instead_of_truncating(call):
     """A float, ``Fraction`` or ``str`` entry is refused, not rounded down to
     the answer for a neighbouring format."""

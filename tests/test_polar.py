@@ -5,12 +5,16 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from math import factorial
+from functools import reduce
+from itertools import product
+from math import comb, factorial
 
 import pytest
 
 from segre_degrees import polar
-from segre_degrees.hyperdet import hyperdet_degree, is_dual_nondefective, partition_formats
+from segre_degrees.eddeg import generic_ed_degree
+from segre_degrees.hyperdet import (hyperdet_degree, is_dual_nondefective, partition_formats,
+                                    sv_hyperdet_degree)
 from segre_degrees.polar import (
     ChernData,
     alpha_coefficients,
@@ -130,6 +134,8 @@ def test_class_degrees_match_the_ring_oracle():
 
 
 def test_products_with_hypersurfaces_match_the_ring_oracle():
+    """Whitney products from class degrees alone against the multigraded ring,
+    which multiplies the total Chern classes: X x Y_n and (X x Y_n) x Y_k."""
     for dims in [(1,), (1, 1), (1, 2), (2, 3), (1, 1, 1)]:
         x = chern_data_projective_space_product(dims)
         x_ring = ring_chern_projective_space_product(dims)
@@ -138,14 +144,41 @@ def test_products_with_hypersurfaces_match_the_ring_oracle():
                 y = chern_data_smooth_hypersurface(n, d)
                 y_ring = ring_chern_smooth_hypersurface(n, d)
                 assert y.class_degrees == ring_chern_degrees(y_ring, d)
+                xy_ring = ring_chern_product(x_ring, y_ring)
                 assert chern_data_product(x, y).class_degrees == \
-                    ring_chern_degrees(ring_chern_product(x_ring, y_ring), d), (dims, n, d)
+                    ring_chern_degrees(xy_ring, d), (dims, n, d)
+                k, e = n % 3, 5 - d  # a second hypersurface Y_k of degree e
+                assert chern_data_product(chern_data_product(x, y),
+                                          chern_data_smooth_hypersurface(k, e)).class_degrees == \
+                    ring_chern_degrees(ring_chern_product(xy_ring, ring_chern_smooth_hypersurface(k, e)),
+                                       d * e), (dims, n, d, k, e)
 
 
-def test_chern_data_product_requires_polynomials():
-    bare = ChernData(dim=1, class_degrees=(1, 2))
-    with pytest.raises(ValueError):
-        chern_data_product(bare, bare)
+def _veronese(n, w):
+    """P^n embedded by O(w), from its class degrees alone: c(P^n) = (1 + x)^(n+1)
+    and h = w x, so deg(c_j h^(n-j)) = C(n+1, j) w^(n-j)."""
+    return ChernData(n, [comb(n + 1, j) * w ** (n - j) for j in range(n + 1)])
+
+
+def test_degree_only_products_of_veronese_factors_meet_dhost():
+    """Segre-Veronese products from degree-only factors: the polar classes sum to
+    the generic ED degree (Draisma et al., FoCM 2016, Thm 5.4), and at equal
+    weights delta_0 is the hyperdeterminant degree of ``sv_hyperdet_degree``."""
+    assert chern_data_product(ChernData(1, (1, 2)), ChernData(1, (1, 2))) == \
+        chern_data_projective_space_product((1, 1))
+    cases = equal = 0
+    for dims in partition_formats(7):
+        if len(dims) > 4:
+            continue
+        for weights in product((1, 2, 3), repeat=len(dims)):
+            cd = reduce(chern_data_product, map(_veronese, dims, weights))
+            deltas = dual_profile(cd).deltas
+            assert sum(deltas) == generic_ed_degree(dims, weights), (dims, weights)
+            cases += 1
+            if len(set(weights)) == 1:
+                assert deltas[0] == sv_hyperdet_degree(dims, weights[0]), (dims, weights)
+                equal += 1
+    assert (cases, equal) == (993, 111)
 
 
 def test_chern_data_product_consistency():
@@ -301,17 +334,13 @@ def test_chern_data_validation():
         ChernData(dim=1, class_degrees=(1,))
     with pytest.raises(ValueError):
         ChernData(dim=0, class_degrees=(0,))
-    with pytest.raises(ValueError):
-        ChernData(dim=0, class_degrees=(1,), point_degree=0)
-    with pytest.raises(ValueError):
-        ChernData(dim=1, class_degrees=(1, 2), factors=((1, 2, 1),))
     # positional construction runs the same checks in __new__
     with pytest.raises(ValueError):
         ChernData(1, (1,))
-    with pytest.raises(ValueError):
-        ChernData(1, (1, 2), ((1, 2, 1),), 1)
-    # the class degrees are normalized to a tuple; the defaults fill the rest
+    with pytest.raises(TypeError):
+        ChernData(1, (1, 2), ((1, 2, 1),))
+    # the class degrees are normalized to a tuple
     cd = ChernData(1, [2, 4])
-    assert cd == ChernData(dim=1, class_degrees=(2, 4), factors=(), point_degree=1)
+    assert cd == ChernData(dim=1, class_degrees=(2, 4))
     assert cd.class_degrees == (2, 4) and type(cd.class_degrees) is tuple
-    assert repr(cd) == "ChernData(dim=1, class_degrees=(2, 4), factors=(), point_degree=1)"
+    assert repr(cd) == "ChernData(dim=1, class_degrees=(2, 4))"
