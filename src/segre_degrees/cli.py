@@ -62,29 +62,34 @@ class CapBudgetError(Exception):
     pass
 
 
-def _check_cap(what: str, ints: int, bits: int, cap_bytes: int) -> None:
-    """Refuse a computation that holds ``ints`` integers below 2^bits at a time
-    if they need more than ``cap_bytes``: 8 bytes of slot, 28 + 4 per 30 bits
-    each, plus 4 kB of frames and small objects."""
-    approx = ints * (36 + 4 * (bits // 30)) + 4096
+def _check_cap(what: str, cap_bytes: int, *held: tuple[int, int], extra: int = 0) -> None:
+    """Refuse a computation whose ``extra`` bytes, 4 kB of frames and small objects and, for
+    each (ints, bits) of ``held``, ``ints`` integers below 2^bits (8 bytes of slot, 28 + 4 per
+    30 bits each) are more than ``cap_bytes``."""
+    approx = extra + 4096 + sum(ints * (36 + 4 * (bits // 30)) for ints, bits in held)
     if approx > cap_bytes:
-        raise CapBudgetError(f"{what} needs about {approx} bytes ({ints} integers up to "
-                             f"{bits} bits), over the budget of {cap_bytes}")
+        raise CapBudgetError(f"{what} needs about {approx} bytes, over the budget of {cap_bytes}")
 
 
-def _check_cap_budget(n_total: int, d: int, weight_bits: int, cap_bytes: int) -> None:
-    """The degree kernel, ``combinat.multinomial_fold``, holds two lists of N + 1 integers below
-    d^N prod_j 2^(n_j+1) w_j^n_j, its Horner readouts one list and one accumulator within that
-    bound.  ``weight_bits`` is sum_j n_j ceil(log2 w_j); ceil(log2 x) is (x-1).bit_length()."""
-    bits = n_total * (d - 1).bit_length() + n_total + d + weight_bits
-    _check_cap(f"the degree kernel for N={n_total}, d={d}", 2 * (n_total + 1), bits, cap_bytes)
+def _check_cap_budget(dims: Sequence[int], fold_weights: Sequence[int], x: int,
+                      cap_bytes: int, copies: int = 1) -> None:
+    """The degree kernel of ``dims`` repeated ``copies`` times: its fold holds two lists of
+    N + 1 integers below d^N prod_j 2^(n_j+1) w_j^n_j at the weights its rows carry; its
+    readout at ``x`` holds x, an accumulator, its product and their Karatsuba scratch, up to
+    about five integers |x|^(N+1) times that (tracemalloc peak on Python 3.11), charged as
+    eight.  ceil(log2 v) is (v-1).bit_length()."""
+    n_total, d = copies * sum(dims), copies * len(dims)
+    bits = n_total * (d - 1).bit_length() + n_total + d + copies * sum(
+        n * (w - 1).bit_length() for n, w in zip(dims, fold_weights))
+    _check_cap(f"the degree kernel for N={n_total}, d={d}", cap_bytes, (2 * (n_total + 1), bits),
+               (8, bits + (n_total + 1) * (abs(x) - 1).bit_length()))
 
 
 def _check_power_cap(base: int, exponent: int, cap_bytes: int) -> None:
     """The closed forms build base^exponent and hold fewer than ten integers
     of about its size at a time (tracemalloc peak up to eight on Python 3.11)."""
-    _check_cap(f"the closed form with {base}^{exponent}", 10,
-               exponent * (base - 1).bit_length(), cap_bytes)
+    _check_cap(f"the closed form with {base}^{exponent}", cap_bytes,
+               (10, exponent * (base - 1).bit_length()))
 
 
 def _integers(text: str, what: str, least: int, sep: str | None = None) -> tuple[int, ...]:
@@ -210,12 +215,11 @@ def _note(line: str) -> None:
 
 def _cmd_hyperdet(args: SimpleNamespace) -> tuple[str, int]:
     dims = _integers(args.dims, "dims", 0, ",")
-    n_total = sum(dims)
-    _check_cap_budget(n_total, len(dims), n_total * (args.omega - 1).bit_length(), args.cap_bytes)
-    value = sv_hyperdet_degree(dims, args.omega)
-    note = ""
-    if args.omega == 1 and value == 0 and not is_dual_nondefective(dims):
-        note = "dual defective"
+    if args.omega == 1 and not is_dual_nondefective(dims):
+        value, note = 0, "dual defective"
+    else:
+        _check_cap_budget(dims, (1,) * len(dims), args.omega, args.cap_bytes)
+        value, note = sv_hyperdet_degree(dims, args.omega), ""
     params = {"dims": _join(dims), "omega": str(args.omega)}
     return _render(args, [_record("hyperdet", params, str(value), note)]), 0
 
@@ -228,8 +232,7 @@ def _cmd_eddeg(args: SimpleNamespace) -> tuple[str, int]:
         raise UsageError(f"{len(dims)} dims but {len(weights)} weights")
     metric = "generic" if args.generic else "frobenius"
     if args.generic or all(w == 1 for w in weights):
-        weight_bits = sum(n * (w - 1).bit_length() for n, w in zip(dims, weights))
-        _check_cap_budget(sum(dims), len(dims), weight_bits, args.cap_bytes)
+        _check_cap_budget(dims, weights, 2 if args.generic else 1, args.cap_bytes)
         value = generic_ed_degree(dims, weights) if args.generic else frobenius_ed_degree(dims)
     elif len(dims) == 1:  # not all weights are 1, so the one weight is at least 2
         _check_power_cap(weights[0] - 1, dims[0] + 1, args.cap_bytes)
@@ -442,14 +445,11 @@ def _cmd_asympt(args: SimpleNamespace) -> tuple[str, int]:
     if formula in asy.FORMULAS:
         grid = _parse_grid(args.grid)
         # a record and its JSON text take under 3 kB a point (tracemalloc, Python 3.11)
-        approx = 4096 * (len(grid) + 1)
-        if approx > args.cap_bytes:
-            raise CapBudgetError(f"a grid of {len(grid)} points needs about {approx} bytes, "
-                                 f"over the budget of {args.cap_bytes}")
+        _check_cap(f"a grid of {len(grid)} points", args.cap_bytes, extra=4096 * len(grid))
         # the kernel model and the estimate grow with n: the largest point stands for all
         top = grid[-1] if isinstance(grid, range) else max(grid)
         if args.compare:
-            _check_cap_budget(top * d, d, top * d * (omega - 1).bit_length(), args.cap_bytes)
+            _check_cap_budget((top,), (1,), omega, args.cap_bytes, copies=d)
         try:
             points = asy.convergence_sweep(formula, d, grid, omega, args.compare)
         except OverflowError:

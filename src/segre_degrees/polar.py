@@ -58,7 +58,7 @@ from itertools import accumulate, cycle, repeat
 from math import comb, factorial, perm
 from operator import index, mul
 
-from .combinat import as_format, binomial_row, multinomial_fold
+from .combinat import as_format, binomial_row, multinomial_fold, segre_fold
 
 __all__ = [
     "ChernData",
@@ -103,16 +103,15 @@ class ChernData(namedtuple("ChernData", "dim class_degrees")):
 PolarProfile = namedtuple("PolarProfile", "deltas dual_codim")
 
 
-def _fold(reversed_degrees: Iterable[Sequence[int]]) -> ChernData:
-    """Chern data of a product whose factors have these reversed class degrees."""
-    g = multinomial_fold(reversed_degrees)
+def _from_fold(g: Sequence[int]) -> ChernData:
+    """Chern data of a product whose fold of reversed class degrees is ``g``."""
     return ChernData(len(g) - 1, g[::-1])
 
 
 def chern_data_projective_space_product(dims: Sequence[int]) -> ChernData:
-    """Chern data of P^{n1} x ... x P^{nd}, whose factors have the class
-    degrees C(n+1, j) of c(P^n) = (1 + x)^(n + 1)."""
-    return _fold(binomial_row(n + 1)[1:] for n in as_format(dims))
+    """Chern data of P^{n1} x ... x P^{nd}: ``combinat.segre_fold`` at unit weights, reversed."""
+    dims = as_format(dims)
+    return _from_fold(segre_fold(dims, (1,) * len(dims)))
 
 
 def _hypersurface_chern_coeffs(n: int, deg_d: int) -> list[int]:
@@ -143,7 +142,7 @@ def chern_data_smooth_hypersurface(n: int, deg_d: int) -> ChernData:
 def chern_data_product(a: ChernData, b: ChernData) -> ChernData:
     """Chern data of the Segre product of any two varieties, by the Whitney
     formula: one fold of their reversed class degrees (see the module notes)."""
-    return _fold((a.class_degrees[::-1], b.class_degrees[::-1]))
+    return _from_fold(multinomial_fold((a.class_degrees[::-1], b.class_degrees[::-1])))
 
 
 def polar_class(cd: ChernData, i: int) -> int:

@@ -528,7 +528,7 @@ def test_asympt_refuses_arguments_it_would_ignore(capsys, argv, message):
 
 
 def test_cap_budget_guard(capsys):
-    # the kernel model for 200,200,200 is ~336 kB (tracemalloc peak ~150 kB)
+    # the kernel model for 200,200,200 is ~338 kB (tracemalloc peak ~191 kB)
     code, out, err = run(["hyperdet", "200,200,200", "--cap-bytes", "100000"], capsys)
     assert code == 3
     assert out == ""
@@ -545,30 +545,73 @@ def test_cap_budget_guard(capsys):
 @pytest.mark.parametrize("dims", [(3, 3, 3), (60, 60, 60), (200, 200, 200), (1,) * 100,
                                   (8, 8, 8, 8), (1, 1, 3000), (2, 3, 2000)])
 def test_cap_model_bounds_the_kernel_peak(dims):
+    """Each kernel against the route it folds: its fold weights and its readout point.  The
+    weighted hyperdeterminant folds at unit weights and reads ``omega`` only at the end."""
     d = len(dims)
     cases = [
-        (lambda: sv_hyperdet_degree(dims, 3), (3,) * d),
-        (lambda: frobenius_ed_degree(dims), (1,) * d),
-        (lambda: generic_ed_degree(dims, (2,) * d), (2,) * d),
+        (lambda: sv_hyperdet_degree(dims, 3), (1,) * d, 3),
+        (lambda: sv_hyperdet_degree(dims, 10**6), (1,) * d, 10**6),
+        (lambda: sv_hyperdet_degree(dims, 10**30), (1,) * d, 10**30),
+        (lambda: frobenius_ed_degree(dims), (1,) * d, 1),
+        (lambda: generic_ed_degree(dims, (2,) * d), (2,) * d, 2),
     ]
-    for kernel, weights in cases:
+    for kernel, fold_weights, x in cases:
         tracemalloc.start()
         try:
             kernel()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        model = (sum(dims), d, sum(n * (w - 1).bit_length() for n, w in zip(dims, weights)))
         with pytest.raises(cli.CapBudgetError):
-            cli._check_cap_budget(*model, peak - 1)
-        cli._check_cap_budget(*model, 16 * peak)
+            cli._check_cap_budget(dims, fold_weights, x, peak - 1)
+        cli._check_cap_budget(dims, fold_weights, x, 16 * peak)
+
+
+@pytest.mark.parametrize("dims, digits", [((20,), 5000), ((1, 1, 1), 100000), ((5, 5, 5), 20000)])
+def test_cap_model_bounds_a_readout_larger_than_the_fold(dims, digits):
+    # a weight of thousands of digits: the readout's integers and their Karatsuba
+    # scratch, not the fold, hold the peak
+    omega = 10**digits
+    tracemalloc.start()
+    try:
+        sv_hyperdet_degree(dims, omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(cli.CapBudgetError):
+        cli._check_cap_budget(dims, (1,) * len(dims), omega, peak - 1)
+    cli._check_cap_budget(dims, (1,) * len(dims), omega, 16 * peak)
+
+
+def test_a_large_weight_is_charged_to_the_readout_not_the_fold():
+    # traced peak ~79 MB; the model is ~322 MB, where charging the weight to every
+    # integer of the fold asked for 2.46 GB
+    cli._check_cap_budget((1, 1, 20000), (1, 1, 1), 10**6, cli.DEFAULT_CAP_BYTES)
+    with pytest.raises(cli.CapBudgetError):
+        cli._check_cap_budget((1, 1, 20000), (1, 1, 1), 10**6, 300 * 10**6)
+
+
+@pytest.mark.parametrize("dims", ["1,1,3", "1,1,100000", "1,1,10000000", "4", "0,0,2"])
+def test_defective_formats_at_weight_one_skip_the_guard_and_the_kernel(monkeypatch, capsys, dims):
+    def refuse(dims, omega):
+        pytest.fail(f"the kernel ran for the defective format {dims}")
+
+    monkeypatch.setattr(cli, "sv_hyperdet_degree", refuse)
+    assert run(["hyperdet", dims, "--cap-bytes", "1"], capsys) == (0, "0  (dual defective)\n", "")
+
+
+def test_defective_formats_above_weight_one_still_run_the_kernel(capsys):
+    assert run(["hyperdet", "1,1,3", "--omega", "2"], capsys) == (0, "816\n", "")
+    assert run(["hyperdet", "1,1,3", "--omega", "2", "--cap-bytes", "1"], capsys)[:2] == (3, "")
 
 
 def test_cap_refusal_names_the_kernel_not_the_dims(capsys):
-    code, out, err = run(["asympt", "hyperdet", "1000000", "5", "--compare"], capsys)
-    assert (code, out) == (3, "")
-    assert err.startswith("error: the degree kernel for N=5000000, d=1000000 ")
-    assert err.count("\n") == 1 and len(err.encode()) < 200
+    # the guard reads the hypercube as one factor d times: no tuple of length d is built
+    for d in (10**6, 10**12):
+        code, out, err = run(["asympt", "hyperdet", str(d), "5", "--compare"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: the degree kernel for N={5 * d}, d={d} ")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
 
 
 @pytest.mark.parametrize("argv", [["hyperdet", "3", "1:300"],
