@@ -24,11 +24,7 @@ from collections.abc import Sequence
 
 from .combinat import VerificationError, binomial_row, rational
 from .eddeg import frobenius_ed_degree, veronese_frobenius_ed_degree
-from .hyperdet import (
-    hyperdet_degree,
-    mixed_partial_at_symmetric_point,
-    sv_hyperdet_degree,
-)
+from .hyperdet import mixed_partial_at_symmetric_point, sv_hyperdet_degree
 
 __all__ = [
     "BinaryAsymptotics",
@@ -52,6 +48,14 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _E2 = math.exp(2.0)
 
 
+def _require_hypercube(d: int, n: int = 1) -> None:
+    """Raise unless (n+1)^d has at least three factors, each of dimension >= 1."""
+    if d < 3:
+        raise ValueError(f"the estimate requires at least three factors, got d={d}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+
+
 def log_hyperdet_asymptotic(d: int, n: int) -> float:
     """log of the large-n estimate of the hyperdeterminant degree of format
     (n+1)^d, the weight-1 case of ``log_sv_hyperdet_asymptotic``:
@@ -73,10 +77,7 @@ def log_ed_asymptotic(d: int, n: int) -> float:
     like 1/n (checked against exact values up to n=30 for d=3 and n=10 for
     d=4).
     """
-    if d < 3:
-        raise ValueError(f"the estimate requires at least three factors, got d={d}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _require_hypercube(d, n)
     size = n + 1
     return ((d - 1) * math.log(d - 1)
             - (d - 1) / 2 * _LOG_2PI
@@ -92,10 +93,7 @@ def log_sv_hyperdet_asymptotic(d: int, n: int, omega: int) -> float:
         (wd-1)^(2d-2) / ([2 pi (wd-2)]^((d-1)/2) w^((4d-5)/2) d^((3d-6)/2))
             * (wd-1)^(dn) / n^((d-3)/2)
     """
-    if d < 3:
-        raise ValueError(f"the estimate requires at least three factors, got d={d}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _require_hypercube(d, n)
     if omega < 1:
         raise ValueError(f"weight must be positive, got {omega}")
     wd = omega * d
@@ -238,8 +236,7 @@ def verify_minimal_point_constants(d: int) -> MinimalPointCheck:
     built from the two partials, and each check cross-multiplies a pair with
     its closed form.  No ``Fraction`` is built.
     """
-    if d < 3:
-        raise ValueError(f"the estimate requires at least three factors, got d={d}")
+    _require_hypercube(d)
     h_at_c = rational(sum(c * _subset_term(d, k) for k, c in enumerate(binomial_row(d))),
                       (d - 1) ** d)
     if h_at_c != (0, 1):
@@ -287,13 +284,13 @@ ConvergencePoint = namedtuple("ConvergencePoint", "grid_value exact log_estimate
 # hypercubical format (n+1)^d; only ``convergence_sweep`` calls them.  Each
 # entry looks its functions up when called, so a caller that replaces a
 # module attribute (a tracer, a test double) sees every call.
+_SV = (lambda dims, omega: sv_hyperdet_degree(dims, omega),
+       lambda d, n, omega: log_sv_hyperdet_asymptotic(d, n, omega))
 FORMULAS = {
-    "hyperdet": (lambda dims, omega: hyperdet_degree(dims),
-                 lambda d, n, omega: log_hyperdet_asymptotic(d, n)),
+    "hyperdet": _SV,
     "ed": (lambda dims, omega: frobenius_ed_degree(dims),
            lambda d, n, omega: log_ed_asymptotic(d, n)),
-    "sv": (lambda dims, omega: sv_hyperdet_degree(dims, omega),
-           lambda d, n, omega: log_sv_hyperdet_asymptotic(d, n, omega)),
+    "sv": _SV,
 }
 
 
@@ -302,9 +299,10 @@ def convergence_sweep(formula: str, d: int, grid: Sequence[int], omega: int = 1,
     """Estimates over a grid of n for fixed d >= 3 on the hypercubical format
     (n+1)^d, and with ``compare`` the exact values and relative errors.
 
-    formula: "hyperdet", "ed", or "sv" with equal Veronese weight omega.  At
-    each n the estimate comes first, so an ``OverflowError`` from it is
-    raised before the exact value at that n is computed.
+    formula: "hyperdet" or "sv", one pair whose omega = 1 case is the
+    hyperdeterminant, with equal Veronese weight omega; or "ed".  At each n the
+    estimate comes first, so an ``OverflowError`` from it is raised before
+    the exact value at that n is computed.
     """
     if formula not in FORMULAS:
         raise ValueError(f"unknown formula {formula!r}")

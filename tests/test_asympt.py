@@ -219,7 +219,7 @@ def test_verification_error_is_raised_on_mismatch(monkeypatch):
 
 
 @pytest.mark.parametrize("formula, exact_name, log_name", [
-    ("hyperdet", "hyperdet_degree", "log_hyperdet_asymptotic"),
+    ("hyperdet", "sv_hyperdet_degree", "log_sv_hyperdet_asymptotic"),
     ("ed", "frobenius_ed_degree", "log_ed_asymptotic"),
     ("sv", "sv_hyperdet_degree", "log_sv_hyperdet_asymptotic"),
 ])
@@ -237,6 +237,24 @@ def test_formula_table_looks_functions_up_when_called(monkeypatch, formula, exac
     assert calls == [log_name, exact_name] * 2
 
 
+def test_the_hyperdet_formula_is_the_sv_pair():
+    # the hyperdeterminant is the omega = 1 case; the CLI passes omega = 1
+    assert list(asympt.FORMULAS) == ["hyperdet", "ed", "sv"]
+    assert asympt.FORMULAS["hyperdet"] is asympt.FORMULAS["sv"]
+    assert not hasattr(asympt, "hyperdet_degree")
+
+
+def test_hypercube_arguments_are_checked_alike():
+    # the estimates and the minimal-point constants raise the same messages
+    estimates = (log_ed_asymptotic, log_hyperdet_asymptotic,
+                 lambda d, n: log_sv_hyperdet_asymptotic(d, n, 2))
+    for check in (*estimates, lambda d, n: verify_minimal_point_constants(d)):
+        with pytest.raises(ValueError, match="^the estimate requires at least three factors, "
+                                             "got d=2$"):
+            check(2, 5)
+    for estimate in estimates:
+        with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
+            estimate(3, 0)
 
 
 @pytest.mark.parametrize("make, fields", [

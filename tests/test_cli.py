@@ -3,6 +3,7 @@ codes, determinism, and the resource guard."""
 
 from __future__ import annotations
 
+import ast
 import concurrent.futures
 import json
 import math
@@ -255,6 +256,33 @@ def test_the_readme_max_table_is_the_suite_table():
         (suite, default, least, most) for suite, (_, default, least, most) in cli._SUITES.items()]
 
 
+def test_the_readme_library_example_gives_its_comments():
+    """Each expression of the README's library example evaluates to the
+    result in its comment, on its line or the next.  A result that the
+    comment elides with "..." is compared on the entries shown on each side."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    source = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    lines, namespace, checked = source.splitlines(), {}, 0
+    for statement in ast.parse(source).body:
+        code = ast.get_source_segment(source, statement)
+        if not isinstance(statement, ast.Expr):
+            exec(code, namespace)
+            continue
+        value = eval(code, namespace)
+        comment = (lines[statement.end_lineno - 1].partition("#")[2]
+                   or lines[statement.end_lineno].lstrip("# "))
+        expected = ast.literal_eval(comment.strip())
+        if isinstance(expected, list) and ... in expected:
+            cut = expected.index(...)
+            head, tail = expected[:cut], expected[cut + 1:]
+            assert (value[:len(head)], value[len(value) - len(tail):]) == (head, tail), code
+        else:
+            assert value == expected, code
+        checked += 1
+    assert checked == 4
+
+
 @pytest.mark.parametrize("argv, named", [
     pytest.param(["--help"], list(SUBCOMMAND_ARGUMENTS), id="top"),
     pytest.param(["-h"], list(SUBCOMMAND_ARGUMENTS), id="top-h"),
@@ -428,6 +456,28 @@ def test_asympt_command(capsys):
     code, out, _ = run(["asympt", "discriminant", "2", "5"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("compare", [[], ["--compare"]], ids=["plain", "compare"])
+@pytest.mark.parametrize("d, grid", [("3", "2:8:2"), ("4", "2:6:2")])
+def test_asympt_hyperdet_is_sv_at_omega_1(capsys, d, grid, compare):
+    """``asympt hyperdet`` is the sv formula at omega = 1, printed without an
+    omega parameter: the same plain bytes, and JSON records that differ only
+    in ``formula`` and ``omega``."""
+    hyperdet = ["asympt", "hyperdet", d, grid, *compare]
+    sv = ["asympt", "sv", d, grid, *compare, "--omega", "1"]
+    plain = run(hyperdet, capsys)
+    assert plain[0] == 0
+    assert run(sv, capsys) == plain
+    records = {}
+    for argv, formula, omega in ((hyperdet, "hyperdet", None), (sv, "sv", "1")):
+        code, out, _ = run(argv + ["--format", "json"], capsys)
+        assert code == 0
+        records[formula] = json.loads(out)
+        for record in records[formula]:
+            assert record["parameters"].pop("formula") == formula
+            assert record["parameters"].pop("omega", None) == omega
+    assert records["hyperdet"] == records["sv"]
 
 
 @pytest.mark.parametrize("d", [3, 8, 359, 1029, 1030, 1066, 1083, 1100, 5000, 10 ** 5, 10 ** 12,

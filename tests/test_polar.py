@@ -298,6 +298,24 @@ def test_quadric_stabilization_from_dimension_on():
         delta0_product_with_hypersurface(x, 4, 2) == 258
 
 
+def test_quadric_products_stabilize_at_twice_the_weighted_polar_sum():
+    """An observation: from n = dim X on, delta_0(X x Q_n) equals
+    2 * sum_i (i+1) delta_i(X), with delta_i from ``dual_profile``, and at
+    n = dim X - 1 it differs.  X runs over every product of projective
+    spaces with sum n <= 6 (29 formats) and over Y x P^b for every smooth
+    hypersurface Y of dimension 1-3 and degree 2-4, b = 0..2 (27 products)."""
+    bases = [chern_data_projective_space_product(dims) for dims in partition_formats(6)]
+    bases += [chern_data_product(chern_data_smooth_hypersurface(a, e),
+                                 chern_data_projective_space_product((b,)))
+              for a, e, b in product(range(1, 4), range(2, 5), range(3))]
+    assert len(bases) == 56
+    for x in bases:
+        stable = 2 * sum((i + 1) * delta for i, delta in enumerate(dual_profile(x).deltas))
+        for n in range(x.dim, x.dim + 3):
+            assert delta0_product_with_hypersurface(x, n, 2) == stable, (x, n)
+        assert delta0_product_with_hypersurface(x, x.dim - 1, 2) != stable, x
+
+
 def test_alternating_binomial_identity():
     # n=1, m=1, i=0: both sides equal 12 by direct summation
     assert alternating_binomial_identity_holds(1, 1, 0)

@@ -4,6 +4,7 @@ even where only a newer interpreter runs the tests."""
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,12 @@ FLOOR = (3, 10)  # requires-python = ">=3.10"
 def test_requires_python_names_the_floor():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert f'requires-python = ">={FLOOR[0]}.{FLOOR[1]}"' in pyproject.read_text()
+
+
+def test_ci_runs_the_floor():
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    matrix = re.search(r"python-version: \[(.*)\]", workflow.read_text()).group(1)
+    assert f'"{FLOOR[0]}.{FLOOR[1]}"' in matrix.split(", ")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
