@@ -354,7 +354,7 @@ def _verify_cross_oracle(max_total: int, report: Callable[[str], None]) -> int:
 
 
 # suite -> (sweep, default --max, smallest --max that checks at least one case
-# of the suite's own sweep, largest --max: its run takes about a second)
+# of the suite's own sweep, largest --max: no run takes much over a second)
 _SUITES = {
     "identities": (_verify_identities, 30, 0, 100),
     "rw-constants": (_verify_rw_constants, 10, 3, 200),
@@ -391,8 +391,12 @@ def _round12(x: float) -> float:
 
 def _estimate_value(log_estimate: float) -> float | str:
     """An estimate to 12 significant digits, or the text ``inf`` where it
-    overflows a double."""
-    return _round12(math.exp(log_estimate)) if log_estimate < 709 else "inf"
+    overflows a double: ``math.exp`` raises, or the logarithm itself overflowed."""
+    try:
+        value = math.exp(log_estimate)
+    except OverflowError:
+        return "inf"
+    return _round12(value) if math.isfinite(value) else "inf"
 
 
 def _ratio_value(value: float, d: int,

@@ -71,10 +71,8 @@ __all__ = [
     "delta0_product_with_hypersurface",
     "dual_profile",
     "f_identity_holds",
-    "f_sum",
     "g_identity_holds",
     "identity_sweep",
-    "polar_class",
     "stabilization_ratio_check",
 ]
 
@@ -145,13 +143,6 @@ def chern_data_product(a: ChernData, b: ChernData) -> ChernData:
     return _from_fold(multinomial_fold((a.class_degrees[::-1], b.class_degrees[::-1])))
 
 
-def polar_class(cd: ChernData, i: int) -> int:
-    """delta_i, read from ``dual_profile``."""
-    if not 0 <= i <= cd.dim:
-        raise ValueError(f"polar class index {i} out of range 0..{cd.dim}")
-    return dual_profile(cd).deltas[i]
-
-
 def dual_profile(cd: ChernData) -> PolarProfile:
     """All polar classes, read off G(1+t), and the dual codimension they encode.
 
@@ -194,7 +185,8 @@ def alpha_coefficients(n: int, m: int, deg_d: int) -> list[int]:
     deg_d = index(deg_d)
     if deg_d < 1:
         raise ValueError(f"hypersurface degree must be positive, got {deg_d}")
-    return _alpha_readout(_alpha_dots(n, (deg_d,), m + 1)[0], m, deg_d)
+    dots = _alpha_dots(n, (deg_d,), m + 1)[0]
+    return list(map(mul, cycle((deg_d, -deg_d)), reversed(dots)))
 
 
 def _alpha_dots(n: int, degrees: Sequence[int], top: int) -> list[list[int]]:
@@ -204,11 +196,6 @@ def _alpha_dots(n: int, degrees: Sequence[int], top: int) -> list[list[int]]:
     signed_rows = [list(map(mul, cycle((1, -1)), _hypersurface_chern_coeffs(n, d)))
                    for d in degrees]
     return _dots(signed_rows, n, range(1, top + 1))
-
-
-def _alpha_readout(dots: Sequence[int], m: int, deg_d: int) -> list[int]:
-    """alpha_0..alpha_m from a row of ``_alpha_dots`` that reaches low = m + 1."""
-    return list(map(mul, cycle((deg_d, -deg_d)), reversed(dots[:m + 1])))
 
 
 def _dots(signed_rows: Sequence[Sequence[int]], n: int, lows: Iterable[int]) -> list[list[int]]:
@@ -294,7 +281,7 @@ def _signed_binomials(a: int, count: int) -> list[int]:
     return list(map(mul, cycle((1, -1)), binomial_row(a)[1:count + 1]))
 
 
-def f_sum(n: int, m: int) -> int:
+def _f_sum(n: int, m: int) -> int:
     """f(n) = sum_{r=0}^{n} (-1)^r C(n+1, r+1) C(m+n+1-r, m)."""
     return _f_dot(_signed_binomials(n + 1, n + 1), m)
 
@@ -314,7 +301,7 @@ def f_identity_holds(n: int, m: int) -> bool:
     integers here)."""
     if not (n >= m >= 0):
         raise ValueError(f"need n >= m >= 0, got n={n}, m={m}")
-    return _f_holds(n, m, f_sum(n, m), f_sum(n + 1, m))
+    return _f_holds(n, m, _f_sum(n, m), _f_sum(n + 1, m))
 
 
 def _f_holds(n: int, m: int, f_n: int, f_next: int) -> bool:
@@ -379,7 +366,7 @@ def identity_sweep(max_n: int, report: Callable[[str], None]) -> int:
     of each, O(max_n) integers."""
     checked = 0
     factorials = list(map(factorial, range(2 * max_n + 3)))
-    f_row = [f_sum(0, 0)]
+    f_row = [_f_sum(0, 0)]
     g_row: list[int] = []
     for n in range(max_n + 1):
         # row n+1 of f and G, as far as row n's recurrences and row n+1's values reach

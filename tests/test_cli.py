@@ -752,6 +752,42 @@ def test_overflowed_estimate_is_valid_json(capsys):
     assert run(["asympt", "hyperdet", "3", "400"], capsys)[1] == "inf\n"
 
 
+# the first estimate each of these prints, and its log
+LARGEST_FINITE_ESTIMATES = [
+    ("binary 170", asympt.binary_asymptotics(170).log_hyperdet),
+    ("sv 4 52 --omega 8", asympt.log_sv_hyperdet_asymptotic(4, 52, 8)),
+    ("sv 5 36 --omega 11", asympt.log_sv_hyperdet_asymptotic(5, 36, 11)),
+    ("sv 13 12 --omega 9", asympt.log_sv_hyperdet_asymptotic(13, 12, 9)),
+    ("sv 14 11 --omega 9", asympt.log_sv_hyperdet_asymptotic(14, 11, 9)),
+    ("sv 30 5 --omega 6", asympt.log_sv_hyperdet_asymptotic(30, 5, 6)),
+]
+
+
+@pytest.mark.parametrize("argv, log", LARGEST_FINITE_ESTIMATES,
+                         ids=[argv for argv, _ in LARGEST_FINITE_ESTIMATES])
+def test_an_estimate_below_the_largest_double_is_finite(capsys, argv, log):
+    """The double, not a cut-off below it, decides where ``inf`` starts: each
+    of these logs lies between 709 and log(sys.float_info.max)."""
+    assert 709 < log < math.log(sys.float_info.max)
+    expected = float(f"{math.exp(log):.12g}")
+    code, out, err = run(["asympt", *argv.split()], capsys)
+    assert (code, err) == (0, "")
+    assert float(out.split()[0]) == expected
+    code, out, err = run(["asympt", *argv.split(), "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)[0]["result"] == expected
+
+
+def test_an_overflowed_log_estimate_prints_inf(capsys):
+    """A logarithm that overflowed to inf itself, which ``math.exp`` returns
+    without raising, prints ``inf`` too, and JSON stays standard."""
+    d = "1" + "0" * 306
+    assert math.isinf(asympt.binary_asymptotics(int(d)).log_hyperdet)
+    code, out, _ = run(["asympt", "binary", d, "--format", "json"], capsys)
+    assert code == 0
+    assert [rec["result"] for rec in json.loads(out)[:3]] == ["inf"] * 3
+
+
 @pytest.mark.parametrize("d, grid, top", [("3", "5," + "9" * 400, "9" * 400),
                                           ("3", "9" * 400 + ",5", "9" * 400),
                                           ("1" + "0" * 400, "5,6", "6")],

@@ -24,6 +24,13 @@ def test_ci_runs_the_floor():
     assert f'"{FLOOR[0]}.{FLOOR[1]}"' in matrix.split(", ")
 
 
+def test_ci_bounds_the_tier1_job():
+    """Tier-1 takes well under a minute; without a bound a hung run holds its
+    runner for the 6 h default."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    assert re.findall(r"^    timeout-minutes: (\d+)$", workflow.read_text(), re.M) == ["15"]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_source_parses_at_the_python_floor(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=FLOOR)
