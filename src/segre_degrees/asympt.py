@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
+from operator import index
 
 from .combinat import VerificationError, binomial_row, rational
 from .eddeg import frobenius_ed_degree, veronese_frobenius_ed_degree
@@ -48,12 +49,14 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _E2 = math.exp(2.0)
 
 
-def _require_hypercube(d: int, n: int = 1) -> None:
-    """Raise unless (n+1)^d has at least three factors, each of dimension >= 1."""
+def _require_hypercube(d: int, n: int = 1) -> tuple[int, int]:
+    """d and n as integers; raise unless (n+1)^d has at least three factors of dimension >= 1."""
+    d, n = index(d), index(n)
     if d < 3:
         raise ValueError(f"the estimate requires at least three factors, got d={d}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    return d, n
 
 
 def log_hyperdet_asymptotic(d: int, n: int) -> float:
@@ -77,7 +80,7 @@ def log_ed_asymptotic(d: int, n: int) -> float:
     like 1/n (checked against exact values up to n=30 for d=3 and n=10 for
     d=4).
     """
-    _require_hypercube(d, n)
+    d, n = map(float, _require_hypercube(d, n))
     size = n + 1
     return ((d - 1) * math.log(d - 1)
             - (d - 1) / 2 * _LOG_2PI
@@ -93,10 +96,12 @@ def log_sv_hyperdet_asymptotic(d: int, n: int, omega: int) -> float:
         (wd-1)^(2d-2) / ([2 pi (wd-2)]^((d-1)/2) w^((4d-5)/2) d^((3d-6)/2))
             * (wd-1)^(dn) / n^((d-3)/2)
     """
-    _require_hypercube(d, n)
+    d, n = _require_hypercube(d, n)
+    omega = index(omega)
     if omega < 1:
         raise ValueError(f"weight must be positive, got {omega}")
-    wd = omega * d
+    wd = omega * d  # an integer: math.log reads it at any size
+    d, n = float(d), float(n)
     return ((2 * d - 2) * math.log(wd - 1)
             - (d - 1) / 2 * (_LOG_2PI + math.log(wd - 2))
             - (4 * d - 5) / 2 * math.log(omega)
@@ -127,6 +132,7 @@ def binary_asymptotics(d: int) -> BinaryAsymptotics:
     2^-(d+1), which ``ldexp`` applies exactly, so while it is a normal double
     it is within a few units in its last place of the closed form.
     """
+    d = index(d)
     if d < 2:
         raise ValueError(f"need at least two factors, got {d}")
     stirling = 0.5 * _LOG_2PI + (2 * d + 1) / 2 * math.log(d) - d
@@ -236,16 +242,16 @@ def verify_minimal_point_constants(d: int) -> MinimalPointCheck:
     built from the two partials, and each check cross-multiplies a pair with
     its closed form.  No ``Fraction`` is built.
     """
-    _require_hypercube(d)
+    d, _ = _require_hypercube(d)
     h_at_c = rational(sum(c * _subset_term(d, k) for k, c in enumerate(binomial_row(d))),
                       (d - 1) ** d)
     if h_at_c != (0, 1):
         raise VerificationError(f"denominator does not vanish at the symmetric point for d={d}")
 
-    d_last = mixed_partial_at_symmetric_point(d, (d,))
+    d_last = mixed_partial_at_symmetric_point(d, 1)
     _check("last partial", d, d_last, -d ** (d - 2), (d - 1) ** (d - 2))
 
-    d_mixed = mixed_partial_at_symmetric_point(d, (1, d))
+    d_mixed = mixed_partial_at_symmetric_point(d, 2)
     _check("mixed partial", d, d_mixed, -2 * d ** (d - 3), (d - 1) ** (d - 3))
 
     q = _q(d, d_last, d_mixed)
@@ -300,9 +306,9 @@ def convergence_sweep(formula: str, d: int, grid: Sequence[int], omega: int = 1,
     (n+1)^d, and with ``compare`` the exact values and relative errors.
 
     formula: "hyperdet" or "sv", one pair whose omega = 1 case is the
-    hyperdeterminant, with equal Veronese weight omega; or "ed".  At each n the
-    estimate comes first, so an ``OverflowError`` from it is raised before
-    the exact value at that n is computed.
+    hyperdeterminant, with equal Veronese weight omega; or "ed".  The estimate
+    reads n before the exact value is computed; for d and n up to the largest
+    double it raises nothing, as an overflow gives ``inf`` or ``nan``.
     """
     if formula not in FORMULAS:
         raise ValueError(f"unknown formula {formula!r}")

@@ -390,8 +390,8 @@ def _round12(x: float) -> float:
 
 
 def _estimate_value(log_estimate: float) -> float | str:
-    """An estimate to 12 significant digits, or the text ``inf`` where it
-    overflows a double: ``math.exp`` raises, or the logarithm itself overflowed."""
+    """An estimate to 12 significant digits, or the text ``inf`` where it overflows
+    a double: ``math.exp`` raises, or the log is ``inf`` or (``inf - inf``) ``nan``."""
     try:
         value = math.exp(log_estimate)
     except OverflowError:
@@ -454,11 +454,10 @@ def _cmd_asympt(args: SimpleNamespace) -> tuple[str, int]:
         top = grid[-1] if isinstance(grid, range) else max(grid)
         if args.compare:
             _check_cap_budget((top,), (1,), omega, args.cap_bytes, copies=d)
-        try:
-            points = asy.convergence_sweep(formula, d, grid, omega, args.compare)
-        except OverflowError:
+        if max(d, top) > sys.float_info.max:  # below it an estimate prints its value or inf
             raise UsageError(f"factor count d={d} and grid value n={top} are too "
-                             f"large for a float estimate") from None
+                             f"large for a float estimate")
+        points = asy.convergence_sweep(formula, d, grid, omega, args.compare)
         records = []
         for point in points:
             params = {"formula": formula, "d": str(d), "n": str(point.grid_value)}
@@ -472,10 +471,9 @@ def _cmd_asympt(args: SimpleNamespace) -> tuple[str, int]:
     if args.compare:
         raise UsageError(f"--compare applies only to {', '.join(asy.FORMULAS)}, not {formula!r}")
     if formula == "binary":
-        try:
-            est = asy.binary_asymptotics(d)
-        except OverflowError:
-            raise UsageError(f"factor count d={d} is too large for a float estimate") from None
+        if d > sys.float_info.max:  # below it an estimate prints its value or inf
+            raise UsageError(f"factor count d={d} is too large for a float estimate")
+        est = asy.binary_asymptotics(d)
         base = {"formula": "binary", "d": str(d)}
         quantities = [
             ("hyperdet", _estimate_value(est.log_hyperdet)),

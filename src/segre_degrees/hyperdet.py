@@ -88,27 +88,22 @@ def binary_hyperdet_degree(d: int) -> int:
     return total
 
 
-def mixed_partial_at_symmetric_point(d: int, indices: Sequence[int]) -> tuple[int, int]:
-    """Mixed partial of H = sum (1-i) e_i at the symmetric vanishing point, as
-    a reduced pair (numerator, denominator) with a positive denominator.
+def mixed_partial_at_symmetric_point(d: int, k: int) -> tuple[int, int]:
+    """Mixed partial of H = sum (1-i) e_i in k distinct variables at the
+    symmetric vanishing point, as a reduced pair (numerator, denominator).
 
-    ``indices`` are distinct variable indices in 1..d.  Differentiating e_i in
-    k distinct variables leaves e_{i-k} of the other d - k, so at c = 1/(d-1)
-    the partial is  sum_{i>=k} (1-i) C(d-k, i-k) c^(i-k).  Scaled by
-    (d-1)^(d-k) it is the integer  N_k = sum_{i>=k} (1-i) C(d-k, i-k) (d-1)^(d-i),
-    read by ``combinat.horner`` in d - 1.  Callers can check it against the closed
-    form -k * (d/(d-1))^(d-k-1).
+    By symmetry only k matters, 1 <= k <= d.  Differentiating e_i in k distinct
+    variables leaves e_{i-k} of the other d - k, so at c = 1/(d-1) the partial
+    is  sum_{i>=k} (1-i) C(d-k, i-k) c^(i-k).  Scaled by (d-1)^(d-k) it is the
+    integer  N_k = sum_{i>=k} (1-i) C(d-k, i-k) (d-1)^(d-i), read by
+    ``combinat.horner`` in d - 1; the pair's denominator is positive.  Callers
+    can check it against the closed form -k * (d/(d-1))^(d-k-1).
     """
     if d < 2:
         raise ValueError(f"need at least two factors, got {d}")
-    idx = tuple(indices)
-    if not idx:
-        raise ValueError("need at least one differentiation index")
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"repeated differentiation indices in {idx}")
-    if any(not 1 <= i <= d for i in idx):
-        raise ValueError(f"indices {idx} out of range 1..{d}")
-    m = d - len(idx)  # p = d - i turns N_k into sum_p (p + 1 - d) C(m, p) (d-1)^p
+    if not 1 <= k <= d:
+        raise ValueError(f"need 1 <= k <= {d} differentiated variables, got {k}")
+    m = d - k  # p = d - i turns N_k into sum_p (p + 1 - d) C(m, p) (d-1)^p
     terms = [(p + 1 - d) * b for p, b in enumerate(binomial_row(m))]
     return rational(horner(terms, d - 1), (d - 1) ** m)
 

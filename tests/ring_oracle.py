@@ -194,10 +194,9 @@ def symbolic_mixed_partial(d: int, indices: Sequence[int]) -> Fraction:
     return p.evaluate(symmetric_point(d))
 
 
-def fraction_mixed_partial(d: int, indices: Sequence[int]) -> Fraction:
-    """Mixed partial of H = sum (1-i) e_i at the symmetric point as the
-    ``Fraction`` sum  sum_{i>=k} (1-i) C(d-k, i-k) c^(i-k),  c = 1/(d-1)."""
-    k = len(indices)
+def fraction_mixed_partial(d: int, k: int) -> Fraction:
+    """Mixed partial of H = sum (1-i) e_i in k variables at the symmetric point
+    as the ``Fraction`` sum  sum_{i>=k} (1-i) C(d-k, i-k) c^(i-k),  c = 1/(d-1)."""
     c = Fraction(1, d - 1)
     return sum((1 - i) * binomial(d - k, i - k) * c ** (i - k) for i in range(k, d + 1))
 
@@ -208,8 +207,8 @@ def fraction_minimal_point_constants(d: int) -> MinimalPointCheck:
     c = Fraction(1, d - 1)
     h_at_c = Fraction(sum(comb(d, k) * (1 - k) * (d - 1) ** (d - k) for k in range(d + 1)),
                       (d - 1) ** d)
-    d_last = fraction_mixed_partial(d, (d,))
-    d_mixed = fraction_mixed_partial(d, (1, d))
+    d_last = fraction_mixed_partial(d, 1)
+    d_mixed = fraction_mixed_partial(d, 2)
     q = 1 + c * (Fraction(0) - d_mixed) / d_last
     hess = d * q ** (d - 1)
     leading = 1 / (-c * d_last) ** 2

@@ -12,7 +12,6 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations
 from math import factorial, gcd
 
 from segre_degrees.asympt import (
@@ -178,8 +177,7 @@ def test_criterion_09_minimal_point_constants():
             assert h.evaluate(symmetric_point(d)) == 0
             for k in range(1, d + 1):
                 expected = -k * Fraction(d, d - 1) ** (d - k - 1)
-                for subset in combinations(range(1, d + 1), k):
-                    assert _reduced(mixed_partial_at_symmetric_point(d, subset)) == expected
+                assert _reduced(mixed_partial_at_symmetric_point(d, k)) == expected
 
 
 def test_criterion_10_convergence_trends():

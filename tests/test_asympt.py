@@ -210,7 +210,7 @@ def test_discriminant_ratios_trend_to_one():
 
 def test_verification_error_is_raised_on_mismatch(monkeypatch):
     # sabotage one partial to prove the checks are live
-    def broken(d, indices):
+    def broken(d, k):
         return (1, 1)
 
     monkeypatch.setattr(asympt, "mixed_partial_at_symmetric_point", broken)

@@ -362,6 +362,18 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_internal_overflow_error_is_not_a_usage_error(monkeypatch, capsys):
+    """Only the size rule makes an ``asympt`` argument too large; an
+    ``OverflowError`` raised past it is a bug, not a usage error."""
+    def broken(exact, log_estimate):
+        raise OverflowError("a bug in the comparison")
+
+    monkeypatch.setattr(asympt, "relative_error", broken)
+    with pytest.raises(OverflowError, match="a bug in the comparison"):
+        main(["asympt", "hyperdet", "3", "5", "--compare"])
+    assert capsys.readouterr().out == ""
+
+
 def test_exact_values_print_at_any_size(capsys):
     n, w = 20000, 3
     limit = sys.get_int_max_str_digits()
@@ -799,6 +811,40 @@ def test_estimate_overflow_names_d_and_the_largest_grid_value(capsys, d, grid, t
                    "for a float estimate\n")
 
 
+E308 = "1" + "0" * 308
+
+
+@pytest.mark.parametrize("formula, d, n", [("hyperdet", "3", E308), ("ed", "3", E308),
+                                           ("hyperdet", E308, "5"), ("ed", E308, "5")],
+                         ids=["hyperdet-n", "ed-n", "hyperdet-d", "ed-d"])
+def test_an_argument_below_the_largest_double_gives_an_estimate(capsys, formula, d, n):
+    """d = 10^308 or n = 10^308 is below sys.float_info.max, so the estimate
+    is read, and it overflows to ``inf`` (or ``nan``), which prints ``inf``."""
+    assert run(["asympt", formula, d, n], capsys) == (0, "inf\n", "")
+    code, out, err = run(["asympt", formula, d, n, "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [{"command": "asympt", "note": "",
+                                "parameters": {"d": d, "formula": formula, "n": n},
+                                "result": "inf"}]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["binary", "{}"], "factor count d={} is too large for a float estimate"),
+    (["hyperdet", "3", "{}"], "factor count d=3 and grid value n={} are too large "
+                              "for a float estimate"),
+    (["ed", "{}", "5"], "factor count d={} and grid value n=5 are too large "
+                        "for a float estimate"),
+], ids=["binary-d", "hyperdet-n", "ed-d"])
+def test_the_size_rule_is_the_largest_double(capsys, argv, message):
+    """An integer equal to sys.float_info.max is read; one more is refused,
+    although ``float`` would round it down to the same double."""
+    top = int(sys.float_info.max)
+    assert run(["asympt", *(a.format(top) for a in argv)], capsys)[::2] == (0, "")
+    code, out, err = run(["asympt", *(a.format(top + 1) for a in argv)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message.format(top + 1)}\n"
+
+
 def test_tables_fill_in_process(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         pytest.fail("a table fill started a process")
@@ -1109,8 +1155,7 @@ def _plus_one(pair):
 def test_verify_rw_constants_sees_a_wrong_mixed_partial(monkeypatch, capsys):
     original = asympt.mixed_partial_at_symmetric_point
     monkeypatch.setattr(asympt, "mixed_partial_at_symmetric_point",
-                        lambda d, indices: _plus_one(original(d, indices))
-                        if tuple(indices) == (1, d) else original(d, indices))
+                        lambda d, k: _plus_one(original(d, k)) if k == 2 else original(d, k))
     code, out, _ = run(["verify", "rw-constants", "--max", "6"], capsys)
     assert code == 1
     assert out.splitlines() == [
@@ -1124,8 +1169,7 @@ def test_verify_rw_constants_sees_a_wrong_mixed_partial(monkeypatch, capsys):
     ("_subset_term", lambda f: lambda d, size: f(d, size) + (size == 0),
      lambda d: f"denominator does not vanish at the symmetric point for d={d}"),
     ("mixed_partial_at_symmetric_point",
-     lambda f: lambda d, indices: _plus_one(f(d, indices)) if tuple(indices) == (d,)
-     else f(d, indices),
+     lambda f: lambda d, k: _plus_one(f(d, k)) if k == 1 else f(d, k),
      lambda d: f"last partial mismatch for d={d}: {1 - Fraction(d, d - 1) ** (d - 2)}"),
     ("_q", lambda f: lambda *a: _plus_one(f(*a)),
      lambda d: f"q mismatch for d={d}: {Fraction(d - 2, d) + 1}"),

@@ -10,7 +10,10 @@ as its last option, and must keep the contract:
 - on exit 2 or 3, stdout is empty and stderr is exactly one ``error:`` line;
 - JSON output passes a strict ``json.loads``, CSV output parses into rows of
   one width, and plain output ends in a newline;
-- a rerun gives the same bytes.
+- a rerun gives the same bytes;
+- on exit 0 or 1, the draw without its ``--out`` and ``--timing`` groups
+  gives the same exit code, prints on stdout what ``--out`` wrote, and
+  differs on stderr only by the one ``timing:`` line that ``--timing`` adds.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import io
 import json
 import os
 import random
+import re
 
 import pytest
 
@@ -93,41 +97,48 @@ def _option(rng: random.Random, name: str, takes, out_paths: list[str]) -> list[
     return [typed] if rng.random() < 0.03 else [typed, value]
 
 
-def _draw(rng: random.Random, out_paths: list[str]) -> list[str]:
+def _draw(rng: random.Random, out_paths: list[str]) -> list[tuple[str | None, list[str]]]:
+    """A command line as its groups of tokens, each with the option it spells
+    (None for a command, a positional or a stray token)."""
     if rng.random() < 0.03:
-        return rng.choice([[], ["--help"], ["-h"], ["--"], ["bogus"], [rng.choice(EDGES)]])
+        tokens = rng.choice([[], ["--help"], ["-h"], ["--"], ["bogus"], [rng.choice(EDGES)]])
+        return [(None, [token]) for token in tokens]
     command = rng.choice(list(GRAMMAR))
     positionals, own = GRAMMAR[command]
     # the optional positionals, now and then one too few or one too many
     count = len(positionals) - rng.randint(0, OPTIONAL.get(command, 0))
     count += (rng.random() < 0.05) - (rng.random() < 0.05)
-    tokens = [[_value(rng, takes, out_paths)] for takes in positionals[:count]]
+    groups = [(None, [_value(rng, takes, out_paths)]) for takes in positionals[:count]]
     if count > len(positionals):
-        tokens.append([_integer(rng)])
+        groups.append((None, [_integer(rng)]))
     roll = rng.random()
     pool = own if own and roll < 0.5 else COMMON if roll < 0.8 else OPTIONS
     for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
         name = rng.choice(list(pool))
-        tokens.append(_option(rng, name, OPTIONS[name], out_paths))
+        groups.append((name, _option(rng, name, OPTIONS[name], out_paths)))
     if rng.random() < 0.04:
-        tokens.append([rng.choice(EDGES)])
+        groups.append((None, [rng.choice(EDGES)]))
     if rng.random() < 0.03:
-        tokens.append(["--bogus"])
+        groups.append((None, ["--bogus"]))
     # options and positionals go in any order, the cap is the last option, and
     # now and then the last positional follows ``--``
-    order = tokens[:len(positionals)]
+    order = groups[:len(positionals)]
     after_dashes = order.pop() if order and rng.random() < 0.05 else None
-    options = tokens[len(positionals):]
+    options = groups[len(positionals):]
     rng.shuffle(options)
     cut = rng.randint(0, len(options))
-    argv = [command, *[t for group in options[:cut] + order + options[cut:] for t in group]]
-    argv.append(f"--cap-bytes={CAP_BYTES}")
-    return argv if after_dashes is None else [*argv, "--", *after_dashes]
+    drawn = [(None, [command]), *options[:cut], *order, *options[cut:],
+             ("--cap-bytes", [f"--cap-bytes={CAP_BYTES}"])]
+    return drawn if after_dashes is None else [*drawn, (None, ["--"]), after_dashes]
+
+
+def _argv(groups: list[tuple[str | None, list[str]]]) -> list[str]:
+    return [token for _, tokens in groups for token in tokens]
 
 
 def _run(argv: list[str], out_file: str) -> tuple[int, str, str, str | None]:
-    """Exit code, stdout, stderr without ``timing:`` lines, and the text of
-    the ``--out`` file if the run wrote one."""
+    """Exit code, stdout, stderr with the milliseconds of each ``timing:`` line
+    masked, and the text of the ``--out`` file if the run wrote one."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
@@ -139,8 +150,7 @@ def _run(argv: list[str], out_file: str) -> tuple[int, str, str, str | None]:
         with open(out_file) as fh:
             written = fh.read()
         os.remove(out_file)
-    err = "".join(line for line in stderr.getvalue().splitlines(keepends=True)
-                  if not line.startswith("timing: "))
+    err = re.sub(r"^(timing: \S+) \d+\.\d{3} ms$", r"\1 <ms> ms", stderr.getvalue(), flags=re.M)
     return code, stdout.getvalue(), err, written
 
 
@@ -158,14 +168,29 @@ def _check_format(argv: list[str], text: str) -> None:
     assert text.endswith("\n"), (argv, text)
 
 
+def _check_without_out_and_timing(groups, first, out_file: str) -> None:
+    """Rerun a draw without every group of ``--out`` and ``--timing``: the
+    same exit code, the ``--out`` text on stdout, and stderr without the one
+    ``timing:`` line of a run that asked for it and reached its end."""
+    argv = _argv(groups)
+    code, out, err, written = first
+    kept = [group for group in groups if group[0] not in ("--out", "--timing")]
+    rerun_code, rerun_out, rerun_err, rerun_written = rerun = _run(_argv(kept), out_file)
+    assert (rerun_code, rerun_out, rerun_written) == (code, out + (written or ""), None), \
+        (argv, first, rerun)
+    timed = cli.parse_args(argv).timing and not rerun_err.startswith("error: ")
+    assert err == rerun_err + (f"timing: {argv[0]} <ms> ms\n" if timed else ""), (argv, first)
+
+
 def test_random_command_lines_keep_the_contract(tmp_path):
     out_file = str(tmp_path / "out.txt")
     out_paths = [out_file, "", str(tmp_path / "missing" / "out.txt")]
-    codes = set()
+    codes, wrote, timed = set(), 0, 0
     for seed in SEEDS:
         rng = random.Random(seed)
         for _ in range(DRAWS_PER_SEED):
-            argv = _draw(rng, out_paths)
+            groups = _draw(rng, out_paths)
+            argv = _argv(groups)
             first = _run(argv, out_file)
             code, out, err, written = first
             codes.add(code)
@@ -181,5 +206,10 @@ def test_random_command_lines_keep_the_contract(tmp_path):
                 if text:
                     _check_format(argv, text)
             assert _run(argv, out_file) == first, (seed, argv)
+            if code in (0, 1) and any(name in ("--out", "--timing") for name, _ in groups):
+                _check_without_out_and_timing(groups, first, out_file)
+                wrote, timed = wrote + (written is not None), timed + ("timing: " in err)
     # the draws reach success and both refusals, not only usage errors
     assert {0, 2, 3} <= codes, codes
+    # and the reruns see both an --out file and a timing: line
+    assert wrote and timed, (wrote, timed)

@@ -79,11 +79,19 @@ def test_non_integer_formats_raise_instead_of_truncating(call):
     lambda: chern_data_smooth_hypersurface(2, 2.5),
     lambda: veronese_frobenius_ed_degree(2, 3.5),
     lambda: veronese_frobenius_ed_degree(2.0, 3),
+    lambda: asympt.log_ed_asymptotic(3.5, 2),
+    lambda: asympt.log_ed_asymptotic(3, 2.5),
+    lambda: asympt.log_sv_hyperdet_asymptotic(3, 2, 1.5),
+    lambda: asympt.log_hyperdet_asymptotic(3.0, 2),
+    lambda: asympt.convergence_sweep("ed", 3, [2.5], compare=False),
+    lambda: asympt.binary_asymptotics(2.5),
 ], ids=["sv-float-weight", "alpha-float-degree", "delta0-float-degree",
-        "hypersurface-float-degree", "veronese-float-weight", "veronese-float-dim"])
+        "hypersurface-float-degree", "veronese-float-weight", "veronese-float-dim",
+        "ed-estimate-float-d", "ed-estimate-float-n", "sv-estimate-float-weight",
+        "hyperdet-estimate-float-d", "sweep-float-grid", "binary-float-d"])
 def test_non_integer_scalars_raise_type_error(call):
     """A float weight, degree or dimension is a type error, not a float
-    answer from an exact function or a failed verification."""
+    answer from an exact function or an estimate, or a failed verification."""
     with pytest.raises(TypeError):
         call()
 

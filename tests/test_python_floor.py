@@ -31,6 +31,14 @@ def test_ci_bounds_the_tier1_job():
     assert re.findall(r"^    timeout-minutes: (\d+)$", workflow.read_text(), re.M) == ["15"]
 
 
+def test_ci_runs_tier1_in_development_mode():
+    """Under ``-X dev`` an unclosed file's ``ResourceWarning`` is shown, and
+    ``filterwarnings = error`` turns it into a failure like every other warning."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    step = re.search(r"- name: Tier-1 tests\n +run: (.*)", workflow.read_text()).group(1)
+    assert " python -X dev -m pytest " in step
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_source_parses_at_the_python_floor(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=FLOOR)

@@ -65,7 +65,7 @@ def test_each_readout_is_one_or_two_horner_calls(monkeypatch):
     readouts = [
         (lambda: generic_ed_degree((1, 1, 3000)), ["segre_degrees.eddeg"] * 2),
         (lambda: sv_hyperdet_degree((1, 1, 3000), 3), ["segre_degrees.hyperdet"]),
-        (lambda: mixed_partial_at_symmetric_point(7, (1, 2)), ["segre_degrees.hyperdet"]),
+        (lambda: mixed_partial_at_symmetric_point(7, 2), ["segre_degrees.hyperdet"]),
     ]
     for readout, expected in readouts:
         calls.clear()

@@ -16,14 +16,15 @@ from segre_degrees.polar import (alpha_coefficients, chern_data_smooth_hypersurf
 
 REFUSALS = [
     (log_sv_hyperdet_asymptotic, (3, 5, 0), "weight must be positive, got 0"),
+    (discriminant_quotients, (0, 3), "need n >= 1, got 0"),
     (discriminant_quotients, (3, 2), "need omega >= 3, got 2"),
     (veronese_frobenius_ed_degree, (-1, 3), "dimension must be non-negative, got -1"),
     (generic_ed_degree, ((1, 1), (1,)), "weights must match the number of factors"),
     (generic_ed_degree, ((1, 1), (0, 1)), "weights must be positive, got (0, 1)"),
     (binary_generic_ed_degree, (0,), "need at least one factor, got 0"),
     (sv_hyperdet_degree, ((1, 1, 1), 0), "weight must be positive, got 0"),
-    (mixed_partial_at_symmetric_point, (1, (1,)), "need at least two factors, got 1"),
-    (mixed_partial_at_symmetric_point, (3, ()), "need at least one differentiation index"),
+    (mixed_partial_at_symmetric_point, (1, 1), "need at least two factors, got 1"),
+    (mixed_partial_at_symmetric_point, (3, 0), "need 1 <= k <= 3 differentiated variables, got 0"),
     (chern_data_smooth_hypersurface, (-1, 2), "dimension must be non-negative, got -1"),
     (chern_data_smooth_hypersurface, (2, 0), "hypersurface degree must be positive, got 0"),
     (alpha_coefficients, (-1, 0, 2), "dimensions must be non-negative, got n=-1, m=0"),
