@@ -13,8 +13,8 @@ as they are: ``main`` writes one ``timing:`` line on stderr after the output.
 The command line grammar is one table, ``_COMMANDS``, with one shape for
 positionals and options, which ``parse_args`` walks and ``--help`` prints.
 Exit codes: 0 success, 1 verification failure, 2 usage error (one ``error:``
-line), 3 resource cap.  Any other exception is a bug; it is not caught, so it
-ends the process with a traceback.
+line), 3 resource cap (over the byte budget, or a ``MemoryError``).  Any other
+exception is a bug; it is not caught, so it ends the process with a traceback.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ import time
 from collections.abc import Callable, Sequence
 from types import SimpleNamespace
 
-from . import asympt as asy
-from .combinat import VerificationError
-from .eddeg import (frobenius_ed_degree, generic_ed_degree, stabilization_onset,
-                    veronese_frobenius_ed_degree)
-from .hyperdet import hyperdet_degree, is_dual_nondefective, partition_formats, sv_hyperdet_degree
+from . import asympt as asy, eddeg, hyperdet
+from .combinat import Route, VerificationError, fold_cost, power_cost
+from .hyperdet import hyperdet_degree, is_dual_nondefective, partition_formats
 from .polar import (
     ChernData,
     chern_data_projective_space_product,
@@ -62,34 +60,20 @@ class CapBudgetError(Exception):
     pass
 
 
-def _check_cap(what: str, cap_bytes: int, *held: tuple[int, int], extra: int = 0) -> None:
+def _check_cap(cap_bytes: int, what: str, *held: tuple[int, int], extra: int = 0) -> None:
     """Refuse a computation whose ``extra`` bytes, 4 kB of frames and small objects and, for
-    each (ints, bits) of ``held``, ``ints`` integers below 2^bits (8 bytes of slot, 28 + 4 per
-    30 bits each) are more than ``cap_bytes``."""
+    each (ints, bits) of ``held`` (``combinat.fold_cost`` gives ``what, *held``), ``ints``
+    integers below 2^bits (8 bytes of slot, 28 + 4 per 30 bits each) are over ``cap_bytes``."""
     approx = extra + 4096 + sum(ints * (36 + 4 * (bits // 30)) for ints, bits in held)
     if approx > cap_bytes:
         raise CapBudgetError(f"{what} needs about {approx} bytes, over the budget of {cap_bytes}")
 
 
-def _check_cap_budget(dims: Sequence[int], fold_weights: Sequence[int], x: int,
-                      cap_bytes: int, copies: int = 1) -> None:
-    """The degree kernel of ``dims`` repeated ``copies`` times: its fold holds two lists of
-    N + 1 integers below d^N prod_j 2^(n_j+1) w_j^n_j at the weights its rows carry; its
-    readout at ``x`` holds x, an accumulator, its product and their Karatsuba scratch, up to
-    about five integers |x|^(N+1) times that (tracemalloc peak on Python 3.11), charged as
-    eight.  ceil(log2 v) is (v-1).bit_length()."""
-    n_total, d = copies * sum(dims), copies * len(dims)
-    bits = n_total * (d - 1).bit_length() + n_total + d + copies * sum(
-        n * (w - 1).bit_length() for n, w in zip(dims, fold_weights))
-    _check_cap(f"the degree kernel for N={n_total}, d={d}", cap_bytes, (2 * (n_total + 1), bits),
-               (8, bits + (n_total + 1) * (abs(x) - 1).bit_length()))
-
-
-def _check_power_cap(base: int, exponent: int, cap_bytes: int) -> None:
-    """The closed forms build base^exponent and hold fewer than ten integers
-    of about its size at a time (tracemalloc peak up to eight on Python 3.11)."""
-    _check_cap(f"the closed form with {base}^{exponent}", cap_bytes,
-               (10, exponent * (base - 1).bit_length()))
+def _degree(route: Route, cap_bytes: int) -> int:
+    """Charges the peak of ``route`` (if it holds one) against ``cap_bytes``, then runs it."""
+    if route.peak is not None:
+        _check_cap(cap_bytes, *route.peak)
+    return route.call()
 
 
 def _integers(text: str, what: str, least: int, sep: str | None = None) -> tuple[int, ...]:
@@ -215,12 +199,10 @@ def _note(line: str) -> None:
 
 def _cmd_hyperdet(args: SimpleNamespace) -> tuple[str, int]:
     dims = _integers(args.dims, "dims", 0, ",")
-    if args.omega == 1 and not is_dual_nondefective(dims):
-        value, note = 0, "dual defective"
-    else:
-        _check_cap_budget(dims, (1,) * len(dims), args.omega, args.cap_bytes)
-        value, note = sv_hyperdet_degree(dims, args.omega), ""
+    route = hyperdet.route(dims, args.omega)
+    note = "dual defective" if route.name == "defective" else ""
     params = {"dims": _join(dims), "omega": str(args.omega)}
+    value = _degree(route, args.cap_bytes)
     return _render(args, [_record("hyperdet", params, str(value), note)]), 0
 
 
@@ -230,17 +212,12 @@ def _cmd_eddeg(args: SimpleNamespace) -> tuple[str, int]:
                else (1,) * len(dims))
     if len(weights) != len(dims):
         raise UsageError(f"{len(dims)} dims but {len(weights)} weights")
-    metric = "generic" if args.generic else "frobenius"
-    if args.generic or all(w == 1 for w in weights):
-        _check_cap_budget(dims, weights, 2 if args.generic else 1, args.cap_bytes)
-        value = generic_ed_degree(dims, weights) if args.generic else frobenius_ed_degree(dims)
-    elif len(dims) == 1:  # not all weights are 1, so the one weight is at least 2
-        _check_power_cap(weights[0] - 1, dims[0] + 1, args.cap_bytes)
-        value = veronese_frobenius_ed_degree(dims[0], weights[0])
-    else:
+    if not args.generic and len(dims) > 1 and max(weights) > 1:
         raise UsageError("Frobenius ED degrees with non-unit weights are only "
                          "available for a single factor; use --generic")
-    params = {"dims": _join(dims), "weights": _join(weights), "metric": metric}
+    value = _degree(eddeg.route(dims, weights, args.generic), args.cap_bytes)
+    params = {"dims": _join(dims), "weights": _join(weights),
+              "metric": "generic" if args.generic else "frobenius"}
     return _render(args, [_record("eddeg", params, str(value))]), 0
 
 
@@ -255,7 +232,7 @@ def _base_label(base: tuple[int, ...]) -> str:
 
 def _table_table2(args: SimpleNamespace) -> str:
     # every base has sum <= 5 = TABLE2_COLUMNS - 1, so each row reaches its onset
-    rows = [[str(v) for _, v in stabilization_onset(base, TABLE2_COLUMNS - 1)]
+    rows = [[str(v) for _, v in eddeg.stabilization_onset(base, TABLE2_COLUMNS - 1)]
             for base in TABLE2_BASES]
     records = [_record("table", {"name": "table2", "base": _join(base)}, row)
                for base, row in zip(TABLE2_BASES, rows)]
@@ -270,7 +247,7 @@ def _table_stabilization(args: SimpleNamespace) -> str:
     plain = []
     for base in TABLE2_BASES:
         stable_from = sum(base)
-        row = [str(v) for _, v in stabilization_onset(base, stable_from + 3)]
+        row = [str(v) for _, v in eddeg.stabilization_onset(base, stable_from + 3)]
         records.append(_record("table", {"name": "stabilization", "base": _join(base)}, row,
                                stable_from=stable_from))
         csv_rows += [[_base_label(base), m, v, stable_from] for m, v in enumerate(row)]
@@ -317,7 +294,7 @@ def _verify_rw_constants(max_d: int, report: Callable[[str], None]) -> int:
 
 
 def _verify_stabilization(max_total: int, report: Callable[[str], None]) -> int:
-    return (_each_case(lambda base: stabilization_onset(base, sum(base) + 3),
+    return (_each_case(lambda base: eddeg.stabilization_onset(base, sum(base) + 3),
                        list(partition_formats(max_total)), report)
             + stabilization_ratio_check(6, 12, 4, report))
 
@@ -449,11 +426,11 @@ def _cmd_asympt(args: SimpleNamespace) -> tuple[str, int]:
     if formula in asy.FORMULAS:
         grid = _parse_grid(args.grid)
         # a record and its JSON text take under 3 kB a point (tracemalloc, Python 3.11)
-        _check_cap(f"a grid of {len(grid)} points", args.cap_bytes, extra=4096 * len(grid))
+        _check_cap(args.cap_bytes, f"a grid of {len(grid)} points", extra=4096 * len(grid))
         # the kernel model and the estimate grow with n: the largest point stands for all
         top = grid[-1] if isinstance(grid, range) else max(grid)
         if args.compare:
-            _check_cap_budget((top,), (1,), omega, args.cap_bytes, copies=d)
+            _check_cap(args.cap_bytes, *fold_cost((top,), (1,), omega, copies=d))
         if max(d, top) > sys.float_info.max:  # below it an estimate prints its value or inf
             raise UsageError(f"factor count d={d} and grid value n={top} are too "
                              f"large for a float estimate")
@@ -487,7 +464,7 @@ def _cmd_asympt(args: SimpleNamespace) -> tuple[str, int]:
         ]
     else:
         omega = _integers(args.grid, "the weight", 3)[0]
-        _check_power_cap(2 * omega - 1, d + 1, args.cap_bytes)
+        _check_cap(args.cap_bytes, *power_cost(2 * omega - 1, d + 1))
         base = {"formula": "discriminant", "n": str(d), "omega": str(omega)}
         names = ("ratio-to-ed/large-n-form", "ratio-to-ed/large-weight-form",
                  "ratio-to-generic-ed/large-weight-form")
@@ -670,7 +647,7 @@ def _usage(command: str | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-_EXIT_CODES = {UsageError: 2, VerificationError: 1, CapBudgetError: 3}
+_EXIT_CODES = {UsageError: 2, VerificationError: 1, CapBudgetError: 3, MemoryError: 3}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -688,7 +665,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.timing:
             _note(f"timing: {args.command} {run_ms:.3f} ms")
     except tuple(_EXIT_CODES) as exc:
-        _note(f"error: {exc}")
+        _note("error: memory ran out" if isinstance(exc, MemoryError) else f"error: {exc}")
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
     finally:
         if digit_limit is not None:

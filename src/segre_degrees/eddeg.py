@@ -19,7 +19,7 @@ where N = sum n_l and terms with i_l > n_l vanish (reciprocal factorial of a
 negative integer).  Both are readouts of ``combinat.multinomial_fold`` (the second
 through ``combinat.segre_fold``), O(d N^2) integer operations.  Closed forms for
 single Veronese factors and for products of projective lines are provided
-alongside.
+alongside; ``route`` names the way a degree takes and what it holds at its peak.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from collections.abc import Sequence
 from math import perm
 from operator import index
 
-from .combinat import (VerificationError, as_format, binomial_row, horner, multinomial_fold,
-                       segre_fold)
+from .combinat import (Route, VerificationError, as_format, binomial_row, fold_cost, horner,
+                       multinomial_fold, power_cost, segre_fold)
 
 TYPE_CHECKING = False  # true only to type checkers, which know the name
 if TYPE_CHECKING:  # annotations only; each function that builds a Fraction imports it
@@ -40,6 +40,7 @@ __all__ = [
     "frobenius_ed_degree",
     "generic_ed_degree",
     "matrix_ed_polynomial",
+    "route",
     "stabilization_onset",
     "veronese_frobenius_ed_degree",
 ]
@@ -96,6 +97,22 @@ def generic_ed_degree(dims: Sequence[int], weights: Sequence[int] | None = None)
     # into C(n_l+1, k_l+1), and sum_s (-1)^(N-s) (2^(s+1)-1) g_s into (-1)^N (2 g(-2) - g(-1))
     g = segre_fold(dims_t, weights_t)
     return (-1) ** sum(dims_t) * (2 * horner(g, -2) - horner(g, -1))
+
+
+def route(dims: Sequence[int], weights: Sequence[int], generic: bool) -> Route:
+    """The way to an ED degree: ``segre-fold`` (generic metric), ``frobenius-fold`` (Frobenius,
+    unit weights) or ``veronese-closed-form`` (Frobenius, one factor of weight >= 2)."""
+    dims_t, weights_t = as_format(dims), tuple(map(index, weights))
+    if generic:
+        return Route("segre-fold", fold_cost(dims_t, weights_t, 2),
+                     lambda: generic_ed_degree(dims_t, weights_t))
+    if weights_t == (1,) * len(dims_t):
+        return Route("frobenius-fold", fold_cost(dims_t, weights_t, 1),
+                     lambda: frobenius_ed_degree(dims_t))
+    if len(dims_t) == len(weights_t) == 1:
+        return Route("veronese-closed-form", power_cost(weights_t[0] - 1, dims_t[0] + 1),
+                     lambda: veronese_frobenius_ed_degree(dims_t[0], weights_t[0]))
+    raise ValueError(f"no Frobenius ED degree route for weights {weights_t} on {dims_t}")
 
 
 def binary_generic_ed_degree(d: int) -> int:

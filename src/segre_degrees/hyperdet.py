@@ -16,10 +16,8 @@ for N = sum n_j, as prod_j (-1)^(n_j-k_j) = (-1)^N (-1)^|k|: a readout at -w of
 ``combinat.segre_fold``, the fold the generic ED degree reads, grouped by |k|
 in O(d N^2) integer operations.  The d-variate expansion of the series in the
 truncated ring is a test oracle (``tests/ring_oracle.py``); nothing here
-builds a ring.
-
-Defective formats (dual not a hypersurface) yield coefficient 0; callers
-that need a hypersurface should gate on ``is_dual_nondefective``.
+builds a ring.  A defective format (dual not a hypersurface) yields 0; at unit
+weight ``is_dual_nondefective`` (the GKZ criterion) gives it with no fold.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from operator import index
 
-from .combinat import as_format, binomial_row, horner, rational, segre_fold
+from .combinat import Route, as_format, binomial_row, fold_cost, horner, rational, segre_fold
 
 __all__ = [
     "binary_hyperdet_degree",
@@ -35,6 +33,7 @@ __all__ = [
     "is_dual_nondefective",
     "mixed_partial_at_symmetric_point",
     "partition_formats",
+    "route",
     "sv_hyperdet_degree",
 ]
 
@@ -57,8 +56,20 @@ def sv_hyperdet_degree(dims: Sequence[int], weight: int = 1) -> int:
     weight = index(weight)
     if weight < 1:
         raise ValueError(f"weight must be positive, got {weight}")
+    if weight == 1 and not is_dual_nondefective(dims_t):
+        return 0
     g = segre_fold(dims_t, (1,) * len(dims_t))
     return (-1) ** sum(dims_t) * horner([(s + 1) * g_s for s, g_s in enumerate(g)], -weight)
+
+
+def route(dims: Sequence[int], weight: int = 1) -> Route:
+    """The way of ``sv_hyperdet_degree``: ``defective``, 0 at unit weight by the GKZ criterion,
+    holds nothing; ``segre-fold`` folds at unit weights and reads the fold at ``-weight``."""
+    dims_t, weight = as_format(dims), index(weight)
+    if weight == 1 and not is_dual_nondefective(dims_t):
+        return Route("defective", None, lambda: sv_hyperdet_degree(dims_t, weight))
+    return Route("segre-fold", fold_cost(dims_t, (1,) * len(dims_t), weight),
+                 lambda: sv_hyperdet_degree(dims_t, weight))
 
 
 def hyperdet_degree(dims: Sequence[int]) -> int:

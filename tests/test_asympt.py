@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from segre_degrees import asympt
+from segre_degrees import asympt, hyperdet
 from segre_degrees import polar
 from segre_degrees.asympt import (
     VerificationError,
@@ -192,6 +192,35 @@ def test_convergence_sweeps_decrease():
         convergence_sweep("nope", 3, (1, 2))
 
 
+# (d, n) pairs where the Richardson value of exact / estimate is checked; each also reads 2n
+RICHARDSON_GRID = [(3, 20), (4, 15), (5, 10)]
+SV_EXPONENT_XFAIL = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 15: the sv estimate is omega^((d-2)/2) too small, so "
+                        "exact / estimate tends to that, not to 1")
+
+
+def _richardson(formula, d, n, omega):
+    """2 r(2n) - r(n) for r(n) = exact / estimate on (n+1)^d: it cancels the 1/n term of r, so
+    a right leading constant leaves |R - 1| of order 1/n^2 and a wrong one leaves its factor."""
+    exact_fn, log_estimate_fn = asympt.FORMULAS[formula]
+
+    def ratio(m):
+        return math.exp(math.log(exact_fn((m,) * d, omega)) - log_estimate_fn(d, m, omega))
+
+    return 2 * ratio(2 * n) - ratio(n)
+
+
+@pytest.mark.parametrize("formula, omega", [
+    ("hyperdet", 1), ("ed", 1), ("sv", 1),
+    *(pytest.param("sv", omega, marks=SV_EXPONENT_XFAIL) for omega in (2, 3, 5)),
+])
+@pytest.mark.parametrize("d, n", RICHARDSON_GRID)
+def test_each_estimate_has_the_right_constant(formula, omega, d, n):
+    """A wrong constant or a wrong power of omega in an estimate moves R away from 1 by a
+    fixed factor; at these n the largest n^2 |R - 1| of a right estimate is 11.1 (ed, d = 3)."""
+    assert n * n * abs(_richardson(formula, d, n, omega) - 1) <= 40
+
+
 def test_discriminant_ratios_trend_to_one():
     # fixed omega = 3, growing n: ratio over ((w-2)/(w-1)) n tends to 1
     values = [discriminant_ratios(n, 3).fixed_omega_ratio for n in (4, 16, 64, 256)]
@@ -272,6 +301,7 @@ def test_hypercube_arguments_are_checked_alike():
                  "dim class_degrees", id="ChernData"),
     pytest.param(lambda: polar.dual_profile(polar.chern_data_projective_space_product((1,))),
                  "deltas dual_codim", id="PolarProfile"),
+    pytest.param(lambda: hyperdet.route((1, 1, 1)), "name peak call", id="Route"),
 ])
 def test_result_types_refuse_assignment(request, make, fields):
     """Every result record is immutable: no field can be rebound and no

@@ -23,11 +23,11 @@ import segre_degrees.asympt as asympt
 import segre_degrees.cli as cli
 import segre_degrees.combinat as combinat
 import segre_degrees.eddeg as eddeg
+import segre_degrees.hyperdet as hyperdet
 import segre_degrees.polar as polar
 from segre_degrees.cli import main
 from segre_degrees.combinat import VerificationError
-from segre_degrees.eddeg import frobenius_ed_degree, generic_ed_degree
-from segre_degrees.hyperdet import binary_hyperdet_degree, sv_hyperdet_degree
+from segre_degrees.hyperdet import binary_hyperdet_degree
 from segre_degrees.truncpoly import TruncatedPoly
 
 TABLE2_CSV = """\
@@ -356,7 +356,7 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
     def broken(dims, weight=1):
         raise ValueError("a bug in the kernel")
 
-    monkeypatch.setattr(cli, "sv_hyperdet_degree", broken)
+    monkeypatch.setattr(hyperdet, "sv_hyperdet_degree", broken)
     with pytest.raises(ValueError, match="a bug in the kernel"):
         main(["hyperdet", "1,1,1"])
     assert capsys.readouterr().out == ""
@@ -604,61 +604,62 @@ def test_cap_budget_guard(capsys):
     assert out == f"{binary_hyperdet_degree(30)}\n"
 
 
+def _traced_peak(call) -> int:
+    """The tracemalloc peak of ``call()``, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _assert_charge_bounds(peak, charge):
+    """The guard refuses ``charge`` (what, *held) one byte under the traced peak and
+    accepts it at 16 times the peak."""
+    with pytest.raises(cli.CapBudgetError):
+        cli._check_cap(peak - 1, *charge)
+    cli._check_cap(16 * peak, *charge)
+
+
 @pytest.mark.parametrize("dims", [(3, 3, 3), (60, 60, 60), (200, 200, 200), (1,) * 100,
                                   (8, 8, 8, 8), (1, 1, 3000), (2, 3, 2000)])
 def test_cap_model_bounds_the_kernel_peak(dims):
-    """Each kernel against the route it folds: its fold weights and its readout point.  The
-    weighted hyperdeterminant folds at unit weights and reads ``omega`` only at the end."""
+    """Each fold route against the peak its kernel reaches.  The weighted hyperdeterminant
+    folds at unit weights and reads ``omega`` only at the end."""
     d = len(dims)
-    cases = [
-        (lambda: sv_hyperdet_degree(dims, 3), (1,) * d, 3),
-        (lambda: sv_hyperdet_degree(dims, 10**6), (1,) * d, 10**6),
-        (lambda: sv_hyperdet_degree(dims, 10**30), (1,) * d, 10**30),
-        (lambda: frobenius_ed_degree(dims), (1,) * d, 1),
-        (lambda: generic_ed_degree(dims, (2,) * d), (2,) * d, 2),
-    ]
-    for kernel, fold_weights, x in cases:
-        tracemalloc.start()
-        try:
-            kernel()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        with pytest.raises(cli.CapBudgetError):
-            cli._check_cap_budget(dims, fold_weights, x, peak - 1)
-        cli._check_cap_budget(dims, fold_weights, x, 16 * peak)
+    routes = [hyperdet.route(dims, 3), hyperdet.route(dims, 10**6), hyperdet.route(dims, 10**30),
+              eddeg.route(dims, (1,) * d, False), eddeg.route(dims, (2,) * d, True)]
+    assert [r.name for r in routes] == ["segre-fold"] * 3 + ["frobenius-fold", "segre-fold"]
+    for route in routes:
+        _assert_charge_bounds(_traced_peak(route.call), route.peak)
 
 
 @pytest.mark.parametrize("dims, digits", [((20,), 5000), ((1, 1, 1), 100000), ((5, 5, 5), 20000)])
 def test_cap_model_bounds_a_readout_larger_than_the_fold(dims, digits):
     # a weight of thousands of digits: the readout's integers and their Karatsuba
     # scratch, not the fold, hold the peak
-    omega = 10**digits
-    tracemalloc.start()
-    try:
-        sv_hyperdet_degree(dims, omega)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    with pytest.raises(cli.CapBudgetError):
-        cli._check_cap_budget(dims, (1,) * len(dims), omega, peak - 1)
-    cli._check_cap_budget(dims, (1,) * len(dims), omega, 16 * peak)
+    route = hyperdet.route(dims, 10**digits)
+    _assert_charge_bounds(_traced_peak(route.call), route.peak)
 
 
 def test_a_large_weight_is_charged_to_the_readout_not_the_fold():
     # traced peak ~79 MB; the model is ~322 MB, where charging the weight to every
     # integer of the fold asked for 2.46 GB
-    cli._check_cap_budget((1, 1, 20000), (1, 1, 1), 10**6, cli.DEFAULT_CAP_BYTES)
+    route = hyperdet.route((1, 1, 20000), 10**6)
+    cli._check_cap(cli.DEFAULT_CAP_BYTES, *route.peak)
     with pytest.raises(cli.CapBudgetError):
-        cli._check_cap_budget((1, 1, 20000), (1, 1, 1), 10**6, 300 * 10**6)
+        cli._check_cap(300 * 10**6, *route.peak)
 
 
 @pytest.mark.parametrize("dims", ["1,1,3", "1,1,100000", "1,1,10000000", "4", "0,0,2"])
 def test_defective_formats_at_weight_one_skip_the_guard_and_the_kernel(monkeypatch, capsys, dims):
-    def refuse(dims, omega):
-        pytest.fail(f"the kernel ran for the defective format {dims}")
+    def refuse(dims, weights):
+        pytest.fail(f"the fold ran for the defective format {dims}")
 
-    monkeypatch.setattr(cli, "sv_hyperdet_degree", refuse)
+    monkeypatch.setattr(hyperdet, "segre_fold", refuse)
+    route = hyperdet.route(tuple(map(int, dims.split(","))))
+    assert (route.name, route.peak) == ("defective", None)
     assert run(["hyperdet", dims, "--cap-bytes", "1"], capsys) == (0, "0  (dual defective)\n", "")
 
 
@@ -737,20 +738,11 @@ def test_cap_budget_guards_the_closed_forms(capsys, argv):
 
 @pytest.mark.parametrize("n, omega", [(5000, 3), (20000, 3), (2000, 11), (5000, 100)])
 def test_cap_model_bounds_the_closed_form_peak(n, omega):
-    cases = [
-        (lambda: eddeg.veronese_frobenius_ed_degree(n, omega), omega - 1),
-        (lambda: asympt.discriminant_ratios(n, omega), 2 * omega - 1),
-    ]
-    for closed_form, base in cases:
-        tracemalloc.start()
-        try:
-            closed_form()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        with pytest.raises(cli.CapBudgetError):
-            cli._check_power_cap(base, n + 1, peak - 1)
-        cli._check_power_cap(base, n + 1, 16 * peak)
+    route = eddeg.route((n,), (omega,), False)
+    assert route.name == "veronese-closed-form"
+    _assert_charge_bounds(_traced_peak(route.call), route.peak)
+    _assert_charge_bounds(_traced_peak(lambda: asympt.discriminant_ratios(n, omega)),
+                          combinat.power_cost(2 * omega - 1, n + 1))
 
 
 def test_overflowed_estimate_is_valid_json(capsys):
@@ -1107,7 +1099,7 @@ def test_verification_error_exits_1(monkeypatch, capsys):
     def broken(dims, weight=1):
         raise VerificationError("not an integer")
 
-    monkeypatch.setattr(cli, "sv_hyperdet_degree", broken)
+    monkeypatch.setattr(hyperdet, "sv_hyperdet_degree", broken)
     code, out, err = run(["hyperdet", "1,1,1"], capsys)
     assert code == 1
     assert out == ""

@@ -29,14 +29,14 @@ from segre_degrees.cli import main
 SRC = Path(segre_degrees.__file__).resolve().parent.parent
 
 
-def _child(argv, unbuffered=False, **popen):
+def _child(argv, unbuffered=False, command=("-m", "segre_degrees.cli"), **popen):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     popen.setdefault("stdout", subprocess.PIPE)
     popen.setdefault("stderr", subprocess.PIPE)
-    return subprocess.run([sys.executable, "-m", "segre_degrees.cli", *argv],
+    return subprocess.run([sys.executable, *command, *argv],
                           env=env, timeout=60, **popen)
 
 
@@ -58,6 +58,30 @@ def test_the_process_gives_the_bytes_and_code_of_main(capsys, argv, exit_code):
     done = _child(argv)
     assert (done.returncode, done.stdout, done.stderr) == (
         exit_code, captured.out.encode(), captured.err.encode())
+
+
+# A child that caps its own address space at what it uses plus 128 MiB, then asks for a
+# generic ED degree whose binomial row alone needs gigabytes, under a byte budget that admits it.
+_OUT_OF_MEMORY = """\
+import resource, sys
+from segre_degrees import cli
+limit = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize() + 2**27
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+sys.argv = ["segre-degrees", "eddeg", "1,1,400000", "--generic", "--cap-bytes", str(10**12)]
+raise SystemExit(cli.run())
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the child reads /proc/self/statm and sets RLIMIT_AS")
+def test_running_out_of_memory_exits_3_with_one_error_line():
+    """A ``MemoryError`` is a resource cap, like a refusal of the byte budget: exit 3 and one
+    ``error:`` line, not a traceback and exit 1, the code of a failed verification."""
+    done = _child([], command=("-c", _OUT_OF_MEMORY))
+    assert (done.returncode, done.stdout, done.stderr) == (3, b"", b"error: memory ran out\n")
 
 
 def test_the_process_writes_out_file_bytes_of_main(tmp_path, capsys):

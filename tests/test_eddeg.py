@@ -9,6 +9,7 @@ from math import factorial
 
 import pytest
 
+from segre_degrees import eddeg, hyperdet
 from segre_degrees.eddeg import (
     binary_generic_ed_degree,
     frobenius_ed_degree,
@@ -113,6 +114,32 @@ def test_binary_generic_matches_general_formula():
     assert binary_generic_ed_degree(3) == 34
     for d in range(1, 9):
         assert binary_generic_ed_degree(d) == generic_ed_degree((1,) * d)
+
+
+@pytest.mark.parametrize("dims, weights, generic, name, value", [
+    ((2, 3), (1, 1), False, "frobenius-fold", frobenius_ed_degree((2, 3))),
+    ((4,), (1,), False, "frobenius-fold", 1),
+    ((2, 3), (1, 1), True, "segre-fold", generic_ed_degree((2, 3))),
+    ((1, 2), (2, 3), True, "segre-fold", generic_ed_degree((1, 2), (2, 3))),
+    ((4,), (3,), False, "veronese-closed-form", veronese_frobenius_ed_degree(4, 3)),
+])
+def test_each_route_names_the_function_it_calls(dims, weights, generic, name, value):
+    route = eddeg.route(dims, weights, generic)
+    assert (route.name, route.call()) == (name, value)
+
+
+def test_a_frobenius_degree_with_weights_on_two_factors_has_no_route():
+    for weights in ((2, 2), (1, 3), (1,), (1, 1, 1)):
+        with pytest.raises(ValueError, match="^no Frobenius ED degree route for weights "):
+            eddeg.route((1, 2), weights, False)
+    with pytest.raises(ValueError, match="^weights must match the number of factors$"):
+        eddeg.route((1, 2), (1,), True).call()
+
+
+@pytest.mark.parametrize("module", [eddeg, hyperdet], ids=["eddeg", "hyperdet"])
+def test_route_is_public_and_documented(module):
+    assert "route" in module.__all__
+    assert module.route.__doc__ and "``segre-fold``" in module.route.__doc__
 
 
 def test_stabilization_onset_rows():

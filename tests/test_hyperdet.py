@@ -9,7 +9,8 @@ from math import gcd, perm
 
 import pytest
 
-from segre_degrees import combinat
+from segre_degrees import combinat, hyperdet
+from segre_degrees.combinat import horner, segre_fold
 from segre_degrees.hyperdet import (
     binary_hyperdet_degree,
     hyperdet_degree,
@@ -121,7 +122,7 @@ def test_unit_weight_reduction():
 def test_one_long_factor_builds_one_binomial_row_per_factor(monkeypatch):
     """Each factor's list is read from its row C(n+1, .), built in O(n) steps by
     ``combinat.segre_fold``; no entry is a ``combinat.binomial`` call, which made
-    one factor of length n cost about n^3."""
+    one factor of length n cost about n^3.  At weight 2 the defective format folds."""
     rows = []
     row_builder, binomial = combinat.binomial_row, combinat.binomial
 
@@ -138,8 +139,33 @@ def test_one_long_factor_builds_one_binomial_row_per_factor(monkeypatch):
             for key, value in list(vars(module).items()):
                 if value is binomial:
                     monkeypatch.setattr(module, key, refuse)
-    assert hyperdet_degree((1, 1, 3000)) == 0
+    assert sv_hyperdet_degree((1, 1, 3000), 2) > 0
     assert rows == [2, 2, 3001]
+
+
+def test_the_defective_shortcut_agrees_with_the_fold():
+    """At unit weight a dual-defective format takes the GKZ shortcut; the fold it skips,
+    read at -1, stays its independent route."""
+    defective = [dims for dims in partition_formats(10) if not is_dual_nondefective(dims)]
+    assert len(defective) == 52
+    for dims in defective:
+        g = segre_fold(dims, (1,) * len(dims))
+        folded = (-1) ** sum(dims) * horner([(s + 1) * g_s for s, g_s in enumerate(g)], -1)
+        assert (hyperdet.route(dims).name, sv_hyperdet_degree(dims), folded) == (
+            "defective", 0, 0), dims
+
+
+def test_a_defective_format_takes_one_path(monkeypatch):
+    """The library answers a dual-defective format as the CLI does, without the fold."""
+    def refuse(dims, weights):
+        raise AssertionError(f"segre_fold{dims} called")
+
+    for module in (combinat, hyperdet):
+        monkeypatch.setattr(module, "segre_fold", refuse)
+    assert hyperdet_degree((1, 1, 10**5)) == 0
+    assert sv_hyperdet_degree((1, 1, 3), 1) == 0
+    with pytest.raises(AssertionError, match="segre_fold"):
+        sv_hyperdet_degree((1, 1, 3), 2)
 
 
 def test_defective_formats_give_zero():

@@ -31,6 +31,14 @@ def test_ci_bounds_the_tier1_job():
     assert re.findall(r"^    timeout-minutes: (\d+)$", workflow.read_text(), re.M) == ["15"]
 
 
+def test_ci_recomputes_every_pin_by_its_independent_route():
+    """Replaying a pin checks only that the bytes did not move; ``perfbench/pin.py`` checks
+    each pinned exact value against a route that does not share the CLI's code path."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    steps = re.findall(r"^ +run: (.*)$", workflow.read_text(), re.M)
+    assert "python3 perfbench/pin.py && git diff --exit-code perfbench/pins.json" in steps
+
+
 def test_ci_runs_tier1_in_development_mode():
     """Under ``-X dev`` an unclosed file's ``ResourceWarning`` is shown, and
     ``filterwarnings = error`` turns it into a failure like every other warning."""
