@@ -23,7 +23,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from operator import index
 
-from .combinat import VerificationError, binomial_row, rational
+from .combinat import Route, VerificationError, binomial_row, fold_cost, power_cost, rational
 from .eddeg import frobenius_ed_degree, veronese_frobenius_ed_degree
 from .hyperdet import mixed_partial_at_symmetric_point, sv_hyperdet_degree
 
@@ -38,6 +38,7 @@ __all__ = [
     "convergence_sweep",
     "discriminant_quotients",
     "discriminant_ratios",
+    "discriminant_route",
     "log_ed_asymptotic",
     "log_hyperdet_asymptotic",
     "log_sv_hyperdet_asymptotic",
@@ -173,6 +174,13 @@ def discriminant_quotients(n: int, omega: int) -> tuple[tuple[int, int], ...]:
             (exact * (2 ** (n + 1) - 1), ed_gen * (n + 1)))
 
 
+def discriminant_route(n: int, omega: int) -> Route:
+    """The way to ``discriminant_quotients``: ``discriminant-closed-form`` builds
+    (2 omega - 1)^(n+1), the largest power of the three ratios, and holds about its size."""
+    return Route("discriminant-closed-form", power_cost(2 * omega - 1, n + 1),
+                 lambda: discriminant_quotients(n, omega))
+
+
 def discriminant_ratios(n: int, omega: int) -> DiscriminantRatios:
     """Compare N(n; w) = (n+1)(w-1)^n against both ED degrees of the
     degree-w Veronese embedding of P^n."""
@@ -286,15 +294,17 @@ def relative_error(exact: int, log_estimate: float) -> float:
 ConvergencePoint = namedtuple("ConvergencePoint", "grid_value exact log_estimate rel_error")
 
 
-# formula -> (exact_fn(dims, omega), log_estimate_fn(d, n, omega)) on the
-# hypercubical format (n+1)^d; only ``convergence_sweep`` calls them.  Each
-# entry looks its functions up when called, so a caller that replaces a
-# module attribute (a tracer, a test double) sees every call.
-_SV = (lambda dims, omega: sv_hyperdet_degree(dims, omega),
+# formula -> (route(d, n, omega), log_estimate(d, n, omega)) on the hypercubical format
+# (n+1)^d.  A route names and charges what ``hyperdet.route`` or ``eddeg.route`` give for
+# (n,) * d, charging one factor d times, so no tuple of length d is built before its call.
+# Each entry looks its functions up when called, so a tracer or test double sees every call.
+_SV = (lambda d, n, omega: Route("segre-fold", fold_cost((n,), (1,), omega, copies=d),
+                                 lambda: sv_hyperdet_degree((n,) * d, omega)),
        lambda d, n, omega: log_sv_hyperdet_asymptotic(d, n, omega))
 FORMULAS = {
     "hyperdet": _SV,
-    "ed": (lambda dims, omega: frobenius_ed_degree(dims),
+    "ed": (lambda d, n, omega: Route("frobenius-fold", fold_cost((n,), (1,), 1, copies=d),
+                                     lambda: frobenius_ed_degree((n,) * d)),
            lambda d, n, omega: log_ed_asymptotic(d, n)),
     "sv": _SV,
 }
@@ -312,11 +322,11 @@ def convergence_sweep(formula: str, d: int, grid: Sequence[int], omega: int = 1,
     """
     if formula not in FORMULAS:
         raise ValueError(f"unknown formula {formula!r}")
-    exact_fn, log_estimate_fn = FORMULAS[formula]
+    route, log_estimate_fn = FORMULAS[formula]
     points = []
     for n in grid:
         log_est = log_estimate_fn(d, n, omega)
-        exact = exact_fn((n,) * d, omega) if compare else None
+        exact = route(d, n, omega).call() if compare else None
         rel_error = relative_error(exact, log_est) if compare else None
         points.append(ConvergencePoint(n, exact, log_est, rel_error))
     return tuple(points)

@@ -29,7 +29,7 @@ from collections.abc import Callable, Sequence
 from types import SimpleNamespace
 
 from . import asympt as asy, eddeg, hyperdet
-from .combinat import Route, VerificationError, fold_cost, power_cost
+from .combinat import Route, VerificationError
 from .hyperdet import hyperdet_degree, is_dual_nondefective, partition_formats
 from .polar import (
     ChernData,
@@ -60,16 +60,13 @@ class CapBudgetError(Exception):
     pass
 
 
-def _check_cap(cap_bytes: int, what: str, *held: tuple[int, int], extra: int = 0) -> None:
-    """Refuse a computation whose ``extra`` bytes, 4 kB of frames and small objects and, for
-    each (ints, bits) of ``held`` (``combinat.fold_cost`` gives ``what, *held``), ``ints``
-    integers below 2^bits (8 bytes of slot, 28 + 4 per 30 bits each) are over ``cap_bytes``."""
-    approx = extra + 4096 + sum(ints * (36 + 4 * (bits // 30)) for ints, bits in held)
-    if approx > cap_bytes:
-        raise CapBudgetError(f"{what} needs about {approx} bytes, over the budget of {cap_bytes}")
+def _check_cap(cap_bytes: int, what: str, need: int) -> None:
+    """Refuses ``what`` when the bytes it needs, a route's peak, are over ``cap_bytes``."""
+    if need > cap_bytes:
+        raise CapBudgetError(f"{what} needs about {need} bytes, over the budget of {cap_bytes}")
 
 
-def _degree(route: Route, cap_bytes: int) -> int:
+def _degree(route: Route, cap_bytes: int) -> object:
     """Charges the peak of ``route`` (if it holds one) against ``cap_bytes``, then runs it."""
     if route.peak is not None:
         _check_cap(cap_bytes, *route.peak)
@@ -317,15 +314,15 @@ def _segre_class_degrees(dims: tuple[int, ...]) -> list[int]:
 
 
 def _verify_cross_oracle(max_total: int, report: Callable[[str], None]) -> int:
-    """The hyperdeterminant degree, a readout of ``combinat.segre_fold``, against delta_0
-    from class degrees that ``_segre_class_degrees`` builds without that fold."""
+    """The hyperdeterminant degree, a readout of ``combinat.segre_fold``, and the GKZ criterion
+    against delta_0 and the dual codimension of class degrees built without that fold."""
     formats = list(partition_formats(max_total))
     for dims in formats:
         series = hyperdet_degree(dims)
-        polar = dual_profile(ChernData(sum(dims), _segre_class_degrees(dims))).deltas[0]
-        if series != polar:
-            report(f"dual degree mismatch for {dims}: series {series}, polar {polar}")
-        if (series == 0) != (not is_dual_nondefective(dims)):
+        profile = dual_profile(ChernData(sum(dims), _segre_class_degrees(dims)))
+        if series != profile.deltas[0]:
+            report(f"dual degree mismatch for {dims}: series {series}, polar {profile.deltas[0]}")
+        if is_dual_nondefective(dims) != (profile.dual_codim == 1):
             report(f"defectiveness disagreement for {dims}: degree {series}")
     return len(formats)
 
@@ -425,12 +422,12 @@ def _cmd_asympt(args: SimpleNamespace) -> tuple[str, int]:
         raise UsageError(f"formula {formula!r} needs {after_d} after d")
     if formula in asy.FORMULAS:
         grid = _parse_grid(args.grid)
-        # a record and its JSON text take under 3 kB a point (tracemalloc, Python 3.11)
-        _check_cap(args.cap_bytes, f"a grid of {len(grid)} points", extra=4096 * len(grid))
-        # the kernel model and the estimate grow with n: the largest point stands for all
+        # 4 kB of frames and 4 kB a point, whose record and JSON text take under 3 kB (tracemalloc)
+        _check_cap(args.cap_bytes, f"a grid of {len(grid)} points", 4096 * (len(grid) + 1))
+        # the route's peak and the estimate grow with n: the largest point stands for all
         top = grid[-1] if isinstance(grid, range) else max(grid)
         if args.compare:
-            _check_cap(args.cap_bytes, *fold_cost((top,), (1,), omega, copies=d))
+            _check_cap(args.cap_bytes, *asy.FORMULAS[formula][0](d, top, omega).peak)
         if max(d, top) > sys.float_info.max:  # below it an estimate prints its value or inf
             raise UsageError(f"factor count d={d} and grid value n={top} are too "
                              f"large for a float estimate")
@@ -464,13 +461,13 @@ def _cmd_asympt(args: SimpleNamespace) -> tuple[str, int]:
         ]
     else:
         omega = _integers(args.grid, "the weight", 3)[0]
-        _check_cap(args.cap_bytes, *power_cost(2 * omega - 1, d + 1))
+        quotients = _degree(asy.discriminant_route(d, omega), args.cap_bytes)
         base = {"formula": "discriminant", "n": str(d), "omega": str(omega)}
         names = ("ratio-to-ed/large-n-form", "ratio-to-ed/large-weight-form",
                  "ratio-to-generic-ed/large-weight-form")
         # each pair is one true division of integers: correctly rounded, like float(Fraction)
         quantities = [(name, _ratio_value(num / den, d, lambda dec: _log10_quotient(dec, num, den)))
-                      for name, (num, den) in zip(names, asy.discriminant_quotients(d, omega))]
+                      for name, (num, den) in zip(names, quotients)]
     records = [_record("asympt", dict(base, quantity=q), value) for q, value in quantities]
     return _render(args, records), 0
 

@@ -12,7 +12,8 @@ __all__ = [
     "multinomial", "multinomial_fold", "power_cost", "rational", "segre_fold",
 ]
 
-# One way to a degree: its name, its peak (``fold_cost``, ``power_cost`` or None) and its call.
+# One way to a degree: its name, its peak as (what, bytes) from ``fold_cost`` or ``power_cost``
+# (None where it holds nothing) and its call.
 Route = namedtuple("Route", "name peak call")
 
 
@@ -116,19 +117,26 @@ def segre_fold(dims: Sequence[int], weights: Sequence[int]) -> list[int]:
                             for n, w in zip(dims, weights))
 
 
+def _bytes(*held: tuple[int, int]) -> int:
+    """The bytes of a peak that holds, for each (ints, bits) of ``held``, ``ints`` integers below
+    2^bits (8 bytes of slot, 28 + 4 per 30 bits each), plus 4 kB of frames and small objects."""
+    return 4096 + sum(ints * (36 + 4 * (bits // 30)) for ints, bits in held)
+
+
 def fold_cost(dims: Sequence[int], fold_weights: Sequence[int], x: int, copies: int = 1) -> tuple:
-    """The peak of the fold of ``dims`` repeated ``copies`` times, as (what, (ints, bits), ...):
-    two lists of N + 1 integers below d^N prod_j 2^(n_j+1) w_j^n_j (ceil(log2 v) is
-    (v-1).bit_length()); the readout at ``x`` holds x, an accumulator, their product and Karatsuba
-    scratch, about five integers |x|^(N+1) times that (tracemalloc, 3.11), charged as eight."""
+    """The peak of the fold of ``dims`` repeated ``copies`` times, as (what, bytes): two lists
+    of N + 1 integers below d^N prod_j 2^(n_j+1) w_j^n_j (ceil(log2 v) is (v-1).bit_length());
+    the readout at ``x`` holds x, an accumulator, their product and Karatsuba scratch, about
+    five integers |x|^(N+1) times that (tracemalloc, 3.11), charged as eight."""
     n_total, d = copies * sum(dims), copies * len(dims)
     bits = n_total * (d - 1).bit_length() + n_total + d + copies * sum(
         n * (w - 1).bit_length() for n, w in zip(dims, fold_weights))
-    return (f"the degree kernel for N={n_total}, d={d}", (2 * (n_total + 1), bits),
-            (8, bits + (n_total + 1) * (abs(x) - 1).bit_length()))
+    held = (2 * (n_total + 1), bits), (8, bits + (n_total + 1) * (abs(x) - 1).bit_length())
+    return f"the degree kernel for N={n_total}, d={d}", _bytes(*held)
 
 
 def power_cost(base: int, exponent: int) -> tuple:
-    """The peak of a closed form that builds base^exponent, as ``fold_cost`` gives it: fewer
-    than ten integers of about its size at a time (tracemalloc peak up to eight on Python 3.11)."""
-    return f"the closed form with {base}^{exponent}", (10, exponent * (base - 1).bit_length())
+    """The peak of a closed form that builds base^exponent, as (what, bytes): fewer than ten
+    integers of about its size at a time (tracemalloc peak up to eight on Python 3.11)."""
+    bits = exponent * (base - 1).bit_length()
+    return f"the closed form with {base}^{exponent}", _bytes((10, bits))

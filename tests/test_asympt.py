@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from segre_degrees import asympt, hyperdet
+from segre_degrees import asympt, eddeg, hyperdet
 from segre_degrees import polar
 from segre_degrees.asympt import (
     VerificationError,
@@ -202,10 +202,10 @@ SV_EXPONENT_XFAIL = pytest.mark.xfail(
 def _richardson(formula, d, n, omega):
     """2 r(2n) - r(n) for r(n) = exact / estimate on (n+1)^d: it cancels the 1/n term of r, so
     a right leading constant leaves |R - 1| of order 1/n^2 and a wrong one leaves its factor."""
-    exact_fn, log_estimate_fn = asympt.FORMULAS[formula]
+    route, log_estimate_fn = asympt.FORMULAS[formula]
 
     def ratio(m):
-        return math.exp(math.log(exact_fn((m,) * d, omega)) - log_estimate_fn(d, m, omega))
+        return math.exp(math.log(route(d, m, omega).call()) - log_estimate_fn(d, m, omega))
 
     return 2 * ratio(2 * n) - ratio(n)
 
@@ -271,6 +271,22 @@ def test_the_hyperdet_formula_is_the_sv_pair():
     assert list(asympt.FORMULAS) == ["hyperdet", "ed", "sv"]
     assert asympt.FORMULAS["hyperdet"] is asympt.FORMULAS["sv"]
     assert not hasattr(asympt, "hyperdet_degree")
+
+
+@pytest.mark.parametrize("d", range(3, 7))
+def test_formula_routes_are_the_format_routes(d):
+    """Each route of ``FORMULAS`` restates the charge of the format route of (n,) * d, as one
+    factor taken d times; it must name, charge and compute what that route does."""
+    for n in range(1, 9):
+        dims = (n,) * d
+        for omega in (1, 2, 3):
+            pairs = [(asympt.FORMULAS["sv"][0](d, n, omega), hyperdet.route(dims, omega))]
+            if omega == 1:
+                pairs.append((asympt.FORMULAS["ed"][0](d, n, omega),
+                              eddeg.route(dims, (1,) * d, False)))
+            for route, format_route in pairs:
+                assert (route.name, route.peak) == (format_route.name, format_route.peak)
+                assert route.call() == format_route.call()
 
 
 def test_hypercube_arguments_are_checked_alike():

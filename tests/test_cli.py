@@ -283,6 +283,23 @@ def test_the_readme_library_example_gives_its_comments():
     assert checked == 4
 
 
+def test_the_readme_command_examples_give_their_comments(capsys):
+    """Each command of the README's first "Command line" example whose comment starts with
+    an integer or a comma list of them prints that token first."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    checked = 0
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        expected = comment.split()[0] if comment.strip() else ""
+        if re.fullmatch(r"-?\d+(,-?\d+)*", expected):
+            code, out, _ = run(command.split()[1:], capsys)
+            assert (code, out.split()[0]) == (0, expected), line
+            checked += 1
+    assert checked == 7
+
+
 @pytest.mark.parametrize("argv, named", [
     pytest.param(["--help"], list(SUBCOMMAND_ARGUMENTS), id="top"),
     pytest.param(["-h"], list(SUBCOMMAND_ARGUMENTS), id="top-h"),
@@ -615,7 +632,7 @@ def _traced_peak(call) -> int:
 
 
 def _assert_charge_bounds(peak, charge):
-    """The guard refuses ``charge`` (what, *held) one byte under the traced peak and
+    """The guard refuses ``charge`` (what, bytes) one byte under the traced peak and
     accepts it at 16 times the peak."""
     with pytest.raises(cli.CapBudgetError):
         cli._check_cap(peak - 1, *charge)
@@ -623,14 +640,20 @@ def _assert_charge_bounds(peak, charge):
 
 
 @pytest.mark.parametrize("dims", [(3, 3, 3), (60, 60, 60), (200, 200, 200), (1,) * 100,
-                                  (8, 8, 8, 8), (1, 1, 3000), (2, 3, 2000)])
+                                  (8, 8, 8, 8), (20,) * 4, (1, 1, 3000), (2, 3, 2000)])
 def test_cap_model_bounds_the_kernel_peak(dims):
-    """Each fold route against the peak its kernel reaches.  The weighted hyperdeterminant
-    folds at unit weights and reads ``omega`` only at the end."""
+    """Each fold route against the peak its kernel reaches, and on the hypercubes 61^3 and
+    21^4 the routes of ``asympt --compare`` too.  The weighted hyperdeterminant folds at unit weights
+    and reads ``omega`` only at the end."""
     d = len(dims)
     routes = [hyperdet.route(dims, 3), hyperdet.route(dims, 10**6), hyperdet.route(dims, 10**30),
               eddeg.route(dims, (1,) * d, False), eddeg.route(dims, (2,) * d, True)]
-    assert [r.name for r in routes] == ["segre-fold"] * 3 + ["frobenius-fold", "segre-fold"]
+    names = ["segre-fold"] * 3 + ["frobenius-fold", "segre-fold"]
+    if dims in ((60,) * 3, (20,) * 4):
+        routes += [asympt.FORMULAS[formula][0](d, dims[0], omega)
+                   for formula, omega in (("hyperdet", 1), ("ed", 1), ("sv", 7))]
+        names += ["segre-fold", "frobenius-fold", "segre-fold"]
+    assert [r.name for r in routes] == names
     for route in routes:
         _assert_charge_bounds(_traced_peak(route.call), route.peak)
 
@@ -700,28 +723,32 @@ def test_huge_grid_is_refused_before_it_is_built(capsys):
     assert time.perf_counter() - start < 5
 
 
+def _refusing_routes(monkeypatch, formula, why):
+    """Replaces the routes of ``formula`` by routes that charge the same but fail when called."""
+    route, log_estimate = asympt.FORMULAS[formula]
+
+    def refusing(d, n, omega):
+        return route(d, n, omega)._replace(
+            call=lambda: pytest.fail(f"an exact value for n={n} was computed {why}"))
+
+    monkeypatch.setitem(asympt.FORMULAS, formula, (refusing, log_estimate))
+
+
 @pytest.mark.parametrize("grid", ["100:450:50", "450,100,200"], ids=["range", "list"])
 def test_compare_cap_is_checked_for_the_largest_point_before_any(monkeypatch, capsys, grid):
-    def refuse(dims, omega):
-        pytest.fail(f"an exact value for {dims} was computed before the cap refused the grid")
-
     argv = ["asympt", "hyperdet", "3", grid, "--compare", "--cap-bytes", "1400000"]
     alone = run([*argv[:3], "450", *argv[4:]], capsys)
     assert alone[:2] == (3, "")
-    monkeypatch.setitem(asympt.FORMULAS, "hyperdet", (refuse, asympt.FORMULAS["hyperdet"][1]))
+    _refusing_routes(monkeypatch, "hyperdet", "before the cap refused the grid")
     assert run(argv, capsys) == alone
 
 
 @pytest.mark.parametrize("argv", [["asympt", "hyperdet", "3", "5:20:5"],
                                   ["asympt", "ed", "4", "2:10:2"]])
 def test_grid_without_compare_computes_no_exact_value(monkeypatch, capsys, argv):
-    def refuse(dims, omega):
-        pytest.fail(f"an exact value for {dims} was computed without --compare")
-
     expected = run(argv, capsys)
     assert expected[0] == 0
-    formula = argv[1]
-    monkeypatch.setitem(asympt.FORMULAS, formula, (refuse, asympt.FORMULAS[formula][1]))
+    _refusing_routes(monkeypatch, argv[1], "without --compare")
     assert run(argv, capsys) == expected
 
 
@@ -741,8 +768,9 @@ def test_cap_model_bounds_the_closed_form_peak(n, omega):
     route = eddeg.route((n,), (omega,), False)
     assert route.name == "veronese-closed-form"
     _assert_charge_bounds(_traced_peak(route.call), route.peak)
-    _assert_charge_bounds(_traced_peak(lambda: asympt.discriminant_ratios(n, omega)),
-                          combinat.power_cost(2 * omega - 1, n + 1))
+    route = asympt.discriminant_route(n, omega)
+    assert route.name == "discriminant-closed-form"
+    _assert_charge_bounds(_traced_peak(route.call), route.peak)
 
 
 def test_overflowed_estimate_is_valid_json(capsys):
@@ -1126,7 +1154,9 @@ def test_stabilization_failure_is_a_verification_failure(monkeypatch, capsys):
         assert err.count("\n") == 1
 
 
-def test_verify_cross_oracle_reports_both_disagreements(monkeypatch, capsys):
+def test_verify_cross_oracle_reports_a_wrong_degree(monkeypatch, capsys):
+    """A zero degree on a non-defective format is a dual degree mismatch only: the criterion
+    is checked against the polar dual codimension, not against the degree."""
     original = cli.hyperdet_degree
     monkeypatch.setattr(cli, "hyperdet_degree",
                         lambda dims: 0 if dims == (1, 1, 1) else original(dims))
@@ -1134,8 +1164,18 @@ def test_verify_cross_oracle_reports_both_disagreements(monkeypatch, capsys):
     assert code == 1
     assert out.splitlines() == [
         "FAIL dual degree mismatch for (1, 1, 1): series 0, polar 4",
-        "FAIL defectiveness disagreement for (1, 1, 1): degree 0",
-        "verify cross-oracle: FAILED (checked=6, failures=2, max=3)"]
+        "verify cross-oracle: FAILED (checked=6, failures=1, max=3)"]
+
+
+def test_verify_cross_oracle_reports_a_wrong_criterion(monkeypatch, capsys):
+    original = cli.is_dual_nondefective
+    monkeypatch.setattr(cli, "is_dual_nondefective",
+                        lambda dims: original(dims) and tuple(dims) != (1, 1, 1))
+    code, out, _ = run(["verify", "cross-oracle", "--max", "3"], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL defectiveness disagreement for (1, 1, 1): degree 4",
+        "verify cross-oracle: FAILED (checked=6, failures=1, max=3)"]
 
 
 def _plus_one(pair):

@@ -47,6 +47,15 @@ def test_ci_runs_tier1_in_development_mode():
     assert " python -X dev -m pytest " in step
 
 
+def test_ci_replays_the_pins_under_optimization():
+    """Under ``-OO`` an assert or docstring the program leans on is gone; the golden, refusal
+    and contract files must still pass.  The whole suite cannot: some tests read docstrings."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    steps = re.findall(r"^ +run: (.*)$", workflow.read_text(), re.M)
+    assert ('PYTHONPATH=src python -OO -m pytest -q -W "ignore::pytest.PytestConfigWarning" '
+            "tests/test_cli_golden.py tests/test_refusals.py tests/test_cli_contract.py") in steps
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_source_parses_at_the_python_floor(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=FLOOR)
