@@ -19,7 +19,7 @@ exception is a bug; it is not caught, so it ends the process with a traceback.
 
 from __future__ import annotations
 
-import gc
+import atexit
 import io
 import math
 import os
@@ -152,9 +152,9 @@ def _render(args: SimpleNamespace, records: list[dict],
 
 
 def _silence(stream) -> None:
-    """Points the fd of ``stream`` at os.devnull after a write to it failed:
-    the interpreter flushes stdout and stderr again at exit, and with the fd on
-    os.devnull that flush cannot fail a second time."""
+    """Points the fd of ``stream`` at os.devnull after a write to it failed: ``run``, or the
+    interpreter at exit, flushes stdout and stderr again, and with the fd on os.devnull that
+    flush cannot fail a second time."""
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, stream.fileno())
     os.close(devnull)
@@ -672,14 +672,18 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def run() -> int:
     """The process entry point, for ``python -m segre_degrees.cli`` and the
-    ``segre-degrees`` script.  After ``main`` it moves every object into the
-    permanent generation, so the collections of interpreter teardown skip the
-    module, class and function graphs instead of freeing them one by one;
-    flushing, ``atexit`` and file closing still run.  ``main`` never freezes:
-    tests and library callers run it many times in one process."""
+    ``segre-degrees`` script: ``main``, the ``atexit`` callbacks, a flush of stdout and stderr,
+    then ``os._exit``, which skips the interpreter's teardown of every module and object.  An
+    exception out of ``main`` takes the normal path, a traceback and exit 1.  ``main`` never
+    exits: tests and library callers run it many times in one process."""
     code = main()
-    gc.freeze()
-    return code
+    atexit._run_exitfuncs()
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None: that fd was closed at start
+        try:
+            stream.flush()
+        except OSError:  # as in ``_note``: the bytes are lost, not the exit code
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

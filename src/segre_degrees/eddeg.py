@@ -101,12 +101,20 @@ def generic_ed_degree(dims: Sequence[int], weights: Sequence[int] | None = None)
 
 def route(dims: Sequence[int], weights: Sequence[int], generic: bool) -> Route:
     """The way to an ED degree: ``segre-fold`` (generic metric), ``frobenius-fold`` (Frobenius,
-    unit weights) or ``veronese-closed-form`` (Frobenius, one factor of weight >= 2)."""
+    unit weights), ``veronese-closed-form`` (Frobenius, one factor of weight >= 2), or, where one
+    of d >= 2 unit-weight factors exceeds the sum N of the others, ``frobenius-boundary``: the
+    fold with that factor lowered to N, where the degree stabilizes (``stabilization_onset``)."""
     dims_t, weights_t = as_format(dims), tuple(map(index, weights))
     if generic:
         return Route("segre-fold", fold_cost(dims_t, weights_t, 2),
                      lambda: generic_ed_degree(dims_t, weights_t))
     if weights_t == (1,) * len(dims_t):
+        top = max(dims_t)
+        if len(dims_t) >= 2 and 2 * top > sum(dims_t):
+            at = dims_t.index(top)
+            boundary = (*dims_t[:at], sum(dims_t) - top, *dims_t[at + 1:])
+            return Route("frobenius-boundary", fold_cost(boundary, weights_t, 1),
+                         lambda: frobenius_ed_degree(boundary))
         return Route("frobenius-fold", fold_cost(dims_t, weights_t, 1),
                      lambda: frobenius_ed_degree(dims_t))
     if len(dims_t) == len(weights_t) == 1:

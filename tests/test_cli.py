@@ -644,11 +644,17 @@ def _assert_charge_bounds(peak, charge):
 def test_cap_model_bounds_the_kernel_peak(dims):
     """Each fold route against the peak its kernel reaches, and on the hypercubes 61^3 and
     21^4 the routes of ``asympt --compare`` too.  The weighted hyperdeterminant folds at unit weights
-    and reads ``omega`` only at the end."""
+    and reads ``omega`` only at the end.  A long factor takes ``frobenius-boundary``; the fold of
+    the long format itself is still charged by its own model."""
     d = len(dims)
     routes = [hyperdet.route(dims, 3), hyperdet.route(dims, 10**6), hyperdet.route(dims, 10**30),
               eddeg.route(dims, (1,) * d, False), eddeg.route(dims, (2,) * d, True)]
-    names = ["segre-fold"] * 3 + ["frobenius-fold", "segre-fold"]
+    long = 2 * max(dims) > sum(dims)
+    names = ["segre-fold"] * 3 + ["frobenius-boundary" if long else "frobenius-fold", "segre-fold"]
+    if long:
+        routes.append(combinat.Route("frobenius-fold", combinat.fold_cost(dims, (1,) * d, 1),
+                                     lambda: eddeg.frobenius_ed_degree(dims)))
+        names.append("frobenius-fold")
     if dims in ((60,) * 3, (20,) * 4):
         routes += [asympt.FORMULAS[formula][0](d, dims[0], omega)
                    for formula, omega in (("hyperdet", 1), ("ed", 1), ("sv", 7))]

@@ -1,9 +1,10 @@
 """The real process path: ``python -m segre_degrees.cli`` as a child process.
 
 The other CLI tests call ``cli.main`` in process.  These start the module the
-way a user or the benchmark does, through its ``__main__`` block and
-interpreter teardown, and check that the exit code, stdout and stderr bytes
-are the ones ``cli.main`` gives in process.  They also hold the exit contract
+way a user or the benchmark does, through its ``__main__`` block and the entry
+function ``cli.run``, which runs the ``atexit`` callbacks, flushes and ends the
+process with ``os._exit``.  They check that the exit code, stdout and stderr
+bytes are the ones ``cli.main`` gives in process.  They also hold the exit contract
 when stdout cannot be written: a closed pipe, a full device or a closed fd 1
 is a usage error (exit 2, one ``error:`` line), buffered or unbuffered.  A
 stderr that cannot be written loses its ``timing:`` or ``error:`` line but
@@ -13,7 +14,6 @@ keeps the exit code.
 from __future__ import annotations
 
 import ast
-import gc
 import os
 import re
 import subprocess
@@ -170,40 +170,77 @@ def test_the_script_and_the_main_block_share_one_entry_function():
     assert project["scripts"] == {"segre-degrees": f"segre_degrees.cli:{entry}"}
 
 
-def test_the_entry_function_freezes_after_main_and_main_does_not(monkeypatch, capsys):
-    """``main`` runs many times in one process (tests, replays, library
-    callers), so only the process entry point freezes the heap."""
-    before = gc.get_freeze_count()
+# A child that registers an ``atexit`` callback, then leaves through the entry function the
+# way ``python -m`` does; ``{before}`` runs first (a patch of the command table, or nothing).
+_ENTRY = """\
+import atexit, sys
+from segre_degrees import cli
+atexit.register(lambda: sys.stderr.write("atexit callback ran\\n"))
+{before}
+raise SystemExit(cli.run())
+"""
+
+
+def test_the_entry_function_runs_atexit_and_gives_the_bytes_of_main(capsys):
+    """``run`` ends the process with ``os._exit`` once ``main`` returns, but first runs the
+    ``atexit`` callbacks and flushes both streams, so their bytes and the exit code are those
+    of ``main``, and the callback's line follows.  ``main`` itself returns: tests, replays and
+    library callers run it many times in one process."""
     assert main(["hyperdet", "1,1,1"]) == 0
-    assert gc.get_freeze_count() == before
-    monkeypatch.setattr(sys, "argv", ["segre-degrees", "hyperdet", "1,1,1"])
-    try:
-        assert cli.run() == 0
-        assert gc.get_freeze_count() > before
-    finally:
-        gc.unfreeze()
-    assert capsys.readouterr().out == "4\n" * 2
+    expected = capsys.readouterr()
+    done = _child(["hyperdet", "1,1,1"], command=("-c", _ENTRY.format(before="")))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, expected.out.encode(), expected.err.encode() + b"atexit callback ran\n")
+    assert main(["hyperdet", "1,1,1"]) == 0
+    assert capsys.readouterr() == expected
 
 
-def test_only_the_entry_function_freezes_and_nothing_calls_os_exit():
-    """``gc.freeze`` appears only in the function the ``__main__`` block calls,
-    and ``os._exit``, which skips ``atexit`` and the final flush, nowhere."""
-    found, entry_freezes = [], False
+def test_an_exception_out_of_main_ends_in_a_traceback_and_exit_1():
+    """A bug that escapes ``main`` never reaches ``os._exit``: the interpreter prints the
+    traceback, runs the ``atexit`` callbacks and exits 1."""
+    patch = ("def boom(args):\n    raise RuntimeError('boom')\n"
+             "cli._COMMANDS['hyperdet'] = (*cli._COMMANDS['hyperdet'][:1], boom, "
+             "*cli._COMMANDS['hyperdet'][2:])")
+    done = _child(["hyperdet", "1,1,1"], command=("-c", _ENTRY.format(before=patch)))
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr.startswith(b"Traceback (most recent call last):\n")
+    assert done.stderr.endswith(b"RuntimeError: boom\natexit callback ran\n")
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    pytest.param(["hyperdet", "1,1,1"], 0, id="hyperdet"),
+    pytest.param(["hyperdet", "1,x"], 2, id="usage-refusal"),
+    pytest.param(["hyperdet", "3,3,3", "--cap-bytes", "1"], 3, id="cap-refusal"),
+])
+def test_the_console_script_form_gives_the_bytes_and_code_of_the_module(argv, exit_code):
+    """The ``segre-degrees`` script that an installer writes calls ``sys.exit(run())``."""
+    script = _child(argv, command=("-c", "import sys; from segre_degrees.cli import run; "
+                                         "sys.exit(run())"))
+    module = _child(argv)
+    assert module.returncode == exit_code
+    assert (script.returncode, script.stdout, script.stderr) == (
+        module.returncode, module.stdout, module.stderr)
+
+
+def test_only_the_entry_function_ends_the_process():
+    """``atexit._run_exitfuncs`` and ``os._exit`` appear only in the function the ``__main__``
+    block calls, in the order exit functions, flush, ``_exit``; no module freezes the heap."""
+    calls, entry_calls = [], []
     for path in sorted((SRC / "segre_degrees").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        allowed = set()
+        entry = set()
         if path.name == "cli.py":
-            entry = _main_block_call(tree)
+            name = _main_block_call(tree)
             (fn,) = [node for node in tree.body
-                     if isinstance(node, ast.FunctionDef) and node.name == entry]
-            allowed = {id(node) for node in ast.walk(fn)}
+                     if isinstance(node, ast.FunctionDef) and node.name == name]
+            entry = {id(node) for node in ast.walk(fn)}
         for node in ast.walk(tree):
-            name = (node.attr if isinstance(node, ast.Attribute)
-                    else node.id if isinstance(node, ast.Name)
-                    else node.name if isinstance(node, ast.alias) else None)
-            if name == "freeze" and id(node) in allowed:
-                entry_freezes = True
-            elif name in ("freeze", "_exit"):
-                found.append(f"{path.name}:{node.lineno} {name}")
-    assert found == []
-    assert entry_freezes
+            if isinstance(node, ast.Attribute) and node.attr in ("_run_exitfuncs", "flush",
+                                                                 "_exit", "freeze"):
+                if id(node) in entry:
+                    entry_calls.append((node.lineno, ast.unparse(node)))
+                elif node.attr != "flush":
+                    calls.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert calls == []
+    assert [name for _, name in sorted(entry_calls)] == [
+        "atexit._run_exitfuncs", "stream.flush", "os._exit"]

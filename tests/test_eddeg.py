@@ -10,6 +10,7 @@ from math import factorial
 import pytest
 
 from segre_degrees import eddeg, hyperdet
+from segre_degrees.combinat import fold_cost
 from segre_degrees.eddeg import (
     binary_generic_ed_degree,
     frobenius_ed_degree,
@@ -117,15 +118,41 @@ def test_binary_generic_matches_general_formula():
 
 
 @pytest.mark.parametrize("dims, weights, generic, name, value", [
-    ((2, 3), (1, 1), False, "frobenius-fold", frobenius_ed_degree((2, 3))),
+    ((2, 2), (1, 1), False, "frobenius-fold", frobenius_ed_degree((2, 2))),
     ((4,), (1,), False, "frobenius-fold", 1),
     ((2, 3), (1, 1), True, "segre-fold", generic_ed_degree((2, 3))),
     ((1, 2), (2, 3), True, "segre-fold", generic_ed_degree((1, 2), (2, 3))),
     ((4,), (3,), False, "veronese-closed-form", veronese_frobenius_ed_degree(4, 3)),
+    ((1, 1, 9), (1, 1, 1), False, "frobenius-boundary", 8),
 ])
 def test_each_route_names_the_function_it_calls(dims, weights, generic, name, value):
     route = eddeg.route(dims, weights, generic)
     assert (route.name, route.call()) == (name, value)
+
+
+def test_the_boundary_route_gives_the_fold_of_the_long_format():
+    """On every format of ``partition_formats(12)`` with d >= 2 and one factor above the sum of
+    the others, and on a seeded grid of bases (zeros included) with a long factor at a random
+    place."""
+    formats = [f for f in hyperdet.partition_formats(12) if len(f) >= 2 and 2 * max(f) > sum(f)]
+    assert len(formats) == 78
+    rng = random.Random(20140601)
+    for _ in range(60):
+        base = [rng.randrange(5) for _ in range(rng.randrange(1, 4))]
+        base.insert(rng.randrange(len(base) + 1), sum(base) + rng.randrange(1, 80))
+        formats.append(tuple(base))
+    for dims in formats:
+        route = eddeg.route(dims, (1,) * len(dims), False)
+        assert (route.name, route.call()) == ("frobenius-boundary", frobenius_ed_degree(dims))
+
+
+def test_the_boundary_route_charges_the_boundary_fold():
+    """The factor above the sum of the others is lowered to that sum, once, wherever it is;
+    a format at the boundary (no factor above the sum) keeps the fold."""
+    route = eddeg.route((2, 3000, 3), (1, 1, 1), False)
+    assert route.peak == fold_cost((2, 5, 3), (1, 1, 1), 1)
+    for dims in ((2, 2), (1, 1, 2), (3, 4, 5), (7,), (0, 0)):
+        assert eddeg.route(dims, (1,) * len(dims), False).name == "frobenius-fold"
 
 
 def test_a_frobenius_degree_with_weights_on_two_factors_has_no_route():

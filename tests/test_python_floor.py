@@ -4,6 +4,7 @@ even where only a newer interpreter runs the tests."""
 from __future__ import annotations
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -29,6 +30,22 @@ def test_ci_bounds_the_tier1_job():
     runner for the 6 h default."""
     workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
     assert re.findall(r"^    timeout-minutes: (\d+)$", workflow.read_text(), re.M) == ["15"]
+
+
+def test_ci_runs_every_benchmark_workload_as_a_smoke_check():
+    """``tests/test_cli_golden.py`` replays the pins in process; this step replays them through
+    the benchmark's own child processes, and its tracer, on every workload.  The step fails
+    unless each run exits 0 (bash's pipefail) and its last line says ``"correct": true``."""
+    root = Path(__file__).resolve().parents[1]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    step = re.search(r"- name: Run the benchmark once per workload as a smoke check\n"
+                     r" +shell: bash\n +run: \|\n((?: {10}.*\n)+)", workflow).group(1)
+    workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    assert re.search(r"for workload in (.*); do", step).group(1).split() == workloads
+    assert re.search(r"for trace in (.*); do", step).group(1).split() == ["0", "1"]
+    assert ("python3 perfbench/run.py --workload $workload --seed 1 --seconds 1 --trace $trace "
+            "\\ | tail -n 1 | python3 -c 'import json, sys; "
+            "sys.exit(json.load(sys.stdin)[\"correct\"] is not True)'") in " ".join(step.split())
 
 
 def test_ci_recomputes_every_pin_by_its_independent_route():
