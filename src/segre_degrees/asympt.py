@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from operator import index
 
-from .combinat import Route, VerificationError, binomial_row, fold_cost, power_cost, rational
+from .combinat import (Route, VerificationError, at_least, binomial_row, fold_cost, power_cost,
+                       rational)
 from .eddeg import frobenius_ed_degree, veronese_frobenius_ed_degree
 from .hyperdet import mixed_partial_at_symmetric_point, sv_hyperdet_degree
 
@@ -52,12 +52,7 @@ _E2 = math.exp(2.0)
 
 def _require_hypercube(d: int, n: int = 1) -> tuple[int, int]:
     """d and n as integers; raise unless (n+1)^d has at least three factors of dimension >= 1."""
-    d, n = index(d), index(n)
-    if d < 3:
-        raise ValueError(f"the estimate requires at least three factors, got d={d}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return d, n
+    return at_least(d, 3, "d"), at_least(n, 1, "n")
 
 
 def log_hyperdet_asymptotic(d: int, n: int) -> float:
@@ -98,9 +93,7 @@ def log_sv_hyperdet_asymptotic(d: int, n: int, omega: int) -> float:
             * (wd-1)^(dn) / n^((d-3)/2)
     """
     d, n = _require_hypercube(d, n)
-    omega = index(omega)
-    if omega < 1:
-        raise ValueError(f"weight must be positive, got {omega}")
+    omega = at_least(omega, 1, "omega")
     wd = omega * d  # an integer: math.log reads it at any size
     d, n = float(d), float(n)
     return ((2 * d - 2) * math.log(wd - 1)
@@ -133,9 +126,7 @@ def binary_asymptotics(d: int) -> BinaryAsymptotics:
     2^-(d+1), which ``ldexp`` applies exactly, so while it is a normal double
     it is within a few units in its last place of the closed form.
     """
-    d = index(d)
-    if d < 2:
-        raise ValueError(f"need at least two factors, got {d}")
+    d = at_least(d, 2, "d")
     stirling = 0.5 * _LOG_2PI + (2 * d + 1) / 2 * math.log(d) - d
     # log(2^(d+1) e - 1) without forming the huge power
     x = (d + 1) * math.log(2.0) + 1.0
@@ -162,10 +153,7 @@ DiscriminantRatios = namedtuple("DiscriminantRatios",
 def discriminant_quotients(n: int, omega: int) -> tuple[tuple[int, int], ...]:
     """The three ratios of ``discriminant_ratios`` as exact (numerator,
     denominator) pairs of positive integers, in the order of its fields."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if omega < 3:
-        raise ValueError(f"need omega >= 3, got {omega}")
+    n, omega = at_least(n, 1, "n"), at_least(omega, 3, "omega")
     exact = (n + 1) * (omega - 1) ** n
     ed_f = veronese_frobenius_ed_degree(n, omega)
     ed_gen = ((2 * omega - 1) ** (n + 1) - (omega - 1) ** (n + 1)) // omega
@@ -177,6 +165,7 @@ def discriminant_quotients(n: int, omega: int) -> tuple[tuple[int, int], ...]:
 def discriminant_route(n: int, omega: int) -> Route:
     """The way to ``discriminant_quotients``: ``discriminant-closed-form`` builds
     (2 omega - 1)^(n+1), the largest power of the three ratios, and holds about its size."""
+    n, omega = at_least(n, 1, "n"), at_least(omega, 3, "omega")
     return Route("discriminant-closed-form", power_cost(2 * omega - 1, n + 1),
                  lambda: discriminant_quotients(n, omega))
 
@@ -284,8 +273,7 @@ def verify_minimal_point_constants(d: int) -> MinimalPointCheck:
 def relative_error(exact: int, log_estimate: float) -> float:
     """|exact - estimate| / exact computed from the log of the estimate, so
     it stays finite even when the estimate itself overflows a double."""
-    if exact <= 0:
-        raise ValueError(f"need a positive exact value, got {exact}")
+    exact = at_least(exact, 1, "exact")
     return abs(1.0 - math.exp(log_estimate - math.log(exact)))
 
 

@@ -8,8 +8,8 @@ from math import comb, factorial, gcd
 from operator import index
 
 __all__ = [
-    "Route", "VerificationError", "as_format", "binomial", "binomial_row", "fold_cost", "horner",
-    "multinomial", "multinomial_fold", "power_cost", "rational", "segre_fold",
+    "Route", "VerificationError", "as_format", "at_least", "binomial", "binomial_row", "fold_cost",
+    "horner", "multinomial", "multinomial_fold", "power_cost", "rational", "segre_fold",
 ]
 
 # One way to a degree: its name, its peak as (what, bytes) from ``fold_cost`` or ``power_cost``
@@ -21,16 +21,24 @@ class VerificationError(Exception):
     """An exact identity or integrality invariant failed to hold."""
 
 
-def as_format(dims: Iterable[int]) -> tuple[int, ...]:
-    """The format (n1, ..., nd) of a product of projective spaces as a tuple.
+def at_least(value: int, least: int, what: str) -> int:
+    """``value`` through ``operator.index``, so a float, ``Fraction`` or ``str`` raises
+    ``TypeError`` instead of being truncated, and refused with ``ValueError`` below ``least``:
+    the one rule for every integer argument of the package.  A tuple reads its entries through
+    ``map(index)`` and passes its least entry here once."""
+    value = index(value)
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+    return value
 
-    Each entry goes through ``operator.index``, so a float, ``Fraction`` or
-    ``str`` raises ``TypeError`` instead of being truncated; an empty format
-    or a negative dimension raises ``ValueError``.
-    """
+
+def as_format(dims: Iterable[int]) -> tuple[int, ...]:
+    """The format (n1, ..., nd) of a product of projective spaces as a tuple of
+    integers that are each at least 0 (``at_least``); an empty format raises ``ValueError``."""
     dims_t = tuple(map(index, dims))
-    if not dims_t or any(n < 0 for n in dims_t):
+    if not dims_t:
         raise ValueError(f"invalid dimensions {dims_t}")
+    at_least(min(dims_t), 0, "each dimension")
     return dims_t
 
 
@@ -38,8 +46,7 @@ def binomial(a: int, b: int) -> int:
     """C(a, b) for a >= 0, and 0 whenever b < 0 or b > a: the full-range sums of
     the test oracles rely on the zeros.  No package module calls it; a whole
     row C(a, .) is ``binomial_row``."""
-    if a < 0:
-        raise ValueError(f"binomial upper index must be non-negative, got {a}")
+    a, b = at_least(a, 0, "binomial upper index"), index(b)
     if b < 0 or b > a:
         return 0
     return comb(a, b)
@@ -49,8 +56,7 @@ def binomial_row(a: int) -> list[int]:
     """[C(a, 0), ..., C(a, a)]: the first half by the running product
     C(a, k+1) = C(a, k) (a-k) / (k+1), the second mirrored.  That is about a^2
     bit operations, where a ``comb`` call per entry costs about a^3."""
-    if a < 0:
-        raise ValueError(f"binomial upper index must be non-negative, got {a}")
+    a = at_least(a, 0, "binomial upper index")
     row = [1]
     for k in range(a // 2):
         row.append(row[-1] * (a - k) // (k + 1))
@@ -80,9 +86,8 @@ def rational(num: int, den: int) -> tuple[int, int]:
 
 def multinomial(parts: Iterable[int]) -> int:
     """(sum parts)! / prod(parts_i!) for non-negative integer parts."""
-    parts_t = tuple(parts)
-    if any(p < 0 for p in parts_t):
-        raise ValueError(f"multinomial parts must be non-negative, got {parts_t}")
+    parts_t = tuple(map(index, parts))
+    at_least(min(parts_t, default=0), 0, "each multinomial part")
     out = factorial(sum(parts_t))
     for p in parts_t:
         out //= factorial(p)

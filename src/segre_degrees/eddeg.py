@@ -28,8 +28,9 @@ from collections.abc import Sequence
 from math import perm
 from operator import index
 
-from .combinat import (Route, VerificationError, as_format, binomial_row, fold_cost, horner,
-                       multinomial_fold, power_cost, segre_fold)
+from .combinat import (Route, VerificationError, as_format, at_least, binomial_row, fold_cost,
+                       horner, multinomial_fold, power_cost, segre_fold)
+from .hyperdet import is_dual_nondefective
 
 TYPE_CHECKING = False  # true only to type checkers, which know the name
 if TYPE_CHECKING:  # annotations only; each function that builds a Fraction imports it
@@ -72,27 +73,27 @@ def _frobenius_factor(n: int) -> list[int]:
 def veronese_frobenius_ed_degree(n: int, omega: int) -> int:
     """Frobenius ED degree of the degree-omega Veronese embedding of P^n:
     n+1 for omega = 2, ((omega-1)^(n+1) - 1)/(omega-2) for omega > 2."""
-    n, omega = index(n), index(omega)
-    if n < 0:
-        raise ValueError(f"dimension must be non-negative, got {n}")
-    if omega < 2:
-        raise ValueError(f"Veronese weight must be at least 2, got {omega}")
+    n, omega = at_least(n, 0, "n"), at_least(omega, 2, "omega")
     if omega == 2:
         return n + 1
     # (omega-1)^(n+1) = 1 (mod omega-2), so the division is exact
     return ((omega - 1) ** (n + 1) - 1) // (omega - 2)
 
 
+def _format_and_weights(dims: Sequence[int], weights: Sequence[int] | None) -> tuple:
+    """``as_format(dims)`` and one weight per factor, each at least 1 (all 1 for None)."""
+    dims_t = as_format(dims)
+    weights_t = (1,) * len(dims_t) if weights is None else tuple(map(index, weights))
+    if len(weights_t) != len(dims_t):
+        raise ValueError("weights must match the number of factors")
+    at_least(min(weights_t), 1, "each weight")
+    return dims_t, weights_t
+
+
 def generic_ed_degree(dims: Sequence[int], weights: Sequence[int] | None = None) -> int:
     """Generic ED degree of the Segre-Veronese product with the given
     dimensions and weights (all weights 1 when omitted)."""
-    dims_t = as_format(dims)
-    weights_t = tuple(map(index, weights)) if weights is not None else (1,) * len(dims_t)
-    if len(weights_t) != len(dims_t):
-        raise ValueError("weights must match the number of factors")
-    if any(w < 1 for w in weights_t):
-        raise ValueError(f"weights must be positive, got {weights_t}")
-
+    dims_t, weights_t = _format_and_weights(dims, weights)
     # k_l = n_l - i_l, s = N - j turn (N-j)!/prod (n_l-i_l)! into multinomial(k), C(n_l+1, i_l)
     # into C(n_l+1, k_l+1), and sum_s (-1)^(N-s) (2^(s+1)-1) g_s into (-1)^N (2 g(-2) - g(-1))
     g = segre_fold(dims_t, weights_t)
@@ -101,16 +102,17 @@ def generic_ed_degree(dims: Sequence[int], weights: Sequence[int] | None = None)
 
 def route(dims: Sequence[int], weights: Sequence[int], generic: bool) -> Route:
     """The way to an ED degree: ``segre-fold`` (generic metric), ``frobenius-fold`` (Frobenius,
-    unit weights), ``veronese-closed-form`` (Frobenius, one factor of weight >= 2), or, where one
-    of d >= 2 unit-weight factors exceeds the sum N of the others, ``frobenius-boundary``: the
-    fold with that factor lowered to N, where the degree stabilizes (``stabilization_onset``)."""
-    dims_t, weights_t = as_format(dims), tuple(map(index, weights))
+    unit weights), ``veronese-closed-form`` (Frobenius, one factor of weight >= 2), or, where
+    d >= 2 unit-weight factors make a dual defective format (one exceeds the sum N of the
+    others), ``frobenius-boundary``: the fold with that factor lowered to N, where the degree
+    stabilizes (``stabilization_onset``).  The arguments are read before any cost model runs."""
+    dims_t, weights_t = _format_and_weights(dims, weights)
     if generic:
         return Route("segre-fold", fold_cost(dims_t, weights_t, 2),
                      lambda: generic_ed_degree(dims_t, weights_t))
     if weights_t == (1,) * len(dims_t):
-        top = max(dims_t)
-        if len(dims_t) >= 2 and 2 * top > sum(dims_t):
+        if len(dims_t) >= 2 and not is_dual_nondefective(dims_t):
+            top = max(dims_t)
             at = dims_t.index(top)
             boundary = (*dims_t[:at], sum(dims_t) - top, *dims_t[at + 1:])
             return Route("frobenius-boundary", fold_cost(boundary, weights_t, 1),
@@ -131,8 +133,7 @@ def binary_generic_ed_degree(d: int) -> int:
     No package code calls it: it is the independent closed-form route that
     the tests and ``perfbench/pin.py`` check ``generic_ed_degree`` against.
     """
-    if d < 1:
-        raise ValueError(f"need at least one factor, got {d}")
+    d = at_least(d, 1, "d")
     return sum((-2) ** i * perm(d, d - i) * (2 ** (d + 1 - i) - 1) for i in range(d + 1))
 
 
@@ -145,8 +146,7 @@ def stabilization_onset(base_dims: Sequence[int], m_max: int) -> list[tuple[int,
     """
     base = as_format(base_dims)
     n_total = sum(base)
-    if m_max < n_total:
-        raise ValueError(f"m_max {m_max} below the stabilization threshold {n_total}")
+    m_max = at_least(m_max, n_total, "m_max")
     out = [(m, frobenius_ed_degree(base + (m,))) for m in range(m_max + 1)]
     stable = [value for m, value in out if m >= n_total]
     if any(v != stable[0] for v in stable):

@@ -25,7 +25,8 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from operator import index
 
-from .combinat import Route, as_format, binomial_row, fold_cost, horner, rational, segre_fold
+from .combinat import (Route, as_format, at_least, binomial_row, fold_cost, horner, rational,
+                       segre_fold)
 
 __all__ = [
     "binary_hyperdet_degree",
@@ -52,10 +53,7 @@ def sv_hyperdet_degree(dims: Sequence[int], weight: int = 1) -> int:
     """Degree of the dual hypersurface of a product of degree-``weight``
     Veronese re-embeddings of projective spaces (equal weight on every
     factor); 0 when the dual has higher codimension."""
-    dims_t = as_format(dims)
-    weight = index(weight)
-    if weight < 1:
-        raise ValueError(f"weight must be positive, got {weight}")
+    dims_t, weight = as_format(dims), at_least(weight, 1, "weight")
     if weight == 1 and not is_dual_nondefective(dims_t):
         return 0
     g = segre_fold(dims_t, (1,) * len(dims_t))
@@ -65,7 +63,7 @@ def sv_hyperdet_degree(dims: Sequence[int], weight: int = 1) -> int:
 def route(dims: Sequence[int], weight: int = 1) -> Route:
     """The way of ``sv_hyperdet_degree``: ``defective``, 0 at unit weight by the GKZ criterion,
     holds nothing; ``segre-fold`` folds at unit weights and reads the fold at ``-weight``."""
-    dims_t, weight = as_format(dims), index(weight)
+    dims_t, weight = as_format(dims), at_least(weight, 1, "weight")
     if weight == 1 and not is_dual_nondefective(dims_t):
         return Route("defective", None, lambda: sv_hyperdet_degree(dims_t, weight))
     return Route("segre-fold", fold_cost(dims_t, (1,) * len(dims_t), weight),
@@ -90,8 +88,7 @@ def binary_hyperdet_degree(d: int) -> int:
     No package code calls it: it is the independent closed-form route that
     the tests and ``perfbench/pin.py`` check ``hyperdet_degree`` against.
     """
-    if d < 1:
-        raise ValueError(f"need at least one factor, got {d}")
+    d = at_least(d, 1, "d")
     total, falling = 0, 1  # falling = d!/i!
     for i in range(d, -1, -1):
         total = -2 * total + falling * (d - i + 1)
@@ -110,8 +107,7 @@ def mixed_partial_at_symmetric_point(d: int, k: int) -> tuple[int, int]:
     ``combinat.horner`` in d - 1; the pair's denominator is positive.  Callers
     can check it against the closed form -k * (d/(d-1))^(d-k-1).
     """
-    if d < 2:
-        raise ValueError(f"need at least two factors, got {d}")
+    d, k = at_least(d, 2, "d"), index(k)
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= {d} differentiated variables, got {k}")
     m = d - k  # p = d - i turns N_k into sum_p (p + 1 - d) C(m, p) (d-1)^p

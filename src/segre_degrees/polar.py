@@ -58,7 +58,7 @@ from itertools import accumulate, cycle, repeat
 from math import comb, factorial, perm
 from operator import index, mul
 
-from .combinat import as_format, binomial_row, multinomial_fold, segre_fold
+from .combinat import as_format, at_least, binomial_row, multinomial_fold, segre_fold
 
 __all__ = [
     "ChernData",
@@ -85,14 +85,11 @@ class ChernData(namedtuple("ChernData", "dim class_degrees")):
     __slots__ = ()
 
     def __new__(cls, dim: int, class_degrees: Sequence[int]) -> ChernData:
-        dim, degrees = index(dim), tuple(map(index, class_degrees))
-        if dim < 0:
-            raise ValueError(f"dimension must be non-negative, got {dim}")
+        dim, degrees = at_least(dim, 0, "dim"), tuple(map(index, class_degrees))
         if len(degrees) != dim + 1:
             raise ValueError(
                 f"need {dim + 1} class degrees for dimension {dim}, got {len(degrees)}")
-        if degrees[0] < 1:
-            raise ValueError(f"the variety degree must be positive, got {degrees[0]}")
+        at_least(degrees[0], 1, "the variety degree")
         return super().__new__(cls, dim, degrees)
 
 
@@ -129,11 +126,7 @@ def chern_data_smooth_hypersurface(n: int, deg_d: int) -> ChernData:
     c(Y_n) = (1+y)^(n+2) / (1 + d y) with y the restricted hyperplane class,
     and deg(y^n . [Y_n]) = d, so each class degree is d times a coefficient.
     """
-    if n < 0:
-        raise ValueError(f"dimension must be non-negative, got {n}")
-    deg_d = index(deg_d)
-    if deg_d < 1:
-        raise ValueError(f"hypersurface degree must be positive, got {deg_d}")
+    n, deg_d = at_least(n, 0, "n"), at_least(deg_d, 1, "hypersurface degree")
     return ChernData(n, [deg_d * c for c in _hypersurface_chern_coeffs(n, deg_d)])
 
 
@@ -180,11 +173,8 @@ def alpha_coefficients(n: int, m: int, deg_d: int) -> list[int]:
     coefficients are a readout of the dots S(n, low, d), low = 1..m+1, of
     ``_alpha_dots``, which ``stabilization_ratio_check`` compares directly.
     """
-    if n < 0 or m < 0:
-        raise ValueError(f"dimensions must be non-negative, got n={n}, m={m}")
-    deg_d = index(deg_d)
-    if deg_d < 1:
-        raise ValueError(f"hypersurface degree must be positive, got {deg_d}")
+    n, m = at_least(n, 0, "n"), at_least(m, 0, "m")
+    deg_d = at_least(deg_d, 1, "hypersurface degree")
     dots = _alpha_dots(n, (deg_d,), m + 1)[0]
     return list(map(mul, cycle((deg_d, -deg_d)), reversed(dots)))
 
@@ -226,8 +216,8 @@ def stabilization_ratio_check(m_max: int, n_max: int, d_max: int,
     low = m - i + 1 (see ``_alpha_dots``), so each (n, low, d) is compared once
     and the sweep holds two rows per d at a time.  A failed comparison is
     reported for every case that reads it, in (m, d, n, i) order."""
-    if m_max < 0 or n_max < 0 or d_max < 2:
-        raise ValueError("ranges must cover at least m=0, d=2")
+    m_max, n_max = at_least(m_max, 0, "m_max"), at_least(n_max, 0, "n_max")
+    d_max = at_least(d_max, 2, "d_max")
     degrees = range(2, d_max + 1)
     checked = 0
     failures = []

@@ -294,11 +294,10 @@ def test_hypercube_arguments_are_checked_alike():
     estimates = (log_ed_asymptotic, log_hyperdet_asymptotic,
                  lambda d, n: log_sv_hyperdet_asymptotic(d, n, 2))
     for check in (*estimates, lambda d, n: verify_minimal_point_constants(d)):
-        with pytest.raises(ValueError, match="^the estimate requires at least three factors, "
-                                             "got d=2$"):
+        with pytest.raises(ValueError, match="^d must be at least 3, got 2$"):
             check(2, 5)
     for estimate in estimates:
-        with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
             estimate(3, 0)
 
 

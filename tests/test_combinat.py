@@ -100,9 +100,10 @@ def test_formats_refuse_empty_and_negative_entries():
     assert as_format(range(3)) == (0, 1, 2)
     for kernel in (frobenius_ed_degree, hyperdet_degree, generic_ed_degree,
                    chern_data_projective_space_product, lambda dims: stabilization_onset(dims, 3)):
-        for dims in ((), (1, -1)):
-            with pytest.raises(ValueError, match=re.escape(f"invalid dimensions {dims}")):
-                kernel(dims)
+        with pytest.raises(ValueError, match=re.escape("invalid dimensions ()")):
+            kernel(())
+        with pytest.raises(ValueError, match="^each dimension must be at least 0, got -1$"):
+            kernel((1, -1))
 
 
 def test_verification_error_lives_in_combinat_and_is_reexported():
@@ -164,6 +165,62 @@ def test_no_module_imports_the_one_entry_binomials():
     importers = [(name, m) for name, modules in _imported_modules() for m in modules
                  if m.split(".")[-2:] in (["combinat", "binomial"], ["combinat", "multinomial"])]
     assert importers == []
+
+
+def _is_lower_bound(test):
+    """A comparison ``name < literal`` or ``subscript <= literal`` of one integer literal."""
+    return (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.ops[0], (ast.Lt, ast.LtE))
+            and isinstance(test.left, (ast.Name, ast.Subscript))
+            and isinstance(test.comparators[0], ast.Constant)
+            and type(test.comparators[0].value) is int)
+
+
+def _raises_value_error(statement):
+    """``raise ValueError`` or ``raise ValueError(...)``."""
+    exc = statement.exc if isinstance(statement, ast.Raise) else None
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return isinstance(exc, ast.Name) and exc.id == "ValueError"
+
+
+def _hand_written_lower_bounds():
+    """(file name, function, line, bounds) of each ``if`` of the package, the test ring aside,
+    that raises ``ValueError`` when a name or subscript is below an integer literal, alone or
+    inside an ``or``."""
+    for path in sorted(Path(segre_degrees.__file__).parent.glob("*.py")):
+        if path.stem == "truncpoly":  # the test ring; its exponent check bounds no argument
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}  # node -> innermost function; ast.walk reaches outer functions first
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(function), function.name))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.If) or not any(map(_raises_value_error, node.body)):
+                continue
+            test = node.test
+            parts = test.values if isinstance(test, ast.BoolOp) and isinstance(
+                test.op, ast.Or) else [test]
+            bounds = sum(map(_is_lower_bound, parts))
+            if bounds and (path.name, owner.get(node)) != ("combinat.py", "at_least"):
+                yield path.name, owner.get(node), node.lineno, bounds
+
+
+def test_every_lower_bound_is_read_through_at_least():
+    """``combinat.at_least`` is the one lower bound of the package: it reads the value by
+    ``operator.index`` first and refuses with one message shape, which a hand-written
+    ``if n < 0: raise ValueError(...)`` would do neither of."""
+    assert list(_hand_written_lower_bounds()) == []
+
+
+def test_at_least_reads_by_index_and_refuses_below_its_least():
+    assert combinat.at_least(True, 0, "flag") == 1
+    assert combinat.at_least(10 ** 30, 5, "n") == 10 ** 30
+    for value in (2.0, Fraction(2), "2"):
+        with pytest.raises(TypeError):
+            combinat.at_least(value, 0, "n")
+    with pytest.raises(ValueError, match="^n must be at least 5, got 4$"):
+        combinat.at_least(4, 5, "n")
 
 
 # module -> why no package module imports it, at the top level or in a function

@@ -155,12 +155,24 @@ def test_the_boundary_route_charges_the_boundary_fold():
         assert eddeg.route(dims, (1,) * len(dims), False).name == "frobenius-fold"
 
 
+def test_the_boundary_route_is_taken_exactly_where_the_format_is_dual_defective():
+    """The ED degree of base x P^m stops growing where the hyperdeterminant of the format
+    turns defective: one predicate, ``hyperdet.is_dual_nondefective``, names both."""
+    formats = [f for f in hyperdet.partition_formats(12) if len(f) >= 2]
+    names = {dims: eddeg.route(dims, (1,) * len(dims), False).name for dims in formats}
+    assert {dims for dims, name in names.items() if name == "frobenius-boundary"} == {
+        dims for dims in formats if not hyperdet.is_dual_nondefective(dims)}
+    assert set(names.values()) == {"frobenius-boundary", "frobenius-fold"}
+
+
 def test_a_frobenius_degree_with_weights_on_two_factors_has_no_route():
-    for weights in ((2, 2), (1, 3), (1,), (1, 1, 1)):
+    for weights in ((2, 2), (1, 3)):
         with pytest.raises(ValueError, match="^no Frobenius ED degree route for weights "):
             eddeg.route((1, 2), weights, False)
-    with pytest.raises(ValueError, match="^weights must match the number of factors$"):
-        eddeg.route((1, 2), (1,), True).call()
+    # a weight count that does not match is refused by the route itself, on either metric
+    for weights, generic in (((1,), False), ((1, 1, 1), False), ((1,), True)):
+        with pytest.raises(ValueError, match="^weights must match the number of factors$"):
+            eddeg.route((1, 2), weights, generic)
 
 
 @pytest.mark.parametrize("module", [eddeg, hyperdet], ids=["eddeg", "hyperdet"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -65,9 +66,10 @@ def test_dual_nondefectiveness_criterion():
     # a format is checked as every other function that takes one checks it
     with pytest.raises(TypeError):
         is_dual_nondefective((2.0, 1, 1))
-    for dims in ((-3, 1), ()):
-        with pytest.raises(ValueError, match="invalid dimensions"):
-            is_dual_nondefective(dims)
+    with pytest.raises(ValueError, match="^each dimension must be at least 0, got -3$"):
+        is_dual_nondefective((-3, 1))
+    with pytest.raises(ValueError, match=re.escape("invalid dimensions ()")):
+        is_dual_nondefective(())
 
 
 def test_known_degrees():
