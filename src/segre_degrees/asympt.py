@@ -50,9 +50,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _E2 = math.exp(2.0)
 
 
-def _require_hypercube(d: int, n: int = 1) -> tuple[int, int]:
-    """d and n as integers; raise unless (n+1)^d has at least three factors of dimension >= 1."""
-    return at_least(d, 3, "d"), at_least(n, 1, "n")
+def _require_hypercube(d: int, n: int = 1, omega: int = 1) -> tuple[int, int, int]:
+    """d, n and the weight omega as integers; raise unless d >= 3, n >= 1 and omega >= 1."""
+    return at_least(d, 3, "d"), at_least(n, 1, "n"), at_least(omega, 1, "omega")
 
 
 def log_hyperdet_asymptotic(d: int, n: int) -> float:
@@ -76,7 +76,7 @@ def log_ed_asymptotic(d: int, n: int) -> float:
     like 1/n (checked against exact values up to n=30 for d=3 and n=10 for
     d=4).
     """
-    d, n = map(float, _require_hypercube(d, n))
+    d, n, _ = map(float, _require_hypercube(d, n))
     size = n + 1
     return ((d - 1) * math.log(d - 1)
             - (d - 1) / 2 * _LOG_2PI
@@ -92,8 +92,7 @@ def log_sv_hyperdet_asymptotic(d: int, n: int, omega: int) -> float:
         (wd-1)^(2d-2) / ([2 pi (wd-2)]^((d-1)/2) w^((4d-5)/2) d^((3d-6)/2))
             * (wd-1)^(dn) / n^((d-3)/2)
     """
-    d, n = _require_hypercube(d, n)
-    omega = at_least(omega, 1, "omega")
+    d, n, omega = _require_hypercube(d, n, omega)
     wd = omega * d  # an integer: math.log reads it at any size
     d, n = float(d), float(n)
     return ((2 * d - 2) * math.log(wd - 1)
@@ -239,7 +238,7 @@ def verify_minimal_point_constants(d: int) -> MinimalPointCheck:
     built from the two partials, and each check cross-multiplies a pair with
     its closed form.  No ``Fraction`` is built.
     """
-    d, _ = _require_hypercube(d)
+    d, _, _ = _require_hypercube(d)
     h_at_c = rational(sum(c * _subset_term(d, k) for k, c in enumerate(binomial_row(d))),
                       (d - 1) ** d)
     if h_at_c != (0, 1):
@@ -284,18 +283,24 @@ ConvergencePoint = namedtuple("ConvergencePoint", "grid_value exact log_estimate
 
 # formula -> (route(d, n, omega), log_estimate(d, n, omega)) on the hypercubical format
 # (n+1)^d.  A route names and charges what ``hyperdet.route`` or ``eddeg.route`` give for
-# (n,) * d, charging one factor d times, so no tuple of length d is built before its call.
-# Each entry looks its functions up when called, so a tracer or test double sees every call.
-_SV = (lambda d, n, omega: Route("segre-fold", fold_cost((n,), (1,), omega, copies=d),
-                                 lambda: sv_hyperdet_degree((n,) * d, omega)),
-       lambda d, n, omega: log_sv_hyperdet_asymptotic(d, n, omega))
-FORMULAS = {
-    "hyperdet": _SV,
-    "ed": (lambda d, n, omega: Route("frobenius-fold", fold_cost((n,), (1,), 1, copies=d),
-                                     lambda: frobenius_ed_degree((n,) * d)),
-           lambda d, n, omega: log_ed_asymptotic(d, n)),
-    "sv": _SV,
-}
+# (n,) * d after reading d, n and omega, charging one factor d times, so no tuple of length
+# d is built before its call.  Each entry looks its functions up when called, so a tracer
+# or test double sees every call.
+def _sv_route(d: int, n: int, omega: int) -> Route:
+    d, n, omega = _require_hypercube(d, n, omega)
+    return Route("segre-fold", fold_cost((n,), (1,), omega, copies=d),
+                 lambda: sv_hyperdet_degree((n,) * d, omega))
+
+
+def _ed_route(d: int, n: int, omega: int) -> Route:
+    d, n, omega = _require_hypercube(d, n, omega)
+    return Route("frobenius-fold", fold_cost((n,), (1,), 1, copies=d),
+                 lambda: frobenius_ed_degree((n,) * d))
+
+
+_SV = (_sv_route, lambda d, n, omega: log_sv_hyperdet_asymptotic(d, n, omega))
+FORMULAS = {"hyperdet": _SV, "ed": (_ed_route, lambda d, n, omega: log_ed_asymptotic(d, n)),
+            "sv": _SV}
 
 
 def convergence_sweep(formula: str, d: int, grid: Sequence[int], omega: int = 1,

@@ -34,27 +34,28 @@ for n >= m.  That ratio, and the binomial identities proving it, are checked
 case by case by the ``*_identity_holds`` functions, and exhaustively by
 ``identity_sweep`` and ``stabilization_ratio_check``.
 
-Those checks sum their defining series term by term on Python integers: the
-alpha and alternating sums run only over the terms that can be non-zero, and
-the g sum is scaled by (n+1)! (n+2)! so that every term is an integer.  No
-sum is replaced by its closed form, which would make the check a tautology.
-The two sweeps sum each distinct series once and hand it to every case that
-reads it: the alpha and alternating sums depend on m and i only through
-m - i + 1, so each row n holds one dot per value of it (per d for alpha), and
-the f and g values of row n+1 serve both the recurrences of row n and the
-checks of row n+1.  Each distinct comparison is made once, and a failed one
-is reported for every case that reads it, while the case count still counts
-every case.  A sweep holds two rows at a time, never a table over all n.  The
-routes these replaced, the multigraded ring, the per-term polar sum and the
-``Fraction`` bodies of the integer sums, are test oracles in
+Those checks sum their defining series exactly on Python integers: the g sum
+term by term, scaled by (n+1)! (n+2)! so that every term is an integer, and
+the alpha, alternating and f sums, a signed row against a binomial column, by
+the ``_running_sums`` of the row, with no ``comb`` per term.  No sum is
+replaced by its closed form, which would make the check a tautology.  The two
+sweeps sum each distinct series once and hand it to every case that reads it:
+the alpha and alternating sums depend on m and i only through m - i + 1, so
+each row n holds one dot per value of it (per d for alpha), and the f and g
+values of row n+1 serve both the recurrences of row n and the checks of row
+n+1.  Each distinct comparison is made once, and a failed one is reported for
+every case that reads it, while the case count still counts every case.  A
+sweep holds two rows at a time, never a table over all n.  The routes these
+replaced, the multigraded ring, the per-term polar sum, the ``Fraction``
+bodies of the integer sums and the ``comb`` columns, are test oracles in
 ``tests/ring_oracle.py``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Sequence
-from itertools import accumulate, cycle, repeat
+from collections.abc import Callable, Sequence
+from itertools import accumulate, cycle
 from math import comb, factorial, perm
 from operator import index, mul
 
@@ -111,12 +112,7 @@ def chern_data_projective_space_product(dims: Sequence[int]) -> ChernData:
 
 def _hypersurface_chern_coeffs(n: int, deg_d: int) -> list[int]:
     """Coefficients of (1+y)^(n+2) / (1 + deg_d * y) up to y^n."""
-    out = []
-    s = 0
-    for c in binomial_row(n + 2)[:n + 1]:
-        s = c - deg_d * s
-        out.append(s)
-    return out
+    return list(accumulate(binomial_row(n + 2)[:n + 1], lambda s, c: c - deg_d * s))
 
 
 def chern_data_smooth_hypersurface(n: int, deg_d: int) -> ChernData:
@@ -171,7 +167,8 @@ def alpha_coefficients(n: int, m: int, deg_d: int) -> list[int]:
     coefficients (-1)^k g_k, k = 0..n, with the column C(m+n+1-i-k, m-i+1).
     That dot depends on m and i only through low = m - i + 1, so the
     coefficients are a readout of the dots S(n, low, d), low = 1..m+1, of
-    ``_alpha_dots``, which ``stabilization_ratio_check`` compares directly.
+    ``_alpha_dots``, which reads every column from running sums and which
+    ``stabilization_ratio_check`` compares directly.
     """
     n, m = at_least(n, 0, "n"), at_least(m, 0, "m")
     deg_d = at_least(deg_d, 1, "hypersurface degree")
@@ -181,23 +178,25 @@ def alpha_coefficients(n: int, m: int, deg_d: int) -> list[int]:
 
 def _alpha_dots(n: int, degrees: Sequence[int], top: int) -> list[list[int]]:
     """For each d in ``degrees``, the row S(n, low, d), low = 1..top, with
-    alpha_i(n, m, d) = d (-1)^i S(n, m-i+1, d); the signed Chern coefficients
-    of each d are built once for the whole row."""
-    signed_rows = [list(map(mul, cycle((1, -1)), _hypersurface_chern_coeffs(n, d)))
-                   for d in degrees]
-    return _dots(signed_rows, n, range(1, top + 1))
+    alpha_i(n, m, d) = d (-1)^i S(n, m-i+1, d): low times entry n of round
+    low+1 of the ``_running_sums`` of the signed coefficients (-1)^k g_k."""
+    rows = []
+    for d in degrees:
+        signed = list(map(mul, cycle((1, -1)), _hypersurface_chern_coeffs(n, d)))
+        rounds = _running_sums(signed, top + 1)
+        rows.append([low * rounds[low + 1][n] for low in range(1, top + 1)])
+    return rows
 
 
-def _dots(signed_rows: Sequence[Sequence[int]], n: int, lows: Iterable[int]) -> list[list[int]]:
-    """low * sum_{k=0}^{n} signed[k] C(low+n-k, low) for each row of signed
-    coefficients and each low, by C-level iteration; the binomial column of a
-    low is built once for all rows."""
-    out: list[list[int]] = [[] for _ in signed_rows]
-    for low in lows:
-        column = list(map(comb, range(low + n, low - 1, -1), repeat(low)))
-        for row, signed in zip(out, signed_rows):
-            row.append(low * sum(map(mul, signed, column)))
-    return out
+def _running_sums(row: Sequence[int], passes: int) -> list[list[int]]:
+    """``row`` followed by ``passes`` rounds of running sums over it.  Round t
+    holds the coefficients of row(x) / (1-x)^t, so its entry j is
+    sum_k row[k] C(t-1+j-k, t-1): every binomial column the alpha,
+    alternating and f series read, by additions alone."""
+    rounds = [list(row)]
+    for _ in range(passes):
+        rounds.append(list(accumulate(rounds[-1])))
+    return rounds
 
 
 def delta0_product_with_hypersurface(cd: ChernData, n: int, deg_d: int) -> int:
@@ -262,24 +261,18 @@ def _alternating_sum(n: int, low: int) -> int:
     """(-1)^i times the left-hand side of ``alternating_binomial_identity_holds``,
     summed like ``alpha_coefficients``: only r <= n+i contributes, and with k = r - i
     each term is (-1)^k low C(n+2, k+1) C(n+low-k, low) for low = m - i + 1."""
-    return _dots([_signed_binomials(n + 2, n + 1)], n, (low,))[0][0]
+    return low * _running_sums(_signed_binomials(n + 2), low + 1)[low + 1][n]
 
 
-def _signed_binomials(a: int, count: int) -> list[int]:
-    """(-1)^k C(a, k+1) for k = 0..count-1: the signed coefficients of the
-    alternating sum of n (a = n+2, count = n+1) and of f(n) (a = count = n+1)."""
-    return list(map(mul, cycle((1, -1)), binomial_row(a)[1:count + 1]))
+def _signed_binomials(a: int) -> list[int]:
+    """(-1)^k C(a, k+1) for k = 0..a, the last 0: the signed coefficients of the
+    alternating sums of n = a-2 and of f(a-1)."""
+    return list(map(mul, cycle((1, -1)), [*binomial_row(a)[1:], 0]))
 
 
 def _f_sum(n: int, m: int) -> int:
-    """f(n) = sum_{r=0}^{n} (-1)^r C(n+1, r+1) C(m+n+1-r, m)."""
-    return _f_dot(_signed_binomials(n + 1, n + 1), m)
-
-
-def _f_dot(signed: Sequence[int], m: int) -> int:
-    """f(n, m) from its signed coefficients (-1)^r C(n+1, r+1), r = 0..n."""
-    n = len(signed) - 1
-    return sum(map(mul, signed, map(comb, range(m + n + 1, m, -1), repeat(m))))
+    """f(n) = sum_{r=0}^{n} (-1)^r C(n+1, r+1) C(m+n+1-r, m), entry n+1 of round m+1."""
+    return _running_sums(_signed_binomials(n + 1), m + 1)[m + 1][n + 1]
 
 
 def f_identity_holds(n: int, m: int) -> bool:
@@ -352,8 +345,10 @@ def identity_sweep(max_n: int, report: Callable[[str], None]) -> int:
 
     Each distinct sum is summed once: the alternating dots once per (n, low)
     with low = m - i + 1, and f(n+1, m) and G(n+1, j) once, for the
-    recurrences of row n and the values of row n+1.  The sweep holds two rows
-    of each, O(max_n) integers."""
+    recurrences of row n and the values of row n+1; f(n+1, m) and the
+    alternating dots of row n read one ``_running_sums`` of (-1)^k C(n+2, k+1).
+    It holds two rows of each and the rounds of one row, O(max_n^2) integers."""
+    max_n = at_least(max_n, 0, "max_n")
     checked = 0
     factorials = list(map(factorial, range(2 * max_n + 3)))
     f_row = [_f_sum(0, 0)]
@@ -361,13 +356,12 @@ def identity_sweep(max_n: int, report: Callable[[str], None]) -> int:
     for n in range(max_n + 1):
         # row n+1 of f and G, as far as row n's recurrences and row n+1's values reach
         top = min(n + 1, max_n)
-        signed = _signed_binomials(n + 2, n + 2)
-        f_next = [_f_dot(signed, m) for m in range(top + 1)]
+        rounds = _running_sums(_signed_binomials(n + 2), n + 2)
+        f_next = [rounds[m + 1][n + 2] for m in range(top + 1)]
         weights = _g_weights(n + 1)
         g_next = [_g_dot(weights, j, factorials) for j in range(1, top + 1)]
-        alternating = _dots([signed[:n + 1]], n, range(1, n + 2))[0]
-        failed = [low for low, dot in enumerate(alternating, 1)
-                  if not _alternating_holds(n, low, dot)]
+        failed = [low for low in range(1, n + 2)
+                  if not _alternating_holds(n, low, low * rounds[low + 1][n])]
         checked += (n + 1) * (n + 2) // 2
         for m in range(n + 1):
             for low in reversed(failed):  # i = m + 1 - low rises as low falls

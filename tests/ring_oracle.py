@@ -9,13 +9,16 @@ full-range binomial bodies of the sums behind the ``verify`` suites before
 those moved onto integers: the alpha coefficients, the alternating binomial
 and g identities, the evaluation of a ring element at a rational point, and
 the mixed partials and minimal-point constants behind ``verify rw-constants``,
-and the polar classes with one binomial per term.
+the polar classes with one binomial per term, and the binomial columns of the
+alpha, alternating and f dots with one ``comb`` per term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import comb, factorial
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from segre_degrees.asympt import MinimalPointCheck
@@ -278,6 +281,26 @@ def binomial_alternating_sum(n: int, m: int, i: int) -> int:
 def binomial_alternating_identity_holds(n: int, m: int, i: int) -> bool:
     rhs = (n + m + 2 - i) * binomial(m + n + 1 - i, n + 1)
     return binomial_alternating_sum(n, m, i) == (-rhs if i & 1 else rhs)
+
+
+def comb_column_dots(signed_rows: Sequence[Sequence[int]], n: int,
+                     lows: Sequence[int]) -> List[List[int]]:
+    """low * sum_{k=0}^{n} signed[k] C(low+n-k, low) for each row of signed
+    coefficients and each low, one ``comb`` per term: the alpha and
+    alternating dots before ``polar`` read them from running sums."""
+    out: List[List[int]] = [[] for _ in signed_rows]
+    for low in lows:
+        column = list(map(comb, range(low + n, low - 1, -1), repeat(low)))
+        for row, signed in zip(out, signed_rows):
+            row.append(low * sum(map(mul, signed, column)))
+    return out
+
+
+def comb_column_f(signed: Sequence[int], m: int) -> int:
+    """f(n, m) from its signed coefficients (-1)^r C(n+1, r+1), r = 0..n, one
+    ``comb`` per term."""
+    n = len(signed) - 1
+    return sum(map(mul, signed, map(comb, range(m + n + 1, m, -1), repeat(m))))
 
 
 def fraction_g_sum(n: int, j: int) -> Fraction:

@@ -952,9 +952,29 @@ def _perturbed_at(monkeypatch, name, key, where):
     monkeypatch.setattr(polar, name, lambda *a: original(*a) + (key(*a) == where))
 
 
+def _identity_row(n):
+    """(-1)^k C(n+2, k+1), k = 0..n+2: the row whose running sums hold the
+    alternating dots of n and f(n+1, m)."""
+    return [(-1) ** k * math.comb(n + 2, k + 1) for k in range(n + 3)]
+
+
+def _perturbed_round(monkeypatch, row, t, j):
+    """Add 1 to entry j of round t of every polar._running_sums over ``row``."""
+    original = polar._running_sums
+
+    def perturbed(r, passes):
+        rounds = original(r, passes)
+        if list(r) == row:
+            rounds[t][j] += 1
+        return rounds
+
+    monkeypatch.setattr(polar, "_running_sums", perturbed)
+
+
 def test_verify_failures_in_every_format(monkeypatch, capsys):
-    # f(3, 0) is summed once, for the recurrence of row 2, the last of --max 2
-    _perturbed_at(monkeypatch, "_f_dot", lambda signed, m: (len(signed) - 1, m), (3, 0))
+    # f(3, 0), entry 4 of round 1 of row 2, is summed once, for the recurrence of
+    # row 2, the last of --max 2
+    _perturbed_round(monkeypatch, _identity_row(2), 1, 4)
     code, out, _ = run(["verify", "identities", "--max", "2"], capsys)
     assert code == 1
     lines = out.splitlines()
@@ -971,16 +991,8 @@ def test_verify_failures_in_every_format(monkeypatch, capsys):
 
 def test_verify_identities_reports_a_wrong_alternating_dot_for_every_case_that_reads_it(
         monkeypatch, capsys):
-    original = polar._dots
-
-    def perturbed(signed_rows, n, lows):
-        rows = original(signed_rows, n, lows)
-        # the sweep dots one alternating row at a time, the ratio check four, d = 2..5
-        if len(signed_rows) == 1 and n == 3:
-            rows[0][1] += 1  # low = 2
-        return rows
-
-    monkeypatch.setattr(polar, "_dots", perturbed)
+    # the alternating dot of n = 3 and low = 2 is low times entry 3 of round 3 of row 3
+    _perturbed_round(monkeypatch, _identity_row(3), 3, 3)
     code, out, _ = run(["verify", "identities", "--max", "4"], capsys)
     assert code == 1
     assert out.splitlines()[:4] == [
@@ -1062,9 +1074,8 @@ def _sum_calls(monkeypatch, names_and_keys):
 def test_verify_identities_sums_each_defining_series_once(monkeypatch, capsys):
     top = 22
     counts = _sum_calls(monkeypatch, [
-        ("_dots", lambda signed_rows, n, lows: (n, tuple(lows), len(signed_rows))),
+        ("_running_sums", lambda row, passes: (tuple(row), passes)),
         ("_hypersurface_chern_coeffs", lambda n, d: (n, d)),
-        ("_f_dot", lambda signed, m: (len(signed) - 1, m)),
         ("_g_weights", lambda n: n),
         ("_g_dot", lambda weights, j, _: (len(weights) - 1, j)),
     ])
@@ -1075,24 +1086,21 @@ def test_verify_identities_sums_each_defining_series_once(monkeypatch, capsys):
     assert run(["verify", "identities", "--max", str(top)], capsys)[0] == 0
     assert counts == first  # no cache: the second run does the same work
 
-    # one dot per (n, low) for the alternating sums and per (n, low, d) for the alphas;
-    # the alpha row of n = top is read only as alpha(n+1) of n = top - 1
-    dots = Counter()
-    for (n, lows, rows), calls in counts["_dots"].items():
-        for low in lows:
-            dots[n, low] += rows * calls
-    wanted = Counter()
+    # one set of rounds per n for the identity rows, through low = n + 1 and f(n+1, n+1),
+    # after f(0, 0) from the row of n = -1; one per (n, d) for the alpha rows, whose row
+    # n = top is read only as alpha(n+1) of n = top - 1, through low = min(n, top - 1) + 1
+    wanted = Counter({(tuple(_identity_row(-1)), 1): 1})
     for n in range(top + 1):
-        for low in range(1, n + 2):
-            wanted[n, low] += 1
-        for low in range(1, min(n, top - 1) + 2):
-            wanted[n, low] += 4
-    assert dots == wanted
+        wanted[tuple(_identity_row(n)), n + 2] += 1
+        for d in range(2, 6):
+            # (-1)^k g_k for the y^k coefficient g_k of (1+y)^(n+2) / (1+dy)
+            signed = tuple((-1) ** k * sum(math.comb(n + 2, j) * (-d) ** (k - j)
+                                           for j in range(k + 1)) for k in range(n + 1))
+            wanted[signed, min(n, top - 1) + 2] += 1
+    assert counts["_running_sums"] == wanted
     assert counts["_hypersurface_chern_coeffs"] == Counter(
         (n, d) for n in range(top + 1) for d in range(2, 6))
-    # f(n, m) and G(n, j) for every row n <= top and the n+1 values of row top
-    assert counts["_f_dot"] == Counter(
-        (n, m) for n in range(top + 2) for m in range(min(n, top) + 1))
+    # G(n, j) for every row n <= top and the n values of row top + 1
     assert counts["_g_weights"] == Counter(range(1, top + 2))
     assert counts["_g_dot"] == Counter(
         (n, j) for n in range(top + 2) for j in range(1, min(n, top) + 1))
@@ -1239,15 +1247,29 @@ def _perturbed(fn, args):
     return lambda *a: fn(*a) + (a == args)
 
 
-@pytest.mark.parametrize("name, args, first_failure", [
+def _c63_read_twice(running_sums):
+    """running_sums with the binomial C(6, 3) one too large: entry j of round 4 is
+    sum_k row[k] C(3+j-k, 3), so it reads its term k = j - 3 once more."""
+    def perturbed(row, passes):
+        rounds = running_sums(row, passes)
+        if passes >= 4:
+            rounds[4] = [v + (row[j - 3] if j >= 3 else 0) for j, v in enumerate(rounds[4])]
+        return rounds
+
+    return perturbed
+
+
+@pytest.mark.parametrize("term, args, first_failure", [
     # one term of G(4, j): the s = 2 falling factorial 5!/3!
-    ("perm", (5, 2), "g identity failed at n=3 j=1"),
+    ("perm", ("perm", lambda f: _perturbed(f, (5, 2))), "g identity failed at n=3 j=1"),
     # C(6, 3) is a term of the alternating, f and alpha sums
-    ("comb", (6, 3), "binomial identity failed at n=3 m=2 i=0"),
+    ("comb", ("_running_sums", _c63_read_twice), "binomial identity failed at n=3 m=2 i=0"),
 ])
-def test_verify_identities_sees_one_perturbed_term(monkeypatch, capsys, name, args,
+def test_verify_identities_sees_one_perturbed_term(monkeypatch, capsys, term, args,
                                                      first_failure):
-    monkeypatch.setattr(polar, name, _perturbed(getattr(polar, name), args))
+    """``args`` names the polar function that holds the wrong ``term`` and wraps it."""
+    name, wrong = args
+    monkeypatch.setattr(polar, name, wrong(getattr(polar, name)))
     code, out, _ = run(["verify", "identities", "--max", "6"], capsys)
     assert code == 1
     assert out.startswith(f"FAIL {first_failure}\n")

@@ -64,8 +64,14 @@ def test_traced_replay_resolves_every_name_and_keeps_the_bytes(capsys):
     assert calls["cli"] == 2
 
 
-@pytest.mark.parametrize("suite, maxima", [("identities", range(31)), ("stabilization", range(1, 8))])
+@pytest.mark.parametrize("suite, maxima", [
+    ("identities", [*range(31), cli._SUITES["identities"][3]]),
+    ("stabilization", [*range(1, 8), cli._SUITES["stabilization"][3]]),
+    ("cross-oracle", [cli._SUITES["cross-oracle"][3]]),
+    ("rw-constants", [cli._SUITES["rw-constants"][3]]),
+])
 def test_verify_checked_counts_match_the_count_formulas(capsys, suite, maxima):
+    """Each count up to the default bound, and at each suite's largest ``--max``."""
     for top in maxima:
         assert main(["verify", suite, "--max", str(top)]) == 0
         summary = capsys.readouterr().out.splitlines()[-1]

@@ -30,10 +30,11 @@ from segre_degrees.polar import (
     stabilization_ratio_check,
 )
 from segre_degrees.combinat import binomial
-from segre_degrees.polar import _alternating_sum, _f_sum, _g_scaled
+from segre_degrees.polar import _alpha_dots, _alternating_sum, _f_sum, _g_scaled
 
 from ring_oracle import (binomial_alpha_coefficients, binomial_alternating_identity_holds,
-                         binomial_alternating_sum, binomial_polar_class,
+                         binomial_alternating_sum, binomial_polar_class, comb_column_dots,
+                         comb_column_f,
                          fraction_g_identity_holds, fraction_g_sum,
                          ring_chern_degrees, ring_chern_product,
                          ring_chern_projective_space_product, ring_chern_smooth_hypersurface)
@@ -224,6 +225,33 @@ def test_alpha_coefficients_match_the_full_range_sum():
         for m in range(17):
             for d in range(1, 6):
                 assert alpha_coefficients(n, m, d) == binomial_alpha_coefficients(n, m, d)
+
+
+def _signed(values):
+    return [-v if k & 1 else v for k, v in enumerate(values)]
+
+
+def test_running_sums_equal_the_comb_columns():
+    """Every series read from ``polar._running_sums`` equals its binomial column
+    built with one ``comb`` per term."""
+    degrees = range(2, 7)
+    for n in range(41):
+        lows = range(1, n + 3)
+        # (-1)^k g_k for the y^k coefficient g_k of (1+y)^(n+2) / (1+dy)
+        rows = [_signed(sum(comb(n + 2, j) * (-d) ** (k - j) for j in range(k + 1))
+                        for k in range(n + 1)) for d in degrees]
+        dots = comb_column_dots(rows, n, lows)
+        assert _alpha_dots(n, degrees, n + 2) == dots
+        for d, row in zip(degrees, dots):
+            for m in range(n + 2):
+                assert alpha_coefficients(n, m, d) == \
+                    [(-d if i & 1 else d) * row[m - i] for i in range(m + 1)]
+        alternating = _signed(comb(n + 2, k + 1) for k in range(n + 1))
+        assert [_alternating_sum(n, low) for low in lows] == \
+            comb_column_dots([alternating], n, lows)[0]
+        f_row = _signed(comb(n + 1, r + 1) for r in range(n + 1))
+        assert [_f_sum(n, m) for m in range(n + 3)] == \
+            [comb_column_f(f_row, m) for m in range(n + 3)]
 
 
 def test_identity_sums_match_their_oracles():

@@ -18,7 +18,7 @@ from segre_degrees.eddeg import (binary_generic_ed_degree, generic_ed_degree,
 from segre_degrees.hyperdet import (binary_hyperdet_degree, mixed_partial_at_symmetric_point,
                                     sv_hyperdet_degree)
 from segre_degrees.polar import (ChernData, alpha_coefficients, chern_data_smooth_hypersurface,
-                                 f_identity_holds, stabilization_ratio_check)
+                                 f_identity_holds, identity_sweep, stabilization_ratio_check)
 
 # one row per ``at_least`` call, plus the range and shape refusals no other test reaches
 REFUSALS = [
@@ -35,6 +35,8 @@ REFUSALS = [
     (discriminant_route, (0, 3), "n must be at least 1, got 0"),
     (discriminant_route, (3, 2), "omega must be at least 3, got 2"),
     (relative_error, (0, 1.0), "exact must be at least 1, got 0"),
+    (asympt.FORMULAS["sv"][0], (3, 2, 0), "omega must be at least 1, got 0"),
+    (asympt.FORMULAS["ed"][0], (2, 2, 1), "d must be at least 3, got 2"),
     (veronese_frobenius_ed_degree, (-1, 3), "n must be at least 0, got -1"),
     (veronese_frobenius_ed_degree, (2, 1), "omega must be at least 2, got 1"),
     (generic_ed_degree, ((1, 1), (1,)), "weights must match the number of factors"),
@@ -57,6 +59,7 @@ REFUSALS = [
     (stabilization_ratio_check, (-1, 0, 2, print), "m_max must be at least 0, got -1"),
     (stabilization_ratio_check, (0, -1, 2, print), "n_max must be at least 0, got -1"),
     (stabilization_ratio_check, (0, 0, 1, print), "d_max must be at least 2, got 1"),
+    (identity_sweep, (-5, print), "max_n must be at least 0, got -5"),
     (f_identity_holds, (1, 2), "need n >= m >= 0, got n=1, m=2"),
 ]
 
@@ -81,6 +84,7 @@ FLOAT_ARGUMENTS = [
     (discriminant_quotients, (0.5, 3)),
     (discriminant_route, (0.5, 3)),
     (relative_error, (0.5, 0.0)),
+    (asympt.FORMULAS["ed"][0], (3, 2.0, 1)),
     (veronese_frobenius_ed_degree, (2, 1.5)),
     (generic_ed_degree, ((1, 1), (0.5, 1))),
     (eddeg.route, ((1, 1), (0.5, 1), True)),
@@ -94,6 +98,7 @@ FLOAT_ARGUMENTS = [
     (chern_data_smooth_hypersurface, (-1.0, 2)),
     (alpha_coefficients, (-1.0, 1, 2)),
     (stabilization_ratio_check, (-1.0, 1, 2, print)),
+    (identity_sweep, (-1.0, print)),
 ]
 
 
@@ -113,8 +118,11 @@ def test_a_float_integer_argument_is_a_type_error(function, args):
     (lambda: hyperdet.route((1, 1, 1), 0), ValueError),
     (lambda: discriminant_route(2.0, 3), TypeError),
     (lambda: discriminant_route(0, 3), ValueError),
+    (lambda: asympt.FORMULAS["sv"][0](3, 2, 0), ValueError),
+    (lambda: asympt.FORMULAS["ed"][0](3, 2.0, 1), TypeError),
 ], ids=["eddeg-short-weights", "eddeg-zero-weight", "eddeg-weighted-frobenius",
-        "hyperdet-zero-weight", "discriminant-float-n", "discriminant-zero-n"])
+        "hyperdet-zero-weight", "discriminant-float-n", "discriminant-zero-n",
+        "formulas-sv-zero-omega", "formulas-ed-float-n"])
 def test_a_route_refuses_before_any_cost_model_runs(monkeypatch, make, error):
     """A route's peak describes the request its call computes: the route
     refuses what its call would, before ``fold_cost`` or ``power_cost`` runs."""
