@@ -22,8 +22,8 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .combinat import (Route, VerificationError, at_least, binomial_row, fold_cost, power_cost,
-                       rational)
+from .combinat import (Route, UsageError, VerificationError, at_least, binomial_row, fold_cost,
+                       power_cost, rational)
 from .eddeg import frobenius_ed_degree, veronese_frobenius_ed_degree
 from .hyperdet import mixed_partial_at_symmetric_point, sv_hyperdet_degree
 
@@ -314,7 +314,7 @@ def convergence_sweep(formula: str, d: int, grid: Sequence[int], omega: int = 1,
     double it raises nothing, as an overflow gives ``inf`` or ``nan``.
     """
     if formula not in FORMULAS:
-        raise ValueError(f"unknown formula {formula!r}")
+        raise UsageError(f"unknown formula {formula!r}")
     route, log_estimate_fn = FORMULAS[formula]
     points = []
     for n in grid:

@@ -15,6 +15,9 @@ positionals and options, which ``parse_args`` walks and ``--help`` prints.
 Exit codes: 0 success, 1 verification failure, 2 usage error (one ``error:``
 line), 3 resource cap (over the byte budget, or a ``MemoryError``).  Any other
 exception is a bug; it is not caught, so it ends the process with a traceback.
+A usage error is ``combinat.UsageError``: argv integers are read by
+``combinat.at_least``, and a library refusal of an argv value is exit 2, so
+no route's bound is checked here.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from collections.abc import Callable, Sequence
 from types import SimpleNamespace
 
 from . import asympt as asy, eddeg, hyperdet
-from .combinat import Route, VerificationError
+from .combinat import Route, UsageError, VerificationError, at_least
 from .hyperdet import hyperdet_degree, is_dual_nondefective, partition_formats
 from .polar import (
     ChernData,
@@ -52,10 +55,6 @@ TABLE2_BASES: tuple[tuple[int, int], ...] = ((1, 1), (1, 2), (2, 2), (2, 3))
 TABLE2_COLUMNS = 6
 
 
-class UsageError(Exception):
-    pass
-
-
 class CapBudgetError(Exception):
     pass
 
@@ -74,15 +73,14 @@ def _degree(route: Route, cap_bytes: int) -> object:
 
 
 def _integers(text: str, what: str, least: int, sep: str | None = None) -> tuple[int, ...]:
-    """The one rule for every integer in argv: ASCII digits after an optional
-    minus sign, each value at least ``least``.  ``sep`` splits a comma list or
-    a range into values; without it ``text`` is one value."""
+    """The one reader of integers in argv: ASCII digits after an optional minus
+    sign, each value at least ``least`` by ``combinat.at_least``.  ``sep`` splits a
+    comma list or a range into values; without it ``text`` is one value."""
     parts = text.split(sep) if sep else [text]
     if not all(part.removeprefix("-").isdecimal() and part.isascii() for part in parts):
         raise UsageError(f"{what} must be {'integers' if sep else 'an integer'}, got {text!r}")
     values = tuple(map(int, parts))
-    if min(values) < least:
-        raise UsageError(f"{what} must be at least {least}, got {text!r}")
+    at_least(min(values), least, what)
     return values
 
 
@@ -207,11 +205,6 @@ def _cmd_eddeg(args: SimpleNamespace) -> tuple[str, int]:
     dims = _integers(args.dims, "dims", 0, ",")
     weights = (_integers(args.weights, "--weights", 1, ",") if args.weights is not None
                else (1,) * len(dims))
-    if len(weights) != len(dims):
-        raise UsageError(f"{len(dims)} dims but {len(weights)} weights")
-    if not args.generic and len(dims) > 1 and max(weights) > 1:
-        raise UsageError("Frobenius ED degrees with non-unit weights are only "
-                         "available for a single factor; use --generic")
     value = _degree(eddeg.route(dims, weights, args.generic), args.cap_bytes)
     params = {"dims": _join(dims), "weights": _join(weights),
               "metric": "generic" if args.generic else "frobenius"}
@@ -402,9 +395,10 @@ def _log10_quotient(dec: type[Decimal], num: int, den: int) -> Decimal:
     return dec(num * 10 ** k // den).log10() - k
 
 
-# formula -> (least d, the argument after d: a grid of n values, the weight or none)
-_ASYMPT_ARGS = {**{formula: (3, "a grid of n values") for formula in asy.FORMULAS},
-                "binary": (2, None), "discriminant": (1, "the weight")}
+# formula -> the argument after d: a grid of n values, the weight or none; each formula's
+# route or estimate refuses a d below its least
+_ASYMPT_ARGS = {**dict.fromkeys(asy.FORMULAS, "a grid of n values"),
+                "binary": None, "discriminant": "the weight"}
 
 
 def _cmd_asympt(args: SimpleNamespace) -> tuple[str, int]:
@@ -412,22 +406,21 @@ def _cmd_asympt(args: SimpleNamespace) -> tuple[str, int]:
     if args.omega is not None and formula != "sv":
         raise UsageError(f"--omega applies only to the sv formula, not {formula!r}")
     omega = 1 if args.omega is None else args.omega
-    least_d, after_d = _ASYMPT_ARGS[formula]
-    d = args.d
-    if d < least_d:
-        raise UsageError(f"formula {formula!r} requires d >= {least_d}")
+    after_d, d = _ASYMPT_ARGS[formula], args.d
     if after_d is None and args.grid is not None:
         raise UsageError(f"{formula} estimates take no grid, got {args.grid!r}")
     if after_d is not None and args.grid is None:
         raise UsageError(f"formula {formula!r} needs {after_d} after d")
     if formula in asy.FORMULAS:
         grid = _parse_grid(args.grid)
+        # the route's peak and the estimate grow with n: the largest point stands for all; the
+        # route refuses a bad d before any charge
+        top = grid[-1] if isinstance(grid, range) else max(grid)
+        route = asy.FORMULAS[formula][0](d, top, omega)
         # 4 kB of frames and 4 kB a point, whose record and JSON text take under 3 kB (tracemalloc)
         _check_cap(args.cap_bytes, f"a grid of {len(grid)} points", 4096 * (len(grid) + 1))
-        # the route's peak and the estimate grow with n: the largest point stands for all
-        top = grid[-1] if isinstance(grid, range) else max(grid)
         if args.compare:
-            _check_cap(args.cap_bytes, *asy.FORMULAS[formula][0](d, top, omega).peak)
+            _check_cap(args.cap_bytes, *route.peak)
         if max(d, top) > sys.float_info.max:  # below it an estimate prints its value or inf
             raise UsageError(f"factor count d={d} and grid value n={top} are too "
                              f"large for a float estimate")
@@ -460,7 +453,7 @@ def _cmd_asympt(args: SimpleNamespace) -> tuple[str, int]:
                 lambda dec: (dec(d + 3) / dec(1).exp()).log10() - (d + 1) * dec(2).log10())),
         ]
     else:
-        omega = _integers(args.grid, "the weight", 3)[0]
+        omega = _integers(args.grid, "the weight", 1)[0]
         quotients = _degree(asy.discriminant_route(d, omega), args.cap_bytes)
         base = {"formula": "discriminant", "n": str(d), "omega": str(omega)}
         names = ("ratio-to-ed/large-n-form", "ratio-to-ed/large-weight-form",

@@ -8,8 +8,8 @@ from math import comb, factorial, gcd
 from operator import index
 
 __all__ = [
-    "Route", "VerificationError", "as_format", "at_least", "binomial", "binomial_row", "fold_cost",
-    "horner", "multinomial", "multinomial_fold", "power_cost", "rational", "segre_fold",
+    "Route", "UsageError", "VerificationError", "as_format", "at_least", "binomial", "binomial_row",
+    "fold_cost", "horner", "multinomial", "multinomial_fold", "power_cost", "rational", "segre_fold",
 ]
 
 # One way to a degree: its name, its peak as (what, bytes) from ``fold_cost`` or ``power_cost``
@@ -21,23 +21,27 @@ class VerificationError(Exception):
     """An exact identity or integrality invariant failed to hold."""
 
 
+class UsageError(ValueError):
+    """An argument refused, with the rule it breaks; any other ``ValueError`` is a bug."""
+
+
 def at_least(value: int, least: int, what: str) -> int:
     """``value`` through ``operator.index``, so a float, ``Fraction`` or ``str`` raises
-    ``TypeError`` instead of being truncated, and refused with ``ValueError`` below ``least``:
+    ``TypeError`` instead of being truncated, and refused with ``UsageError`` below ``least``:
     the one rule for every integer argument of the package.  A tuple reads its entries through
     ``map(index)`` and passes its least entry here once."""
     value = index(value)
     if value < least:
-        raise ValueError(f"{what} must be at least {least}, got {value}")
+        raise UsageError(f"{what} must be at least {least}, got {value}")
     return value
 
 
 def as_format(dims: Iterable[int]) -> tuple[int, ...]:
     """The format (n1, ..., nd) of a product of projective spaces as a tuple of
-    integers that are each at least 0 (``at_least``); an empty format raises ``ValueError``."""
+    integers that are each at least 0 (``at_least``); an empty format raises ``UsageError``."""
     dims_t = tuple(map(index, dims))
     if not dims_t:
-        raise ValueError(f"invalid dimensions {dims_t}")
+        raise UsageError(f"invalid dimensions {dims_t}")
     at_least(min(dims_t), 0, "each dimension")
     return dims_t
 

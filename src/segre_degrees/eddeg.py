@@ -28,8 +28,8 @@ from collections.abc import Sequence
 from math import perm
 from operator import index
 
-from .combinat import (Route, VerificationError, as_format, at_least, binomial_row, fold_cost,
-                       horner, multinomial_fold, power_cost, segre_fold)
+from .combinat import (Route, UsageError, VerificationError, as_format, at_least, binomial_row,
+                       fold_cost, horner, multinomial_fold, power_cost, segre_fold)
 from .hyperdet import is_dual_nondefective
 
 TYPE_CHECKING = False  # true only to type checkers, which know the name
@@ -85,7 +85,7 @@ def _format_and_weights(dims: Sequence[int], weights: Sequence[int] | None) -> t
     dims_t = as_format(dims)
     weights_t = (1,) * len(dims_t) if weights is None else tuple(map(index, weights))
     if len(weights_t) != len(dims_t):
-        raise ValueError("weights must match the number of factors")
+        raise UsageError("weights must match the number of factors")
     at_least(min(weights_t), 1, "each weight")
     return dims_t, weights_t
 
@@ -122,7 +122,8 @@ def route(dims: Sequence[int], weights: Sequence[int], generic: bool) -> Route:
     if len(dims_t) == len(weights_t) == 1:
         return Route("veronese-closed-form", power_cost(weights_t[0] - 1, dims_t[0] + 1),
                      lambda: veronese_frobenius_ed_degree(dims_t[0], weights_t[0]))
-    raise ValueError(f"no Frobenius ED degree route for weights {weights_t} on {dims_t}")
+    raise UsageError(f"no Frobenius ED degree route for weights {weights_t} on {dims_t}: "
+                     "non-unit weights need a single factor or the generic metric")
 
 
 def binary_generic_ed_degree(d: int) -> int:
@@ -138,7 +139,7 @@ def binary_generic_ed_degree(d: int) -> int:
 
 
 def stabilization_onset(base_dims: Sequence[int], m_max: int) -> list[tuple[int, int]]:
-    """Frobenius ED degrees of base x P^m for m = 0..m_max.
+    """Frobenius ED degrees of base x P^m for m = 0..m_max, each P^m folded onto the base's fold.
 
     The values must be constant from m = N = sum(base_dims) on; a violation
     would falsify the specialization argument behind the stabilization, so it
@@ -147,7 +148,8 @@ def stabilization_onset(base_dims: Sequence[int], m_max: int) -> list[tuple[int,
     base = as_format(base_dims)
     n_total = sum(base)
     m_max = at_least(m_max, n_total, "m_max")
-    out = [(m, frobenius_ed_degree(base + (m,))) for m in range(m_max + 1)]
+    g = multinomial_fold(_frobenius_factor(n) for n in base)
+    out = [(m, sum(multinomial_fold((g, _frobenius_factor(m))))) for m in range(m_max + 1)]
     stable = [value for m, value in out if m >= n_total]
     if any(v != stable[0] for v in stable):
         raise VerificationError(
@@ -167,9 +169,9 @@ def matrix_ed_polynomial(entries: Sequence[Sequence[Fraction | int]]) -> list[Fr
 
     rows = [[Fraction(v) for v in row] for row in entries]
     if not rows or not rows[0]:
-        raise ValueError("matrix must be non-empty")
+        raise UsageError("matrix must be non-empty")
     if any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("matrix rows must all have the same length")
+        raise UsageError("matrix rows must all have the same length")
     if len(rows) > len(rows[0]):
         rows = [list(col) for col in zip(*rows)]
     r, c = len(rows), len(rows[0])

@@ -25,8 +25,8 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from operator import index
 
-from .combinat import (Route, as_format, at_least, binomial_row, fold_cost, horner, rational,
-                       segre_fold)
+from .combinat import (Route, UsageError, as_format, at_least, binomial_row, fold_cost, horner,
+                       rational, segre_fold)
 
 __all__ = [
     "binary_hyperdet_degree",
@@ -109,7 +109,7 @@ def mixed_partial_at_symmetric_point(d: int, k: int) -> tuple[int, int]:
     """
     d, k = at_least(d, 2, "d"), index(k)
     if not 1 <= k <= d:
-        raise ValueError(f"need 1 <= k <= {d} differentiated variables, got {k}")
+        raise UsageError(f"need 1 <= k <= {d} differentiated variables, got {k}")
     m = d - k  # p = d - i turns N_k into sum_p (p + 1 - d) C(m, p) (d-1)^p
     terms = [(p + 1 - d) * b for p, b in enumerate(binomial_row(m))]
     return rational(horner(terms, d - 1), (d - 1) ** m)

@@ -59,7 +59,7 @@ from itertools import accumulate, cycle
 from math import comb, factorial, perm
 from operator import index, mul
 
-from .combinat import as_format, at_least, binomial_row, multinomial_fold, segre_fold
+from .combinat import UsageError, as_format, at_least, binomial_row, multinomial_fold, segre_fold
 
 __all__ = [
     "ChernData",
@@ -88,7 +88,7 @@ class ChernData(namedtuple("ChernData", "dim class_degrees")):
     def __new__(cls, dim: int, class_degrees: Sequence[int]) -> ChernData:
         dim, degrees = at_least(dim, 0, "dim"), tuple(map(index, class_degrees))
         if len(degrees) != dim + 1:
-            raise ValueError(
+            raise UsageError(
                 f"need {dim + 1} class degrees for dimension {dim}, got {len(degrees)}")
         at_least(degrees[0], 1, "the variety degree")
         return super().__new__(cls, dim, degrees)
@@ -248,7 +248,7 @@ def alternating_binomial_identity_holds(n: int, m: int, i: int) -> bool:
         = (-1)^i (n+m+2-i) C(m+n+1-i, n+1)    for n >= m >= i >= 0.
     """
     if not (n >= m >= i >= 0):
-        raise ValueError(f"need n >= m >= i >= 0, got n={n}, m={m}, i={i}")
+        raise UsageError(f"need n >= m >= i >= 0, got n={n}, m={m}, i={i}")
     return _alternating_holds(n, m - i + 1, _alternating_sum(n, m - i + 1))
 
 
@@ -283,7 +283,7 @@ def f_identity_holds(n: int, m: int) -> bool:
     both checked exactly (the gamma values are factorials of positive
     integers here)."""
     if not (n >= m >= 0):
-        raise ValueError(f"need n >= m >= 0, got n={n}, m={m}")
+        raise UsageError(f"need n >= m >= 0, got n={n}, m={m}")
     return _f_holds(n, m, _f_sum(n, m), _f_sum(n + 1, m))
 
 
@@ -330,7 +330,7 @@ def g_identity_holds(n: int, j: int) -> bool:
     (n+1-j) G(n,j) + G(n+1,j) = 2 (n+2) (n+2+j)! for G = ``_g_scaled``, which
     are checked on integers."""
     if not (n >= j >= 1):
-        raise ValueError(f"need n >= j >= 1, got n={n}, j={j}")
+        raise UsageError(f"need n >= j >= 1, got n={n}, j={j}")
     return _g_holds(n, j, _g_scaled(n, j), _g_scaled(n + 1, j))
 
 

@@ -155,19 +155,19 @@ def test_argparse_errors_are_one_error_line(capsys, argv):
                  "json, got 'yaml'", id="format-choice-after-equals"),
     pytest.param("hyperdet 1,1,1 --omega x", "--omega must be an integer, got 'x'",
                  id="omega-not-integer"),
-    pytest.param("asympt sv 3 2 --omega 0", "--omega must be at least 1, got '0'",
+    pytest.param("asympt sv 3 2 --omega 0", "--omega must be at least 1, got 0",
                  id="omega-below-least"),
     pytest.param("table table2 --jobs 1e3", "--jobs must be an integer, got '1e3'",
                  id="jobs-not-integer"),
-    pytest.param("table table2 --jobs 0", "--jobs must be at least 1, got '0'",
+    pytest.param("table table2 --jobs 0", "--jobs must be at least 1, got 0",
                  id="jobs-below-least"),
     pytest.param("hyperdet 1,1,1 --cap-bytes +5", "--cap-bytes must be an integer, got '+5'",
                  id="cap-bytes-not-integer"),
-    pytest.param("hyperdet 1,1,1 --cap-bytes=0", "--cap-bytes must be at least 1, got '0'",
+    pytest.param("hyperdet 1,1,1 --cap-bytes=0", "--cap-bytes must be at least 1, got 0",
                  id="cap-bytes-below-least"),
     pytest.param("asympt binary 1_0", "d must be an integer, got '1_0'", id="d-not-integer"),
-    pytest.param("asympt hyperdet -1 5", "d must be at least 1, got '-1'", id="d-below-least"),
-    pytest.param("asympt binary 1", "formula 'binary' requires d >= 2", id="d-below-formula"),
+    pytest.param("asympt hyperdet -1 5", "d must be at least 1, got -1", id="d-below-least"),
+    pytest.param("asympt binary 1", "d must be at least 2, got 1", id="d-below-formula"),
     pytest.param("hyperdet 1,1,1 --timing=1", "--timing takes no value, got '--timing=1'",
                  id="flag-with-value"),
     pytest.param("eddeg 1,3 --gen=yes", "--generic takes no value, got '--gen=yes'",
@@ -481,7 +481,7 @@ def test_asympt_command(capsys):
     assert any("hyperdet/ed-generic" in line for line in lines)
     code, _, err = run(["asympt", "hyperdet", "2", "5"], capsys)
     assert code == 2
-    assert "d >= 3" in err
+    assert "d must be at least 3, got 2" in err
     code, out, _ = run(["asympt", "discriminant", "2", "5"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 3
@@ -727,6 +727,13 @@ def test_huge_grid_is_refused_before_it_is_built(capsys):
     assert (code, out) == (3, "")
     assert err.startswith("error: a grid of 100000000 points ")
     assert time.perf_counter() - start < 5
+
+
+def test_a_grid_is_charged_4_kb_a_point_and_4_kb_more(capsys):
+    argv = ["asympt", "hyperdet", "3", "1:10", "--cap-bytes"]
+    assert run([*argv, "45056"], capsys)[0] == 0
+    assert run([*argv, "45055"], capsys) == (
+        3, "", "error: a grid of 10 points needs about 45056 bytes, over the budget of 45055\n")
 
 
 def _refusing_routes(monkeypatch, formula, why):
@@ -1149,9 +1156,16 @@ def test_verification_error_exits_1(monkeypatch, capsys):
 
 
 def test_stabilization_failure_is_a_verification_failure(monkeypatch, capsys):
-    original = eddeg.frobenius_ed_degree
-    monkeypatch.setattr(eddeg, "frobenius_ed_degree",
-                        lambda dims: original(dims) + (tuple(dims) == (1, 1, 5)))
+    """One wrong ED degree, of (1, 1) x P^5: the fold of P^5 onto the once-folded base
+    (1, 1), which ``stabilization_onset`` reads, gains 1."""
+    original = eddeg.multinomial_fold
+    wrong = [original(eddeg._frobenius_factor(n) for n in (1, 1)), eddeg._frobenius_factor(5)]
+
+    def fold(factors):
+        factors = list(factors)
+        return [v + (factors == wrong and s == 0) for s, v in enumerate(original(factors))]
+
+    monkeypatch.setattr(eddeg, "multinomial_fold", fold)
     with pytest.raises(VerificationError, match="failed to stabilize"):
         eddeg.stabilization_onset((1, 1), 5)
     code, out, _ = run(["verify", "stabilization", "--max", "2"], capsys)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import segre_degrees
-from segre_degrees import asympt, combinat
+from segre_degrees import asympt, cli, combinat
 from segre_degrees.combinat import as_format, binomial, binomial_row, multinomial
 from segre_degrees.eddeg import (frobenius_ed_degree, generic_ed_degree, stabilization_onset,
                                  veronese_frobenius_ed_degree)
@@ -110,6 +110,24 @@ def test_verification_error_lives_in_combinat_and_is_reexported():
     assert asympt.VerificationError is combinat.VerificationError
 
 
+def test_usage_error_lives_in_combinat_and_is_a_value_error():
+    """The command line reports the library's refusals as its own usage errors, and a library
+    caller that catches ``ValueError`` still catches them."""
+    assert cli.UsageError is combinat.UsageError
+    assert issubclass(combinat.UsageError, ValueError)
+
+
+def test_no_module_raises_a_bare_value_error():
+    """Every refusal of the package is a ``UsageError``, so a bare ``ValueError`` out of it is a
+    bug, which the command line does not catch; the test ring aside."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(segre_degrees.__file__).parent.glob("*.py"))
+             if path.stem != "truncpoly"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if _raised_name(node) == "ValueError"]
+    assert found == []
+
+
 def test_no_assert_statements_in_the_package():
     """Invariants must raise: ``python -O`` strips ``assert``."""
     found = []
@@ -176,17 +194,22 @@ def _is_lower_bound(test):
             and type(test.comparators[0].value) is int)
 
 
-def _raises_value_error(statement):
-    """``raise ValueError`` or ``raise ValueError(...)``."""
+def _raised_name(statement):
+    """``X`` of ``raise X`` or ``raise X(...)``, None for any other statement or raise."""
     exc = statement.exc if isinstance(statement, ast.Raise) else None
     exc = exc.func if isinstance(exc, ast.Call) else exc
-    return isinstance(exc, ast.Name) and exc.id == "ValueError"
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def _raises_value_error(statement):
+    """``raise ValueError`` or ``raise UsageError``, the package's ``ValueError``, called or not."""
+    return _raised_name(statement) in ("ValueError", "UsageError")
 
 
 def _hand_written_lower_bounds():
     """(file name, function, line, bounds) of each ``if`` of the package, the test ring aside,
-    that raises ``ValueError`` when a name or subscript is below an integer literal, alone or
-    inside an ``or``."""
+    that raises ``ValueError`` or ``UsageError`` when a name or subscript is below an integer
+    literal, alone or inside an ``or``."""
     for path in sorted(Path(segre_degrees.__file__).parent.glob("*.py")):
         if path.stem == "truncpoly":  # the test ring; its exponent check bounds no argument
             continue
@@ -209,7 +232,7 @@ def _hand_written_lower_bounds():
 def test_every_lower_bound_is_read_through_at_least():
     """``combinat.at_least`` is the one lower bound of the package: it reads the value by
     ``operator.index`` first and refuses with one message shape, which a hand-written
-    ``if n < 0: raise ValueError(...)`` would do neither of."""
+    ``if n < 0: raise UsageError(...)`` would do neither of."""
     assert list(_hand_written_lower_bounds()) == []
 
 
@@ -219,8 +242,23 @@ def test_at_least_reads_by_index_and_refuses_below_its_least():
     for value in (2.0, Fraction(2), "2"):
         with pytest.raises(TypeError):
             combinat.at_least(value, 0, "n")
-    with pytest.raises(ValueError, match="^n must be at least 5, got 4$"):
+    with pytest.raises(combinat.UsageError, match="^n must be at least 5, got 4$"):
         combinat.at_least(4, 5, "n")
+
+
+@pytest.mark.parametrize("args, peak", [
+    # N = 5, d = 2: 5*1 + 5 + 2 = 12 bits, so 4096 + (12 + 8) integers of 36 bytes
+    (((2, 3), (1, 1), 1), ("the degree kernel for N=5, d=2", 4816)),
+    (((40, 50), (1, 7), -9), ("the degree kernel for N=90, d=2", 19680)),
+    (((6, 7), (1, 2), 3), ("the degree kernel for N=13, d=2", 5568)),
+    (((4, 4), (2, 5), -3, 2), ("the degree kernel for N=16, d=4", 5976)),
+    (((30,), (1,), 5, 7), ("the degree kernel for N=210, d=7", 68408)),
+], ids=["unit", "weight-7", "weight-2-at-3", "two-copies", "seven-copies"])
+def test_fold_cost_charges_its_exact_bytes(args, peak):
+    """The bit count and the bytes of each held integer, to the byte: each term of the bit sum,
+    the readout's (N + 1) |x| bits and the ``copies`` default move some value across a
+    30-bit limb."""
+    assert combinat.fold_cost(*args) == peak
 
 
 # module -> why no package module imports it, at the top level or in a function

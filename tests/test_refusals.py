@@ -1,7 +1,9 @@
 """Library refusals that no other test reaches: each public function names
 the argument it refuses and the rule it breaks.  Every integer argument goes
 through ``combinat.at_least``, so a value below its least gives one message
-shape and a float gives a ``TypeError``; a route refuses before it charges."""
+shape and a float gives a ``TypeError``; a route refuses before it charges.
+Each refusal is a ``combinat.UsageError``, which the command line reports as
+its own: one ``error:`` line with the library's message, exit 2."""
 
 from __future__ import annotations
 
@@ -12,7 +14,9 @@ import pytest
 from segre_degrees import asympt, eddeg, hyperdet
 from segre_degrees.asympt import (binary_asymptotics, discriminant_quotients, discriminant_route,
                                   log_ed_asymptotic, log_sv_hyperdet_asymptotic, relative_error)
-from segre_degrees.combinat import as_format, binomial, binomial_row, multinomial
+from segre_degrees.cli import main
+from segre_degrees.combinat import (UsageError, as_format, at_least, binomial, binomial_row,
+                                    multinomial)
 from segre_degrees.eddeg import (binary_generic_ed_degree, generic_ed_degree,
                                  stabilization_onset, veronese_frobenius_ed_degree)
 from segre_degrees.hyperdet import (binary_hyperdet_degree, mixed_partial_at_symmetric_point,
@@ -51,6 +55,7 @@ REFUSALS = [
     (mixed_partial_at_symmetric_point, (3, 0), "need 1 <= k <= 3 differentiated variables, got 0"),
     (ChernData, (-1, ()), "dim must be at least 0, got -1"),
     (ChernData, (1, (0, 1)), "the variety degree must be at least 1, got 0"),
+    (ChernData, (2, (1, 2)), "need 3 class degrees for dimension 2, got 2"),
     (chern_data_smooth_hypersurface, (-1, 2), "n must be at least 0, got -1"),
     (chern_data_smooth_hypersurface, (2, 0), "hypersurface degree must be at least 1, got 0"),
     (alpha_coefficients, (-1, 0, 2), "n must be at least 0, got -1"),
@@ -67,8 +72,42 @@ REFUSALS = [
 @pytest.mark.parametrize("function, args, message", REFUSALS,
                          ids=[f"{f.__name__}{args}" for f, args, _ in REFUSALS])
 def test_library_refusals_are_value_errors_that_name_the_rule(function, args, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
         function(*args)
+
+
+# argv -> the library call that refuses its value, and that call's message; the command line
+# keeps no copy of these rules, so each line comes from the library
+ARGV_REFUSALS = [
+    ("asympt binary 1", lambda: binary_asymptotics(1), "d must be at least 2, got 1"),
+    ("asympt ed 2 5", lambda: asympt.FORMULAS["ed"][0](2, 5, 1), "d must be at least 3, got 2"),
+    ("asympt hyperdet 2 3", lambda: asympt.FORMULAS["hyperdet"][0](2, 3, 1),
+     "d must be at least 3, got 2"),
+    ("asympt discriminant 1 2", lambda: discriminant_route(1, 2), "omega must be at least 3, got 2"),
+    ("eddeg 1,1 --weights 2", lambda: eddeg.route((1, 1), (2,), False),
+     "weights must match the number of factors"),
+    ("eddeg 1,2 --weights 2,2", lambda: eddeg.route((1, 2), (2, 2), False),
+     "no Frobenius ED degree route for weights (2, 2) on (1, 2): "
+     "non-unit weights need a single factor or the generic metric"),
+    ("hyperdet 1,-1", lambda: at_least(-1, 0, "dims"), "dims must be at least 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv, call, message", ARGV_REFUSALS,
+                         ids=[argv for argv, _, _ in ARGV_REFUSALS])
+def test_the_command_line_reports_the_library_refusal(capsys, argv, call, message):
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        call()
+    assert main(argv.split()) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, quantities", [("asympt binary 2", 5),
+                                              ("asympt discriminant 1 3", 3)])
+def test_the_least_d_of_a_formula_is_accepted(capsys, argv, quantities):
+    assert main(argv.split()) == 0
+    out, err = capsys.readouterr()
+    assert (len(out.splitlines()), err) == (quantities, "")
 
 
 # one row per function that reads an integer through ``at_least``: a float below its least,
