@@ -18,6 +18,10 @@ exception is a bug; it is not caught, so it ends the process with a traceback.
 A usage error is ``combinat.UsageError``: argv integers are read by
 ``combinat.at_least``, and a library refusal of an argv value is exit 2, so
 no route's bound is checked here.
+Every library name is read through its module (``hyperdet.route``,
+``polar.dual_profile``): the package registers its submodules lazily, so a request
+runs only the modules its route reads, and the import of this module runs only
+``combinat``.
 """
 
 from __future__ import annotations
@@ -31,17 +35,8 @@ import time
 from collections.abc import Callable, Sequence
 from types import SimpleNamespace
 
-from . import asympt as asy, eddeg, hyperdet
+from . import asympt as asy, eddeg, hyperdet, polar
 from .combinat import Route, UsageError, VerificationError, at_least
-from .hyperdet import hyperdet_degree, is_dual_nondefective, partition_formats
-from .polar import (
-    ChernData,
-    chern_data_projective_space_product,
-    delta0_product_with_hypersurface,
-    dual_profile,
-    identity_sweep,
-    stabilization_ratio_check,
-)
 
 TYPE_CHECKING = False  # true only to type checkers, which know the name
 if TYPE_CHECKING:  # annotations only; ``_ratio_value`` imports decimal on its one path
@@ -246,8 +241,8 @@ def _table_stabilization(args: SimpleNamespace) -> str:
 
 
 def _table_dual_example(args: SimpleNamespace) -> str:
-    base = chern_data_projective_space_product((1, 1))
-    values = [delta0_product_with_hypersurface(base, n, 2) for n in range(6)]
+    base = polar.chern_data_projective_space_product((1, 1))
+    values = [polar.delta0_product_with_hypersurface(base, n, 2) for n in range(6)]
     records = [_record("table", {"name": "dual-example", "n": str(n)}, str(v))
                for n, v in enumerate(values)]
     csv_rows = [["n", "dual_degree"]] + [[n, v] for n, v in enumerate(values)]
@@ -276,7 +271,8 @@ def _each_case(check: Callable, cases: Sequence, report: Callable[[str], None]) 
 
 
 def _verify_identities(max_n: int, report: Callable[[str], None]) -> int:
-    return identity_sweep(max_n, report) + stabilization_ratio_check(max_n, max_n, 5, report)
+    return (polar.identity_sweep(max_n, report)
+            + polar.stabilization_ratio_check(max_n, max_n, 5, report))
 
 
 def _verify_rw_constants(max_d: int, report: Callable[[str], None]) -> int:
@@ -285,8 +281,8 @@ def _verify_rw_constants(max_d: int, report: Callable[[str], None]) -> int:
 
 def _verify_stabilization(max_total: int, report: Callable[[str], None]) -> int:
     return (_each_case(lambda base: eddeg.stabilization_onset(base, sum(base) + 3),
-                       list(partition_formats(max_total)), report)
-            + stabilization_ratio_check(6, 12, 4, report))
+                       list(hyperdet.partition_formats(max_total)), report)
+            + polar.stabilization_ratio_check(6, 12, 4, report))
 
 
 def _segre_class_degrees(dims: tuple[int, ...]) -> list[int]:
@@ -309,13 +305,13 @@ def _segre_class_degrees(dims: tuple[int, ...]) -> list[int]:
 def _verify_cross_oracle(max_total: int, report: Callable[[str], None]) -> int:
     """The hyperdeterminant degree, a readout of ``combinat.segre_fold``, and the GKZ criterion
     against delta_0 and the dual codimension of class degrees built without that fold."""
-    formats = list(partition_formats(max_total))
+    formats = list(hyperdet.partition_formats(max_total))
     for dims in formats:
-        series = hyperdet_degree(dims)
-        profile = dual_profile(ChernData(sum(dims), _segre_class_degrees(dims)))
+        series = hyperdet.hyperdet_degree(dims)
+        profile = polar.dual_profile(polar.ChernData(sum(dims), _segre_class_degrees(dims)))
         if series != profile.deltas[0]:
             report(f"dual degree mismatch for {dims}: series {series}, polar {profile.deltas[0]}")
-        if is_dual_nondefective(dims) != (profile.dual_codim == 1):
+        if hyperdet.is_dual_nondefective(dims) != (profile.dual_codim == 1):
             report(f"defectiveness disagreement for {dims}: degree {series}")
     return len(formats)
 
@@ -395,9 +391,12 @@ def _log10_quotient(dec: type[Decimal], num: int, den: int) -> Decimal:
     return dec(num * 10 ** k // den).log10() - k
 
 
+# the keys of ``asy.FORMULAS``, in order, spelled out: reading that dict at import would load
+# ``asympt`` into every process
+_GRID_FORMULAS = ("hyperdet", "ed", "sv")
 # formula -> the argument after d: a grid of n values, the weight or none; each formula's
 # route or estimate refuses a d below its least
-_ASYMPT_ARGS = {**dict.fromkeys(asy.FORMULAS, "a grid of n values"),
+_ASYMPT_ARGS = {**dict.fromkeys(_GRID_FORMULAS, "a grid of n values"),
                 "binary": None, "discriminant": "the weight"}
 
 
@@ -411,7 +410,7 @@ def _cmd_asympt(args: SimpleNamespace) -> tuple[str, int]:
         raise UsageError(f"{formula} estimates take no grid, got {args.grid!r}")
     if after_d is not None and args.grid is None:
         raise UsageError(f"formula {formula!r} needs {after_d} after d")
-    if formula in asy.FORMULAS:
+    if formula in _GRID_FORMULAS:
         grid = _parse_grid(args.grid)
         # the route's peak and the estimate grow with n: the largest point stands for all; the
         # route refuses a bad d before any charge
@@ -436,7 +435,8 @@ def _cmd_asympt(args: SimpleNamespace) -> tuple[str, int]:
             records.append(_record("asympt", params, _estimate_value(point.log_estimate)))
         return _render(args, records), 0
     if args.compare:
-        raise UsageError(f"--compare applies only to {', '.join(asy.FORMULAS)}, not {formula!r}")
+        raise UsageError(f"--compare applies only to {', '.join(_GRID_FORMULAS)}, "
+                         f"not {formula!r}")
     if formula == "binary":
         if d > sys.float_info.max:  # below it an estimate prints its value or inf
             raise UsageError(f"factor count d={d} is too large for a float estimate")
@@ -453,7 +453,7 @@ def _cmd_asympt(args: SimpleNamespace) -> tuple[str, int]:
                 lambda dec: (dec(d + 3) / dec(1).exp()).log10() - (d + 1) * dec(2).log10())),
         ]
     else:
-        omega = _integers(args.grid, "the weight", 1)[0]
+        omega = _integers(args.grid, "omega", 1)[0]
         quotients = _degree(asy.discriminant_route(d, omega), args.cap_bytes)
         base = {"formula": "discriminant", "n": str(d), "omega": str(omega)}
         names = ("ratio-to-ed/large-n-form", "ratio-to-ed/large-weight-form",

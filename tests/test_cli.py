@@ -16,6 +16,7 @@ from fractions import Fraction
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -466,6 +467,12 @@ def test_verify_suites_pass(capsys):
     assert run(["verify", "rw-constants", "--max", "6"], capsys)[0] == 0
     assert run(["verify", "cross-oracle", "--max", "5"], capsys)[0] == 0
     assert run(["verify", "stabilization", "--max", "4"], capsys)[0] == 0
+
+
+def test_the_grid_formulas_of_the_command_line_are_the_routes_of_asympt():
+    """``cli`` spells the keys of ``asympt.FORMULAS`` out, so that its import does not load
+    ``asympt``; ``asympt --help``, the formula choice error and ``--compare`` read them there."""
+    assert cli._GRID_FORMULAS == tuple(asympt.FORMULAS)
 
 
 def test_asympt_command(capsys):
@@ -1185,8 +1192,8 @@ def test_stabilization_failure_is_a_verification_failure(monkeypatch, capsys):
 def test_verify_cross_oracle_reports_a_wrong_degree(monkeypatch, capsys):
     """A zero degree on a non-defective format is a dual degree mismatch only: the criterion
     is checked against the polar dual codimension, not against the degree."""
-    original = cli.hyperdet_degree
-    monkeypatch.setattr(cli, "hyperdet_degree",
+    original = hyperdet.hyperdet_degree
+    monkeypatch.setattr(hyperdet, "hyperdet_degree",
                         lambda dims: 0 if dims == (1, 1, 1) else original(dims))
     code, out, _ = run(["verify", "cross-oracle", "--max", "3"], capsys)
     assert code == 1
@@ -1196,9 +1203,12 @@ def test_verify_cross_oracle_reports_a_wrong_degree(monkeypatch, capsys):
 
 
 def test_verify_cross_oracle_reports_a_wrong_criterion(monkeypatch, capsys):
-    original = cli.is_dual_nondefective
-    monkeypatch.setattr(cli, "is_dual_nondefective",
-                        lambda dims: original(dims) and tuple(dims) != (1, 1, 1))
+    """The criterion is wrong only as the command line reads it, through ``cli.hyperdet``:
+    ``hyperdet.hyperdet_degree`` reads the true one, so the degree stays right."""
+    original = hyperdet.is_dual_nondefective
+    wrong = SimpleNamespace(**vars(hyperdet))
+    wrong.is_dual_nondefective = lambda dims: original(dims) and dims != (1, 1, 1)
+    monkeypatch.setattr(cli, "hyperdet", wrong)
     code, out, _ = run(["verify", "cross-oracle", "--max", "3"], capsys)
     assert code == 1
     assert out.splitlines() == [
@@ -1319,7 +1329,7 @@ def test_verify_cross_oracle_sees_a_fold_that_keeps_its_zeros(monkeypatch, capsy
 
     for module in (combinat, eddeg, polar):
         monkeypatch.setattr(module, "multinomial_fold", doubled)
-    assert cli.hyperdet_degree((2, 2, 2)) == 72
+    assert hyperdet.hyperdet_degree((2, 2, 2)) == 72
     code, out, _ = run(["verify", "cross-oracle", "--max", "7"], capsys)
     assert code == 1
     lines = out.splitlines()

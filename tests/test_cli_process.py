@@ -75,6 +75,15 @@ raise SystemExit(cli.run())
 """
 
 
+def test_the_entry_point_runs_clean_in_dev_mode_with_warnings_as_errors():
+    """The package registers every submodule lazily but ``cli``: runpy warns when the module
+    ``-m`` runs is in ``sys.modules`` already, and pytest's ``filterwarnings = error`` does not
+    reach a child process."""
+    done = _child(["hyperdet", "1,1,1"],
+                  command=("-X", "dev", "-W", "error", "-m", "segre_degrees.cli"))
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"4\n", b"")
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="the child reads /proc/self/statm and sets RLIMIT_AS")
 def test_running_out_of_memory_exits_3_with_one_error_line():

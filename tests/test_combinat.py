@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import inspect
 import re
@@ -156,6 +157,28 @@ def test_all_lists_every_public_definition_and_nothing_stale(name):
     assert defined - set(module.__all__) == set()
 
 
+def test_the_package_star_import_binds_exactly_its_exports():
+    namespace = {}
+    exec("from segre_degrees import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(segre_degrees.__all__)
+
+
+@pytest.mark.parametrize("name", segre_degrees.__all__)
+def test_each_export_is_the_function_of_its_submodule(name):
+    """The package reads each exported name from its submodule (PEP 562 ``__getattr__``), so
+    the two are one object, and a patch of the submodule shows through the package."""
+    owners = [module for module in (segre_degrees.eddeg, segre_degrees.hyperdet,
+                                    segre_degrees.polar) if name in module.__all__]
+    assert len(owners) == 1
+    assert getattr(segre_degrees, name) is getattr(owners[0], name)
+
+
+def test_an_unknown_package_name_is_an_attribute_error_naming_the_module():
+    with pytest.raises(AttributeError, match="^module 'segre_degrees' has no attribute 'nope'$"):
+        segre_degrees.nope
+
+
 def _imported_modules():
     """(file name, dotted names) of every import in the package, top-level or
     nested in a function."""
@@ -169,11 +192,36 @@ def _imported_modules():
 
 
 def test_only_the_package_imports_the_ring():
-    """The truncated ring is a test oracle and is on no production path; the
-    package imports it only so that the benchmark tracer can patch it."""
-    importers = {name for name, modules in _imported_modules()
-                 if any(m.split(".")[-1] == "truncpoly" for m in modules)}
-    assert importers == {"__init__.py"}
+    """The truncated ring is a test oracle and is on no production path: no module imports it,
+    and only the package ``__init__`` names it, in its lazy registration, so that the benchmark
+    tracer finds it in ``sys.modules`` and can patch it."""
+    named = []
+    for path in sorted(Path(segre_degrees.__file__).parent.glob("*.py")):
+        if path.stem == "truncpoly":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+                      and ast.get_docstring(node) is not None}
+        named += [(path.name, node) for node in ast.walk(tree)
+                  if id(node) not in docstrings and "truncpoly" in _spelled(node)]
+    assert [(name, type(node).__name__) for name, node in named] == [("__init__.py", "Constant")]
+    (registration,) = [node for node in ast.parse(Path(segre_degrees.__file__).read_text()).body
+                       if isinstance(node, ast.For)]
+    assert named[0][1].value in ast.literal_eval(registration.iter)
+
+
+def _spelled(node):
+    """The text a name, an attribute, an import or a string constant spells, else ''."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    if isinstance(node, ast.ImportFrom):
+        return node.module or ""
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
 
 
 def test_no_module_imports_the_one_entry_binomials():
@@ -302,50 +350,85 @@ _NOT_LOADED_AT_START_UP = {
     **dict.fromkeys(("argparse", "gettext", "locale"), "argv is read from cli._COMMANDS"),
     **dict.fromkeys(("dataclasses", "inspect"), "the result types are named tuples"),
 }
-# every submodule the benchmark tracer looks up in sys.modules
-_LOADED_WITH_THE_PACKAGE = {"asympt", "combinat", "eddeg", "hyperdet", "polar", "truncpoly"}
+_SRC = str(Path(segre_degrees.__file__).parent.parent)
+# A child that starts the command line as ``python -S -m segre_degrees.cli`` does, by runpy,
+# and at exit writes three lines on stderr: the modules loaded before the package (runpy's,
+# ``importlib.util`` among them), the modules loaded at exit, and the package modules that ran.
+# A lazily registered module has run once its class is the plain module type again; ``cli``
+# runs as ``__main__``.  ``-S`` keeps ``site`` (and any ``.pth`` file it runs) from loading
+# modules first.
+_CHILD = f"""\
+import atexit, runpy, sys
+sys.path.insert(0, {_SRC!r})
+started = sorted(sys.modules)
+def report():
+    ran = [sys.modules["__main__"].__spec__.name, *(name for name, module in sys.modules.items()
+                                                    if type(module) is type(sys))]
+    for names in (started, sorted(sys.modules),
+                  sorted(name.split(".")[1] for name in ran if name.startswith("segre_degrees."))):
+        print(*names, file=sys.stderr)
+atexit.register(report)
+runpy.run_module("segre_degrees.cli", run_name="__main__", alter_sys=True)
+"""
+# A child that starts as the one above, registers one module lazily and never reads it, and
+# writes the modules that the registration loaded: none on Python 3.11, where runpy has loaded
+# all that ``importlib.util`` needs; from 3.12 on, ``threading`` and what it imports, for the
+# lock of a lazy module.
+_LOADER_PROBE = f"""\
+import importlib.util, runpy, sys
+started = set(sys.modules)
+spec = importlib.util.spec_from_file_location("probe", {combinat.__file__!r})
+spec.loader = importlib.util.LazyLoader(spec.loader)
+spec.loader.exec_module(importlib.util.module_from_spec(spec))
+print(*sorted(set(sys.modules) - started), file=sys.stderr)
+"""
+
+
+@functools.cache
+def _loader_imports():
+    done = subprocess.run([sys.executable, "-S", "-c", _LOADER_PROBE],
+                          capture_output=True, text=True, check=True)
+    return set(done.stderr.split())
 
 
 def _start_up(argv):
-    """(exit code, stdout, loaded module names) of one ``python -S`` process
-    that imports ``segre_degrees.cli`` and, for a non-empty ``argv``, runs
-    ``cli.main(argv)``.  ``-S`` keeps ``site`` (and any ``.pth`` file it
-    runs) from loading modules first."""
-    src = str(Path(segre_degrees.__file__).parent.parent)
-    code = (f"import sys; sys.path.insert(0, {src!r}); import segre_degrees.cli as cli; "
-            "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
-            "print(code, *sorted(sys.modules), file=sys.stderr)")
-    done = subprocess.run([sys.executable, "-S", "-c", code, *argv],
-                          capture_output=True, text=True, check=True)
-    exit_code, *loaded = done.stderr.split()
-    return int(exit_code), done.stdout, set(loaded)
+    """(exit code, stdout, modules loaded by the package, package modules run) of one child
+    that runs the command line on ``argv`` as ``python -S -m segre_degrees.cli`` does."""
+    done = subprocess.run([sys.executable, "-S", "-c", _CHILD, *argv], capture_output=True,
+                          text=True)
+    started, loaded, ran = (set(line.split()) for line in done.stderr.splitlines()[-3:])
+    return done.returncode, done.stdout, loaded - started, ran
 
 
 def _assert_loads_only_what_it_uses(argv, loaded):
-    """The start-up import contract of every process: it imports the package
-    and its submodules, and none of ``_NOT_LOADED_AT_START_UP`` but the one
-    output module its ``--format`` names."""
+    """The start-up import contract of every process: it loads none of
+    ``_NOT_LOADED_AT_START_UP`` but the one output module its ``--format`` names, beyond what
+    runpy loads before the package and ``LazyLoader`` loads for its registrations."""
     output = {"csv", "json"} & set(argv)  # each imports re, which imports enum and functools
     allowed = output | {"re", "enum", "functools"} if output else set()
-    assert sorted(set(_NOT_LOADED_AT_START_UP) & loaded - allowed) == []
+    assert sorted(set(_NOT_LOADED_AT_START_UP) & loaded - allowed - _loader_imports()) == []
     assert output <= loaded
-    assert _LOADED_WITH_THE_PACKAGE - {m.split(".")[-1] for m in loaded} == set()
+
+
+_HYPERDET = {"cli", "combinat", "hyperdet"}
+_EDDEG = _HYPERDET | {"eddeg"}
+_POLAR = {"cli", "combinat", "polar"}
 
 
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
-    """The import alone: ``dataclasses`` and the ``inspect`` it pulls in
-    would cost ~20 ms of every process, and nothing else of the contract
-    loads either."""
-    exit_code, stdout, loaded = _start_up([])
-    assert (exit_code, stdout) == (0, "")
+    """The import and the refusal of an empty argv: ``dataclasses`` and the ``inspect`` it
+    pulls in would cost ~20 ms of every process, and nothing else of the contract loads either;
+    of the package, only ``cli`` and ``combinat``, which holds ``UsageError``, run."""
+    exit_code, stdout, loaded, ran = _start_up([])
+    assert (exit_code, stdout, ran) == (2, "", {"cli", "combinat"})
     _assert_loads_only_what_it_uses([], loaded)
 
 
 def test_a_plain_request_loads_no_argument_parser_or_translations():
     """``cli.parse_args`` reads argv from the command table, so a request
     loads neither ``argparse`` nor its ``gettext`` and ``locale``."""
-    exit_code, stdout, loaded = _start_up(["hyperdet", "1,1,1"])
-    assert (exit_code, stdout) == (0, "4\n")
+    exit_code, stdout, loaded, ran = _start_up(["hyperdet", "1,1,1"])
+    assert (exit_code, stdout, ran) == (0, "4\n", _HYPERDET)
     _assert_loads_only_what_it_uses(["hyperdet", "1,1,1"], loaded)
 
 
@@ -354,30 +437,49 @@ def test_a_request_imports_json_csv_and_fractions_only_where_used(fmt, loaded):
     """``json`` and ``csv`` are imported by the code that uses them, so a
     plain ``hyperdet`` loads neither."""
     argv = ["hyperdet", "1,1,1", "--format", fmt]
-    exit_code, _, modules = _start_up(argv)
-    assert exit_code == 0
+    exit_code, _, modules, ran = _start_up(argv)
+    assert (exit_code, ran) == (0, _HYPERDET)
     assert sorted({"json", "csv"} & modules) == loaded
     _assert_loads_only_what_it_uses(argv, modules)
 
 
-@pytest.mark.parametrize("request_", [
-    "eddeg 1,3 --generic", "table table2", "table stabilization", "table dual-example",
-    "verify identities --max 6", "verify rw-constants --max 11", "verify stabilization --max 3",
-    "verify cross-oracle --max 4", "asympt hyperdet 3 2:4 --compare", "asympt binary 8",
-    "asympt discriminant 3 4",
-])
-def test_a_request_loads_only_what_it_uses(request_):
-    exit_code, _, loaded = _start_up(request_.split())
-    assert exit_code == 0
+# request -> the package modules it runs
+_RUNS = {
+    "eddeg 1,3 --generic": _EDDEG, "table table2": _EDDEG, "table stabilization": _EDDEG,
+    "table dual-example": _POLAR, "verify identities --max 6": _POLAR,
+    "verify rw-constants --max 11": _EDDEG | {"asympt"},
+    "verify stabilization --max 3": _EDDEG | {"polar"},
+    "verify cross-oracle --max 4": _HYPERDET | {"polar"},
+    "asympt hyperdet 3 2:4 --compare": _EDDEG | {"asympt"},
+    "asympt binary 8": _EDDEG | {"asympt"}, "asympt discriminant 3 4": _EDDEG | {"asympt"},
+}
+
+
+@pytest.mark.parametrize("request_, ran", _RUNS.items(), ids=list(_RUNS))
+def test_a_request_loads_only_what_it_uses(request_, ran):
+    """Each request runs only the package modules its route reads; ``truncpoly``, the test
+    ring, runs in none."""
+    exit_code, _, loaded, modules_run = _start_up(request_.split())
+    assert (exit_code, modules_run) == (0, ran)
     _assert_loads_only_what_it_uses(request_.split(), loaded)
+
+
+@pytest.mark.parametrize("argv", ["hyperdet 1,x,1", "eddeg 1,1 --weights 0", "asympt sv 3 x",
+                                  "asympt binary 3 --compare", "verify identities --max -1",
+                                  "frobenius 1,1"])
+def test_a_refusal_of_argv_runs_only_the_command_line_and_combinat(argv):
+    """A value that ``cli`` refuses as it reads argv ends the request before any route runs."""
+    exit_code, stdout, loaded, ran = _start_up(argv.split())
+    assert (exit_code, stdout, ran) == (2, "", {"cli", "combinat"})
+    _assert_loads_only_what_it_uses(argv.split(), loaded)
 
 
 def test_the_benchmark_tracer_finds_every_name_it_patches():
     """``perfbench/spans.py`` wraps package functions from outside, by module
     and name.  In a process that has imported only ``segre_degrees.cli``, each
-    module it names must be loaded and hold each name: this is what keeps
-    ``truncpoly`` imported by the package and every subcommand module
-    imported eagerly.  ``-B`` leaves the benchmark directory as it is."""
+    module it names must be in ``sys.modules`` and hold each name: this is what keeps
+    ``truncpoly`` and every subcommand module registered by the package, lazily, whether or
+    not a request runs them.  ``-B`` leaves the benchmark directory as it is."""
     root = Path(segre_degrees.__file__).parents[2]
     code = "\n".join([
         f"import sys; sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]",

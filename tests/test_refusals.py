@@ -84,6 +84,9 @@ ARGV_REFUSALS = [
     ("asympt hyperdet 2 3", lambda: asympt.FORMULAS["hyperdet"][0](2, 3, 1),
      "d must be at least 3, got 2"),
     ("asympt discriminant 1 2", lambda: discriminant_route(1, 2), "omega must be at least 3, got 2"),
+    ("asympt discriminant 5 2", lambda: discriminant_route(5, 2), "omega must be at least 3, got 2"),
+    # the command line's reader names the weight as the route does
+    ("asympt discriminant 5 0", lambda: at_least(0, 1, "omega"), "omega must be at least 1, got 0"),
     ("eddeg 1,1 --weights 2", lambda: eddeg.route((1, 1), (2,), False),
      "weights must match the number of factors"),
     ("eddeg 1,2 --weights 2,2", lambda: eddeg.route((1, 2), (2, 2), False),
