@@ -16,8 +16,6 @@ closed forms; any mismatch raises, since it would invalidate the estimates.
 No truncated ring is built.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from collections.abc import Sequence

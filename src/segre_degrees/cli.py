@@ -9,6 +9,9 @@ Output is deterministic byte for byte: exact integers are serialized as
 decimal strings (they outgrow 2^53 quickly), floats are printed with 12
 significant digits, and term/row orders are fixed.  ``--timing`` leaves them
 as they are: ``main`` writes one ``timing:`` line on stderr after the output.
+``_render`` writes JSON and CSV itself, to the byte as ``json.dumps`` and
+``csv.writer`` write them, so no request imports ``json`` or ``csv`` (nor the
+``re`` that ``json`` loads to compile its patterns).
 
 The command line grammar is one table, ``_COMMANDS``, with one shape for
 positionals and options, which ``parse_args`` walks and ``--help`` prints.
@@ -24,15 +27,13 @@ runs only the modules its route reads, and the import of this module runs only
 ``combinat``.
 """
 
-from __future__ import annotations
-
 import atexit
-import io
 import math
 import os
 import sys
 import time
 from collections.abc import Callable, Sequence
+from operator import index
 from types import SimpleNamespace
 
 from . import asympt as asy, eddeg, hyperdet, polar
@@ -110,27 +111,80 @@ def _record(command: str, parameters: dict, result: object, note: str = "", **ex
     return dict(command=command, parameters=parameters, result=result, note=note, **extra)
 
 
+# ensure_ascii's escape of each ASCII character that a JSON string does not hold as it is
+_JSON_ESCAPES = {**{code: f"\\u{code:04x}" for code in (*range(0x20), 0x7F)},
+                 **{ord(c): "\\" + e for c, e in zip('"\\\n\r\t\b\f', '"\\nrtbf')}}
+
+
+def _json_escape(code: int) -> str:
+    """``\\uXXXX`` of a code point, an astral one as its UTF-16 surrogate pair."""
+    if code > 0xFFFF:
+        high, low = divmod(code - 0x10000, 0x400)
+        return f"\\u{0xD800 + high:04x}\\u{0xDC00 + low:04x}"
+    return f"\\u{code:04x}"
+
+
+def _json_text(text: str) -> str:
+    """``text`` as a JSON string, written as ``ensure_ascii`` writes it."""
+    text = text.translate(_JSON_ESCAPES)
+    if not text.isascii():
+        text = "".join(c if c.isascii() else _json_escape(ord(c)) for c in text)
+    return f'"{text}"'
+
+
+def _json(value: object, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, separators=(", ", ": "), indent=1,
+    allow_nan=False)`` writes it: a non-empty list or dict puts each item on its own line, one
+    space deeper, and ends every line but its last with ``", "``.  A non-finite float raises
+    ``OverflowError``: no record holds one, so it is a bug."""
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, str):
+        return _json_text(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise OverflowError(f"JSON cannot hold the float {value!r}")
+        return float.__repr__(value)
+    inner = indent + " "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{_json_text(key)}: {_json(item, inner)}" for key, item in sorted(value.items())]
+    elif isinstance(value, list):
+        brackets = "[]"
+        items = [_json(item, inner) for item in value]
+    else:  # an integer, the one other type a record holds; index refuses any other
+        return str(index(value))
+    if not items:
+        return brackets
+    return f"{brackets[0]}{inner}{(', ' + inner).join(items)}{indent}{brackets[1]}"
+
+
+def _csv_field(field: object) -> str:
+    """A text or integer field as ``csv.writer`` writes it: quoted, each ``"`` doubled, when it
+    holds a comma, a quote or a line break."""
+    text = str(field)
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _render(args: SimpleNamespace, records: list[dict],
             csv_rows: list[list] | None = None, plain: list[str] | None = None) -> str:
     """The one output path: records as JSON, CSV or plain text.  ``csv_rows``
     (header included) and ``plain`` lines replace the generic CSV and plain
     layouts where a table's golden layout differs."""
     if args.format == "json":
-        import json
-
-        return json.dumps(records, sort_keys=True, separators=(", ", ": "), indent=1,
-                          allow_nan=False) + "\n"
+        return _json(records) + "\n"
     if args.format == "csv":
-        import csv
-
         if csv_rows is None:
             csv_rows = [["command", "parameters", "result", "note"]]
             for rec in records:
                 params = ";".join(f"{k}={v}" for k, v in sorted(rec["parameters"].items()))
                 csv_rows.append([rec["command"], params, str(rec["result"]), rec["note"]])
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
-        return buf.getvalue()
+        # a row of one empty field is quoted, as csv.writer quotes it, so that it is not read as
+        # a row of none
+        lines = [",".join(map(_csv_field, row)) or ('""' if row else "") for row in csv_rows]
+        return "".join(line + "\n" for line in lines)
     if plain is None:
         plain = []
         for rec in records:
@@ -363,7 +417,7 @@ def _estimate_value(log_estimate: float) -> float | str:
 
 
 def _ratio_value(value: float, d: int,
-                 log10: Callable[[type[Decimal]], Decimal]) -> float | str:
+                 log10: "Callable[[type[Decimal]], Decimal]") -> float | str:
     """A positive ratio to 12 significant digits.  Below the normal doubles a
     float holds fewer digits (none at 0), so there they are correctly rounded
     from ``log10(decimal.Decimal)``, the base-10 logarithm of the exact form,
@@ -383,7 +437,7 @@ def _ratio_value(value: float, d: int,
     return f"{mantissa.normalize()}e{exponent:+03d}"
 
 
-def _log10_quotient(dec: type[Decimal], num: int, den: int) -> Decimal:
+def _log10_quotient(dec: "type[Decimal]", num: int, den: int) -> "Decimal":
     """log10(num / den) for 0 < num < den, read from the integer quotient of
     about 40 digits that a power of ten times num / den gives: converting the
     integers themselves to decimal takes time quadratic in their length."""

@@ -1,7 +1,5 @@
 """Exact combinatorial primitives shared by the degree computations."""
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from math import comb, factorial, gcd

@@ -22,8 +22,6 @@ single Veronese factors and for products of projective lines are provided
 alongside; ``route`` names the way a degree takes and what it holds at its peak.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 from math import perm
 from operator import index
@@ -157,7 +155,7 @@ def stabilization_onset(base_dims: Sequence[int], m_max: int) -> list[tuple[int,
     return out
 
 
-def matrix_ed_polynomial(entries: Sequence[Sequence[Fraction | int]]) -> list[Fraction]:
+def matrix_ed_polynomial(entries: "Sequence[Sequence[Fraction | int]]") -> "list[Fraction]":
     """Coefficients (ascending in eps^2) of det(t t^T - eps^2 I).
 
     The roots in eps^2 are the squared singular values of t.  The matrix is

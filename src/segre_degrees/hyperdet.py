@@ -20,8 +20,6 @@ builds a ring.  A defective format (dual not a hypersurface) yields 0; at unit
 weight ``is_dual_nondefective`` (the GKZ criterion) gives it with no fold.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterator, Sequence
 from operator import index
 

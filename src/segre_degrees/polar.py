@@ -51,8 +51,6 @@ bodies of the integer sums and the ``comb`` columns, are test oracles in
 ``tests/ring_oracle.py``.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from itertools import accumulate, cycle
@@ -85,7 +83,7 @@ class ChernData(namedtuple("ChernData", "dim class_degrees")):
 
     __slots__ = ()
 
-    def __new__(cls, dim: int, class_degrees: Sequence[int]) -> ChernData:
+    def __new__(cls, dim: int, class_degrees: Sequence[int]) -> "ChernData":
         dim, degrees = at_least(dim, 0, "dim"), tuple(map(index, class_degrees))
         if len(degrees) != dim + 1:
             raise UsageError(

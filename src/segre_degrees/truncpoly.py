@@ -10,8 +10,6 @@ Instances are immutable by convention: every operation returns a fresh
 polynomial.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterator, Mapping, Sequence
 from itertools import combinations, product
 from math import prod
@@ -177,7 +175,7 @@ class TruncatedPoly:
                 out[new] = out.get(new, 0) + e * coeff
         return TruncatedPoly._raw(self.caps, {e: c for e, c in out.items() if c})
 
-    def evaluate(self, values: Sequence[Fraction | int]) -> Fraction:
+    def evaluate(self, values: "Sequence[Fraction | int]") -> "Fraction":
         """Exact evaluation at a rational point (one value per variable).
 
         With v_j = p_j / q_j every term is put over the common denominator

@@ -211,6 +211,16 @@ def test_only_the_package_imports_the_ring():
     assert named[0][1].value in ast.literal_eval(registration.iter)
 
 
+def test_no_module_imports_future_or_a_serializer():
+    """``cli._render`` writes JSON and CSV itself, and every annotation is evaluated where its
+    function is defined, so no module, at the top level or in a function, imports ``__future__``,
+    ``json``, ``csv`` or their C parts: each would load in every process, or every formatted
+    one."""
+    banned = {"__future__", "json", "csv", "_json", "_csv"}
+    assert [(name, m) for name, modules in _imported_modules() for m in modules
+            if m.split(".")[0] in banned] == []
+
+
 def _spelled(node):
     """The text a name, an attribute, an import or a string constant spells, else ''."""
     if isinstance(node, ast.Name):
@@ -339,11 +349,15 @@ def test_no_module_imports_typing():
     assert _banned_imports("typing") == []
 
 
-# module -> why no request below loads it; json and csv load with their --format only
+# module -> why no request below loads it, in any --format
 _NOT_LOADED_AT_START_UP = {
     **dict.fromkeys(("typing", "re", "enum", "functools", "contextlib"),
                     "only annotations used typing, which loads the other four"),
-    **dict.fromkeys(("json", "csv"), "imported by their branch of cli._render"),
+    **dict.fromkeys(("json", "csv", "_json", "_csv"),
+                    "cli._render writes JSON and CSV itself; json loads re and compiles its "
+                    "regexes"),
+    "__future__": "annotations are evaluated where each function is defined; one that names a "
+                  "class imported only under TYPE_CHECKING, or its own class, is a string",
     **dict.fromkeys(("fractions", "decimal", "numbers"),
                     "no request builds a Fraction; decimal is imported only for a ratio "
                     "below the normal doubles"),
@@ -400,14 +414,11 @@ def _start_up(argv):
     return done.returncode, done.stdout, loaded - started, ran
 
 
-def _assert_loads_only_what_it_uses(argv, loaded):
-    """The start-up import contract of every process: it loads none of
-    ``_NOT_LOADED_AT_START_UP`` but the one output module its ``--format`` names, beyond what
-    runpy loads before the package and ``LazyLoader`` loads for its registrations."""
-    output = {"csv", "json"} & set(argv)  # each imports re, which imports enum and functools
-    allowed = output | {"re", "enum", "functools"} if output else set()
-    assert sorted(set(_NOT_LOADED_AT_START_UP) & loaded - allowed - _loader_imports()) == []
-    assert output <= loaded
+def _assert_loads_only_what_it_uses(loaded):
+    """The start-up import contract of every process, whatever its ``--format``: it loads none
+    of ``_NOT_LOADED_AT_START_UP`` beyond what runpy loads before the package and
+    ``LazyLoader`` loads for its registrations."""
+    assert sorted(set(_NOT_LOADED_AT_START_UP) & loaded - _loader_imports()) == []
 
 
 _HYPERDET = {"cli", "combinat", "hyperdet"}
@@ -421,7 +432,7 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     of the package, only ``cli`` and ``combinat``, which holds ``UsageError``, run."""
     exit_code, stdout, loaded, ran = _start_up([])
     assert (exit_code, stdout, ran) == (2, "", {"cli", "combinat"})
-    _assert_loads_only_what_it_uses([], loaded)
+    _assert_loads_only_what_it_uses(loaded)
 
 
 def test_a_plain_request_loads_no_argument_parser_or_translations():
@@ -429,18 +440,18 @@ def test_a_plain_request_loads_no_argument_parser_or_translations():
     loads neither ``argparse`` nor its ``gettext`` and ``locale``."""
     exit_code, stdout, loaded, ran = _start_up(["hyperdet", "1,1,1"])
     assert (exit_code, stdout, ran) == (0, "4\n", _HYPERDET)
-    _assert_loads_only_what_it_uses(["hyperdet", "1,1,1"], loaded)
+    _assert_loads_only_what_it_uses(loaded)
 
 
-@pytest.mark.parametrize("fmt, loaded", [("plain", []), ("csv", ["csv"]), ("json", ["json"])])
-def test_a_request_imports_json_csv_and_fractions_only_where_used(fmt, loaded):
-    """``json`` and ``csv`` are imported by the code that uses them, so a
-    plain ``hyperdet`` loads neither."""
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_a_request_in_any_format_imports_no_serializer(fmt):
+    """``cli._render`` writes JSON and CSV itself, so a ``hyperdet`` request loads neither
+    ``json`` nor ``csv``, nor their C parts, in any format."""
     argv = ["hyperdet", "1,1,1", "--format", fmt]
     exit_code, _, modules, ran = _start_up(argv)
     assert (exit_code, ran) == (0, _HYPERDET)
-    assert sorted({"json", "csv"} & modules) == loaded
-    _assert_loads_only_what_it_uses(argv, modules)
+    assert sorted({"json", "csv", "_json", "_csv"} & modules) == []
+    _assert_loads_only_what_it_uses(modules)
 
 
 # request -> the package modules it runs
@@ -461,7 +472,7 @@ def test_a_request_loads_only_what_it_uses(request_, ran):
     ring, runs in none."""
     exit_code, _, loaded, modules_run = _start_up(request_.split())
     assert (exit_code, modules_run) == (0, ran)
-    _assert_loads_only_what_it_uses(request_.split(), loaded)
+    _assert_loads_only_what_it_uses(loaded)
 
 
 @pytest.mark.parametrize("argv", ["hyperdet 1,x,1", "eddeg 1,1 --weights 0", "asympt sv 3 x",
@@ -471,7 +482,7 @@ def test_a_refusal_of_argv_runs_only_the_command_line_and_combinat(argv):
     """A value that ``cli`` refuses as it reads argv ends the request before any route runs."""
     exit_code, stdout, loaded, ran = _start_up(argv.split())
     assert (exit_code, stdout, ran) == (2, "", {"cli", "combinat"})
-    _assert_loads_only_what_it_uses(argv.split(), loaded)
+    _assert_loads_only_what_it_uses(loaded)
 
 
 def test_the_benchmark_tracer_finds_every_name_it_patches():
