@@ -17,6 +17,7 @@ No truncated ring is built.
 """
 
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Sequence
 
@@ -48,9 +49,14 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _E2 = math.exp(2.0)
 
 
-def _require_hypercube(d: int, n: int = 1, omega: int = 1) -> tuple[int, int, int]:
-    """d, n and the weight omega as integers; raise unless d >= 3, n >= 1 and omega >= 1."""
-    return at_least(d, 3, "d"), at_least(n, 1, "n"), at_least(omega, 1, "omega")
+def _require_hypercube(d: int, n: int, omega: int = 1) -> tuple[int, int, int]:
+    """d, n and the weight omega as integers; raise unless d >= 3, n >= 1 and omega >= 1, and
+    d and n are at most the largest double (omega is unbounded: ``math.log`` reads any int)."""
+    d, n, omega = at_least(d, 3, "d"), at_least(n, 1, "n"), at_least(omega, 1, "omega")
+    if max(d, n) > sys.float_info.max:
+        raise UsageError(f"factor count d={d} and grid value n={n} are too large "
+                         f"for a float estimate")
+    return d, n, omega
 
 
 def log_hyperdet_asymptotic(d: int, n: int) -> float:
@@ -107,8 +113,8 @@ BinaryAsymptotics = namedtuple("BinaryAsymptotics", "d log_hyperdet log_ed_frobe
 
 
 def binary_asymptotics(d: int) -> BinaryAsymptotics:
-    """Large-d estimates for the 2 x ... x 2 degree, the Frobenius ED degree
-    d! (via Stirling), and the generic ED degree:
+    """Large-d estimates, for 2 <= d <= the largest double, of the 2 x ... x 2 degree, the
+    Frobenius ED degree d! (via Stirling), and the generic ED degree:
 
         sqrt(2 pi) d^((2d+1)/2) (d+3) / e^(d+2)
         sqrt(2 pi) d^((2d+1)/2) / e^d
@@ -124,6 +130,8 @@ def binary_asymptotics(d: int) -> BinaryAsymptotics:
     it is within a few units in its last place of the closed form.
     """
     d = at_least(d, 2, "d")
+    if d > sys.float_info.max:
+        raise UsageError(f"factor count d={d} is too large for a float estimate")
     stirling = 0.5 * _LOG_2PI + (2 * d + 1) / 2 * math.log(d) - d
     # log(2^(d+1) e - 1) without forming the huge power
     x = (d + 1) * math.log(2.0) + 1.0
@@ -236,7 +244,7 @@ def verify_minimal_point_constants(d: int) -> MinimalPointCheck:
     built from the two partials, and each check cross-multiplies a pair with
     its closed form.  No ``Fraction`` is built.
     """
-    d, _, _ = _require_hypercube(d)
+    d = at_least(d, 3, "d")
     h_at_c = rational(sum(c * _subset_term(d, k) for k, c in enumerate(binomial_row(d))),
                       (d - 1) ** d)
     if h_at_c != (0, 1):
@@ -308,8 +316,8 @@ def convergence_sweep(formula: str, d: int, grid: Sequence[int], omega: int = 1,
 
     formula: "hyperdet" or "sv", one pair whose omega = 1 case is the
     hyperdeterminant, with equal Veronese weight omega; or "ed".  The estimate
-    reads n before the exact value is computed; for d and n up to the largest
-    double it raises nothing, as an overflow gives ``inf`` or ``nan``.
+    reads n before the exact value is computed: a d or n above the largest double
+    is a ``UsageError``, and up to it an overflow gives ``inf`` or ``nan``, not an error.
     """
     if formula not in FORMULAS:
         raise UsageError(f"unknown formula {formula!r}")

@@ -20,7 +20,7 @@ line), 3 resource cap (over the byte budget, or a ``MemoryError``).  Any other
 exception is a bug; it is not caught, so it ends the process with a traceback.
 A usage error is ``combinat.UsageError``: argv integers are read by
 ``combinat.at_least``, and a library refusal of an argv value is exit 2, so
-no route's bound is checked here.
+no bound of a route or an estimate (the largest double included) is checked here.
 Every library name is read through its module (``hyperdet.route``,
 ``polar.dual_profile``): the package registers its submodules lazily, so a request
 runs only the modules its route reads, and the import of this module runs only
@@ -198,25 +198,27 @@ def _render(args: SimpleNamespace, records: list[dict],
     return "\n".join(plain) + "\n"
 
 
-def _silence(stream) -> None:
-    """Points the fd of ``stream`` at os.devnull after a write to it failed: ``run``, or the
-    interpreter at exit, flushes stdout and stderr again, and with the fd on os.devnull that
-    flush cannot fail a second time."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, stream.fileno())
-    os.close(devnull)
+def _write(stream, text: str) -> OSError | None:
+    """Writes and flushes ``text``; on an ``OSError`` points the fd of ``stream`` at os.devnull,
+    so that the flush that ``run``, or the interpreter at exit, makes again cannot fail a second
+    time, and returns the error."""
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return exc
+    return None
 
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         if sys.stdout is None:  # the process started with fd 1 closed
             raise UsageError("cannot write stdout: it is closed")
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError as exc:
-            _silence(sys.stdout)
-            raise UsageError(f"cannot write stdout: {exc.strerror}") from None
+        if exc := _write(sys.stdout, text):
+            raise UsageError(f"cannot write stdout: {exc.strerror}")
         return
     try:
         with open(out_path, "w") as fh:
@@ -229,13 +231,8 @@ def _note(line: str) -> None:
     """Writes one ``timing:`` or ``error:`` line on stderr.  A stderr that
     cannot be written (a closed pipe, a full device, a closed fd 2) loses the
     line, never the exit code: there is no other stream to report it on."""
-    if sys.stderr is None:  # the process started with fd 2 closed
-        return
-    try:
-        sys.stderr.write(line + "\n")
-        sys.stderr.flush()
-    except OSError:
-        _silence(sys.stderr)
+    if sys.stderr is not None:  # None: the process started with fd 2 closed
+        _write(sys.stderr, line + "\n")
 
 
 # -- scalar commands ----------------------------------------------------------
@@ -467,16 +464,13 @@ def _cmd_asympt(args: SimpleNamespace) -> tuple[str, int]:
     if formula in _GRID_FORMULAS:
         grid = _parse_grid(args.grid)
         # the route's peak and the estimate grow with n: the largest point stands for all; the
-        # route refuses a bad d before any charge
+        # route refuses a bad d, or a d or n too large for a float estimate, before any charge
         top = grid[-1] if isinstance(grid, range) else max(grid)
         route = asy.FORMULAS[formula][0](d, top, omega)
         # 4 kB of frames and 4 kB a point, whose record and JSON text take under 3 kB (tracemalloc)
         _check_cap(args.cap_bytes, f"a grid of {len(grid)} points", 4096 * (len(grid) + 1))
         if args.compare:
             _check_cap(args.cap_bytes, *route.peak)
-        if max(d, top) > sys.float_info.max:  # below it an estimate prints its value or inf
-            raise UsageError(f"factor count d={d} and grid value n={top} are too "
-                             f"large for a float estimate")
         points = asy.convergence_sweep(formula, d, grid, omega, args.compare)
         records = []
         for point in points:
@@ -492,8 +486,6 @@ def _cmd_asympt(args: SimpleNamespace) -> tuple[str, int]:
         raise UsageError(f"--compare applies only to {', '.join(_GRID_FORMULAS)}, "
                          f"not {formula!r}")
     if formula == "binary":
-        if d > sys.float_info.max:  # below it an estimate prints its value or inf
-            raise UsageError(f"factor count d={d} is too large for a float estimate")
         est = asy.binary_asymptotics(d)
         base = {"formula": "binary", "d": str(d)}
         quantities = [
@@ -611,6 +603,19 @@ def _find_option(typed: str, options: Sequence[tuple]) -> tuple:
     return matches[0]
 
 
+def _unlimited(function: Callable, argv: Sequence[str]) -> object:
+    """``function(argv)`` with the int <-> str digit limit (4300 by default since Python 3.10.7 and
+    3.11) lifted, then the caller's restored: argv integers and exact values outgrow it."""
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is None:  # Python 3.10.0-3.10.6 have no limit
+        return function(argv)
+    sys.set_int_max_str_digits(0)
+    try:
+        return function(argv)
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
+
+
 def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     """Reads argv against ``_COMMANDS``: the command, then its options and
     positionals in any order.  A value follows its option as the next token or
@@ -618,7 +623,11 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     a repeated option wins; every token after ``--`` is a positional.  Returns
     the command's ``run`` and one attribute per argument, or for ``-h`` or
     ``--help``, as soon as it is read, a request whose ``run`` gives the usage.
-    Anything else is a ``UsageError``."""
+    Anything else is a ``UsageError``.  Integers of any length are read."""
+    return _unlimited(_parse_args, argv)
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
     if not argv:
         raise UsageError(f"a command is required: one of {', '.join(_COMMANDS)}")
     # argv that starts with an option has no command, and that option must ask for help
@@ -695,13 +704,13 @@ _EXIT_CODES = {UsageError: 2, VerificationError: 1, CapBudgetError: 3, MemoryErr
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # exact values outgrow the int -> str digit limit (4300 by default since
-    # Python 3.10.7/3.11); lift it while they are printed and restore it after
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if digit_limit is not None:
-        sys.set_int_max_str_digits(0)
+    return _unlimited(_answer, sys.argv[1:] if argv is None else argv)
+
+
+def _answer(argv: Sequence[str]) -> int:
+    """Runs one request and writes its output; returns its exit code."""
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
+        args = parse_args(argv)
         start = time.perf_counter()
         text, code = args.run(args)
         run_ms = (time.perf_counter() - start) * 1000.0
@@ -711,9 +720,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except tuple(_EXIT_CODES) as exc:
         _note("error: memory ran out" if isinstance(exc, MemoryError) else f"error: {exc}")
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
-    finally:
-        if digit_limit is not None:
-            sys.set_int_max_str_digits(digit_limit)
     return code
 
 

@@ -407,6 +407,21 @@ def test_exact_values_print_at_any_size(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python 3.10.0-3.10.6 have no int <-> str digit limit")
+def test_parse_args_reads_an_integer_past_the_digit_limit():
+    """``parse_args`` lifts the digit limit as ``main`` does, so a 5,000-digit value is read, not
+    refused with a bare ``ValueError``, and the caller's limit holds again after."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        args = cli.parse_args(["hyperdet", "1,1", "--omega", "1" * 5000])
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert args.omega == (10 ** 5000 - 1) // 9
+
+
 def test_eddeg_command(capsys):
     assert run(["eddeg", "1,1,1"], capsys)[1] == "6\n"
     assert run(["eddeg", "1,3", "--generic"], capsys)[1] == "14\n"
@@ -852,6 +867,7 @@ def test_estimate_overflow_names_d_and_the_largest_grid_value(capsys, d, grid, t
 
 
 E308 = "1" + "0" * 308
+E400 = "1" + "0" * 400
 
 
 @pytest.mark.parametrize("formula, d, n", [("hyperdet", "3", E308), ("ed", "3", E308),
@@ -883,6 +899,22 @@ def test_the_size_rule_is_the_largest_double(capsys, argv, message):
     code, out, err = run(["asympt", *(a.format(top + 1) for a in argv)], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: {message.format(top + 1)}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hyperdet", "3", E400, "--compare"], f"d=3 and grid value n={E400} are"),
+    (["ed", E400, "5", "--compare"], f"d={E400} and grid value n=5 are"),
+    (["hyperdet", E400, "1:100000000"], f"d={E400} and grid value n=100000000 are"),
+], ids=["hyperdet-n-compare", "ed-d-compare", "hyperdet-d-long-range"])
+def test_the_size_rule_refuses_before_any_charge(monkeypatch, capsys, argv, message):
+    """The route of the largest grid point refuses a d or n above the largest double, so the
+    request exits 2 before the cap guard charges its grid or its exact values."""
+    def charge(*args):
+        pytest.fail(f"charged {args} before the size rule")
+
+    monkeypatch.setattr(cli, "_check_cap", charge)
+    assert run(["asympt", *argv], capsys) == (
+        2, "", f"error: factor count {message} too large for a float estimate\n")
 
 
 def test_tables_fill_in_process(monkeypatch, capsys):

@@ -294,6 +294,19 @@ def test_every_lower_bound_is_read_through_at_least():
     assert list(_hand_written_lower_bounds()) == []
 
 
+def test_only_asympt_bounds_an_argument_by_the_largest_double():
+    """The estimates' size rule, a d or n above ``sys.float_info.max``, lives in ``asympt``
+    alone: no other module names ``float_info.max``, so the command line cannot grow a second
+    copy of it.  ``float_info.min`` is an output rule of ``cli`` and is not matched."""
+    found = []
+    for path in sorted(Path(segre_degrees.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "max"
+                    and _spelled(node.value) == "float_info" and path.stem != "asympt"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_at_least_reads_by_index_and_refuses_below_its_least():
     assert combinat.at_least(True, 0, "flag") == 1
     assert combinat.at_least(10 ** 30, 5, "n") == 10 ** 30

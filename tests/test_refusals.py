@@ -8,12 +8,14 @@ its own: one ``error:`` line with the library's message, exit 2."""
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 
 from segre_degrees import asympt, eddeg, hyperdet
-from segre_degrees.asympt import (binary_asymptotics, discriminant_quotients, discriminant_route,
-                                  log_ed_asymptotic, log_sv_hyperdet_asymptotic, relative_error)
+from segre_degrees.asympt import (binary_asymptotics, convergence_sweep, discriminant_quotients,
+                                  discriminant_route, log_ed_asymptotic, log_hyperdet_asymptotic,
+                                  log_sv_hyperdet_asymptotic, relative_error)
 from segre_degrees.cli import main
 from segre_degrees.combinat import (UsageError, as_format, at_least, binomial, binomial_row,
                                     multinomial)
@@ -23,6 +25,21 @@ from segre_degrees.hyperdet import (binary_hyperdet_degree, mixed_partial_at_sym
                                     sv_hyperdet_degree)
 from segre_degrees.polar import (ChernData, alpha_coefficients, chern_data_smooth_hypersurface,
                                  f_identity_holds, identity_sweep, stabilization_ratio_check)
+
+# above the largest double, so too large for a float estimate
+HUGE = 10 ** 400
+
+
+def _too_large(d, n=None):
+    """The estimates' refusal of a d, or of a d and n, above the largest double."""
+    sizes = f"factor count d={d} is" if n is None else f"factor count d={d} and grid value n={n} are"
+    return f"{sizes} too large for a float estimate"
+
+
+def _short_id(text):
+    """``text`` with each run of 40 or more digits written as its digit count."""
+    return re.sub(r"\d{40,}", lambda digits: f"<{len(digits[0])} digits>", text)
+
 
 # one row per ``at_least`` call, plus the range and shape refusals no other test reaches
 REFUSALS = [
@@ -38,6 +55,12 @@ REFUSALS = [
     (discriminant_quotients, (3, 2), "omega must be at least 3, got 2"),
     (discriminant_route, (0, 3), "n must be at least 1, got 0"),
     (discriminant_route, (3, 2), "omega must be at least 3, got 2"),
+    (log_ed_asymptotic, (3, HUGE), _too_large(3, HUGE)),
+    (log_hyperdet_asymptotic, (HUGE, 5), _too_large(HUGE, 5)),
+    (log_sv_hyperdet_asymptotic, (HUGE, 5, 1), _too_large(HUGE, 5)),
+    (binary_asymptotics, (HUGE,), _too_large(HUGE)),
+    (asympt.FORMULAS["hyperdet"][0], (3, HUGE, 1), _too_large(3, HUGE)),
+    (convergence_sweep, ("ed", 3, [HUGE], 1, False), _too_large(3, HUGE)),
     (relative_error, (0, 1.0), "exact must be at least 1, got 0"),
     (asympt.FORMULAS["sv"][0], (3, 2, 0), "omega must be at least 1, got 0"),
     (asympt.FORMULAS["ed"][0], (2, 2, 1), "d must be at least 3, got 2"),
@@ -70,10 +93,30 @@ REFUSALS = [
 
 
 @pytest.mark.parametrize("function, args, message", REFUSALS,
-                         ids=[f"{f.__name__}{args}" for f, args, _ in REFUSALS])
+                         ids=[_short_id(f"{f.__name__}{args}") for f, args, _ in REFUSALS])
 def test_library_refusals_are_value_errors_that_name_the_rule(function, args, message):
     with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
         function(*args)
+
+
+TOP = int(sys.float_info.max)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: log_ed_asymptotic(3, TOP),
+    lambda: log_ed_asymptotic(TOP, 5),
+    lambda: log_hyperdet_asymptotic(TOP, TOP),
+    lambda: log_sv_hyperdet_asymptotic(3, TOP, 2),
+    lambda: binary_asymptotics(TOP),
+    lambda: asympt.FORMULAS["hyperdet"][0](3, TOP, 1),
+    lambda: asympt.FORMULAS["ed"][0](TOP, 5, 1),
+    lambda: convergence_sweep("ed", 3, [TOP], 1, False),
+], ids=["ed-n", "ed-d", "hyperdet-d-and-n", "sv-n", "binary-d", "formulas-hyperdet-n",
+        "formulas-ed-d", "sweep-ed-n"])
+def test_the_largest_double_is_not_too_large_for_an_estimate(call):
+    """The size rule refuses only above ``sys.float_info.max``: the integer equal to it is read,
+    and an estimate that overflows there is ``inf`` or ``nan``, not an error."""
+    call()
 
 
 # argv -> the library call that refuses its value, and that call's message; the command line
@@ -93,11 +136,15 @@ ARGV_REFUSALS = [
      "no Frobenius ED degree route for weights (2, 2) on (1, 2): "
      "non-unit weights need a single factor or the generic metric"),
     ("hyperdet 1,-1", lambda: at_least(-1, 0, "dims"), "dims must be at least 0, got -1"),
+    (f"asympt binary {HUGE}", lambda: binary_asymptotics(HUGE), _too_large(HUGE)),
+    (f"asympt hyperdet 3 {HUGE}", lambda: asympt.FORMULAS["hyperdet"][0](3, HUGE, 1),
+     _too_large(3, HUGE)),
+    (f"asympt ed {HUGE} 5", lambda: asympt.FORMULAS["ed"][0](HUGE, 5, 1), _too_large(HUGE, 5)),
 ]
 
 
 @pytest.mark.parametrize("argv, call, message", ARGV_REFUSALS,
-                         ids=[argv for argv, _, _ in ARGV_REFUSALS])
+                         ids=[_short_id(argv) for argv, _, _ in ARGV_REFUSALS])
 def test_the_command_line_reports_the_library_refusal(capsys, argv, call, message):
     with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
         call()
@@ -162,9 +209,12 @@ def test_a_float_integer_argument_is_a_type_error(function, args):
     (lambda: discriminant_route(0, 3), ValueError),
     (lambda: asympt.FORMULAS["sv"][0](3, 2, 0), ValueError),
     (lambda: asympt.FORMULAS["ed"][0](3, 2.0, 1), TypeError),
+    (lambda: asympt.FORMULAS["hyperdet"][0](3, HUGE, 1), UsageError),
+    (lambda: asympt.FORMULAS["ed"][0](3, HUGE, 1), UsageError),
 ], ids=["eddeg-short-weights", "eddeg-zero-weight", "eddeg-weighted-frobenius",
         "hyperdet-zero-weight", "discriminant-float-n", "discriminant-zero-n",
-        "formulas-sv-zero-omega", "formulas-ed-float-n"])
+        "formulas-sv-zero-omega", "formulas-ed-float-n", "formulas-hyperdet-huge-n",
+        "formulas-ed-huge-n"])
 def test_a_route_refuses_before_any_cost_model_runs(monkeypatch, make, error):
     """A route's peak describes the request its call computes: the route
     refuses what its call would, before ``fold_cost`` or ``power_cost`` runs."""
