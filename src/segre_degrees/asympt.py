@@ -21,10 +21,9 @@ import sys
 from collections import namedtuple
 from collections.abc import Sequence
 
+from . import eddeg, hyperdet
 from .combinat import (Route, UsageError, VerificationError, at_least, binomial_row, fold_cost,
-                       power_cost, rational)
-from .eddeg import frobenius_ed_degree, veronese_frobenius_ed_degree
-from .hyperdet import mixed_partial_at_symmetric_point, sv_hyperdet_degree
+                       power_cost, rational, show_int)
 
 __all__ = [
     "BinaryAsymptotics",
@@ -54,8 +53,8 @@ def _require_hypercube(d: int, n: int, omega: int = 1) -> tuple[int, int, int]:
     d and n are at most the largest double (omega is unbounded: ``math.log`` reads any int)."""
     d, n, omega = at_least(d, 3, "d"), at_least(n, 1, "n"), at_least(omega, 1, "omega")
     if max(d, n) > sys.float_info.max:
-        raise UsageError(f"factor count d={d} and grid value n={n} are too large "
-                         f"for a float estimate")
+        raise UsageError(f"factor count d={show_int(d)} and grid value n={show_int(n)} are too "
+                         f"large for a float estimate")
     return d, n, omega
 
 
@@ -131,7 +130,7 @@ def binary_asymptotics(d: int) -> BinaryAsymptotics:
     """
     d = at_least(d, 2, "d")
     if d > sys.float_info.max:
-        raise UsageError(f"factor count d={d} is too large for a float estimate")
+        raise UsageError(f"factor count d={show_int(d)} is too large for a float estimate")
     stirling = 0.5 * _LOG_2PI + (2 * d + 1) / 2 * math.log(d) - d
     # log(2^(d+1) e - 1) without forming the huge power
     x = (d + 1) * math.log(2.0) + 1.0
@@ -160,7 +159,7 @@ def discriminant_quotients(n: int, omega: int) -> tuple[tuple[int, int], ...]:
     denominator) pairs of positive integers, in the order of its fields."""
     n, omega = at_least(n, 1, "n"), at_least(omega, 3, "omega")
     exact = (n + 1) * (omega - 1) ** n
-    ed_f = veronese_frobenius_ed_degree(n, omega)
+    ed_f = eddeg.veronese_frobenius_ed_degree(n, omega)
     ed_gen = ((2 * omega - 1) ** (n + 1) - (omega - 1) ** (n + 1)) // omega
     return ((exact * (omega - 1), ed_f * (omega - 2) * n),
             (exact, ed_f * (n + 1)),
@@ -250,10 +249,10 @@ def verify_minimal_point_constants(d: int) -> MinimalPointCheck:
     if h_at_c != (0, 1):
         raise VerificationError(f"denominator does not vanish at the symmetric point for d={d}")
 
-    d_last = mixed_partial_at_symmetric_point(d, 1)
+    d_last = hyperdet.mixed_partial_at_symmetric_point(d, 1)
     _check("last partial", d, d_last, -d ** (d - 2), (d - 1) ** (d - 2))
 
-    d_mixed = mixed_partial_at_symmetric_point(d, 2)
+    d_mixed = hyperdet.mixed_partial_at_symmetric_point(d, 2)
     _check("mixed partial", d, d_mixed, -2 * d ** (d - 3), (d - 1) ** (d - 3))
 
     q = _q(d, d_last, d_mixed)
@@ -277,9 +276,13 @@ def verify_minimal_point_constants(d: int) -> MinimalPointCheck:
 
 def relative_error(exact: int, log_estimate: float) -> float:
     """|exact - estimate| / exact computed from the log of the estimate, so
-    it stays finite even when the estimate itself overflows a double."""
+    it stays finite even when the estimate itself overflows a double; it is
+    ``math.inf`` only when estimate / exact does."""
     exact = at_least(exact, 1, "exact")
-    return abs(1.0 - math.exp(log_estimate - math.log(exact)))
+    try:
+        return abs(1.0 - math.exp(log_estimate - math.log(exact)))
+    except OverflowError:
+        return math.inf
 
 
 # One grid point of a sweep; exact and rel_error are None when the sweep does
@@ -295,13 +298,13 @@ ConvergencePoint = namedtuple("ConvergencePoint", "grid_value exact log_estimate
 def _sv_route(d: int, n: int, omega: int) -> Route:
     d, n, omega = _require_hypercube(d, n, omega)
     return Route("segre-fold", fold_cost((n,), (1,), omega, copies=d),
-                 lambda: sv_hyperdet_degree((n,) * d, omega))
+                 lambda: hyperdet.sv_hyperdet_degree((n,) * d, omega))
 
 
 def _ed_route(d: int, n: int, omega: int) -> Route:
     d, n, omega = _require_hypercube(d, n, omega)
     return Route("frobenius-fold", fold_cost((n,), (1,), 1, copies=d),
-                 lambda: frobenius_ed_degree((n,) * d))
+                 lambda: eddeg.frobenius_ed_degree((n,) * d))
 
 
 _SV = (_sv_route, lambda d, n, omega: log_sv_hyperdet_asymptotic(d, n, omega))

@@ -21,10 +21,13 @@ exception is a bug; it is not caught, so it ends the process with a traceback.
 A usage error is ``combinat.UsageError``: argv integers are read by
 ``combinat.at_least``, and a library refusal of an argv value is exit 2, so
 no bound of a route or an estimate (the largest double included) is checked here.
+A refusal, the cap's included, shows each integer through ``combinat.show_int``:
+past 4300 digits, as its digit count.
 Every library name is read through its module (``hyperdet.route``,
-``polar.dual_profile``): the package registers its submodules lazily, so a request
-runs only the modules its route reads, and the import of this module runs only
-``combinat``.
+``polar.dual_profile``), as the library modules read each other
+(``hyperdet.is_dual_nondefective`` in ``eddeg``): the package registers its
+submodules lazily, so a request runs only the modules its route reads, and the
+import of this module runs only ``combinat``.
 """
 
 import atexit
@@ -37,7 +40,7 @@ from operator import index
 from types import SimpleNamespace
 
 from . import asympt as asy, eddeg, hyperdet, polar
-from .combinat import Route, UsageError, VerificationError, at_least
+from .combinat import Route, UsageError, VerificationError, at_least, show_int
 
 TYPE_CHECKING = False  # true only to type checkers, which know the name
 if TYPE_CHECKING:  # annotations only; ``_ratio_value`` imports decimal on its one path
@@ -58,7 +61,8 @@ class CapBudgetError(Exception):
 def _check_cap(cap_bytes: int, what: str, need: int) -> None:
     """Refuses ``what`` when the bytes it needs, a route's peak, are over ``cap_bytes``."""
     if need > cap_bytes:
-        raise CapBudgetError(f"{what} needs about {need} bytes, over the budget of {cap_bytes}")
+        raise CapBudgetError(f"{what} needs about {show_int(need)} bytes, "
+                             f"over the budget of {show_int(cap_bytes)}")
 
 
 def _degree(route: Route, cap_bytes: int) -> object:
@@ -382,7 +386,7 @@ def _cmd_verify(args: SimpleNamespace) -> tuple[str, int]:
     what = f"--max for {args.suite}"
     max_value = default_max if args.max is None else _integers(args.max, what, least)[0]
     if max_value > most:
-        raise UsageError(f"{what} must be at most {most}, got {max_value}")
+        raise UsageError(f"{what} must be at most {most}, got {show_int(max_value)}")
     failed: list[str] = []
     checked = sweep(max_value, failed.append)
     status = "ok" if not failed else "FAILED"

@@ -8,6 +8,7 @@ from operator import index
 __all__ = [
     "Route", "UsageError", "VerificationError", "as_format", "at_least", "binomial", "binomial_row",
     "fold_cost", "horner", "multinomial", "multinomial_fold", "power_cost", "rational", "segre_fold",
+    "show_int",
 ]
 
 # One way to a degree: its name, its peak as (what, bytes) from ``fold_cost`` or ``power_cost``
@@ -23,6 +24,20 @@ class UsageError(ValueError):
     """An argument refused, with the rule it breaks; any other ``ValueError`` is a bug."""
 
 
+# floor(log10(2) * 10^40): b * _LOG10_2 // 10^40 is floor(b log10 2) for every b below 2^64, where
+# b log10 2 comes no nearer than 2.7e-20 above an integer and the truncation costs under 2e-21
+_LOG10_2 = 3010299956639811952137388947244930267681
+
+
+def show_int(value: int) -> str:
+    """``value`` as a refusal shows it: ``str`` up to 4300 digits, the default int -> str limit,
+    and past it its sign and ``<N-digit integer>``.  An integer of b bits has t or t + 1 digits
+    for t = floor(b log10 2), so N costs one power of ten and no conversion."""
+    t = abs(value).bit_length() * _LOG10_2 // 10 ** 40
+    digits = t + (abs(value) >= 10 ** t)
+    return str(value) if digits <= 4300 else f"{'-' * (value < 0)}<{digits}-digit integer>"
+
+
 def at_least(value: int, least: int, what: str) -> int:
     """``value`` through ``operator.index``, so a float, ``Fraction`` or ``str`` raises
     ``TypeError`` instead of being truncated, and refused with ``UsageError`` below ``least``:
@@ -30,7 +45,7 @@ def at_least(value: int, least: int, what: str) -> int:
     ``map(index)`` and passes its least entry here once."""
     value = index(value)
     if value < least:
-        raise UsageError(f"{what} must be at least {least}, got {value}")
+        raise UsageError(f"{what} must be at least {show_int(least)}, got {show_int(value)}")
     return value
 
 
@@ -139,11 +154,11 @@ def fold_cost(dims: Sequence[int], fold_weights: Sequence[int], x: int, copies: 
     bits = n_total * (d - 1).bit_length() + n_total + d + copies * sum(
         n * (w - 1).bit_length() for n, w in zip(dims, fold_weights))
     held = (2 * (n_total + 1), bits), (8, bits + (n_total + 1) * (abs(x) - 1).bit_length())
-    return f"the degree kernel for N={n_total}, d={d}", _bytes(*held)
+    return f"the degree kernel for N={show_int(n_total)}, d={show_int(d)}", _bytes(*held)
 
 
 def power_cost(base: int, exponent: int) -> tuple:
     """The peak of a closed form that builds base^exponent, as (what, bytes): fewer than ten
     integers of about its size at a time (tracemalloc peak up to eight on Python 3.11)."""
     bits = exponent * (base - 1).bit_length()
-    return f"the closed form with {base}^{exponent}", _bytes((10, bits))
+    return f"the closed form with {show_int(base)}^{show_int(exponent)}", _bytes((10, bits))

@@ -26,9 +26,9 @@ from collections.abc import Sequence
 from math import perm
 from operator import index
 
+from . import hyperdet
 from .combinat import (Route, UsageError, VerificationError, as_format, at_least, binomial_row,
                        fold_cost, horner, multinomial_fold, power_cost, segre_fold)
-from .hyperdet import is_dual_nondefective
 
 TYPE_CHECKING = False  # true only to type checkers, which know the name
 if TYPE_CHECKING:  # annotations only; each function that builds a Fraction imports it
@@ -109,7 +109,7 @@ def route(dims: Sequence[int], weights: Sequence[int], generic: bool) -> Route:
         return Route("segre-fold", fold_cost(dims_t, weights_t, 2),
                      lambda: generic_ed_degree(dims_t, weights_t))
     if weights_t == (1,) * len(dims_t):
-        if len(dims_t) >= 2 and not is_dual_nondefective(dims_t):
+        if len(dims_t) >= 2 and not hyperdet.is_dual_nondefective(dims_t):
             top = max(dims_t)
             at = dims_t.index(top)
             boundary = (*dims_t[:at], sum(dims_t) - top, *dims_t[at + 1:])

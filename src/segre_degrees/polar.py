@@ -34,21 +34,22 @@ for n >= m.  That ratio, and the binomial identities proving it, are checked
 case by case by the ``*_identity_holds`` functions, and exhaustively by
 ``identity_sweep`` and ``stabilization_ratio_check``.
 
-Those checks sum their defining series exactly on Python integers: the g sum
-term by term, scaled by (n+1)! (n+2)! so that every term is an integer, and
-the alpha, alternating and f sums, a signed row against a binomial column, by
-the ``_running_sums`` of the row, with no ``comb`` per term.  No sum is
-replaced by its closed form, which would make the check a tautology.  The two
-sweeps sum each distinct series once and hand it to every case that reads it:
-the alpha and alternating sums depend on m and i only through m - i + 1, so
-each row n holds one dot per value of it (per d for alpha), and the f and g
-values of row n+1 serve both the recurrences of row n and the checks of row
-n+1.  Each distinct comparison is made once, and a failed one is reported for
-every case that reads it, while the case count still counts every case.  A
-sweep holds two rows at a time, never a table over all n.  The routes these
-replaced, the multigraded ring, the per-term polar sum, the ``Fraction``
-bodies of the integer sums and the ``comb`` columns, are test oracles in
-``tests/ring_oracle.py``.
+Those checks sum each defining series exactly on Python integers, by one path
+that single cases and sweeps share: the g sum term by term in ``_g_dot``,
+scaled by (n+1)! (n+2)! so that every term is an integer, and the alpha,
+alternating and f sums, a signed row against a binomial column, by the
+``_running_sums`` of ``_alpha_dots`` and ``_identity_rounds``, with no
+``comb`` per term.  No sum is replaced by its closed form, which would make
+the check a tautology.  The two sweeps sum each distinct series once and hand
+it to every case that reads it: the alpha and alternating sums depend on m and
+i only through m - i + 1, so each row n holds one dot per value of it (per d
+for alpha), and the f and g values of row n+1 serve both the recurrences of
+row n and the checks of row n+1.  Each distinct comparison is made once, and a
+failed one is reported for every case that reads it, while the case count
+still counts every case.  A sweep holds two rows at a time, never a table over
+all n.  The routes these replaced, the multigraded ring, the per-term polar
+sum, the ``Fraction`` bodies of the integer sums and the ``comb`` columns, are
+test oracles in ``tests/ring_oracle.py``.
 """
 
 from collections import namedtuple
@@ -235,8 +236,15 @@ def stabilization_ratio_check(m_max: int, n_max: int, d_max: int,
 
 
 # -- binomial identities behind the ratio ------------------------------------
-# Each identity is split into its defining sums and a comparison helper, so
-# that ``identity_sweep`` can feed the helper sums it shares between cases.
+# One comparison helper per identity, fed by ``_identity_rounds`` or ``_g_dot``.
+
+
+def _identity_rounds(n: int) -> list[list[int]]:
+    """The n+2 ``_running_sums`` rounds of (-1)^k C(n+2, k+1), k = 0..n+2, the
+    one source of the alternating and f sums: the alternating dot of (n, low)
+    is low times entry n of round low+1, and f(n+1, m) is entry n+2 of round
+    m+1, so f(0, m) reads the rounds of n = -1."""
+    return _running_sums(list(map(mul, cycle((1, -1)), [*binomial_row(n + 2)[1:], 0])), n + 2)
 
 
 def alternating_binomial_identity_holds(n: int, m: int, i: int) -> bool:
@@ -244,37 +252,23 @@ def alternating_binomial_identity_holds(n: int, m: int, i: int) -> bool:
 
     sum_{r=i}^{n+m} (-1)^r (m+n+1-r) C(n+2, r+1-i) C(m+n-r, n-r+i)
         = (-1)^i (n+m+2-i) C(m+n+1-i, n+1)    for n >= m >= i >= 0.
-    """
+
+    As for ``alpha_coefficients``, (-1)^i times the left-hand side is the dot
+    of (n, low = m - i + 1)."""
     if not (n >= m >= i >= 0):
         raise UsageError(f"need n >= m >= i >= 0, got n={n}, m={m}, i={i}")
-    return _alternating_holds(n, m - i + 1, _alternating_sum(n, m - i + 1))
+    low = m - i + 1
+    return _alternating_holds(n, low, low * _identity_rounds(n)[low + 1][n])
 
 
 def _alternating_holds(n: int, low: int, dot: int) -> bool:
-    """The identity divided by (-1)^i, for the ``_alternating_sum`` of low."""
+    """The identity divided by (-1)^i, for the alternating dot of (n, low)."""
     return dot == (n + low + 1) * comb(n + low, n + 1)
 
 
-def _alternating_sum(n: int, low: int) -> int:
-    """(-1)^i times the left-hand side of ``alternating_binomial_identity_holds``,
-    summed like ``alpha_coefficients``: only r <= n+i contributes, and with k = r - i
-    each term is (-1)^k low C(n+2, k+1) C(n+low-k, low) for low = m - i + 1."""
-    return low * _running_sums(_signed_binomials(n + 2), low + 1)[low + 1][n]
-
-
-def _signed_binomials(a: int) -> list[int]:
-    """(-1)^k C(a, k+1) for k = 0..a, the last 0: the signed coefficients of the
-    alternating sums of n = a-2 and of f(a-1)."""
-    return list(map(mul, cycle((1, -1)), [*binomial_row(a)[1:], 0]))
-
-
-def _f_sum(n: int, m: int) -> int:
-    """f(n) = sum_{r=0}^{n} (-1)^r C(n+1, r+1) C(m+n+1-r, m), entry n+1 of round m+1."""
-    return _running_sums(_signed_binomials(n + 1), m + 1)[m + 1][n + 1]
-
-
 def f_identity_holds(n: int, m: int) -> bool:
-    """f(n) = C(m+n+2, m), plus its two-term recurrence
+    """f(n) = sum_{r=0}^{n} (-1)^r C(n+1, r+1) C(m+n+1-r, m) = C(m+n+2, m), plus
+    its two-term recurrence
 
         (1+n-m) f(n) + (n+3) f(n+1) = 2 (m+n+2)! / ((n+1)! m!) ,
 
@@ -282,7 +276,8 @@ def f_identity_holds(n: int, m: int) -> bool:
     integers here)."""
     if not (n >= m >= 0):
         raise UsageError(f"need n >= m >= 0, got n={n}, m={m}")
-    return _f_holds(n, m, _f_sum(n, m), _f_sum(n + 1, m))
+    return _f_holds(n, m, _identity_rounds(n - 1)[m + 1][n + 1],
+                    _identity_rounds(n)[m + 1][n + 2])
 
 
 def _f_holds(n: int, m: int, f_n: int, f_next: int) -> bool:
@@ -291,15 +286,6 @@ def _f_holds(n: int, m: int, f_n: int, f_next: int) -> bool:
     lhs = (1 + n - m) * f_n + (n + 3) * f_next
     rhs = 2 * factorial(n + 2 + m) // (factorial(n + 1) * factorial(m))
     return lhs == rhs
-
-
-def _g_scaled(n: int, j: int) -> int:
-    """G(n,j) = (n+1)! (n+2)! g(n,j) for
-    g(n,j) = sum_{s=0}^{n} (-1)^s (n+1-s+j)! / ((n+1-s)! (s+1)! (n-s)!),
-    summed term by term on integers:
-    the s-th term times (n+1)! (n+2)! is
-    (-1)^s (n+1-s+j)! * (n+1)!/(n+1-s)! * C(n+2, s+1) * (n+1-s)."""
-    return _g_dot(_g_weights(n), j, list(map(factorial, range(n + 2 + j))))
 
 
 def _g_weights(n: int) -> list[int]:
@@ -324,12 +310,14 @@ def g_identity_holds(n: int, j: int) -> bool:
 
         (n+1-j) g(n,j) + (n^2+5n+6) g(n+1,j) = 2 (n+2+j)! / ((n+1)!)^2 ,
 
-    both exactly.  Multiplied by (n+1)! (n+2)! they read G(n,j) = (n+2+j)! and
-    (n+1-j) G(n,j) + G(n+1,j) = 2 (n+2) (n+2+j)! for G = ``_g_scaled``, which
-    are checked on integers."""
+    both exactly, for g(n,j) = sum_{s=0}^{n} (-1)^s (n+1-s+j)! / ((n+1-s)! (s+1)! (n-s)!).
+    Times (n+1)! (n+2)! they read G(n,j) = (n+2+j)! and (n+1-j) G(n,j) +
+    G(n+1,j) = 2 (n+2) (n+2+j)!, checked on the integer terms of ``_g_dot``."""
     if not (n >= j >= 1):
         raise UsageError(f"need n >= j >= 1, got n={n}, j={j}")
-    return _g_holds(n, j, _g_scaled(n, j), _g_scaled(n + 1, j))
+    factorials = list(map(factorial, range(n + 3 + j)))
+    return _g_holds(n, j, _g_dot(_g_weights(n), j, factorials),
+                    _g_dot(_g_weights(n + 1), j, factorials))
 
 
 def _g_holds(n: int, j: int, g_n: int, g_next: int) -> bool:
@@ -344,17 +332,17 @@ def identity_sweep(max_n: int, report: Callable[[str], None]) -> int:
     Each distinct sum is summed once: the alternating dots once per (n, low)
     with low = m - i + 1, and f(n+1, m) and G(n+1, j) once, for the
     recurrences of row n and the values of row n+1; f(n+1, m) and the
-    alternating dots of row n read one ``_running_sums`` of (-1)^k C(n+2, k+1).
-    It holds two rows of each and the rounds of one row, O(max_n^2) integers."""
+    alternating dots of row n read one ``_identity_rounds``.  It holds two
+    rows of each and the rounds of one row, O(max_n^2) integers."""
     max_n = at_least(max_n, 0, "max_n")
     checked = 0
     factorials = list(map(factorial, range(2 * max_n + 3)))
-    f_row = [_f_sum(0, 0)]
+    f_row = [_identity_rounds(-1)[1][1]]
     g_row: list[int] = []
     for n in range(max_n + 1):
         # row n+1 of f and G, as far as row n's recurrences and row n+1's values reach
         top = min(n + 1, max_n)
-        rounds = _running_sums(_signed_binomials(n + 2), n + 2)
+        rounds = _identity_rounds(n)
         f_next = [rounds[m + 1][n + 2] for m in range(top + 1)]
         weights = _g_weights(n + 1)
         g_next = [_g_dot(weights, j, factorials) for j in range(1, top + 1)]

@@ -138,6 +138,15 @@ def test_relative_error_survives_huge_values():
         relative_error(0, 1.0)
 
 
+def test_relative_error_is_inf_only_where_the_ratio_leaves_double_range():
+    # e^709 is below the largest double, e^710 above it
+    assert relative_error(1, 709.0) == pytest.approx(math.exp(709.0) - 1.0)
+    assert relative_error(1, 800.0) == math.inf
+    assert relative_error(1, math.inf) == math.inf
+    # the same excess over a huge exact value: the ratio, not the estimate, decides
+    assert math.isfinite(relative_error(2 ** 2000, 2000 * math.log(2.0) + 709.0))
+
+
 def test_minimal_point_constants_closed_forms():
     chk = as_fractions(verify_minimal_point_constants(3))
     assert chk["denominator_at_point"] == 0
@@ -242,7 +251,7 @@ def test_verification_error_is_raised_on_mismatch(monkeypatch):
     def broken(d, k):
         return (1, 1)
 
-    monkeypatch.setattr(asympt, "mixed_partial_at_symmetric_point", broken)
+    monkeypatch.setattr(hyperdet, "mixed_partial_at_symmetric_point", broken)
     with pytest.raises(VerificationError, match="^last partial mismatch for d=4: 1$"):
         verify_minimal_point_constants(4)
 
@@ -256,12 +265,14 @@ def test_formula_table_looks_functions_up_when_called(monkeypatch, formula, exac
     # a tracer or test double replaces module attributes; the table must see it
     calls = []
 
-    def spy(name):
-        real = getattr(asympt, name)
+    def spy(module, name):
+        real = getattr(module, name)
         return lambda *args: calls.append(name) or real(*args)
 
-    monkeypatch.setattr(asympt, exact_name, spy(exact_name))
-    monkeypatch.setattr(asympt, log_name, spy(log_name))
+    # the exact degree is read from the module that defines it
+    owner = {"sv_hyperdet_degree": hyperdet, "frobenius_ed_degree": eddeg}[exact_name]
+    monkeypatch.setattr(owner, exact_name, spy(owner, exact_name))
+    monkeypatch.setattr(asympt, log_name, spy(asympt, log_name))
     convergence_sweep(formula, 3, (2, 3), omega=2)
     assert calls == [log_name, exact_name] * 2
 

@@ -758,6 +758,16 @@ def test_a_grid_is_charged_4_kb_a_point_and_4_kb_more(capsys):
         3, "", "error: a grid of 10 points needs about 45056 bytes, over the budget of 45055\n")
 
 
+def test_a_cap_refusal_shows_each_integer_past_4300_digits_as_its_digit_count(capsys):
+    """One rule for every integer in a refusal, as in ``combinat.show_int``: the 4300-digit N
+    prints whole, the bytes it needs, 8599 digits, as a count; the budget stays whole."""
+    h = 10 ** 4299
+    code, out, err = run(["hyperdet", ",".join([str(h), str(h)])], capsys)
+    assert (code, out) == (3, "")
+    assert err == (f"error: the degree kernel for N={2 * h}, d=2 needs about <8599-digit integer> "
+                   f"bytes, over the budget of {cli.DEFAULT_CAP_BYTES}\n")
+
+
 def _refusing_routes(monkeypatch, formula, why):
     """Replaces the routes of ``formula`` by routes that charge the same but fail when called."""
     route, log_estimate = asympt.FORMULAS[formula]
@@ -1255,8 +1265,8 @@ def _plus_one(pair):
 
 
 def test_verify_rw_constants_sees_a_wrong_mixed_partial(monkeypatch, capsys):
-    original = asympt.mixed_partial_at_symmetric_point
-    monkeypatch.setattr(asympt, "mixed_partial_at_symmetric_point",
+    original = hyperdet.mixed_partial_at_symmetric_point
+    monkeypatch.setattr(hyperdet, "mixed_partial_at_symmetric_point",
                         lambda d, k: _plus_one(original(d, k)) if k == 2 else original(d, k))
     code, out, _ = run(["verify", "rw-constants", "--max", "6"], capsys)
     assert code == 1
@@ -1285,7 +1295,8 @@ def test_verify_rw_constants_sees_a_wrong_mixed_partial(monkeypatch, capsys):
 def test_verify_rw_constants_sees_each_wrong_constant(monkeypatch, capsys, name, perturb,
                                                       message):
     """Each check is live, and its message prints the value as a ``Fraction``."""
-    monkeypatch.setattr(asympt, name, perturb(getattr(asympt, name)))
+    owner = hyperdet if name == "mixed_partial_at_symmetric_point" else asympt
+    monkeypatch.setattr(owner, name, perturb(getattr(owner, name)))
     code, out, _ = run(["verify", "rw-constants", "--max", "6"], capsys)
     assert code == 1
     assert out.splitlines() == [

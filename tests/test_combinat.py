@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, floor, log10
 from pathlib import Path
 
 import pytest
@@ -317,6 +317,24 @@ def test_at_least_reads_by_index_and_refuses_below_its_least():
         combinat.at_least(4, 5, "n")
 
 
+def test_show_int_writes_an_integer_past_4300_digits_as_its_digit_count():
+    """Up to 4300 digits, the default int -> str limit, ``str``; past it the sign and the digit
+    count, found from ``bit_length`` with one power of ten, on both sides of 10^k."""
+    assert combinat.show_int(10 ** 4300 - 1) == "9" * 4300
+    assert combinat.show_int(-(10 ** 4300 - 1)) == "-" + "9" * 4300
+    assert combinat.show_int(10 ** 4300) == "<4301-digit integer>"
+    assert combinat.show_int(-10 ** 4300) == "-<4301-digit integer>"
+    assert [combinat.show_int(v) for v in (0, 7, -10, 2 ** 64)] == \
+        ["0", "7", "-10", "18446744073709551616"]
+    for k in range(4301, 4400):
+        assert combinat.show_int(10 ** k - 1) == f"<{k}-digit integer>"
+        assert combinat.show_int(10 ** k) == f"<{k + 1}-digit integer>"
+    for bits in range(14280, 14700):  # 2^14284 is the least power of two with 4301 digits
+        digits = floor(bits * log10(2)) + 1
+        shown = combinat.show_int(-2 ** bits)
+        assert shown == (str(-2 ** bits) if digits <= 4300 else f"-<{digits}-digit integer>")
+
+
 @pytest.mark.parametrize("args, peak", [
     # N = 5, d = 2: 5*1 + 5 + 2 = 12 bits, so 4096 + (12 + 8) integers of 36 bytes
     (((2, 3), (1, 1), 1), ("the degree kernel for N=5, d=2", 4816)),
@@ -435,7 +453,8 @@ def _assert_loads_only_what_it_uses(loaded):
 
 
 _HYPERDET = {"cli", "combinat", "hyperdet"}
-_EDDEG = _HYPERDET | {"eddeg"}
+_EDDEG = {"cli", "combinat", "eddeg"}
+_ASYMPT = {"cli", "combinat", "asympt"}
 _POLAR = {"cli", "combinat", "polar"}
 
 
@@ -469,13 +488,14 @@ def test_a_request_in_any_format_imports_no_serializer(fmt):
 
 # request -> the package modules it runs
 _RUNS = {
+    "eddeg 1,1,1": _EDDEG | {"hyperdet"},  # the Frobenius route reads the GKZ criterion
     "eddeg 1,3 --generic": _EDDEG, "table table2": _EDDEG, "table stabilization": _EDDEG,
     "table dual-example": _POLAR, "verify identities --max 6": _POLAR,
-    "verify rw-constants --max 11": _EDDEG | {"asympt"},
-    "verify stabilization --max 3": _EDDEG | {"polar"},
+    "verify rw-constants --max 11": _ASYMPT | {"hyperdet"},
+    "verify stabilization --max 3": _EDDEG | {"hyperdet", "polar"},
     "verify cross-oracle --max 4": _HYPERDET | {"polar"},
-    "asympt hyperdet 3 2:4 --compare": _EDDEG | {"asympt"},
-    "asympt binary 8": _EDDEG | {"asympt"}, "asympt discriminant 3 4": _EDDEG | {"asympt"},
+    "asympt hyperdet 3 2:4 --compare": _ASYMPT | {"hyperdet"},
+    "asympt binary 8": _ASYMPT, "asympt discriminant 3 4": _ASYMPT | {"eddeg"},
 }
 
 

@@ -30,7 +30,7 @@ from segre_degrees.polar import (
     stabilization_ratio_check,
 )
 from segre_degrees.combinat import binomial
-from segre_degrees.polar import _alpha_dots, _alternating_sum, _f_sum, _g_scaled
+from segre_degrees.polar import _alpha_dots, _g_dot, _g_weights, _identity_rounds, _running_sums
 
 from ring_oracle import (binomial_alpha_coefficients, binomial_alternating_identity_holds,
                          binomial_alternating_sum, binomial_polar_class, comb_column_dots,
@@ -231,6 +231,25 @@ def _signed(values):
     return [-v if k & 1 else v for k, v in enumerate(values)]
 
 
+def _rounds(n, passes):
+    """``_identity_rounds(n)``, checked against its row (-1)^k C(n+2, k+1) built here
+    and extended to ``passes`` rounds for the entries no production path reads."""
+    rounds = _identity_rounds(n)
+    wide = _running_sums(_signed(comb(n + 2, k + 1) for k in range(n + 3)), passes)
+    assert wide[:n + 3] == rounds
+    return wide
+
+
+def _f(n, m):
+    """f(n, m), entry n+1 of round m+1 of the rounds of n-1."""
+    return _rounds(n - 1, max(m + 1, n + 1))[m + 1][n + 1]
+
+
+def _g(n, j):
+    """G(n, j) = (n+1)! (n+2)! g(n, j), from the weights of n."""
+    return _g_dot(_g_weights(n), j, [factorial(k) for k in range(n + 2 + j)])
+
+
 def test_running_sums_equal_the_comb_columns():
     """Every series read from ``polar._running_sums`` equals its binomial column
     built with one ``comb`` per term."""
@@ -247,24 +266,26 @@ def test_running_sums_equal_the_comb_columns():
                 assert alpha_coefficients(n, m, d) == \
                     [(-d if i & 1 else d) * row[m - i] for i in range(m + 1)]
         alternating = _signed(comb(n + 2, k + 1) for k in range(n + 1))
-        assert [_alternating_sum(n, low) for low in lows] == \
+        rounds = _rounds(n, n + 3)
+        assert [low * rounds[low + 1][n] for low in lows] == \
             comb_column_dots([alternating], n, lows)[0]
         f_row = _signed(comb(n + 1, r + 1) for r in range(n + 1))
-        assert [_f_sum(n, m) for m in range(n + 3)] == \
+        assert [_f(n, m) for m in range(n + 3)] == \
             [comb_column_f(f_row, m) for m in range(n + 3)]
 
 
 def test_identity_sums_match_their_oracles():
     for n in range(23):
+        rounds = _identity_rounds(n)
         for m in range(n + 1):
             for i in range(m + 1):
-                # the production sum is (-1)^i times the left-hand side, read by low = m - i + 1
-                lhs = (-1) ** i * _alternating_sum(n, m - i + 1)
+                # the production dot is (-1)^i times the left-hand side, read by low = m - i + 1
+                lhs = (-1) ** i * (m - i + 1) * rounds[m - i + 2][n]
                 assert lhs == binomial_alternating_sum(n, m, i)
                 assert alternating_binomial_identity_holds(n, m, i) == \
                     binomial_alternating_identity_holds(n, m, i)
         for j in range(1, n + 1):
-            assert _g_scaled(n, j) == fraction_g_sum(n, j) * factorial(n + 1) * factorial(n + 2)
+            assert _g(n, j) == fraction_g_sum(n, j) * factorial(n + 1) * factorial(n + 2)
             assert g_identity_holds(n, j) == fraction_g_identity_holds(n, j)
 
 
@@ -346,9 +367,9 @@ def test_alternating_binomial_identity():
 
 
 def test_f_identity_values_and_recurrence():
-    assert _f_sum(1, 1) == 4 == binomial(4, 1)
+    assert _f(1, 1) == 4 == binomial(4, 1)
     for m in range(8):
-        assert _f_sum(m, m) == binomial(2 * m + 2, m)
+        assert _f(m, m) == binomial(2 * m + 2, m)
     assert f_identity_holds(10, 4)
     for n in range(16):
         for m in range(n + 1):
@@ -356,7 +377,7 @@ def test_f_identity_values_and_recurrence():
 
 
 def test_g_identity_values_and_recurrence():
-    assert _g_scaled(1, 1) == 2 * factorial(2) * factorial(3)  # g(1, 1) = 2
+    assert _g(1, 1) == 2 * factorial(2) * factorial(3)  # g(1, 1) = 2
     assert g_identity_holds(8, 3)
     for n in range(1, 16):
         for j in range(1, n + 1):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -28,6 +29,23 @@ from segre_degrees.polar import (ChernData, alpha_coefficients, chern_data_smoot
 
 # above the largest double, so too large for a float estimate
 HUGE = 10 ** 400
+# past the default int -> str limit of 4300 digits, so a refusal shows its digit count
+HUGER = 10 ** 5000
+
+
+@contextmanager
+def _digit_limit(digits):
+    """The int <-> str digit limit at ``digits`` (0 lifts it) in the block, where the
+    interpreter has one (Python 3.10.7 and later)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _too_large(d, n=None):
@@ -89,14 +107,34 @@ REFUSALS = [
     (stabilization_ratio_check, (0, 0, 1, print), "d_max must be at least 2, got 1"),
     (identity_sweep, (-5, print), "max_n must be at least 0, got -5"),
     (f_identity_holds, (1, 2), "need n >= m >= 0, got n=1, m=2"),
+    # past 4300 digits a refused value shows as its digit count (``combinat.show_int``)
+    (at_least, (-HUGER, 0, "n"), "n must be at least 0, got -<5001-digit integer>"),
+    (log_ed_asymptotic, (3, HUGER), _too_large(3, "<5001-digit integer>")),
+    (binary_asymptotics, (HUGER,), _too_large("<5001-digit integer>")),
+    (hyperdet.route, ((1, -HUGER),), "each dimension must be at least 0, got -<5001-digit integer>"),
 ]
 
+with _digit_limit(0):
+    _REFUSAL_IDS = [_short_id(f"{f.__name__}{args}") for f, args, _ in REFUSALS]
 
-@pytest.mark.parametrize("function, args, message", REFUSALS,
-                         ids=[_short_id(f"{f.__name__}{args}") for f, args, _ in REFUSALS])
+
+@pytest.mark.parametrize("function, args, message", REFUSALS, ids=_REFUSAL_IDS)
 def test_library_refusals_are_value_errors_that_name_the_rule(function, args, message):
-    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+    """Under the default digit limit, so that no refusal turns into a bare ``ValueError``."""
+    with _digit_limit(4300), pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
         function(*args)
+
+
+def test_a_route_past_the_digit_limit_names_its_size():
+    """A format or exponent past 4300 digits is not refused: its route charges a peak whose text
+    shows each such integer as its digit count."""
+    with _digit_limit(4300):
+        fold = hyperdet.route((HUGER, HUGER))
+        closed_form = eddeg.route((HUGER,), (3,), False)
+    assert fold.name == "segre-fold"
+    assert fold.peak[0] == "the degree kernel for N=<5001-digit integer>, d=2"
+    assert closed_form.name == "veronese-closed-form"
+    assert closed_form.peak[0] == "the closed form with 2^<5001-digit integer>"
 
 
 TOP = int(sys.float_info.max)
@@ -141,6 +179,13 @@ ARGV_REFUSALS = [
      _too_large(3, HUGE)),
     (f"asympt ed {HUGE} 5", lambda: asympt.FORMULAS["ed"][0](HUGE, 5, 1), _too_large(HUGE, 5)),
 ]
+with _digit_limit(0):
+    ARGV_REFUSALS += [
+        (f"asympt binary {HUGER}", lambda: binary_asymptotics(HUGER),
+         _too_large("<5001-digit integer>")),
+        (f"hyperdet 1,-{HUGER}", lambda: at_least(-HUGER, 0, "dims"),
+         "dims must be at least 0, got -<5001-digit integer>"),
+    ]
 
 
 @pytest.mark.parametrize("argv, call, message", ARGV_REFUSALS,
