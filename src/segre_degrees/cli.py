@@ -10,8 +10,9 @@ decimal strings (they outgrow 2^53 quickly), floats are printed with 12
 significant digits, and term/row orders are fixed.  ``--timing`` leaves them
 as they are: ``main`` writes one ``timing:`` line on stderr after the output.
 ``_render`` writes JSON and CSV itself, to the byte as ``json.dumps`` and
-``csv.writer`` write them, so no request imports ``json`` or ``csv`` (nor the
-``re`` that ``json`` loads to compile its patterns).
+``csv.writer`` write a record: text of printable ASCII without ``"`` or ``\\``,
+integers, finite floats, lists and dicts; any other value is a bug and raises.
+So no request imports ``json``, ``csv`` or the ``re`` that ``json`` loads.
 
 The command line grammar is one table, ``_COMMANDS``, with one shape for
 positionals and options, which ``parse_args`` walks and ``--help`` prints.
@@ -115,36 +116,24 @@ def _record(command: str, parameters: dict, result: object, note: str = "", **ex
     return dict(command=command, parameters=parameters, result=result, note=note, **extra)
 
 
-# ensure_ascii's escape of each ASCII character that a JSON string does not hold as it is
-_JSON_ESCAPES = {**{code: f"\\u{code:04x}" for code in (*range(0x20), 0x7F)},
-                 **{ord(c): "\\" + e for c, e in zip('"\\\n\r\t\b\f', '"\\nrtbf')}}
-
-
-def _json_escape(code: int) -> str:
-    """``\\uXXXX`` of a code point, an astral one as its UTF-16 surrogate pair."""
-    if code > 0xFFFF:
-        high, low = divmod(code - 0x10000, 0x400)
-        return f"\\u{0xD800 + high:04x}\\u{0xDC00 + low:04x}"
-    return f"\\u{code:04x}"
-
-
-def _json_text(text: str) -> str:
-    """``text`` as a JSON string, written as ``ensure_ascii`` writes it."""
-    text = text.translate(_JSON_ESCAPES)
-    if not text.isascii():
-        text = "".join(c if c.isascii() else _json_escape(ord(c)) for c in text)
-    return f'"{text}"'
+def _field(value: object) -> str:
+    """A text or an integer of a record as both writers put it out.  A record's text is printable
+    ASCII without ``"`` or ``\\``, which neither writer escapes; any other text, a ``bool`` (which
+    ``index`` reads as 0 or 1) or any other type is a bug: ``TypeError``, which ``main`` does not
+    catch, so the process ends with a traceback and exit 1."""
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return value
+    elif not isinstance(value, bool):
+        return str(index(value))  # an integer; index refuses any other type
+    raise TypeError(f"a record cannot hold {value!r}")
 
 
 def _json(value: object, indent: str = "\n") -> str:
     """``value`` as ``json.dumps(value, sort_keys=True, separators=(", ", ": "), indent=1,
     allow_nan=False)`` writes it: a non-empty list or dict puts each item on its own line, one
-    space deeper, and ends every line but its last with ``", "``.  A non-finite float raises
-    ``OverflowError``: no record holds one, so it is a bug."""
-    if value is None or isinstance(value, bool):
-        return {None: "null", True: "true", False: "false"}[value]
-    if isinstance(value, str):
-        return _json_text(value)
+    space deeper, and ends every line but its last with ``", "``.  No record holds a non-finite
+    float (``OverflowError``) or a value ``_field`` refuses (``TypeError``): either is a bug."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise OverflowError(f"JSON cannot hold the float {value!r}")
@@ -152,24 +141,21 @@ def _json(value: object, indent: str = "\n") -> str:
     inner = indent + " "
     if isinstance(value, dict):
         brackets = "{}"
-        items = [f"{_json_text(key)}: {_json(item, inner)}" for key, item in sorted(value.items())]
+        items = [f'"{_field(key)}": {_json(item, inner)}' for key, item in sorted(value.items())]
     elif isinstance(value, list):
         brackets = "[]"
         items = [_json(item, inner) for item in value]
-    else:  # an integer, the one other type a record holds; index refuses any other
-        return str(index(value))
+    else:
+        return f'"{_field(value)}"' if isinstance(value, str) else _field(value)
     if not items:
         return brackets
     return f"{brackets[0]}{inner}{(', ' + inner).join(items)}{indent}{brackets[1]}"
 
 
 def _csv_field(field: object) -> str:
-    """A text or integer field as ``csv.writer`` writes it: quoted, each ``"`` doubled, when it
-    holds a comma, a quote or a line break."""
-    text = str(field)
-    if any(c in text for c in ',"\n\r'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    """A text or integer field as ``csv.writer`` writes it: quoted when it holds a comma."""
+    text = _field(field)
+    return f'"{text}"' if "," in text else text
 
 
 def _render(args: SimpleNamespace, records: list[dict],
@@ -185,8 +171,7 @@ def _render(args: SimpleNamespace, records: list[dict],
             for rec in records:
                 params = ";".join(f"{k}={v}" for k, v in sorted(rec["parameters"].items()))
                 csv_rows.append([rec["command"], params, str(rec["result"]), rec["note"]])
-        # a row of one empty field is quoted, as csv.writer quotes it, so that it is not read as
-        # a row of none
+        # one empty field is written "", as csv.writer does, since a blank line reads as no row
         lines = [",".join(map(_csv_field, row)) or ('""' if row else "") for row in csv_rows]
         return "".join(line + "\n" for line in lines)
     if plain is None:

@@ -150,9 +150,10 @@ def fold_cost(dims: Sequence[int], fold_weights: Sequence[int], x: int, copies: 
     of N + 1 integers below d^N prod_j 2^(n_j+1) w_j^n_j (ceil(log2 v) is (v-1).bit_length());
     the readout at ``x`` holds x, an accumulator, their product and Karatsuba scratch, about
     five integers |x|^(N+1) times that (tracemalloc, 3.11), charged as eight."""
+    dims, x, copies = list(map(index, dims)), index(x), index(copies)
     n_total, d = copies * sum(dims), copies * len(dims)
     bits = n_total * (d - 1).bit_length() + n_total + d + copies * sum(
-        n * (w - 1).bit_length() for n, w in zip(dims, fold_weights))
+        n * (w - 1).bit_length() for n, w in zip(dims, map(index, fold_weights)))
     held = (2 * (n_total + 1), bits), (8, bits + (n_total + 1) * (abs(x) - 1).bit_length())
     return f"the degree kernel for N={show_int(n_total)}, d={show_int(d)}", _bytes(*held)
 
@@ -160,5 +161,6 @@ def fold_cost(dims: Sequence[int], fold_weights: Sequence[int], x: int, copies: 
 def power_cost(base: int, exponent: int) -> tuple:
     """The peak of a closed form that builds base^exponent, as (what, bytes): fewer than ten
     integers of about its size at a time (tracemalloc peak up to eight on Python 3.11)."""
+    base, exponent = index(base), index(exponent)
     bits = exponent * (base - 1).bit_length()
     return f"the closed form with {show_int(base)}^{show_int(exponent)}", _bytes((10, bits))

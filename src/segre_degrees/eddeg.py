@@ -28,7 +28,7 @@ from operator import index
 
 from . import hyperdet
 from .combinat import (Route, UsageError, VerificationError, as_format, at_least, binomial_row,
-                       fold_cost, horner, multinomial_fold, power_cost, segre_fold)
+                       fold_cost, horner, multinomial_fold, power_cost, segre_fold, show_int)
 
 TYPE_CHECKING = False  # true only to type checkers, which know the name
 if TYPE_CHECKING:  # annotations only; each function that builds a Fraction imports it
@@ -120,7 +120,9 @@ def route(dims: Sequence[int], weights: Sequence[int], generic: bool) -> Route:
     if len(dims_t) == len(weights_t) == 1:
         return Route("veronese-closed-form", power_cost(weights_t[0] - 1, dims_t[0] + 1),
                      lambda: veronese_frobenius_ed_degree(dims_t[0], weights_t[0]))
-    raise UsageError(f"no Frobenius ED degree route for weights {weights_t} on {dims_t}: "
+    # two or more factors reach here, so this is each tuple's repr with show_int's integers
+    weights_s, dims_s = (f"({', '.join(map(show_int, t))})" for t in (weights_t, dims_t))
+    raise UsageError(f"no Frobenius ED degree route for weights {weights_s} on {dims_s}: "
                      "non-unit weights need a single factor or the generic metric")
 
 

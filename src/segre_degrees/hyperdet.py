@@ -21,7 +21,6 @@ weight ``is_dual_nondefective`` (the GKZ criterion) gives it with no fold.
 """
 
 from collections.abc import Iterator, Sequence
-from operator import index
 
 from .combinat import (Route, UsageError, as_format, at_least, binomial_row, fold_cost, horner,
                        rational, segre_fold, show_int)
@@ -105,8 +104,8 @@ def mixed_partial_at_symmetric_point(d: int, k: int) -> tuple[int, int]:
     ``combinat.horner`` in d - 1; the pair's denominator is positive.  Callers
     can check it against the closed form -k * (d/(d-1))^(d-k-1).
     """
-    d, k = at_least(d, 2, "d"), index(k)
-    if not 1 <= k <= d:
+    d, k = at_least(d, 2, "d"), at_least(k, 1, "k")
+    if k > d:
         raise UsageError(f"need 1 <= k <= {show_int(d)} differentiated variables, "
                          f"got {show_int(k)}")
     m = d - k  # p = d - i turns N_k into sum_p (p + 1 - d) C(m, p) (d-1)^p

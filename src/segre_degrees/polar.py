@@ -58,7 +58,8 @@ from itertools import accumulate, cycle
 from math import comb, factorial, perm
 from operator import index, mul
 
-from .combinat import UsageError, as_format, at_least, binomial_row, multinomial_fold, segre_fold
+from .combinat import (UsageError, as_format, at_least, binomial_row, multinomial_fold, segre_fold,
+                       show_int)
 
 __all__ = [
     "ChernData",
@@ -87,8 +88,8 @@ class ChernData(namedtuple("ChernData", "dim class_degrees")):
     def __new__(cls, dim: int, class_degrees: Sequence[int]) -> "ChernData":
         dim, degrees = at_least(dim, 0, "dim"), tuple(map(index, class_degrees))
         if len(degrees) != dim + 1:
-            raise UsageError(
-                f"need {dim + 1} class degrees for dimension {dim}, got {len(degrees)}")
+            raise UsageError(f"need {show_int(dim + 1)} class degrees for dimension "
+                             f"{show_int(dim)}, got {len(degrees)}")
         at_least(degrees[0], 1, "the variety degree")
         return super().__new__(cls, dim, degrees)
 
@@ -255,8 +256,9 @@ def alternating_binomial_identity_holds(n: int, m: int, i: int) -> bool:
 
     As for ``alpha_coefficients``, (-1)^i times the left-hand side is the dot
     of (n, low = m - i + 1)."""
-    if not (n >= m >= i >= 0):
-        raise UsageError(f"need n >= m >= i >= 0, got n={n}, m={m}, i={i}")
+    i = at_least(i, 0, "i")
+    m = at_least(m, i, "m")
+    n = at_least(n, m, "n")
     low = m - i + 1
     return _alternating_holds(n, low, low * _identity_rounds(n)[low + 1][n])
 
@@ -274,8 +276,8 @@ def f_identity_holds(n: int, m: int) -> bool:
 
     both checked exactly (the gamma values are factorials of positive
     integers here)."""
-    if not (n >= m >= 0):
-        raise UsageError(f"need n >= m >= 0, got n={n}, m={m}")
+    m = at_least(m, 0, "m")
+    n = at_least(n, m, "n")
     return _f_holds(n, m, _identity_rounds(n - 1)[m + 1][n + 1],
                     _identity_rounds(n)[m + 1][n + 2])
 
@@ -313,8 +315,8 @@ def g_identity_holds(n: int, j: int) -> bool:
     both exactly, for g(n,j) = sum_{s=0}^{n} (-1)^s (n+1-s+j)! / ((n+1-s)! (s+1)! (n-s)!).
     Times (n+1)! (n+2)! they read G(n,j) = (n+2+j)! and (n+1-j) G(n,j) +
     G(n+1,j) = 2 (n+2) (n+2+j)!, checked on the integer terms of ``_g_dot``."""
-    if not (n >= j >= 1):
-        raise UsageError(f"need n >= j >= 1, got n={n}, j={j}")
+    j = at_least(j, 1, "j")
+    n = at_least(n, j, "n")
     factorials = list(map(factorial, range(n + 3 + j)))
     return _g_holds(n, j, _g_dot(_g_weights(n), j, factorials),
                     _g_dot(_g_weights(n + 1), j, factorials))

@@ -243,13 +243,26 @@ def test_no_module_imports_the_one_entry_binomials():
     assert importers == []
 
 
-def _is_lower_bound(test):
-    """A comparison ``name < literal`` or ``subscript <= literal`` of one integer literal."""
-    return (isinstance(test, ast.Compare) and len(test.ops) == 1
-            and isinstance(test.ops[0], (ast.Lt, ast.LtE))
-            and isinstance(test.left, (ast.Name, ast.Subscript))
-            and isinstance(test.comparators[0], ast.Constant)
-            and type(test.comparators[0].value) is int)
+# each ordering comparison: whether its left side is the lesser one when it holds
+_LEFT_IS_LESS = {ast.Lt: True, ast.LtE: True, ast.Gt: False, ast.GtE: False}
+
+
+def _lower_bounds(test, negated=False):
+    """The number of comparisons in ``test``, each link of a chain and the operand of a ``not``
+    included, that hold, or under ``not`` fail, when a name or subscript is below an integer
+    literal: ``n < 0``, ``0 > n``, ``not (n >= m >= 0)``, ``not (1 <= k <= d)``."""
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        return _lower_bounds(test.operand, not negated)
+    if not isinstance(test, ast.Compare):
+        return 0
+    sides, count = [test.left, *test.comparators], 0
+    for left, op, right in zip(sides, test.ops, sides[1:]):
+        if type(op) in _LEFT_IS_LESS:
+            less_first = _LEFT_IS_LESS[type(op)] != negated  # the raise wants left < right
+            bounded, literal = (left, right) if less_first else (right, left)
+            count += (isinstance(bounded, (ast.Name, ast.Subscript))
+                      and isinstance(literal, ast.Constant) and type(literal.value) is int)
+    return count
 
 
 def _raised_name(statement):
@@ -267,7 +280,7 @@ def _raises_value_error(statement):
 def _hand_written_lower_bounds():
     """(file name, function, line, bounds) of each ``if`` of the package, the test ring aside,
     that raises ``ValueError`` or ``UsageError`` when a name or subscript is below an integer
-    literal, alone or inside an ``or``."""
+    literal, alone, in a chain, under a ``not`` or inside an ``or``."""
     for path in sorted(Path(segre_degrees.__file__).parent.glob("*.py")):
         if path.stem == "truncpoly":  # the test ring; its exponent check bounds no argument
             continue
@@ -282,7 +295,7 @@ def _hand_written_lower_bounds():
             test = node.test
             parts = test.values if isinstance(test, ast.BoolOp) and isinstance(
                 test.op, ast.Or) else [test]
-            bounds = sum(map(_is_lower_bound, parts))
+            bounds = sum(map(_lower_bounds, parts))
             if bounds and (path.name, owner.get(node)) != ("combinat.py", "at_least"):
                 yield path.name, owner.get(node), node.lineno, bounds
 

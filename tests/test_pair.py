@@ -79,3 +79,28 @@ def test_summarise_keeps_the_seed_order_of_each_side():
                                      "bound": 0.2}])["case_ms.p50"]
     assert (summary["parent"], summary["change"], summary["wins"]) == ([3.0, 1.0, 2.0],
                                                                        [1.0, 2.0, 3.0], 1)
+
+
+def test_the_parent_runs_first_on_odd_seeds_and_the_change_on_even_ones():
+    assert pair.sides(1) == pair.sides(11) == ("parent", "change")
+    assert pair.sides(2) == pair.sides(10) == ("change", "parent")
+    firsts = [pair.sides(seed)[0] for seed in range(1, 11)]
+    assert (firsts.count("parent"), firsts.count("change")) == (5, 5)
+
+
+def test_run_pairs_runs_each_pair_in_its_order_and_records_it():
+    calls = []
+
+    def run(side, seed):
+        calls.append((side, seed))
+        value = seed + (0.5 if side == "change" else 0.0)
+        return {"correct": True, "metrics": {"case_ms.p50": value}}
+
+    runs = pair.run_pairs(range(1, 5), run)
+    assert calls == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
+                     ("parent", 3), ("change", 3), ("change", 4), ("parent", 4)]
+    assert [(r["seed"], r["side"], r["order"]) for r in runs] == [
+        (seed, side, 1 + i % 2) for i, (side, seed) in enumerate(calls)]
+    summary = pair.summarise(runs, [{"name": "case_ms.p50", "unit": "ms", "better": "lower",
+                                     "bound": 0.2}])["case_ms.p50"]
+    assert (summary["parent"], summary["change"]) == ([1.0, 2.0, 3.0, 4.0], [1.5, 2.5, 3.5, 4.5])

@@ -19,13 +19,14 @@ from segre_degrees.asympt import (binary_asymptotics, convergence_sweep, discrim
                                   log_sv_hyperdet_asymptotic, relative_error)
 from segre_degrees.cli import main
 from segre_degrees.combinat import (UsageError, as_format, at_least, binomial, binomial_row,
-                                    multinomial)
+                                    fold_cost, multinomial, power_cost)
 from segre_degrees.eddeg import (binary_generic_ed_degree, generic_ed_degree,
                                  stabilization_onset, veronese_frobenius_ed_degree)
 from segre_degrees.hyperdet import (binary_hyperdet_degree, mixed_partial_at_symmetric_point,
                                     sv_hyperdet_degree)
-from segre_degrees.polar import (ChernData, alpha_coefficients, chern_data_smooth_hypersurface,
-                                 f_identity_holds, identity_sweep, stabilization_ratio_check)
+from segre_degrees.polar import (ChernData, alpha_coefficients, alternating_binomial_identity_holds,
+                                 chern_data_smooth_hypersurface, f_identity_holds, g_identity_holds,
+                                 identity_sweep, stabilization_ratio_check)
 
 # above the largest double, so too large for a float estimate
 HUGE = 10 ** 400
@@ -93,7 +94,8 @@ REFUSALS = [
     (hyperdet.route, ((1, 1, 1), 0), "weight must be at least 1, got 0"),
     (binary_hyperdet_degree, (0,), "d must be at least 1, got 0"),
     (mixed_partial_at_symmetric_point, (1, 1), "d must be at least 2, got 1"),
-    (mixed_partial_at_symmetric_point, (3, 0), "need 1 <= k <= 3 differentiated variables, got 0"),
+    (mixed_partial_at_symmetric_point, (3, 0), "k must be at least 1, got 0"),
+    (mixed_partial_at_symmetric_point, (3, 4), "need 1 <= k <= 3 differentiated variables, got 4"),
     (ChernData, (-1, ()), "dim must be at least 0, got -1"),
     (ChernData, (1, (0, 1)), "the variety degree must be at least 1, got 0"),
     (ChernData, (2, (1, 2)), "need 3 class degrees for dimension 2, got 2"),
@@ -106,12 +108,27 @@ REFUSALS = [
     (stabilization_ratio_check, (0, -1, 2, print), "n_max must be at least 0, got -1"),
     (stabilization_ratio_check, (0, 0, 1, print), "d_max must be at least 2, got 1"),
     (identity_sweep, (-5, print), "max_n must be at least 0, got -5"),
-    (f_identity_holds, (1, 2), "need n >= m >= 0, got n=1, m=2"),
+    (f_identity_holds, (1, 2), "n must be at least 2, got 1"),
+    (f_identity_holds, (1, -1), "m must be at least 0, got -1"),
+    (alternating_binomial_identity_holds, (3, 2, -1), "i must be at least 0, got -1"),
+    (alternating_binomial_identity_holds, (3, 1, 2), "m must be at least 2, got 1"),
+    (alternating_binomial_identity_holds, (1, 2, 0), "n must be at least 2, got 1"),
+    (g_identity_holds, (3, 0), "j must be at least 1, got 0"),
+    (g_identity_holds, (1, 2), "n must be at least 2, got 1"),
     # past 4300 digits a refused value shows as its digit count (``combinat.show_int``)
     (at_least, (-HUGER, 0, "n"), "n must be at least 0, got -<5001-digit integer>"),
     (log_ed_asymptotic, (3, HUGER), _too_large(3, "<5001-digit integer>")),
     (binary_asymptotics, (HUGER,), _too_large("<5001-digit integer>")),
     (hyperdet.route, ((1, -HUGER),), "each dimension must be at least 0, got -<5001-digit integer>"),
+    (f_identity_holds, (1, HUGER), "n must be at least <5001-digit integer>, got 1"),
+    (alternating_binomial_identity_holds, (1, HUGER, 0),
+     "n must be at least <5001-digit integer>, got 1"),
+    (g_identity_holds, (1, HUGER), "n must be at least <5001-digit integer>, got 1"),
+    (ChernData, (HUGER, ()),
+     "need <5001-digit integer> class degrees for dimension <5001-digit integer>, got 0"),
+    (eddeg.route, ((1, 2), (2, HUGER), False),
+     "no Frobenius ED degree route for weights (2, <5001-digit integer>) on (1, 2): "
+     "non-unit weights need a single factor or the generic metric"),
 ]
 
 with _digit_limit(0):
@@ -185,6 +202,9 @@ with _digit_limit(0):
          _too_large("<5001-digit integer>")),
         (f"hyperdet 1,-{HUGER}", lambda: at_least(-HUGER, 0, "dims"),
          "dims must be at least 0, got -<5001-digit integer>"),
+        (f"eddeg 1,2 --weights 2,{HUGER}", lambda: eddeg.route((1, 2), (2, HUGER), False),
+         "no Frobenius ED degree route for weights (2, <5001-digit integer>) on (1, 2): "
+         "non-unit weights need a single factor or the generic metric"),
     ]
 
 
@@ -233,6 +253,15 @@ FLOAT_ARGUMENTS = [
     (alpha_coefficients, (-1.0, 1, 2)),
     (stabilization_ratio_check, (-1.0, 1, 2, print)),
     (identity_sweep, (-1.0, print)),
+    (alternating_binomial_identity_holds, (3, 1, -1.0)),
+    (f_identity_holds, (2, -1.0)),
+    (g_identity_holds, (3, 0.5)),
+    (fold_cost, ((1.0, 2), (1, 1), 2)),
+    (fold_cost, ((1, 2), (1.5, 1), 2)),
+    (fold_cost, ((1, 2), (1, 1), 2.0)),
+    (fold_cost, ((1, 2), (1, 1), 2, 1.0)),
+    (power_cost, (2.0, 5)),
+    (power_cost, (2, 5.0)),
 ]
 
 

@@ -5,14 +5,16 @@ Usage:
 
 The parent revision is exported with ``git archive`` to ``.bench_build/<sha>/``; the
 change is the working tree.  For each seed A..B, one pair runs the parent's
-``perfbench/run.py`` and then the working tree's, both unchanged and with ``--trace 0``,
-and reads the JSON object on the last line of each run's stdout.
+``perfbench/run.py`` and the working tree's, both unchanged and with ``--trace 0``, the
+parent first on an odd seed and the change first on an even one (``sides``), and reads the
+JSON object on the last line of each run's stdout.
 
 ``BENCH_<workload>-<parent sha[:7]>.json`` in the working tree root holds both revisions, the
-Python version, ``nproc``, every run (``correct`` and its metric values) and, for each
-end-to-end metric of ``BENCHMARK.json``: the per-seed values of each side, the medians, the
-parent's interquartile range, the change's wins (ties count for neither), the bound and a
-verdict (see ``compare``).  The exit code is 1 when any run is not ``correct``.
+Python version, ``nproc``, every run (its seed, side, ``order`` in the pair, ``correct`` and
+its metric values) and, for each end-to-end metric of ``BENCHMARK.json``: the per-seed values
+of each side, the medians, the parent's interquartile range, the change's wins (ties count for
+neither), the bound and a verdict (see ``compare``).  The exit code is 1 when any run is not
+``correct``.
 """
 
 import argparse
@@ -78,6 +80,20 @@ def summarise(runs, end_to_end):
     return out
 
 
+def sides(seed):
+    """The two sides of the pair of ``seed`` in the order they run: the parent first on an odd
+    seed, the change first on an even one, so that neither side always runs second, on a
+    machine and a file cache that the other has just warmed."""
+    return ("parent", "change") if seed % 2 else ("change", "parent")
+
+
+def run_pairs(seeds, run):
+    """The runs of each seed's pair, in ``sides`` order: ``run(side, seed)`` gives a run's
+    fields, to which the seed, the side and its ``order`` in the pair (1 or 2) are added."""
+    return [{"seed": seed, "side": side, "order": order, **run(side, seed)}
+            for seed in seeds for order, side in enumerate(sides(seed), 1)]
+
+
 def _git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
@@ -123,14 +139,15 @@ def main(argv=None):
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parent_sha, parent_dir = export(args.parent)
-    runs = []
-    for seed in seeds:
-        for side, checkout in (("parent", parent_dir), ("change", ROOT)):
-            run = {"seed": seed, "side": side,
-                   **run_once(checkout, args.workload, seed, args.seconds)}
-            runs.append(run)
-            shown = " ".join(f"{k}={v:.6g}" for k, v in run["metrics"].items())
-            print(f"seed {seed} {side}: correct={run['correct']} {shown}", file=sys.stderr)
+    checkouts = {"parent": parent_dir, "change": ROOT}
+
+    def run(side, seed):
+        done = run_once(checkouts[side], args.workload, seed, args.seconds)
+        shown = " ".join(f"{k}={v:.6g}" for k, v in done["metrics"].items())
+        print(f"seed {seed} {side}: correct={done['correct']} {shown}", file=sys.stderr)
+        return done
+
+    runs = run_pairs(seeds, run)
 
     correct = all(run["correct"] for run in runs)
     record = {
