@@ -62,7 +62,8 @@ def as_format(dims: Iterable[int]) -> tuple[int, ...]:
 def binomial(a: int, b: int) -> int:
     """C(a, b) for a >= 0, and 0 whenever b < 0 or b > a: the full-range sums of
     the test oracles rely on the zeros.  No package module calls it; a whole
-    row C(a, .) is ``binomial_row``."""
+    row C(a, .) is ``binomial_row``.  Where b and a - b both pass ``sys.maxsize``,
+    ``math.comb`` raises ``OverflowError``: no memory holds that result."""
     a, b = at_least(a, 0, "binomial upper index"), index(b)
     if b < 0 or b > a:
         return 0
@@ -102,7 +103,8 @@ def rational(num: int, den: int) -> tuple[int, int]:
 
 
 def multinomial(parts: Iterable[int]) -> int:
-    """(sum parts)! / prod(parts_i!) for non-negative integer parts."""
+    """(sum parts)! / prod(parts_i!) for non-negative integer parts.  A sum past
+    ``sys.maxsize`` raises ``math.factorial``'s ``OverflowError``: no memory holds it."""
     parts_t = tuple(map(index, parts))
     at_least(min(parts_t, default=0), 0, "each multinomial part")
     out = factorial(sum(parts_t))

@@ -133,6 +133,7 @@ def binary_generic_ed_degree(d: int) -> int:
 
     No package code calls it: it is the independent closed-form route that
     the tests and ``perfbench/pin.py`` check ``generic_ed_degree`` against.
+    A d past ``sys.maxsize`` raises ``math.perm``'s ``OverflowError``: no memory holds d!.
     """
     d = at_least(d, 1, "d")
     return sum((-2) ** i * perm(d, d - i) * (2 ** (d + 1 - i) - 1) for i in range(d + 1))

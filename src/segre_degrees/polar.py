@@ -35,27 +35,28 @@ case by case by the ``*_identity_holds`` functions, and exhaustively by
 ``identity_sweep`` and ``stabilization_ratio_check``.
 
 Those checks sum each defining series exactly on Python integers, by one path
-that single cases and sweeps share: the g sum term by term in ``_g_dot``,
-scaled by (n+1)! (n+2)! so that every term is an integer, and the alpha,
-alternating and f sums, a signed row against a binomial column, by the
-``_running_sums`` of ``_alpha_dots`` and ``_identity_rounds``, with no
-``comb`` per term.  No sum is replaced by its closed form, which would make
-the check a tautology.  The two sweeps sum each distinct series once and hand
-it to every case that reads it: the alpha and alternating sums depend on m and
-i only through m - i + 1, so each row n holds one dot per value of it (per d
-for alpha), and the f and g values of row n+1 serve both the recurrences of
-row n and the checks of row n+1.  Each distinct comparison is made once, and a
-failed one is reported for every case that reads it, while the case count
-still counts every case.  A sweep holds two rows at a time, never a table over
-all n.  The routes these replaced, the multigraded ring, the per-term polar
-sum, the ``Fraction`` bodies of the integer sums and the ``comb`` columns, are
+that single cases and sweeps share: each is a signed row against a binomial
+column, read from the ``_running_sums`` of ``_alpha_dots`` (alpha) or of
+``_identity_rounds`` (alternating, f and g), with no ``comb`` per term.  The g
+sum, scaled by (n+1)! (n+2)! and rewritten term by term into such a dot (see
+``g_identity_holds``), is the alternating dot of low = j+1 up to a factor.  No
+sum is replaced by its closed form, which would make the check a tautology.
+The two sweeps sum each distinct series once and hand it to every case that
+reads it: the alpha and alternating sums depend on m and i only through
+m - i + 1, so each row n holds one dot per value of it (per d for alpha), and
+the rounds of row n+1 serve both the recurrences of row n and the checks of
+row n+1.  Each distinct comparison is made once, and a failed one is reported
+for every case that reads it, while the case count still counts every case.
+A sweep holds the rows of two or three consecutive n, never a table over all
+n.  The routes these replaced, the multigraded ring, the per-term polar sum,
+the ``Fraction`` bodies of the integer sums and the ``comb`` columns, are
 test oracles in ``tests/ring_oracle.py``.
 """
 
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from itertools import accumulate, cycle
-from math import comb, factorial, perm
+from math import comb
 from operator import index, mul
 
 from .combinat import (UsageError, as_format, at_least, binomial_row, multinomial_fold, segre_fold,
@@ -94,6 +95,13 @@ class ChernData(namedtuple("ChernData", "dim class_degrees")):
         return super().__new__(cls, dim, degrees)
 
 
+def _chern_data(value: ChernData, name: str) -> ChernData:
+    """``value`` as a ``ChernData`` argument; anything else raises ``TypeError`` naming ``name``."""
+    if not isinstance(value, ChernData):
+        raise TypeError(f"{name} must be ChernData, got {type(value).__name__}")
+    return value
+
+
 # All polar classes delta_0..delta_m of a variety plus the codimension of its
 # dual that they imply (1 when the dual is a hypersurface of degree delta_0).
 PolarProfile = namedtuple("PolarProfile", "deltas dual_codim")
@@ -129,6 +137,7 @@ def chern_data_smooth_hypersurface(n: int, deg_d: int) -> ChernData:
 def chern_data_product(a: ChernData, b: ChernData) -> ChernData:
     """Chern data of the Segre product of any two varieties, by the Whitney
     formula: one fold of their reversed class degrees (see the module notes)."""
+    a, b = _chern_data(a, "a"), _chern_data(b, "b")
     return _from_fold(multinomial_fold((a.class_degrees[::-1], b.class_degrees[::-1])))
 
 
@@ -141,7 +150,7 @@ def dual_profile(cd: ChernData) -> PolarProfile:
     m^3 bit operations.  delta_m = deg(c_0) >= 1, so some delta is non-zero;
     for P^n, dual_codim = n + 1, the convention for an empty dual variety.
     """
-    coeffs, shifted = [*map(mul, cycle((1, -1)), cd.class_degrees), 0], []
+    coeffs, shifted = [*map(mul, cycle((1, -1)), _chern_data(cd, "cd").class_degrees), 0], []
     while coeffs:
         coeffs = list(accumulate(coeffs))
         shifted.append(coeffs.pop())
@@ -201,6 +210,7 @@ def _running_sums(row: Sequence[int], passes: int) -> list[list[int]]:
 
 def delta0_product_with_hypersurface(cd: ChernData, n: int, deg_d: int) -> int:
     """delta_0(X x Y_n) from the Chern class degrees of X alone."""
+    cd = _chern_data(cd, "cd")
     alphas = alpha_coefficients(n, cd.dim, deg_d)
     return sum(a * v for a, v in zip(alphas, cd.class_degrees))
 
@@ -237,14 +247,15 @@ def stabilization_ratio_check(m_max: int, n_max: int, d_max: int,
 
 
 # -- binomial identities behind the ratio ------------------------------------
-# One comparison helper per identity, fed by ``_identity_rounds`` or ``_g_dot``.
+# One comparison helper per identity, each fed by ``_identity_rounds``.
 
 
 def _identity_rounds(n: int) -> list[list[int]]:
     """The n+2 ``_running_sums`` rounds of (-1)^k C(n+2, k+1), k = 0..n+2, the
-    one source of the alternating and f sums: the alternating dot of (n, low)
-    is low times entry n of round low+1, and f(n+1, m) is entry n+2 of round
-    m+1, so f(0, m) reads the rounds of n = -1."""
+    one source of the three identities' sums: the alternating dot of (n, low)
+    is low times entry n of round low+1, f(n+1, m) is entry n+2 of round m+1,
+    so f(0, m) reads the rounds of n = -1, and R(n, j) of ``g_identity_holds``
+    is entry n of round j+2."""
     return _running_sums(list(map(mul, cycle((1, -1)), [*binomial_row(n + 2)[1:], 0])), n + 2)
 
 
@@ -283,28 +294,9 @@ def f_identity_holds(n: int, m: int) -> bool:
 
 
 def _f_holds(n: int, m: int, f_n: int, f_next: int) -> bool:
-    if f_n != comb(m + n + 2, m):
-        return False
-    lhs = (1 + n - m) * f_n + (n + 3) * f_next
-    rhs = 2 * factorial(n + 2 + m) // (factorial(n + 1) * factorial(m))
-    return lhs == rhs
-
-
-def _g_weights(n: int) -> list[int]:
-    """The j-free factors (-1)^s (n+1)!/(n+1-s)! C(n+2, s+1) (n+1-s) of the
-    terms of G(n, j), s = 0..n."""
-    weights = []
-    for s, c in enumerate(binomial_row(n + 2)[1:-1]):
-        term = perm(n + 1, s) * c * (n + 1 - s)
-        weights.append(-term if s & 1 else term)
-    return weights
-
-
-def _g_dot(weights: Sequence[int], j: int, factorials: Sequence[int]) -> int:
-    """G(n, j) from the ``_g_weights`` of n: the s-th weight times (n+1-s+j)!,
-    read from ``factorials[k] = k!``, which reaches k = n+1+j."""
-    n = len(weights) - 1
-    return sum(map(mul, weights, factorials[n + 1 + j:j:-1]))
+    """The f identity, whose right side 2 (m+n+2)! / ((n+1)! m!) is 2 (n+2) C(m+n+2, m)."""
+    top = comb(m + n + 2, m)
+    return f_n == top and (1 + n - m) * f_n + (n + 3) * f_next == 2 * (n + 2) * top
 
 
 def g_identity_holds(n: int, j: int) -> bool:
@@ -313,41 +305,40 @@ def g_identity_holds(n: int, j: int) -> bool:
         (n+1-j) g(n,j) + (n^2+5n+6) g(n+1,j) = 2 (n+2+j)! / ((n+1)!)^2 ,
 
     both exactly, for g(n,j) = sum_{s=0}^{n} (-1)^s (n+1-s+j)! / ((n+1-s)! (s+1)! (n-s)!).
-    Times (n+1)! (n+2)! they read G(n,j) = (n+2+j)! and (n+1-j) G(n,j) +
-    G(n+1,j) = 2 (n+2) (n+2+j)!, checked on the integer terms of ``_g_dot``."""
+    Times (n+1)! (n+2)! term s is (-1)^s (n+1)! C(n+2, s+1) (n+1-s) (n+1-s+j)! / (n+1-s)!,
+    and (n+1-s) (n+1-s+j)! / (n+1-s)! = (j+1)! C(n+1-s+j, j+1), so (n+1)! (n+2)! g(n,j)
+    = (n+1)! (j+1)! R(n,j) for R(n,j) = sum_s (-1)^s C(n+2, s+1) C(n+1-s+j, j+1), entry n
+    of round j+2 of ``_identity_rounds(n)``.  The identities then read R(n,j) =
+    C(n+j+2, n+1) and (n+1-j) R(n,j) + (n+2) R(n+1,j) = 2 (n+2) C(n+j+2, n+1).
+
+    (j+1) R(n,j) is also the alternating dot of (n, low = j+1), so g(n,j) is
+    j!/(n+2)! times that dot and the two value checks are one equation; both
+    are kept, so that each identity reports its own failures."""
     j = at_least(j, 1, "j")
     n = at_least(n, j, "n")
-    factorials = list(map(factorial, range(n + 3 + j)))
-    return _g_holds(n, j, _g_dot(_g_weights(n), j, factorials),
-                    _g_dot(_g_weights(n + 1), j, factorials))
+    return _g_holds(n, j, _identity_rounds(n)[j + 2][n], _identity_rounds(n + 1)[j + 2][n + 1])
 
 
-def _g_holds(n: int, j: int, g_n: int, g_next: int) -> bool:
-    top = factorial(n + 2 + j)
-    return g_n == top and (n + 1 - j) * g_n + g_next == 2 * (n + 2) * top
+def _g_holds(n: int, j: int, r_n: int, r_next: int) -> bool:
+    """The g identity divided by (n+1)! (j+1)!, on R(n, j) and R(n+1, j)."""
+    top = comb(n + j + 2, n + 1)
+    return r_n == top and (n + 1 - j) * r_n + (n + 2) * r_next == 2 * (n + 2) * top
 
 
 def identity_sweep(max_n: int, report: Callable[[str], None]) -> int:
     """Check the three identities above for every n <= max_n and all their
     m, i and j, report each failure, and return the number of cases.
 
-    Each distinct sum is summed once: the alternating dots once per (n, low)
-    with low = m - i + 1, and f(n+1, m) and G(n+1, j) once, for the
-    recurrences of row n and the values of row n+1; f(n+1, m) and the
-    alternating dots of row n read one ``_identity_rounds``.  It holds two
-    rows of each and the rounds of one row, O(max_n^2) integers."""
+    Each distinct sum is summed once: row n builds the ``_identity_rounds`` of
+    n+1, read by its g recurrence, then by the alternating dots, the f and g
+    values and the f recurrence of row n+1, and by the f values of row n+2.
+    A table entry is reported by every identity that reads it.  The sweep holds
+    the rounds of three rows, O(max_n^2) integers."""
     max_n = at_least(max_n, 0, "max_n")
     checked = 0
-    factorials = list(map(factorial, range(2 * max_n + 3)))
-    f_row = [_identity_rounds(-1)[1][1]]
-    g_row: list[int] = []
+    before, rounds = _identity_rounds(-1), _identity_rounds(0)
     for n in range(max_n + 1):
-        # row n+1 of f and G, as far as row n's recurrences and row n+1's values reach
-        top = min(n + 1, max_n)
-        rounds = _identity_rounds(n)
-        f_next = [rounds[m + 1][n + 2] for m in range(top + 1)]
-        weights = _g_weights(n + 1)
-        g_next = [_g_dot(weights, j, factorials) for j in range(1, top + 1)]
+        after = _identity_rounds(n + 1)
         failed = [low for low in range(1, n + 2)
                   if not _alternating_holds(n, low, low * rounds[low + 1][n])]
         checked += (n + 1) * (n + 2) // 2
@@ -356,11 +347,11 @@ def identity_sweep(max_n: int, report: Callable[[str], None]) -> int:
                 if low <= m + 1:
                     report(f"binomial identity failed at n={n} m={m} i={m + 1 - low}")
             checked += 1
-            if not _f_holds(n, m, f_row[m], f_next[m]):
+            if not _f_holds(n, m, before[m + 1][n + 1], rounds[m + 1][n + 2]):
                 report(f"f identity failed at n={n} m={m}")
         for j in range(1, n + 1):
             checked += 1
-            if not _g_holds(n, j, g_row[j - 1], g_next[j - 1]):
+            if not _g_holds(n, j, rounds[j + 2][n], after[j + 2][n + 1]):
                 report(f"g identity failed at n={n} j={j}")
-        f_row, g_row = f_next, g_next
+        before, rounds = rounds, after
     return checked

@@ -1002,15 +1002,9 @@ def test_verify_honours_format_and_out(tmp_path, capsys):
                                 "verify,checked=6;failures=0;max=3;suite=cross-oracle,ok,"]
 
 
-def _perturbed_at(monkeypatch, name, key, where):
-    """Add 1 to polar.<name>'s value wherever ``key(*args) == where``."""
-    original = getattr(polar, name)
-    monkeypatch.setattr(polar, name, lambda *a: original(*a) + (key(*a) == where))
-
-
 def _identity_row(n):
     """(-1)^k C(n+2, k+1), k = 0..n+2: the row whose running sums hold the
-    alternating dots of n and f(n+1, m)."""
+    alternating dots of n, f(n+1, m) and R(n, j) = G(n, j) / ((n+1)! (j+1)!)."""
     return [(-1) ** k * math.comb(n + 2, k + 1) for k in range(n + 3)]
 
 
@@ -1047,27 +1041,34 @@ def test_verify_failures_in_every_format(monkeypatch, capsys):
 
 def test_verify_identities_reports_a_wrong_alternating_dot_for_every_case_that_reads_it(
         monkeypatch, capsys):
-    # the alternating dot of n = 3 and low = 2 is low times entry 3 of round 3 of row 3
+    # the alternating dot of n = 3 and low = 2 is low times entry 3 of round 3 of row 3,
+    # which is also R(3, 1): the g value of row 3 and G(n+1, 1) of row 2's recurrence
     _perturbed_round(monkeypatch, _identity_row(3), 3, 3)
     code, out, _ = run(["verify", "identities", "--max", "4"], capsys)
     assert code == 1
-    assert out.splitlines()[:4] == [
+    assert out.splitlines()[:6] == [
+        "FAIL g identity failed at n=2 j=1",
         "FAIL binomial identity failed at n=3 m=1 i=0",
         "FAIL binomial identity failed at n=3 m=2 i=1",
         "FAIL binomial identity failed at n=3 m=3 i=2",
-        "verify identities: FAILED (checked=140, failures=3, max=4)",
+        "FAIL g identity failed at n=3 j=1",
+        "verify identities: FAILED (checked=140, failures=5, max=4)",
     ]
 
 
 def test_verify_identities_reports_a_wrong_g_value_in_both_rows_that_read_it(monkeypatch,
                                                                               capsys):
-    _perturbed_at(monkeypatch, "_g_dot", lambda weights, j, _: (len(weights) - 1, j), (3, 2))
+    # R(3, 2), entry 3 of round 4 of row 3, is read by both g rows and, as the
+    # alternating dot of n = 3 and low = 3, by the binomial identity
+    _perturbed_round(monkeypatch, _identity_row(3), 4, 3)
     code, out, _ = run(["verify", "identities", "--max", "4"], capsys)
     assert code == 1
     assert out.splitlines() == [
         "FAIL g identity failed at n=2 j=2",
+        "FAIL binomial identity failed at n=3 m=2 i=0",
+        "FAIL binomial identity failed at n=3 m=3 i=1",
         "FAIL g identity failed at n=3 j=2",
-        "verify identities: FAILED (checked=140, failures=2, max=4)",
+        "verify identities: FAILED (checked=140, failures=4, max=4)",
     ]
 
 
@@ -1132,8 +1133,7 @@ def test_verify_identities_sums_each_defining_series_once(monkeypatch, capsys):
     counts = _sum_calls(monkeypatch, [
         ("_running_sums", lambda row, passes: (tuple(row), passes)),
         ("_hypersurface_chern_coeffs", lambda n, d: (n, d)),
-        ("_g_weights", lambda n: n),
-        ("_g_dot", lambda weights, j, _: (len(weights) - 1, j)),
+        ("_identity_rounds", lambda n: n),
     ])
     run(["verify", "identities", "--max", str(top)], capsys)
     first = {name: Counter(c) for name, c in counts.items()}
@@ -1142,12 +1142,11 @@ def test_verify_identities_sums_each_defining_series_once(monkeypatch, capsys):
     assert run(["verify", "identities", "--max", str(top)], capsys)[0] == 0
     assert counts == first  # no cache: the second run does the same work
 
-    # one set of rounds per n for the identity rows, through low = n + 1 and f(n+1, n+1),
-    # after f(0, 0) from the row of n = -1; one per (n, d) for the alpha rows, whose row
+    # one set of rounds per identity row n = -1 .. top + 1: f(0, m) reads the row of -1,
+    # and G(top + 1, j) that of top + 1; one per (n, d) for the alpha rows, whose row
     # n = top is read only as alpha(n+1) of n = top - 1, through low = min(n, top - 1) + 1
-    wanted = Counter({(tuple(_identity_row(-1)), 1): 1})
+    wanted = Counter((tuple(_identity_row(n)), n + 2) for n in range(-1, top + 2))
     for n in range(top + 1):
-        wanted[tuple(_identity_row(n)), n + 2] += 1
         for d in range(2, 6):
             # (-1)^k g_k for the y^k coefficient g_k of (1+y)^(n+2) / (1+dy)
             signed = tuple((-1) ** k * sum(math.comb(n + 2, j) * (-d) ** (k - j)
@@ -1156,10 +1155,7 @@ def test_verify_identities_sums_each_defining_series_once(monkeypatch, capsys):
     assert counts["_running_sums"] == wanted
     assert counts["_hypersurface_chern_coeffs"] == Counter(
         (n, d) for n in range(top + 1) for d in range(2, 6))
-    # G(n, j) for every row n <= top and the n values of row top + 1
-    assert counts["_g_weights"] == Counter(range(1, top + 2))
-    assert counts["_g_dot"] == Counter(
-        (n, j) for n in range(top + 2) for j in range(1, min(n, top) + 1))
+    assert counts["_identity_rounds"] == Counter(range(-1, top + 2))
 
 
 def test_jobs_must_be_a_positive_integer(monkeypatch, capsys):
@@ -1309,11 +1305,6 @@ def test_verify_rw_constants_runs_to_its_maximum(capsys):
         0, "verify rw-constants: ok (checked=198, failures=0, max=200)\n", "")
 
 
-def _perturbed(fn, args):
-    """fn with 1 added to its value at args."""
-    return lambda *a: fn(*a) + (a == args)
-
-
 def _c63_read_twice(running_sums):
     """running_sums with the binomial C(6, 3) one too large: entry j of round 4 is
     sum_k row[k] C(3+j-k, 3), so it reads its term k = j - 3 once more."""
@@ -1327,10 +1318,13 @@ def _c63_read_twice(running_sums):
 
 
 @pytest.mark.parametrize("term, args, first_failure", [
-    # one term of G(4, j): the s = 2 falling factorial 5!/3!
-    ("perm", ("perm", lambda f: _perturbed(f, (5, 2))), "g identity failed at n=3 j=1"),
-    # C(6, 3) is a term of the alternating, f and alpha sums
-    ("comb", ("_running_sums", _c63_read_twice), "binomial identity failed at n=3 m=2 i=0"),
+    # the row entry C(6, 3) is the s = 2 term of R(4, j), first read by row 3's g recurrence
+    ("row", ("binomial_row", lambda f: lambda a: [c + ((a, k) == (6, 3))
+                                                  for k, c in enumerate(f(a))]),
+     "g identity failed at n=3 j=1"),
+    # the column binomial C(6, 3) is a term of the alternating, f, g and alpha sums; R(3, 2)
+    # reads it in row 2's g recurrence first
+    ("comb", ("_running_sums", _c63_read_twice), "g identity failed at n=2 j=2"),
 ])
 def test_verify_identities_sees_one_perturbed_term(monkeypatch, capsys, term, args,
                                                      first_failure):

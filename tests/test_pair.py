@@ -1,7 +1,10 @@
-"""The summary of ``tools/pair.py`` on synthetic run records: no git, no benchmark run."""
+"""``tools/pair.py``: its summary on synthetic run records, its ``--seeds`` refusals, and
+what it exports and records in a temporary git repository whose ``perfbench/run.py`` is a
+stub."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -104,3 +107,104 @@ def test_run_pairs_runs_each_pair_in_its_order_and_records_it():
     summary = pair.summarise(runs, [{"name": "case_ms.p50", "unit": "ms", "better": "lower",
                                      "bound": 0.2}])["case_ms.p50"]
     assert (summary["parent"], summary["change"]) == ([1.0, 2.0, 3.0, 4.0], [1.5, 2.5, 3.5, 4.5])
+
+
+@pytest.mark.parametrize("text, seeds", [("3", [3]), ("1..10", list(range(1, 11))),
+                                         ("2..2", [2])])
+def test_seed_range_reads_a_seed_or_a_range(text, seeds):
+    assert list(pair.seed_range(text)) == seeds
+
+
+@pytest.mark.parametrize("text", ["5..2", "a..b", "", "1..", "..3", "1..2..3", "1.5"])
+def test_a_bad_seed_range_is_a_usage_error_before_any_export(monkeypatch, capsys, text):
+    monkeypatch.setattr(pair, "export", lambda rev: pytest.fail("exported"))
+    with pytest.raises(SystemExit) as exit_:
+        pair.main(["--parent", "HEAD", "--workload", "w", "--seeds", text, "--seconds", "1"])
+    assert exit_.value.code == 2
+    assert "argument --seeds: want A or A..B with A <= B" in capsys.readouterr().err
+
+
+# reports case_ms.p50 from value.txt in its own checkout
+_STUB_RUN = """import json, pathlib
+value = float((pathlib.Path(__file__).parents[1] / "value.txt").read_text())
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"case_ms.p50": {"value": value}}}))
+"""
+
+
+def _git(repo, *args):
+    return subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+@pytest.fixture
+def repo(tmp_path, monkeypatch):
+    """A git repository with the stub run and value.txt = 1.0 committed, as ``pair.ROOT``."""
+    for key in ("AUTHOR", "COMMITTER"):
+        monkeypatch.setenv(f"GIT_{key}_NAME", "pair test")
+        monkeypatch.setenv(f"GIT_{key}_EMAIL", "pair@example.invalid")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(_STUB_RUN)
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "kept.py").write_text("")
+    (tmp_path / "value.txt").write_text("1.0")
+    (tmp_path / ".gitignore").write_text(".bench_build/\n")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "case_ms.p50", "unit": "ms", "better": "lower", "bound": 0.2}]}))
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "parent")
+    monkeypatch.setattr(pair, "ROOT", tmp_path)
+    return tmp_path
+
+
+def _pair(monkeypatch, repo):
+    """Run ``pair.main`` on seeds 1..2; return its exit code, record and run checkouts."""
+    checkouts = []
+    run_once = pair.run_once
+    monkeypatch.setattr(pair, "run_once",
+                        lambda checkout, *a: checkouts.append(checkout) or run_once(checkout, *a))
+    code = pair.main(["--parent", "HEAD", "--workload", "w", "--seeds", "1..2",
+                      "--seconds", "0"])
+    head = _git(repo, "rev-parse", "HEAD")
+    return code, json.loads((repo / f"BENCH_w-{head[:7]}.json").read_text()), checkouts
+
+
+def test_the_change_is_the_exported_working_tree(monkeypatch, repo):
+    (repo / "value.txt").write_text("2.0")
+    code, record, checkouts = _pair(monkeypatch, repo)
+    assert code == 0
+    head = _git(repo, "rev-parse", "HEAD")
+    parent, change = record["parent"], record["change"]
+    assert parent == {"rev": head, "tree": _git(repo, "rev-parse", "HEAD^{tree}")}
+    assert change["rev"] != head and set(change) == {"rev", "tree"}
+    assert _git(repo, "rev-parse", f"{change['rev']}^{{tree}}") == change["tree"]
+    assert _git(repo, "show", f"{change['rev']}:value.txt") == "2.0"
+    build = repo / ".bench_build"
+    assert set(checkouts) == {build / head, build / change["rev"]}
+    summary = record["metrics"]["case_ms.p50"]
+    assert (summary["parent"], summary["change"]) == ([1.0, 1.0], [2.0, 2.0])
+    assert _git(repo, "status", "--porcelain", "--", "value.txt") == "M value.txt"
+
+
+def test_a_clean_tree_is_measured_as_head(monkeypatch, repo):
+    code, record, checkouts = _pair(monkeypatch, repo)
+    assert code == 0
+    assert record["change"] == record["parent"]
+    assert record["change"]["rev"] == _git(repo, "rev-parse", "HEAD")
+    assert set(checkouts) == {repo / ".bench_build" / record["parent"]["rev"]}
+
+
+@pytest.mark.parametrize("where", ["src", "tests", "tools"])
+def test_untracked_files_that_would_not_be_measured_are_refused(monkeypatch, capsys, repo,
+                                                                 where):
+    (repo / "notes.txt").write_text("")  # untracked outside src/, tests/ and tools/: allowed
+    (repo / where).mkdir(exist_ok=True)
+    (repo / where / "new.py").write_text("")
+    with pytest.raises(SystemExit) as exit_:
+        _pair(monkeypatch, repo)
+    assert exit_.value.code == 2
+    assert f"{where}/new.py" in capsys.readouterr().err
+    assert not (repo / ".bench_build").exists()
+    (repo / where / "new.py").unlink()
+    assert _pair(monkeypatch, repo)[0] == 0

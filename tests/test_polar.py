@@ -30,7 +30,7 @@ from segre_degrees.polar import (
     stabilization_ratio_check,
 )
 from segre_degrees.combinat import binomial
-from segre_degrees.polar import _alpha_dots, _g_dot, _g_weights, _identity_rounds, _running_sums
+from segre_degrees.polar import _alpha_dots, _identity_rounds, _running_sums
 
 from ring_oracle import (binomial_alpha_coefficients, binomial_alternating_identity_holds,
                          binomial_alternating_sum, binomial_polar_class, comb_column_dots,
@@ -246,8 +246,9 @@ def _f(n, m):
 
 
 def _g(n, j):
-    """G(n, j) = (n+1)! (n+2)! g(n, j), from the weights of n."""
-    return _g_dot(_g_weights(n), j, [factorial(k) for k in range(n + 2 + j)])
+    """G(n, j) = (n+1)! (n+2)! g(n, j) = (n+1)! (j+1)! R(n, j), for R(n, j) entry n of
+    round j+2 of the rounds of n (see ``g_identity_holds``)."""
+    return factorial(n + 1) * factorial(j + 1) * _rounds(n, n + 2)[j + 2][n]
 
 
 def test_running_sums_equal_the_comb_columns():
@@ -285,8 +286,10 @@ def test_identity_sums_match_their_oracles():
                 assert alternating_binomial_identity_holds(n, m, i) == \
                     binomial_alternating_identity_holds(n, m, i)
         for j in range(1, n + 1):
-            assert _g(n, j) == fraction_g_sum(n, j) * factorial(n + 1) * factorial(n + 2)
             assert g_identity_holds(n, j) == fraction_g_identity_holds(n, j)
+    for n in range(41):
+        for j in range(1, n + 1):
+            assert _g(n, j) == fraction_g_sum(n, j) * factorial(n + 1) * factorial(n + 2)
 
 
 def test_identity_sweep_compares_each_alternating_dot_once(monkeypatch):
@@ -304,6 +307,37 @@ def test_identity_sweep_compares_each_alternating_dot_once(monkeypatch):
     assert lines == []
     # one comparison per (n, low), so sum_{n <= max_n} (n + 1) in all
     assert calls == Counter((n, low) for n in range(max_n + 1) for low in range(1, n + 2))
+
+
+@pytest.mark.parametrize("fault", [None, (-1, 1, 1), (2, 1, 4), (3, 3, 3), (5, 4, 5),
+                                   (6, 7, 8), (11, 3, 11)])
+def test_the_single_case_checks_agree_with_the_sweep(monkeypatch, fault):
+    """On every case with n <= 10 the sweep reports, in its order, exactly the cases whose
+    single-case check fails: with no fault none, and with entry k of round t of the
+    ``_identity_rounds`` of one row n = -1 .. 11 one too large, each case that reads it."""
+    if fault:
+        row, t, k = fault
+        original = polar._identity_rounds
+
+        def perturbed(n):
+            rounds = original(n)
+            if n == row:
+                rounds[t][k] += 1
+            return rounds
+
+        monkeypatch.setattr(polar, "_identity_rounds", perturbed)
+    lines = []
+    identity_sweep(10, lines.append)
+    wanted = []
+    for n in range(11):
+        for m in range(n + 1):
+            wanted += [f"binomial identity failed at n={n} m={m} i={i}"
+                       for i in range(m + 1) if not alternating_binomial_identity_holds(n, m, i)]
+            wanted += [f"f identity failed at n={n} m={m}"] * (not f_identity_holds(n, m))
+        wanted += [f"g identity failed at n={n} j={j}"
+                   for j in range(1, n + 1) if not g_identity_holds(n, j)]
+    assert lines == wanted
+    assert bool(lines) == bool(fault)
 
 
 def test_stabilization_ratio_check_report():

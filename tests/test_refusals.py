@@ -25,8 +25,9 @@ from segre_degrees.eddeg import (binary_generic_ed_degree, generic_ed_degree,
 from segre_degrees.hyperdet import (binary_hyperdet_degree, mixed_partial_at_symmetric_point,
                                     sv_hyperdet_degree)
 from segre_degrees.polar import (ChernData, alpha_coefficients, alternating_binomial_identity_holds,
-                                 chern_data_smooth_hypersurface, f_identity_holds, g_identity_holds,
-                                 identity_sweep, stabilization_ratio_check)
+                                 chern_data_product, chern_data_smooth_hypersurface,
+                                 delta0_product_with_hypersurface, dual_profile, f_identity_holds,
+                                 g_identity_holds, identity_sweep, stabilization_ratio_check)
 
 # above the largest double, so too large for a float estimate
 HUGE = 10 ** 400
@@ -271,6 +272,24 @@ def test_a_float_integer_argument_is_a_type_error(function, args):
     """Read by ``operator.index`` before any comparison, so a float is neither
     truncated nor compared with a bound."""
     with pytest.raises(TypeError):
+        function(*args)
+
+
+# a ``ChernData`` argument is read by one checker, whose ``TypeError`` names the argument
+NOT_CHERN_DATA = [
+    (chern_data_product, ((1, 2), (1,)), "a must be ChernData, got tuple"),
+    (chern_data_product, (ChernData(0, (1,)), None), "b must be ChernData, got NoneType"),
+    (dual_profile, (None,), "cd must be ChernData, got NoneType"),
+    (dual_profile, ((1, 2),), "cd must be ChernData, got tuple"),
+    (delta0_product_with_hypersurface, ((1, 2), 3, 2), "cd must be ChernData, got tuple"),
+]
+
+
+@pytest.mark.parametrize("function, args, message", NOT_CHERN_DATA,
+                         ids=[f"{f.__name__}{args}" for f, args, _ in NOT_CHERN_DATA])
+def test_a_chern_data_argument_of_another_type_is_a_type_error_naming_it(function, args,
+                                                                         message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         function(*args)
 
 

@@ -3,18 +3,22 @@
 Usage:
     python3 tools/pair.py --parent REV --workload W --seeds A..B --seconds S
 
-The parent revision is exported with ``git archive`` to ``.bench_build/<sha>/``; the
-change is the working tree.  For each seed A..B, one pair runs the parent's
-``perfbench/run.py`` and the working tree's, both unchanged and with ``--trace 0``, the
-parent first on an odd seed and the change first on an even one (``sides``), and reads the
-JSON object on the last line of each run's stdout.
+Both sides are exported with ``git archive`` to ``.bench_build/<commit sha>/``: the parent
+revision, and the change as the commit of the working tree's tracked files that ``git stash
+create`` makes (HEAD when they match it), so that the record names the tree it measured.
+Untracked files under ``src/``, ``tests/`` or ``tools/`` would be left out of that export, so
+they are refused with exit 2, as is a ``--seeds`` value other than ``A`` or ``A..B`` with
+A <= B.  For each seed A..B, one pair runs the parent's ``perfbench/run.py`` and the
+change's, both unchanged and with ``--trace 0``, the parent first on an odd seed and the
+change first on an even one (``sides``), and reads the JSON object on the last line of each
+run's stdout.
 
-``BENCH_<workload>-<parent sha[:7]>.json`` in the working tree root holds both revisions, the
-Python version, ``nproc``, every run (its seed, side, ``order`` in the pair, ``correct`` and
-its metric values) and, for each end-to-end metric of ``BENCHMARK.json``: the per-seed values
-of each side, the medians, the parent's interquartile range, the change's wins (ties count for
-neither), the bound and a verdict (see ``compare``).  The exit code is 1 when any run is not
-``correct``.
+``BENCH_<workload>-<parent sha[:7]>.json`` in the working tree root holds the commit and tree
+sha of each side, the Python version, ``nproc``, every run (its seed, side, ``order`` in the
+pair, ``correct`` and its metric values) and, for each end-to-end metric of
+``BENCHMARK.json``: the per-seed values of each side, the medians, the parent's interquartile
+range, the change's wins (ties count for neither), the bound and a verdict (see ``compare``).
+The exit code is 1 when any run is not ``correct``.
 """
 
 import argparse
@@ -27,7 +31,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-BUILD = ROOT / ".bench_build"
+# the directories whose untracked files the change's export would leave out
+MEASURED = ("src", "tests", "tools")
 
 
 def iqr(values):
@@ -100,15 +105,29 @@ def _git(*args):
 
 
 def export(rev):
-    """The tree of ``rev`` under ``.bench_build/<sha>``, exported once; returns (sha, path)."""
+    """The tree of ``rev`` under ``.bench_build/<commit sha>``, exported once; returns
+    ``({"rev": commit sha, "tree": tree sha}, path)``."""
     sha = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
-    path = BUILD / sha
+    path = ROOT / ".bench_build" / sha
     if not (path / "perfbench" / "run.py").is_file():
         path.mkdir(parents=True, exist_ok=True)
         archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(path)], input=archive, check=True)
-    return sha, path
+    return {"rev": sha, "tree": _git("rev-parse", f"{sha}^{{tree}}")}, path
+
+
+def seed_range(text):
+    """The seeds that ``A`` or ``A..B`` names, both included; anything else, ``B < A``
+    included, is refused."""
+    first, dots, last = text.partition("..")
+    try:
+        seeds = range(int(first), int(last if dots else first) + 1)
+    except ValueError:
+        seeds = range(0)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"want A or A..B with A <= B, got {text!r}")
+    return seeds
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -131,15 +150,17 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, help="A..B, both included")
+    parser.add_argument("--seeds", type=seed_range, required=True, help="A..B, both included")
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
-    first, _, last = args.seeds.partition("..")
-    seeds = range(int(first), int(last or first) + 1)
+    untracked = _git("ls-files", "--others", "--exclude-standard", "--", *MEASURED)
+    if untracked:
+        parser.error(f"untracked files would not be measured; add or remove them:\n{untracked}")
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    parent_sha, parent_dir = export(args.parent)
-    checkouts = {"parent": parent_dir, "change": ROOT}
+    parent, parent_dir = export(args.parent)
+    change, change_dir = export(_git("stash", "create") or "HEAD")
+    checkouts = {"parent": parent_dir, "change": change_dir}
 
     def run(side, seed):
         done = run_once(checkouts[side], args.workload, seed, args.seconds)
@@ -147,18 +168,17 @@ def main(argv=None):
         print(f"seed {seed} {side}: correct={done['correct']} {shown}", file=sys.stderr)
         return done
 
-    runs = run_pairs(seeds, run)
+    runs = run_pairs(args.seeds, run)
 
     correct = all(run["correct"] for run in runs)
     record = {
-        "workload": args.workload, "seconds": args.seconds, "seeds": list(seeds),
-        "parent": {"rev": parent_sha},
-        "change": {"rev": _git("rev-parse", "HEAD"), "dirty": bool(_git("status", "--porcelain"))},
+        "workload": args.workload, "seconds": args.seconds, "seeds": list(args.seeds),
+        "parent": parent, "change": change,
         "python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
         "correct": correct, "runs": runs,
         "metrics": summarise(runs, benchmark["end_to_end"]) if correct else {},
     }
-    path = ROOT / f"BENCH_{args.workload}-{parent_sha[:7]}.json"
+    path = ROOT / f"BENCH_{args.workload}-{parent['rev'][:7]}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     for name, m in record["metrics"].items():
         print(f"{name}: {m['parent_median']:.6g} -> {m['change_median']:.6g} "
