@@ -19,9 +19,9 @@ positionals and options, which ``parse_args`` walks and ``--help`` prints.
 Exit codes: 0 success, 1 verification failure, 2 usage error (one ``error:``
 line), 3 resource cap (over the byte budget, or a ``MemoryError``).  Any other
 exception is a bug; it is not caught, so it ends the process with a traceback.
-A usage error is ``combinat.UsageError``: argv integers are read by
-``combinat.at_least``, and a library refusal of an argv value is exit 2, so
-no bound of a route or an estimate (the largest double included) is checked here.
+A usage error is ``combinat.UsageError``, and a library refusal of an argv value is exit 2:
+each argv integer is refused once, by the bound that decides, so ``combinat.at_least`` reads
+here only a minimum no library rule overrides (dims 0, ``--jobs`` 1), never a route's bound.
 A refusal, the cap's included, shows each integer through ``combinat.show_int``:
 past 4300 digits, as its digit count.
 Every library name is read through its module (``hyperdet.route``,
@@ -73,15 +73,16 @@ def _degree(route: Route, cap_bytes: int) -> object:
     return route.call()
 
 
-def _integers(text: str, what: str, least: int, sep: str | None = None) -> tuple[int, ...]:
+def _integers(text: str, what: str, least: int | None, sep: str | None = None) -> tuple[int, ...]:
     """The one reader of integers in argv: ASCII digits after an optional minus
-    sign, each value at least ``least`` by ``combinat.at_least``.  ``sep`` splits a
-    comma list or a range into values; without it ``text`` is one value."""
+    sign, each value at least ``least`` by ``combinat.at_least`` (None: any value).
+    ``sep`` splits a comma list or a range into values; without it ``text`` is one value."""
     parts = text.split(sep) if sep else [text]
     if not all(part.removeprefix("-").isdecimal() and part.isascii() for part in parts):
         raise UsageError(f"{what} must be {'integers' if sep else 'an integer'}, got {text!r}")
     values = tuple(map(int, parts))
-    at_least(min(values), least, what)
+    if least is not None:
+        at_least(min(values), least, what)
     return values
 
 
@@ -434,8 +435,8 @@ def _log10_quotient(dec: "type[Decimal]", num: int, den: int) -> "Decimal":
 # the keys of ``asy.FORMULAS``, in order, spelled out: reading that dict at import would load
 # ``asympt`` into every process
 _GRID_FORMULAS = ("hyperdet", "ed", "sv")
-# formula -> the argument after d: a grid of n values, the weight or none; each formula's
-# route or estimate refuses a d below its least
+# formula -> the argument after d: a grid of n values, the weight or none; d, the weight and
+# --omega have no argv minimum: the formula's route or estimate, or --omega's rule, refuses them
 _ASYMPT_ARGS = {**dict.fromkeys(_GRID_FORMULAS, "a grid of n values"),
                 "binary": None, "discriminant": "the weight"}
 
@@ -488,7 +489,7 @@ def _cmd_asympt(args: SimpleNamespace) -> tuple[str, int]:
                 lambda dec: (dec(d + 3) / dec(1).exp()).log10() - (d + 1) * dec(2).log10())),
         ]
     else:
-        omega = _integers(args.grid, "omega", 1)[0]
+        omega = _integers(args.grid, "omega", None)[0]
         quotients = _degree(asy.discriminant_route(d, omega), args.cap_bytes)
         base = {"formula": "discriminant", "n": str(d), "omega": str(omega)}
         names = ("ratio-to-ed/large-n-form", "ratio-to-ed/large-weight-form",
@@ -505,8 +506,8 @@ def _cmd_asympt(args: SimpleNamespace) -> tuple[str, int]:
 # ``--help`` prints it.  Every argument is (name, takes, default, help): an
 # option if its name starts with ``-``, else a positional, which must be given
 # if its default is _REQUIRED (only the last may be left out).  ``takes`` is
-# what ``_value`` reads: _FLAG nothing, _TEXT any text, a tuple of choices, or
-# an integer, the least value ``_integers`` accepts.
+# what ``_value`` reads: _FLAG nothing, _TEXT any text, a tuple of choices, an
+# integer, the least value ``_integers`` accepts, or None for any integer.
 
 _FLAG, _TEXT, _REQUIRED = "flag", "text", "required"
 _HELP = ("--help", _FLAG, False, "show this help and exit")
@@ -540,10 +541,10 @@ _COMMANDS = {
                 ("--max", _TEXT, None, "sweep bound (suite-specific default and range)"))),
     "asympt": ("growth estimates, optionally against exact values", _cmd_asympt,
                (("formula", tuple(_ASYMPT_ARGS), _REQUIRED, "the estimate"),
-                ("d", 1, _REQUIRED, "factor count (n for the discriminant ratios)"),
+                ("d", None, _REQUIRED, "factor count (n for the discriminant ratios)"),
                 ("grid", _TEXT, None,
                  "n value, range a:b[:step], or comma list (weight for discriminant)"),
-                ("--omega", 1, None,
+                ("--omega", None, None,
                  "weight for the sv formula (default 1); a usage error with any other"),
                 ("--compare", _FLAG, False,
                  "include exact values and rel. errors (hyperdet, ed, sv)"))),
@@ -570,7 +571,7 @@ def _dest(name: str) -> str:
 
 def _value(name: str, takes: object, text: str) -> object:
     """The one reader of values: ``text`` as ``takes`` reads it, a choice of a
-    tuple, any text, or an integer of at least ``takes``."""
+    tuple, any text, or an integer of at least ``takes`` (any integer for None)."""
     if isinstance(takes, tuple):
         if text not in takes:
             raise UsageError(f"{name} must be one of {', '.join(takes)}, got {text!r}")

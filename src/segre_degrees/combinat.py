@@ -30,20 +30,21 @@ _LOG10_2 = 3010299956639811952137388947244930267681
 
 
 def show_int(value: int) -> str:
-    """``value`` as a refusal shows it: ``str`` up to 4300 digits, the default int -> str limit,
-    and past it its sign and ``<N-digit integer>``.  An integer of b bits has t or t + 1 digits
-    for t = floor(b log10 2), so N costs one power of ten and no conversion."""
+    """``operator.index(value)`` as a refusal shows it: ``str`` up to 4300 digits, the default
+    int -> str limit, and past it its sign and ``<N-digit integer>``.  An integer of b bits has
+    t or t + 1 digits for t = floor(b log10 2), so N costs one power of ten and no conversion."""
+    value = index(value)
     t = abs(value).bit_length() * _LOG10_2 // 10 ** 40
     digits = t + (abs(value) >= 10 ** t)
     return str(value) if digits <= 4300 else f"{'-' * (value < 0)}<{digits}-digit integer>"
 
 
 def at_least(value: int, least: int, what: str) -> int:
-    """``value`` through ``operator.index``, so a float, ``Fraction`` or ``str`` raises
-    ``TypeError`` instead of being truncated, and refused with ``UsageError`` below ``least``:
-    the one rule for every integer argument of the package.  A tuple reads its entries through
-    ``map(index)`` and passes its least entry here once."""
-    value = index(value)
+    """``value`` and ``least`` through ``operator.index``, so a float, ``Fraction`` or ``str``
+    raises ``TypeError`` instead of being truncated, and ``value`` refused with ``UsageError``
+    below ``least``: the one rule for every integer argument of the package.  A tuple reads its
+    entries through ``map(index)`` and passes its least entry here once."""
+    value, least = index(value), index(least)
     if value < least:
         raise UsageError(f"{what} must be at least {show_int(least)}, got {show_int(value)}")
     return value
@@ -84,18 +85,19 @@ def binomial_row(a: int) -> list[int]:
 
 def horner(coeffs: Sequence[int], x: int) -> int:
     """sum_s coeffs[s] x^s (0 for no coefficients) by Horner's rule, one multiply-add
-    per entry: about N^2 bit operations for N entries of O(N) bits, not N^3."""
-    total = 0
+    per entry: about N^2 bit operations for N entries of O(N) bits, not N^3.  ``x`` is read
+    through ``operator.index``, so a float raises ``TypeError``."""
+    total, x = 0, index(x)
     for c in reversed(coeffs):
         total = total * x + c
     return total
 
 
 def rational(num: int, den: int) -> tuple[int, int]:
-    """num / den as a reduced pair (p, q) of integers with q > 0: the exact
-    rationals of the package, which builds no ``Fraction``."""
+    """num / den as a reduced pair (p, q) with q > 0: the package's exact rationals, which build
+    no ``Fraction``; den 0 raises ``ZeroDivisionError``, as ``Fraction(num, 0)`` does."""
     if den == 0:
-        raise ZeroDivisionError(f"rational({num}, 0)")
+        raise ZeroDivisionError(f"rational({show_int(num)}, 0)")
     g = gcd(num, den)
     if den < 0:
         g = -g

@@ -161,10 +161,10 @@ def stabilization_onset(base_dims: Sequence[int], m_max: int) -> list[tuple[int,
 def matrix_ed_polynomial(entries: "Sequence[Sequence[Fraction | int]]") -> "list[Fraction]":
     """Coefficients (ascending in eps^2) of det(t t^T - eps^2 I).
 
-    The roots in eps^2 are the squared singular values of t.  The matrix is
-    transposed first if it has more rows than columns, so the result has
-    degree min(rows, cols) and leading coefficient (-1)^min(rows, cols).
-    Uses the Faddeev-LeVerrier trace recurrence over exact rationals.
+    The roots in eps^2 are the squared singular values of t.  The matrix is transposed first if
+    it has more rows than columns, so the result has degree min(rows, cols) and leading
+    coefficient (-1)^min(rows, cols), by Faddeev-LeVerrier's trace recurrence over ``Fraction``
+    entries: one it cannot read (text, nan, inf) raises its ``ValueError`` or ``OverflowError``.
     """
     from fractions import Fraction
 

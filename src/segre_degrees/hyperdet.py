@@ -116,9 +116,9 @@ def mixed_partial_at_symmetric_point(d: int, k: int) -> tuple[int, int]:
 def partition_formats(max_total: int) -> Iterator[tuple[int, ...]]:
     """All non-decreasing tuples of positive n_i with sum <= max_total.
 
-    One representative per permutation class; the degree computations here
-    are symmetric in the factors, so sweeps over these cover all formats.
-    """
+    One representative per permutation class; the degree computations here are symmetric in the
+    factors, so sweeps over these cover all formats.  Each part is one level of recursion, so a
+    tuple longer than the recursion limit raises ``RecursionError``: no sweep reaches one."""
     def rec(remaining: int, smallest: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if prefix:
             yield prefix

@@ -156,7 +156,7 @@ def test_argparse_errors_are_one_error_line(capsys, argv):
                  "json, got 'yaml'", id="format-choice-after-equals"),
     pytest.param("hyperdet 1,1,1 --omega x", "--omega must be an integer, got 'x'",
                  id="omega-not-integer"),
-    pytest.param("asympt sv 3 2 --omega 0", "--omega must be at least 1, got 0",
+    pytest.param("hyperdet 1,1,1 --omega 0", "--omega must be at least 1, got 0",
                  id="omega-below-least"),
     pytest.param("table table2 --jobs 1e3", "--jobs must be an integer, got '1e3'",
                  id="jobs-not-integer"),
@@ -167,7 +167,8 @@ def test_argparse_errors_are_one_error_line(capsys, argv):
     pytest.param("hyperdet 1,1,1 --cap-bytes=0", "--cap-bytes must be at least 1, got 0",
                  id="cap-bytes-below-least"),
     pytest.param("asympt binary 1_0", "d must be an integer, got '1_0'", id="d-not-integer"),
-    pytest.param("asympt hyperdet -1 5", "d must be at least 1, got -1", id="d-below-least"),
+    # asympt reads d with no minimum: the line is the route's, asympt.FORMULAS["hyperdet"][0]
+    pytest.param("asympt hyperdet -1 5", "d must be at least 3, got -1", id="d-below-least"),
     pytest.param("asympt binary 1", "d must be at least 2, got 1", id="d-below-formula"),
     pytest.param("hyperdet 1,1,1 --timing=1", "--timing takes no value, got '--timing=1'",
                  id="flag-with-value"),

@@ -66,13 +66,13 @@ def test_ci_runs_tier1_in_development_mode():
 
 def test_ci_replays_the_pins_under_optimization():
     """Under ``-OO`` an assert or docstring the program leans on is gone; the golden, refusal,
-    contract and JSON and CSV writer files must still pass.  The whole suite cannot: some tests
-    read docstrings."""
+    CLI contract, JSON and CSV writer and library contract files must still pass.  The whole
+    suite cannot: some tests read docstrings."""
     workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
     steps = re.findall(r"^ +run: (.*)$", workflow.read_text(), re.M)
     assert ('PYTHONPATH=src python -OO -m pytest -q -W "ignore::pytest.PytestConfigWarning" '
             "tests/test_cli_golden.py tests/test_refusals.py tests/test_cli_contract.py "
-            "tests/test_render.py") in steps
+            "tests/test_render.py tests/test_library_contract.py") in steps
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])

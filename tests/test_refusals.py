@@ -19,7 +19,7 @@ from segre_degrees.asympt import (binary_asymptotics, convergence_sweep, discrim
                                   log_sv_hyperdet_asymptotic, relative_error)
 from segre_degrees.cli import main
 from segre_degrees.combinat import (UsageError, as_format, at_least, binomial, binomial_row,
-                                    fold_cost, multinomial, power_cost)
+                                    fold_cost, horner, multinomial, power_cost, show_int)
 from segre_degrees.eddeg import (binary_generic_ed_degree, generic_ed_degree,
                                  stabilization_onset, veronese_frobenius_ed_degree)
 from segre_degrees.hyperdet import (binary_hyperdet_degree, mixed_partial_at_symmetric_point,
@@ -184,8 +184,7 @@ ARGV_REFUSALS = [
      "d must be at least 3, got 2"),
     ("asympt discriminant 1 2", lambda: discriminant_route(1, 2), "omega must be at least 3, got 2"),
     ("asympt discriminant 5 2", lambda: discriminant_route(5, 2), "omega must be at least 3, got 2"),
-    # the command line's reader names the weight as the route does
-    ("asympt discriminant 5 0", lambda: at_least(0, 1, "omega"), "omega must be at least 1, got 0"),
+    ("asympt discriminant 5 0", lambda: discriminant_route(5, 0), "omega must be at least 3, got 0"),
     ("eddeg 1,1 --weights 2", lambda: eddeg.route((1, 1), (2,), False),
      "weights must match the number of factors"),
     ("eddeg 1,2 --weights 2,2", lambda: eddeg.route((1, 2), (2, 2), False),
@@ -226,6 +225,34 @@ def test_the_least_d_of_a_formula_is_accepted(capsys, argv, quantities):
     assert (len(out.splitlines()), err) == (quantities, "")
 
 
+# argv with one integer slot: one per integer argument of the command line and per ``asympt``
+# formula, with the grid and weight slots of ``asympt`` and ``--omega`` where each formula reads it
+FINAL_REFUSALS = [
+    "hyperdet 1,{}", "hyperdet 1,1 --omega {}", "hyperdet 1,1 --cap-bytes {}",
+    "eddeg 1,{}", "eddeg 1,{} --generic", "eddeg 1,1 --weights 1,{}",
+    "eddeg 1,1 --weights {},2 --generic", "table table2 --jobs {}",
+    "verify identities --max {}", "verify rw-constants --max {}",
+    "verify stabilization --max {}", "verify cross-oracle --max {}",
+    "asympt hyperdet {} 5", "asympt ed {} 5", "asympt sv {} 5", "asympt binary {}",
+    "asympt discriminant {} 3", "asympt discriminant 5 {}",
+    "asympt hyperdet 3 {}", "asympt ed 3 {}", "asympt sv 3 5,{} --omega 2",
+    "asympt hyperdet 3 {}:5", "asympt ed 3 1:5:{}", "asympt sv 3 {}:4",
+    "asympt sv 3 5 --omega {}", "asympt hyperdet 3 5 --omega {}",
+]
+
+
+@pytest.mark.parametrize("value", [-3, 0])
+@pytest.mark.parametrize("template", FINAL_REFUSALS)
+def test_a_refusal_names_the_bound_that_decides(capsys, template, value):
+    """Each argument is refused once: where a request is refused with ``must be at least B``,
+    the same request with B in the slot is not refused again (exit 0, or 3 for the cap)."""
+    refused = main(template.format(value).split()) == 2
+    least = re.fullmatch(r"error: .* must be at least (-?\d+), got -?\d+\n", capsys.readouterr().err)
+    if refused and least:
+        code = main(template.format(least[1]).split())
+        assert code != 2, capsys.readouterr().err
+
+
 # one row per function that reads an integer through ``at_least``: a float below its least,
 # so a comparison before ``operator.index`` would give a ValueError instead
 FLOAT_ARGUMENTS = [
@@ -263,6 +290,11 @@ FLOAT_ARGUMENTS = [
     (fold_cost, ((1, 2), (1, 1), 2, 1.0)),
     (power_cost, (2.0, 5)),
     (power_cost, (2, 5.0)),
+    # the integers a refusal shows, a float least included
+    (show_int, (2.0,)),
+    (at_least, (1, 2.0, "x")),
+    (at_least, (10 ** 6, float("inf"), "x")),
+    (horner, ((1, 2), 0.5)),  # read through ``operator.index`` alone
 ]
 
 
